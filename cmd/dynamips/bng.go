@@ -171,7 +171,9 @@ func cmdServeBNG(args []string) error {
 // pulls the active's /ha view, replays its own deterministic copy of
 // the same Config to the active's virtual hour, and cross-checks the
 // table hash plus the codec-level /snapshot stream (warm state sync
-// with split-brain detection). After maxMisses consecutive failed polls
+// with split-brain detection). A /snapshot cut from another hour than
+// the standby's means the active moved on mid-poll; that poll is
+// skipped, not compared. After maxMisses consecutive failed polls
 // it declares the active dead and promotes itself: the replayed state
 // already reflects the scenario's recovery policy, so promotion churns
 // straight on to churnHours as the new active. Returns interrupted=true
@@ -207,13 +209,16 @@ func runStandby(d *bng.Daemon, activeURL string, churnHours int64, poll time.Dur
 		}
 		// Codec-level sync: pull the active's snapshot stream and verify
 		// it decodes to the standby's exact session records.
-		recs, err := cl.Snapshot()
+		at, recs, err := cl.SnapshotAt()
 		if err != nil {
 			misses++
 			logf("serve-bng: standby snapshot miss %d/%d: %v", misses, maxMisses, err)
 			continue
 		}
-		mine := d.Table().SnapshotSorted()
+		mineAt, mine := d.Snapshot()
+		if at != mineAt {
+			continue // the active moved on between /ha and /snapshot
+		}
 		if len(recs) != len(mine) {
 			return false, fmt.Errorf("serve-bng: standby split brain: active snapshot has %d sessions, standby %d", len(recs), len(mine))
 		}

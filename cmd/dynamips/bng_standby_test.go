@@ -115,3 +115,72 @@ func TestServeBNGScenarioFlag(t *testing.T) {
 		t.Error("serve-bng accepted relay-drop without relay-hops")
 	}
 }
+
+// TestServeBNGStandbyTracksChurningActive: a standby polling every 50ms
+// tracks an in-process active that is still churning hourly rounds, so
+// its polls land mid-barrier and the active moves on between a poll's
+// /ha and its /snapshot. Neither may read as a split brain, and once the
+// active is lost the promoted standby must land on the bytes of an
+// uninterrupted run.
+func TestServeBNGStandbyTracksChurningActive(t *testing.T) {
+	const hours = 36
+	base := t.TempDir()
+	shape := []string{
+		"-subscribers", "4000", "-shards", "5", "-seed", "31",
+		"-churn-hours", fmt.Sprint(hours), "-round-hours", "1",
+	}
+	refStats := filepath.Join(base, "ref-stats.json")
+	refSnap := filepath.Join(base, "ref-snap.bin")
+	if err := cmdServeBNG(append(shape, "-workers", "2", "-stats-out", refStats, "-snapshot-out", refSnap)); err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+
+	cfg := bng.DefaultConfig(4000, 31)
+	cfg.ShardBits = 5
+	active, err := bng.New(cfg, bng.Options{Workers: 2, RoundHours: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	api, err := active.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The active churns one round every 15ms of wall time, then dies.
+	churnErr := make(chan error, 1)
+	go func() {
+		var err error
+		for h := int64(1); h <= hours && err == nil; h++ {
+			err = active.Churn(h)
+			time.Sleep(15 * time.Millisecond)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		api.Shutdown(ctx) //nolint:errcheck // the poll misses are the point
+		churnErr <- err
+	}()
+
+	sbStats := filepath.Join(base, "sb-stats.json")
+	sbSnap := filepath.Join(base, "sb-snap.bin")
+	err = cmdServeBNG(append(shape, "-workers", "3",
+		"-standby", fmt.Sprintf("http://%s", api.Addr()), "-poll", "50ms", "-max-misses", "2",
+		"-stats-out", sbStats, "-snapshot-out", sbSnap))
+	if cerr := <-churnErr; cerr != nil {
+		t.Fatalf("active churn: %v", cerr)
+	}
+	if err != nil {
+		t.Fatalf("standby run: %v", err)
+	}
+	for _, f := range [][2]string{{refStats, sbStats}, {refSnap, sbSnap}} {
+		want, err := os.ReadFile(f[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(f[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("promoted standby's %s differs from the uninterrupted run's", filepath.Base(f[1]))
+		}
+	}
+}

@@ -92,9 +92,9 @@ func transient(err error) bool {
 }
 
 // fetch GETs path with the retry budget, handing each successful
-// response body to read. Bodies are fully consumed per attempt, so a
-// decode error mid-stream (the daemon died mid-response) retries too.
-func (c *Client) fetch(path string, read func(io.Reader) error) error {
+// response to read. Bodies are fully consumed per attempt, so a decode
+// error mid-stream (the daemon died mid-response) retries too.
+func (c *Client) fetch(path string, read func(*http.Response) error) error {
 	delay := c.retryBase
 	var err error
 	for attempt := 0; ; attempt++ {
@@ -116,7 +116,7 @@ func (c *Client) fetch(path string, read func(io.Reader) error) error {
 	}
 }
 
-func (c *Client) fetchOnce(path string, read func(io.Reader) error) error {
+func (c *Client) fetchOnce(path string, read func(*http.Response) error) error {
 	req, err := http.NewRequestWithContext(c.ctx, http.MethodGet, c.base+path, nil)
 	if err != nil {
 		return err
@@ -129,12 +129,12 @@ func (c *Client) fetchOnce(path string, read func(io.Reader) error) error {
 	if resp.StatusCode != http.StatusOK {
 		return &statusError{code: resp.StatusCode, status: resp.Status}
 	}
-	return read(resp.Body)
+	return read(resp)
 }
 
 func (c *Client) get(path string, into any) error {
-	return c.fetch(path, func(r io.Reader) error {
-		if err := json.NewDecoder(r).Decode(into); err != nil {
+	return c.fetch(path, func(resp *http.Response) error {
+		if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
 			return fmt.Errorf("decoding: %w", err)
 		}
 		return nil
@@ -222,8 +222,8 @@ func (c *Client) SketchCard(name string) (CardAnswer, error) {
 // set — the mergeable form a watcher folds across daemons or rounds.
 func (c *Client) SketchSet() (*sketch.Set, error) {
 	var s *sketch.Set
-	err := c.fetch("/sketch?format=binary", func(r io.Reader) error {
-		raw, err := io.ReadAll(r)
+	err := c.fetch("/sketch?format=binary", func(resp *http.Response) error {
+		raw, err := io.ReadAll(resp.Body)
 		if err != nil {
 			return err
 		}
@@ -236,15 +236,31 @@ func (c *Client) SketchSet() (*sketch.Set, error) {
 // Snapshot fetches /snapshot and decodes the session-table codec
 // stream: the standby's state-sync pull.
 func (c *Client) Snapshot() ([]stripe.Session, error) {
-	var recs []stripe.Session
-	err := c.fetch("/snapshot", func(r io.Reader) error {
+	_, recs, err := c.SnapshotAt()
+	return recs, err
+}
+
+// SnapshotAt is Snapshot plus the virtual hour of the round boundary
+// the daemon cut the table at (SnapshotHoursHeader). A standby compares
+// only cuts from the hour it has replayed to; an active that moved on
+// between polls answers with a later hour.
+func (c *Client) SnapshotAt() (int64, []stripe.Session, error) {
+	var (
+		hours int64
+		recs  []stripe.Session
+	)
+	err := c.fetch("/snapshot", func(resp *http.Response) error {
+		h, err := strconv.ParseInt(resp.Header.Get(SnapshotHoursHeader), 10, 64)
+		if err != nil {
+			return fmt.Errorf("%s header: %w", SnapshotHoursHeader, err)
+		}
 		var buf bytes.Buffer
-		if _, err := io.Copy(&buf, r); err != nil {
+		if _, err := io.Copy(&buf, resp.Body); err != nil {
 			return err
 		}
-		var derr error
-		recs, derr = stripe.DecodeSnapshot(&buf)
-		return derr
+		recs, err = stripe.DecodeSnapshot(&buf)
+		hours = h
+		return err
 	})
-	return recs, err
+	return hours, recs, err
 }

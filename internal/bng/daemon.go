@@ -81,7 +81,7 @@ type StatsView struct {
 }
 
 // Daemon hosts the sharded assignment plane: the stripe table, one
-// engine per stripe, and the cached stats view the HTTP API serves.
+// engine per stripe, and the round cut the HTTP API serves.
 type Daemon struct {
 	cfg     Config
 	opt     Options
@@ -92,20 +92,13 @@ type Daemon struct {
 	// pagination index for /sessions.
 	cumSubs []int
 
-	mu        sync.RWMutex
-	hours     int64
-	view      StatsView
-	statsJSON []byte
-	role      string
-
-	// Round-boundary streaming summaries: the stripe partials merged in
-	// stripe order, their canonical /sketch JSON view, and the CRC-framed
-	// binary encoding. All three are pure functions of engine state, so
-	// they are byte-identical at any worker count.
-	sketchSet  *sketch.Set
-	sketchView SketchView
-	sketchJSON []byte
-	sketchBin  []byte
+	// mu guards the published state below: the last round's cut, the
+	// role, and the failover schedule. The churn goroutine replaces cut
+	// and failovers together, so a reader never pairs one round's hour
+	// with another round's view.
+	mu   sync.RWMutex
+	cut  *roundCut
+	role string
 
 	// Failover schedule (scenario-driven). failCursor draws exponential
 	// gaps when FailoverMeanHours is set; failIdx walks the explicit
@@ -118,6 +111,25 @@ type Daemon struct {
 	failovers  []int64
 
 	confHash string
+}
+
+// roundCut is what a round boundary publishes: the virtual hour and
+// everything the read API serves for it. The session table is retained
+// in key order, so /snapshot encodes the boundary's table instead of
+// re-reading the stripes the engines are writing. The sketch set is the
+// stripe partials merged in stripe order; its binary form is encoded on
+// demand. Every field is a pure function of engine state at the
+// boundary, so two daemons at the same hour hold byte-identical cuts at
+// any worker count. A cut is never modified once published.
+type roundCut struct {
+	hours     int64
+	view      StatsView
+	statsJSON []byte
+	snap      []stripe.Session
+
+	sketchSet  *sketch.Set
+	sketchView SketchView
+	sketchJSON []byte
 }
 
 // failoverSalt separates the daemon's failover-gap stream from every
@@ -164,7 +176,7 @@ func New(cfg Config, opt Options) (*Daemon, error) {
 		d.failCursor = stripe.Mix64(cfg.Seed ^ failoverSalt)
 		d.advanceFailover(0)
 	}
-	d.refreshView()
+	d.cut = d.buildCut(0, nil)
 	return d, nil
 }
 
@@ -172,10 +184,13 @@ func New(cfg Config, opt Options) (*Daemon, error) {
 func (d *Daemon) Config() Config { return d.cfg }
 
 // Hours returns the churned virtual time.
-func (d *Daemon) Hours() int64 {
+func (d *Daemon) Hours() int64 { return d.current().hours }
+
+// current returns the last published round cut.
+func (d *Daemon) current() *roundCut {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.hours
+	return d.cut
 }
 
 // Table exposes the session table (read-only use).
@@ -187,9 +202,7 @@ func (d *Daemon) Table() *stripe.Table { return d.table }
 // the stats view and persists the checkpoint watermark.
 func (d *Daemon) Churn(toHours int64) error {
 	for {
-		d.mu.RLock()
-		h := d.hours
-		d.mu.RUnlock()
+		h := d.Hours()
 		if h >= toHours {
 			return nil
 		}
@@ -265,18 +278,22 @@ func (d *Daemon) runRound(toHours int64) error {
 	if err != nil {
 		return err
 	}
-	d.mu.Lock()
-	d.hours = toHours
+	// Only this goroutine writes failovers, so it reads them unlocked;
+	// readers see the appended hour only with the cut that counts it.
+	failovers := d.failovers
 	if fire {
-		d.failovers = append(d.failovers, toHours)
+		failovers = append(failovers, toHours)
+	}
+	cut := d.buildCut(toHours, failovers)
+	d.mu.Lock()
+	d.cut = cut
+	d.failovers = failovers
+	if fire {
 		d.advanceFailover(toHours)
 	}
 	d.mu.Unlock()
-	d.refreshView()
 	if d.opt.Obs != nil {
-		d.mu.RLock()
-		v := d.view
-		d.mu.RUnlock()
+		v := cut.view
 		d.opt.Obs.Counter("bng_rounds").Inc()
 		d.opt.Obs.Gauge("bng_active_sessions").Set(int64(v.ActiveSessions))
 		d.opt.Obs.Gauge("bng_events_total").Set(int64(v.Events.Events))
@@ -294,9 +311,28 @@ func (d *Daemon) runRound(toHours int64) error {
 	return nil
 }
 
-// refreshView recomputes the cached stats view and its canonical JSON
-// from one pass over the sorted snapshot.
-func (d *Daemon) refreshView() {
+// buildCut computes the round cut for hours with the given fired
+// failovers. It runs at the round barrier, with the engines quiescent,
+// as two independent halves: the table half (one sorted pass over the
+// stripes for the counts, the hash and /stats) and the sketch half (the
+// stripe merge and the /sketch view). Each writes only its own fields of
+// the cut, so the halves run concurrently within Options.Workers.
+func (d *Daemon) buildCut(hours int64, failovers []int64) *roundCut {
+	c := &roundCut{hours: hours}
+	parallel.Map(2, d.opt.Workers, func(half int) struct{} {
+		if half == 0 {
+			d.tableHalf(c, failovers)
+		} else {
+			d.sketchHalf(c)
+		}
+		return struct{}{}
+	})
+	return c
+}
+
+// tableHalf fills the cut's sorted session table, stats view and its
+// canonical JSON.
+func (d *Daemon) tableHalf(c *roundCut, failovers []int64) {
 	snap := d.table.SnapshotSorted()
 	groups := make([]GroupStats, len(d.cfg.Groups))
 	var pools []PoolStats
@@ -354,71 +390,70 @@ func (d *Daemon) refreshView() {
 	for _, e := range d.engines {
 		stats.add(e.stats)
 	}
-	d.mu.RLock()
-	hours := d.hours
-	nFail := len(d.failovers)
 	var lastFail int64
-	if nFail > 0 {
-		lastFail = d.failovers[nFail-1]
+	if n := len(failovers); n > 0 {
+		lastFail = failovers[n-1]
 	}
-	d.mu.RUnlock()
-	view := StatsView{
-		VirtualHours:     hours,
+	c.snap = snap
+	c.view = StatsView{
+		VirtualHours:     c.hours,
 		Subscribers:      d.cfg.Subscribers(),
 		ActiveSessions:   len(snap),
 		TableHash:        fmt.Sprintf("%016x", stripe.Hash(snap)),
 		Events:           stats,
 		Groups:           groups,
 		Pools:            pools,
-		Failovers:        nFail,
+		Failovers:        len(failovers),
 		LastFailoverHour: lastFail,
 	}
+	c.statsJSON = indentJSON(c.view)
+}
+
+// sketchHalf fills the cut's merged sketch set, its summary view and
+// the view's canonical JSON.
+func (d *Daemon) sketchHalf(c *roundCut) {
+	c.sketchSet = d.mergeEngineSketches()
+	c.sketchView = buildSketchView(c.hours, c.sketchSet)
+	c.sketchJSON = indentJSON(c.sketchView)
+}
+
+// indentJSON is the canonical two-space-indented JSON of a view.
+func indentJSON(v any) []byte {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(view) // a buffer write of a plain struct cannot fail
-	merged := d.mergeEngineSketches()
-	skView := buildSketchView(hours, merged)
-	var skBuf bytes.Buffer
-	skEnc := json.NewEncoder(&skBuf)
-	skEnc.SetIndent("", "  ")
-	_ = skEnc.Encode(skView)
-	d.mu.Lock()
-	d.view = view
-	d.statsJSON = append(d.statsJSON[:0], buf.Bytes()...)
-	d.sketchSet = merged
-	d.sketchView = skView
-	d.sketchJSON = append(d.sketchJSON[:0], skBuf.Bytes()...)
-	d.sketchBin = merged.Encode()
-	d.mu.Unlock()
+	_ = enc.Encode(v) // a buffer write of a plain struct cannot fail
+	return buf.Bytes()
 }
 
 // Stats returns the cached round-boundary stats view.
-func (d *Daemon) Stats() StatsView {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.view
-}
+func (d *Daemon) Stats() StatsView { return d.current().view }
 
 // WriteStats writes the canonical /stats JSON.
 func (d *Daemon) WriteStats(w io.Writer) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	_, err := w.Write(d.statsJSON)
+	_, err := w.Write(d.current().statsJSON)
 	return err
 }
 
 // WriteSketchJSON writes the canonical /sketch full-view JSON.
 func (d *Daemon) WriteSketchJSON(w io.Writer) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	_, err := w.Write(d.sketchJSON)
+	_, err := w.Write(d.current().sketchJSON)
 	return err
 }
 
-// WriteSnapshot writes the canonical session-table snapshot.
+// Snapshot returns the last round boundary's virtual hour and its
+// session table in key order. The slice is shared: callers must not
+// modify it.
+func (d *Daemon) Snapshot() (int64, []stripe.Session) {
+	c := d.current()
+	return c.hours, c.snap
+}
+
+// WriteSnapshot writes the canonical session-table snapshot of the last
+// round boundary.
 func (d *Daemon) WriteSnapshot(w io.Writer) error {
-	return stripe.EncodeSnapshot(w, d.table.SnapshotSorted())
+	_, snap := d.Snapshot()
+	return stripe.EncodeSnapshot(w, snap)
 }
 
 // SessionView is one /sessions item. Every configured subscriber has a
@@ -557,8 +592,8 @@ func (d *Daemon) HA() HAView {
 		Scenario:         d.cfg.Scenario.String(),
 		FailoverHours:    append([]int64(nil), d.failovers...),
 		NextFailoverHour: d.nextFail,
-		VirtualHours:     d.hours,
-		TableHash:        d.view.TableHash,
+		VirtualHours:     d.cut.hours,
+		TableHash:        d.cut.view.TableHash,
 	}
 }
 

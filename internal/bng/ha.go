@@ -90,7 +90,7 @@ func (p *Pair) Sync() error {
 	if err != nil {
 		return fmt.Errorf("bng: ha sync decode: %w", err)
 	}
-	mine := p.standby.table.SnapshotSorted()
+	_, mine := p.standby.Snapshot()
 	if len(recs) != len(mine) {
 		return fmt.Errorf("bng: ha split brain: active has %d sessions, standby %d", len(recs), len(mine))
 	}

@@ -9,7 +9,14 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"dynamips/internal/bng/stripe"
 )
+
+// SnapshotHoursHeader carries the virtual hour of the round boundary a
+// /snapshot response encodes, so a standby can tell a cut from another
+// hour than the /ha it polled.
+const SnapshotHoursHeader = "X-Dynamips-Virtual-Hours"
 
 // Pagination limits for /sessions.
 const (
@@ -36,8 +43,9 @@ type PoolsPayload struct {
 
 // Handler returns the read-only API: GET /stats (cached round-boundary
 // view, canonical JSON), GET /pools, GET /sessions?offset=&limit=,
-// GET /ha (failover posture), GET /snapshot (the binary session-table
-// codec stream a standby syncs from), and GET /sketch (streaming
+// GET /ha (failover posture), GET /snapshot (the last round boundary's
+// binary session-table codec stream a standby syncs from, with the
+// boundary's hour in SnapshotHoursHeader), and GET /sketch (streaming
 // summaries: ?op=quantile|topk|card&name=... or ?format=binary).
 func (d *Daemon) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -122,8 +130,8 @@ func (s *APIServer) Shutdown(ctx context.Context) error {
 
 // Serve starts the read-only API on addr. The listener goroutine lives
 // for the daemon's lifetime and is drained by Shutdown; it only reads
-// the stripe table (per-shard locks) and the cached stats view, never
-// the engines.
+// the stripe table (per-shard locks, for /sessions) and the published
+// round cut, never the engines.
 func (d *Daemon) Serve(addr string) (*APIServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -155,8 +163,10 @@ func (d *Daemon) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
+	hours, snap := d.Snapshot()
 	w.Header().Set("Content-Type", "application/octet-stream")
-	_ = d.WriteSnapshot(w)
+	w.Header().Set(SnapshotHoursHeader, strconv.FormatInt(hours, 10))
+	_ = stripe.EncodeSnapshot(w, snap)
 }
 
 func (d *Daemon) handleStats(w http.ResponseWriter, r *http.Request) {

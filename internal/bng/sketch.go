@@ -312,9 +312,8 @@ var ErrSketchUnknown = errors.New("bng: no such sketch for that op")
 // QuerySketch answers a parsed query against the cached round-boundary
 // sketch state. Op "binary" is served by SketchBinary instead.
 func (d *Daemon) QuerySketch(q SketchQuery) (any, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	s, hours := d.sketchSet, d.hours
+	c := d.current()
+	s, hours := c.sketchSet, c.hours
 	switch q.Op {
 	case "quantile":
 		if s.KindOf(q.Name) != sketch.KindQuantile {
@@ -346,20 +345,13 @@ func (d *Daemon) QuerySketch(q SketchQuery) (any, error) {
 }
 
 // Sketch returns the cached full sketch view.
-func (d *Daemon) Sketch() SketchView {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.sketchView
-}
+func (d *Daemon) Sketch() SketchView { return d.current().sketchView }
 
 // SketchBinary returns the canonical CRC-framed encoding of the merged
 // sketch set — the same codec the stream pipeline journals, so a
-// watcher can decode, merge, and re-serve daemon sketches offline.
-func (d *Daemon) SketchBinary() []byte {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return append([]byte(nil), d.sketchBin...)
-}
+// watcher can decode, merge, and re-serve daemon sketches offline. It
+// is encoded on demand from the last round boundary's merged set.
+func (d *Daemon) SketchBinary() []byte { return d.current().sketchSet.Encode() }
 
 // mergeEngineSketches folds every stripe's partial, in stripe-index
 // order, into one fresh set. Called at the round barrier (engines

@@ -3,7 +3,6 @@ package stripe
 import (
 	"bytes"
 	"flag"
-	"slices"
 	"testing"
 
 	"dynamips/internal/faultnet"
@@ -78,8 +77,7 @@ func oracleState(ops []op) []Session {
 	for _, s := range m {
 		out = append(out, s)
 	}
-	slices.SortFunc(out, compareSession)
-	return out
+	return sortOracle(out)
 }
 
 // stripedState partitions the op stream by owning shard (preserving

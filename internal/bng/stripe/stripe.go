@@ -24,7 +24,6 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
-	"slices"
 	"sync"
 )
 
@@ -216,17 +215,6 @@ func (b Borrowed) Delete(key uint64) bool {
 // Len returns the borrowed stripe's session count.
 func (b Borrowed) Len() int { return len(b.sh.m) }
 
-// compareSession orders records by key: the canonical snapshot order.
-func compareSession(a, b Session) int {
-	switch {
-	case a.Key < b.Key:
-		return -1
-	case a.Key > b.Key:
-		return 1
-	}
-	return 0
-}
-
 // SnapshotSorted collects every session into a slice sorted by key —
 // the canonical order group-then-subscriber, since keys are dense
 // (group<<32 | index). Each shard is locked only while it is copied.
@@ -241,8 +229,85 @@ func (t *Table) SnapshotSorted() []Session {
 		}
 		sh.mu.Unlock()
 	}
-	slices.SortFunc(out, compareSession)
+	radixSortByKey(out)
 	return out
+}
+
+// radixSortByKey orders records by key in place, with no comparison
+// sort: an MSD radix sort (American flag sort) that permutes each byte's
+// buckets into place by swap cycles, then recurses into every bucket on
+// the next lower byte. Bytes constant across every key are skipped, so
+// dense group<<32|index keys cost about four passes however large the
+// table, and the sort allocates nothing. Keys in a table are unique, so
+// the result is the one key order any sort would give.
+func radixSortByKey(s []Session) {
+	var diff uint64
+	for i := range s {
+		diff |= s[i].Key ^ s[0].Key
+	}
+	radixSortByte(s, diff, 7)
+}
+
+// smallSortMax is the bucket size below which an insertion sort beats
+// another radix pass's 256-entry tables.
+const smallSortMax = 24
+
+// radixSortByte sorts s, whose keys agree on every byte above b, by key
+// bytes b down to 0, skipping those that diff marks constant.
+func radixSortByte(s []Session, diff uint64, b int) {
+	for b >= 0 && byte(diff>>(8*uint(b))) == 0 {
+		b--
+	}
+	if b < 0 || len(s) < 2 {
+		return
+	}
+	if len(s) <= smallSortMax {
+		insertionSortByKey(s)
+		return
+	}
+	shift := 8 * uint(b)
+	var count, next [256]int
+	for i := range s {
+		count[byte(s[i].Key>>shift)]++
+	}
+	at := 0
+	for d := range count {
+		next[d] = at
+		at += count[d]
+	}
+	// Walk the buckets: each misplaced record is swapped into the next
+	// free slot of its own bucket until the slot under the cursor holds
+	// a record that belongs there.
+	end := 0
+	for d := range count {
+		end += count[d]
+		for next[d] < end {
+			r := s[next[d]]
+			for rd := byte(r.Key >> shift); int(rd) != d; rd = byte(r.Key >> shift) {
+				r, s[next[rd]] = s[next[rd]], r
+				next[rd]++
+			}
+			s[next[d]] = r
+			next[d]++
+		}
+	}
+	start := 0
+	for d := range count {
+		radixSortByte(s[start:start+count[d]], diff, b-1)
+		start += count[d]
+	}
+}
+
+// insertionSortByKey orders a small run of records by key.
+func insertionSortByKey(s []Session) {
+	for i := 1; i < len(s); i++ {
+		r := s[i]
+		j := i
+		for ; j > 0 && s[j-1].Key > r.Key; j-- {
+			s[j] = s[j-1]
+		}
+		s[j] = r
+	}
 }
 
 // AppendSession appends the canonical 48-byte encoding of s to dst.

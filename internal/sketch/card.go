@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
 )
@@ -106,10 +107,17 @@ func (c *Card) Merge(o *Card) error {
 	if c.p != o.p || c.seed != o.seed {
 		return ErrMergeParam
 	}
-	for i, r := range o.reg {
-		if r > c.reg[i] {
-			c.reg[i] = r
-		}
+	// Eight registers at a time: every register is at most 64-p+1 < 0x80
+	// (Add and the codec both hold that), so (a|0x80)-b never borrows
+	// across bytes and keeps a byte's high bit exactly where a >= b.
+	// 2^p registers with p >= MinCardP is always a multiple of eight.
+	const hi = 0x8080808080808080
+	dst := c.reg[:len(o.reg)]
+	for i := 0; i+8 <= len(dst); i += 8 {
+		a := binary.LittleEndian.Uint64(dst[i:])
+		b := binary.LittleEndian.Uint64(o.reg[i:])
+		ge := (((a | hi) - b) & hi) >> 7 * 0xFF
+		binary.LittleEndian.PutUint64(dst[i:], a&ge|b&^ge)
 	}
 	return nil
 }

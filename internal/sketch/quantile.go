@@ -161,8 +161,9 @@ func (q *Quantile) Merge(o *Quantile) error {
 	}
 	q.zeros += o.zeros
 	q.n += o.n
-	for _, idx := range o.sortedIdx() {
-		q.counts[idx] += o.counts[idx]
+	// Additions commute, so o's map order cannot show in q.
+	for idx, c := range o.counts {
+		q.counts[idx] += c
 	}
 	return nil
 }

@@ -100,19 +100,40 @@ func (t *TopK) Est(key uint64) (uint64, bool) {
 
 // Top returns the j highest-estimate entries, ordered by count
 // descending with ascending-key tie-break (a total order, so the
-// answer never depends on map iteration).
+// answer never depends on map iteration). A small j selects in one pass
+// with a bounded insertion list: an entry that does not beat the
+// current j-th is dropped after one comparison. A j near the summary's
+// size sorts every entry instead.
 func (t *TopK) Top(j int) []Entry {
-	keys := t.sortedKeys()
-	es := make([]Entry, len(keys))
-	for i, k := range keys {
-		es[i] = Entry{Key: k, Count: t.counts[k]}
+	n := min(max(j, 0), len(t.counts))
+	top := make([]Entry, 0, n)
+	if n > topInsertMax || n == len(t.counts) {
+		for k, c := range t.counts {
+			top = append(top, Entry{Key: k, Count: c})
+		}
+		slices.SortFunc(top, compareEntries)
+		return top[:n]
 	}
-	slices.SortFunc(es, compareEntries)
-	if j < len(es) {
-		es = es[:j]
+	if n == 0 {
+		return top
 	}
-	return es
+	for k, c := range t.counts {
+		e := Entry{Key: k, Count: c}
+		if len(top) == n {
+			if compareEntries(e, top[n-1]) >= 0 {
+				continue
+			}
+			top = top[:n-1]
+		}
+		at, _ := slices.BinarySearchFunc(top, e, compareEntries)
+		top = slices.Insert(top, at, e)
+	}
+	return top
 }
+
+// topInsertMax bounds the j that Top selects by insertion; past it the
+// list's shifting costs more than sorting every entry.
+const topInsertMax = 64
 
 // compareEntries orders by count descending, key ascending.
 func compareEntries(a, b Entry) int {
@@ -139,8 +160,9 @@ func (t *TopK) Merge(o *TopK) error {
 	}
 	t.n += o.n
 	t.slack += o.slack
-	for _, k := range o.sortedKeys() {
-		t.counts[k] += o.counts[k]
+	// Additions commute, so o's map order cannot show in t.
+	for k, c := range o.counts {
+		t.counts[k] += c
 	}
 	return nil
 }

@@ -8,7 +8,9 @@
 #   kill-and-resume smoke, the seeded HA failover matrix (lease-preserving
 #   and renumbering takeovers under -race plus the serve-bng standby
 #   promotion), a metrics/stats CLI smoke, a 'dynamips watch' smoke
-#   against a live serve-bng /sketch endpoint, a coverage floor over
+#   against a live serve-bng /sketch endpoint, a live standby smoke (a
+#   serve-bng -standby tracking a churning active to hour 48 with no
+#   split brain), a coverage floor over
 #   the assignment-plane protocol packages, the CGN substrate, the
 #   checkpoint layer, and the observability layer (plus a stricter
 #   floor over the sketch plane), the non-race
@@ -97,6 +99,48 @@ for want in "virtual hour" churn24 dur_hours pfx64; do
 		exit 1
 	fi
 done
+
+echo "==> live standby smoke (serve-bng -standby tracking a churning active to hour 48)"
+"$smokedir/dynamips" serve-bng -churn-hours 48 -listen 127.0.0.1:0 >"$smokedir/active.log" 2>&1 &
+activepid=$!
+standbypid=""
+trap 'kill "$activepid" $standbypid 2>/dev/null; rm -rf "$smokedir"' EXIT
+activeurl=""
+i=0
+while [ $i -lt 300 ]; do
+	activeurl=$(sed -n 's,.*API on \(http://[^ ]*\).*,\1,p' "$smokedir/active.log")
+	[ -n "$activeurl" ] && break
+	i=$((i + 1))
+	sleep 0.1
+done
+if [ -z "$activeurl" ]; then
+	echo "FAIL: active serve-bng never published its API address:" >&2
+	cat "$smokedir/active.log" >&2
+	exit 1
+fi
+"$smokedir/dynamips" serve-bng -churn-hours 48 -standby "$activeurl" -poll 200ms >"$smokedir/standby.log" 2>&1 &
+standbypid=$!
+i=0
+until grep -q "churned to hour 48" "$smokedir/active.log"; do
+	if [ $i -ge 1200 ] || ! kill -0 "$activepid" 2>/dev/null; then
+		echo "FAIL: active serve-bng did not reach hour 48:" >&2
+		cat "$smokedir/active.log" >&2
+		exit 1
+	fi
+	i=$((i + 1))
+	sleep 0.1
+done
+sleep 1 # a few more standby polls of the settled active
+kill -TERM "$standbypid" 2>/dev/null || true
+rc=0
+wait "$standbypid" || rc=$?
+kill -TERM "$activepid" 2>/dev/null || true
+wait "$activepid" 2>/dev/null || true
+if [ "$rc" -ne 0 ] || grep -q "split brain" "$smokedir/standby.log"; then
+	echo "FAIL: standby exited $rc while tracking the active:" >&2
+	cat "$smokedir/standby.log" >&2
+	exit 1
+fi
 
 echo "==> coverage floor (>=${COVERAGE_FLOOR}% of statements)"
 for pkg in internal/dhcp4 internal/dhcp6 internal/radius internal/faultnet internal/checkpoint internal/obs internal/cgnat internal/bng; do
