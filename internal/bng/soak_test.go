@@ -10,15 +10,19 @@ import (
 // renewal/renumbering events per second through the churn loop, and
 // its session-table hash is identical across worker counts.
 //
-// It skips under -short and under the race detector (the ~10× detector
-// slowdown would make the throughput floor meaningless); verify.sh and
-// CI run it in a dedicated non-race step.
+// It skips under -short, under the race detector, and under coverage
+// instrumentation (either slowdown would make the throughput floor
+// meaningless); verify.sh and CI run it in a dedicated non-race,
+// non-cover step.
 func TestMillionSessionSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-session soak skipped in -short mode")
 	}
 	if raceEnabled {
 		t.Skip("million-session soak skipped under the race detector")
+	}
+	if testing.CoverMode() != "" {
+		t.Skip("million-session soak skipped under coverage instrumentation")
 	}
 	const (
 		subs        = 1_000_000

@@ -9,6 +9,7 @@ import (
 	"strconv"
 
 	"dynamips/internal/netutil"
+	"dynamips/internal/parallel"
 )
 
 // csvHeader is the interchange format's comment header.
@@ -106,26 +107,152 @@ func appendP64(dst []byte, k64 uint64) []byte {
 // other accepted spelling (unmasked prefixes, uppercase or zero-padded
 // hextets, uncompressed /64s) falls back to netip, keeping ReadCSV's
 // accept/reject semantics exactly.
+//
+// ScanCSV is ScanCSVBlocks at one worker, run inline.
 func ScanCSV(r io.Reader, fn func(Association) error) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 8*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := bytes.TrimSpace(sc.Bytes())
-		if len(text) == 0 || text[0] == '#' {
-			continue
+	return ScanCSVBlocks(r, 1, func(recs []Association) error {
+		for _, a := range recs {
+			if err := fn(a); err != nil {
+				return err
+			}
 		}
-		a, err := parseCSVRow(text, line)
+		return nil
+	})
+}
+
+// ScanCSVBlocks is ScanCSV for consumers that take records in batches:
+// the input is cut into text blocks of whole lines, the blocks are parsed
+// on up to workers goroutines (per parallel.Workers), and fn receives
+// each block's records on the caller's goroutine, in input order. The
+// slice is reused once fn returns. Records, errors and their text are
+// those of a serial scan at any worker count: an error is reported after
+// fn has seen every record before the failing line.
+func ScanCSVBlocks(r io.Reader, workers int, fn func([]Association) error) error {
+	return scanCSV(r, workers, csvBlockSize, fn)
+}
+
+const (
+	// csvBlockSize is the text the scanner parses as one pipeline item:
+	// big enough that per-block overhead vanishes, small enough that a
+	// window of blocks stays in the low megabytes.
+	csvBlockSize = 256 << 10
+	// maxCSVLine bounds one line's length: a line this long or longer
+	// fails the scan with bufio.ErrTooLong, the format's long-standing
+	// limit.
+	maxCSVLine = 8 << 20
+	// maxEmptyReads is how many consecutive empty reads the scan
+	// tolerates; one more ends it with io.ErrNoProgress.
+	maxEmptyReads = 100
+)
+
+// scanCSV is ScanCSVBlocks with the block size as a parameter, so tests
+// can cut blocks mid-line.
+func scanCSV(r io.Reader, workers, blockSize int, fn func([]Association) error) error {
+	src := &csvBlocks{r: r, size: blockSize, line: 1}
+	return parallel.Pipeline(workers, src.next, parseCSVBlock, func(b *csvBlock) error {
+		if len(b.recs) > 0 {
+			if err := fn(b.recs); err != nil {
+				return err
+			}
+		}
+		return b.err
+	})
+}
+
+// csvBlock is one pipeline slot of the CSV scanner: a run of whole lines,
+// the number of its first line, and what parsing it yielded — the records
+// before the first bad line and that line's error.
+type csvBlock struct {
+	text  []byte
+	first int
+	recs  []Association
+	err   error
+}
+
+// csvBlocks cuts a CSV stream into blocks that end at a newline (the
+// final block may end at EOF instead).
+type csvBlocks struct {
+	r     io.Reader
+	size  int
+	carry []byte // the unterminated line that follows the last block
+	line  int    // number of the next block's first line
+	done  bool   // the input ended; err is reported after the final block
+	err   error
+}
+
+// next fills b.text with the next block, reusing its buffer.
+func (c *csvBlocks) next(b *csvBlock) (bool, error) {
+	if c.done {
+		return false, c.err
+	}
+	buf := append(b.text[:0], c.carry...)
+	target := max(c.size, 1)
+	empty := 0
+	for {
+		if len(buf) >= target {
+			if i := bytes.LastIndexByte(buf, '\n'); i >= 0 {
+				c.carry = append(c.carry[:0], buf[i+1:]...)
+				buf = buf[:i+1]
+				break
+			}
+			// The block so far is the start of one line.
+			if len(buf) >= maxCSVLine {
+				return false, fmt.Errorf("cdn: reading associations: %w", bufio.ErrTooLong)
+			}
+			target = min(2*len(buf), maxCSVLine)
+		}
+		if cap(buf) < target {
+			buf = append(make([]byte, 0, target), buf...)
+		}
+		n, err := c.r.Read(buf[len(buf):target])
+		buf = buf[:len(buf)+n]
+		if err == nil && n == 0 {
+			if empty++; empty > maxEmptyReads {
+				err = io.ErrNoProgress
+			}
+		} else {
+			empty = 0
+		}
 		if err != nil {
-			return err
-		}
-		if err := fn(a); err != nil {
-			return err
+			c.done = true
+			if err != io.EOF {
+				c.err = fmt.Errorf("cdn: reading associations: %w", err)
+			}
+			c.carry = c.carry[:0]
+			break
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("cdn: reading associations: %w", err)
+	b.text = buf
+	b.first = c.line
+	c.line += bytes.Count(buf, []byte{'\n'})
+	if len(buf) == 0 {
+		return false, c.err
+	}
+	return true, nil
+}
+
+// parseCSVBlock parses the block's lines into b.recs, stopping at the
+// first bad line, whose error it keeps in b.err.
+func parseCSVBlock(b *csvBlock) error {
+	b.recs, b.err = b.recs[:0], nil
+	text, line := b.text, b.first
+	for len(text) > 0 {
+		row := text
+		if i := bytes.IndexByte(text, '\n'); i >= 0 {
+			row, text = text[:i], text[i+1:]
+		} else {
+			text = nil
+		}
+		row = bytes.TrimSpace(row)
+		if len(row) > 0 && row[0] != '#' {
+			a, err := parseCSVRow(row, line)
+			if err != nil {
+				b.err = err
+				return nil
+			}
+			b.recs = append(b.recs, a)
+		}
+		line++
 	}
 	return nil
 }

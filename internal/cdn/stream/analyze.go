@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bufio"
 	"os"
 	"path/filepath"
 	"slices"
@@ -128,7 +127,9 @@ type analyzer struct {
 }
 
 // partition streams the input CSV once, routing each record to its
-// shard's spill file.
+// shard's spill file. Blocks of the input parse on the workers; records
+// route in input order, so every shard file's bytes are those of a
+// serial scan.
 func (az *analyzer) partition(_ int) (partMeta, error) {
 	in, err := os.Open(az.cfg.In)
 	if err != nil {
@@ -147,7 +148,7 @@ func (az *analyzer) partition(_ int) (partMeta, error) {
 		}
 		p.shards[i] = sf
 	}
-	if err := cdn.ScanCSV(bufio.NewReaderSize(in, 1<<16), p.route); err != nil {
+	if err := cdn.ScanCSVBlocks(in, az.cfg.Workers, p.route); err != nil {
 		p.abortAll()
 		return partMeta{}, err
 	}
@@ -180,16 +181,15 @@ func (az *analyzer) decPart(b []byte) (partMeta, error) {
 	return m, nil
 }
 
-// shard processes one shard: load, sort by (K24, K64) for the degree
-// summaries, re-sort into the analysis order, and write the sorted run.
+// shard processes one shard: load, sort into the analysis order, derive
+// the degree summaries, and write the sorted run.
 func (az *analyzer) shard(si int) (shardMeta, error) {
 	recs, err := readSpill(filepath.Join(az.dir, az.part.Files[si]), az.part.Counts[si])
 	if err != nil {
 		return shardMeta{}, err
 	}
-	slices.SortFunc(recs, cmpK24K64)
-	sums := summarize(recs)
 	slices.SortFunc(recs, cmpEpisode)
+	sums := summarize(recs)
 	name := "run-" + strconv.Itoa(si) + ".bin"
 	sf, err := createSpill(filepath.Join(az.dir, name))
 	if err != nil {
@@ -223,23 +223,37 @@ func (az *analyzer) decShard(b []byte) (shardMeta, error) {
 	return m, nil
 }
 
-// summarize walks a (K24, K64)-sorted shard and counts distinct /64s
-// per /24. Summaries come out K24-ascending.
+// summarize counts the distinct /64s of every /24 in a shard sorted by
+// cmpEpisode. The order is K64-major, so each /64's records are one run:
+// every distinct /24 of a run is one (/24, /64) pair, and a /24's degree
+// is the number of runs it appears in. Summaries come out K24-ascending.
 func summarize(recs []cdn.Association) []k24Sum {
-	var out []k24Sum
+	var pairs, run []uint32 // one /24 per distinct pair; one run's /24s
 	i := 0
 	for i < len(recs) {
-		k24 := recs[i].K24
-		uniq := int64(1)
-		last := recs[i].K64
+		k64 := recs[i].K64
+		run = append(run[:0], recs[i].K24)
 		j := i + 1
-		for ; j < len(recs) && recs[j].K24 == k24; j++ {
-			if recs[j].K64 != last {
-				uniq++
-				last = recs[j].K64
+		for ; j < len(recs) && recs[j].K64 == k64; j++ {
+			if recs[j].K24 != recs[j-1].K24 {
+				run = append(run, recs[j].K24)
 			}
 		}
-		out = append(out, k24Sum{K24: k24, Uniq: uniq})
+		if len(run) > 1 {
+			slices.Sort(run)
+			run = slices.Compact(run)
+		}
+		pairs = append(pairs, run...)
+		i = j
+	}
+	slices.Sort(pairs)
+	var out []k24Sum
+	for i := 0; i < len(pairs); {
+		j := i + 1
+		for j < len(pairs) && pairs[j] == pairs[i] {
+			j++
+		}
+		out = append(out, k24Sum{K24: pairs[i], Uniq: int64(j - i)})
 		i = j
 	}
 	return out
@@ -468,11 +482,17 @@ type partitioner struct {
 	total  int64
 }
 
-func (p *partitioner) route(a cdn.Association) error {
-	i := shardOf(a.K24, len(p.shards))
-	p.total++
-	p.counts[i]++
-	return p.shards[i].cw.Append(a)
+// route appends one block's records to their shards' spill files.
+func (p *partitioner) route(recs []cdn.Association) error {
+	for i := range recs {
+		si := shardOf(recs[i].K24, len(p.shards))
+		p.counts[si]++
+		if err := p.shards[si].cw.Append(recs[i]); err != nil {
+			return err
+		}
+	}
+	p.total += int64(len(recs))
+	return nil
 }
 
 func (p *partitioner) abortAll() {

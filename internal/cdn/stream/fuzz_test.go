@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"dynamips/internal/cdn"
@@ -86,9 +87,12 @@ func FuzzChunkCodec(f *testing.F) {
 }
 
 // FuzzScanCSV exercises the hot-path CSV parser (fast paths plus their
-// netip/strconv fallbacks) on arbitrary input: it must never panic, and
+// netip/strconv fallbacks) on arbitrary input: it must never panic, the
+// partition's parallel scan (cdn.ScanCSVBlocks) must deliver the same
+// records and end with the same error text as the serial ScanCSV, and
 // every line it accepts must re-encode canonically and re-parse to the
-// same association.
+// same association. (cdn's FuzzScanCSVBlocks holds both to the old
+// line-at-a-time scanner with blocks of a few bytes.)
 func FuzzScanCSV(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("# v4_prefix24,v6_prefix64,day,hits\n81.16.10.0/24,2003:1000:0:100::/64,3,12\n"))
@@ -103,11 +107,18 @@ func FuzzScanCSV(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var accepted []cdn.Association
 		err := cdn.ScanCSV(bytes.NewReader(data), func(a cdn.Association) error {
-			if len(accepted) < 1<<12 {
-				accepted = append(accepted, a)
-			}
+			accepted = append(accepted, a)
 			return nil
 		})
+		var blocked []cdn.Association
+		berr := cdn.ScanCSVBlocks(bytes.NewReader(data), 4, func(recs []cdn.Association) error {
+			blocked = append(blocked, recs...)
+			return nil
+		})
+		if errText(berr) != errText(err) || !slices.Equal(blocked, accepted) {
+			t.Fatalf("ScanCSVBlocks: %d records, err %v; ScanCSV: %d records, err %v",
+				len(blocked), berr, len(accepted), err)
+		}
 		if err != nil {
 			return
 		}
@@ -130,4 +141,11 @@ func FuzzScanCSV(f *testing.F) {
 			}
 		}
 	})
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }

@@ -9,6 +9,7 @@ import (
 
 	"dynamips/internal/cdn"
 	"dynamips/internal/checkpoint"
+	"dynamips/internal/parallel"
 )
 
 // GenConfig configures the streaming generate path.
@@ -37,8 +38,9 @@ type genMeta struct {
 // unit streams its associations through the ASN-mismatch filter into a
 // binary spill file (journaled, so interrupted runs resume), then the
 // spills are concatenated in operator order through the append-based CSV
-// encoder. For the same normalized config the output is byte-identical
-// to cdn.WriteCSV over cdn.Generate's dataset, at any worker count.
+// encoder, batches formatted on the workers and written in order. For
+// the same normalized config the output is byte-identical to
+// cdn.WriteCSV over cdn.Generate's dataset, at any worker count.
 func Generate(cfg GenConfig, w io.Writer) error {
 	gen := cfg.Gen.Normalized()
 	if err := gen.Validate(); err != nil {
@@ -77,12 +79,19 @@ func Generate(cfg GenConfig, w io.Writer) error {
 	if err := cdn.WriteCSVHeader(bw); err != nil {
 		return err
 	}
-	for i := range metas {
-		if err := g.appendSpillCSV(bw, metas[i].File); err != nil {
-			return err
-		}
+	if err := writeCSVTail(bw, dir, metas, gen.Workers); err != nil {
+		return err
 	}
 	return bw.Flush()
+}
+
+// writeCSVTail re-encodes the operator spills, in operator order, as CSV
+// rows into bw: batches decode from the spills serially, format on up to
+// workers goroutines, and are written in the order they were decoded.
+func writeCSVTail(bw *bufio.Writer, dir string, metas []genMeta, workers int) error {
+	t := &csvTail{dir: dir, metas: metas, w: bw}
+	defer t.close()
+	return parallel.Pipeline(workers, t.fill, encodeCSVBatch, t.write)
 }
 
 // generator carries the run state so the stage hooks are method values
@@ -124,27 +133,77 @@ func (g *generator) decMeta(b []byte) (genMeta, error) {
 	return m, nil
 }
 
-// appendSpillCSV re-encodes one spill file as CSV rows into bw.
-func (g *generator) appendSpillCSV(bw *bufio.Writer, name string) error {
-	f, r, err := openSpill(filepath.Join(g.dir, name))
-	if err != nil {
-		return err
+// csvBatchRecords bounds one batch of Generate's CSV tail: the chunk
+// codec's chunk size, so a batch's text stays near 200 KiB.
+const csvBatchRecords = chunkRecords
+
+// csvBatch is one pipeline slot of Generate's CSV tail: up to
+// csvBatchRecords spill records and their CSV rows.
+type csvBatch struct {
+	recs []cdn.Association
+	text []byte
+}
+
+// csvTail is the producer and commit state of writeCSVTail's pipeline.
+type csvTail struct {
+	dir   string
+	metas []genMeta
+	next  int // index of the next spill to open
+	f     *os.File
+	r     *Reader
+	w     *bufio.Writer
+}
+
+func (t *csvTail) fill(b *csvBatch) (bool, error) {
+	if b.recs == nil {
+		b.recs = make([]cdn.Association, 0, csvBatchRecords)
 	}
-	defer f.Close()
-	row := make([]byte, 0, 64)
-	for {
-		a, ok, err := r.Next()
+	b.recs = b.recs[:0]
+	for len(b.recs) < csvBatchRecords {
+		if t.r == nil {
+			if t.next == len(t.metas) {
+				break
+			}
+			f, r, err := openSpill(filepath.Join(t.dir, t.metas[t.next].File))
+			if err != nil {
+				return false, err
+			}
+			t.f, t.r = f, r
+			t.next++
+		}
+		a, ok, err := t.r.Next()
 		if err != nil {
-			return err
+			return false, err
 		}
 		if !ok {
-			return nil
+			t.close()
+			continue
 		}
-		row = cdn.AppendCSVRow(row[:0], a)
-		if _, err := bw.Write(row); err != nil {
-			return wrap("stream: writing csv row", err)
-		}
+		b.recs = append(b.recs, a)
 	}
+	return len(b.recs) > 0, nil
+}
+
+func (t *csvTail) close() {
+	if t.f != nil {
+		t.f.Close()
+		t.f, t.r = nil, nil
+	}
+}
+
+func encodeCSVBatch(b *csvBatch) error {
+	b.text = b.text[:0]
+	for i := range b.recs {
+		b.text = cdn.AppendCSVRow(b.text, b.recs[i])
+	}
+	return nil
+}
+
+func (t *csvTail) write(b *csvBatch) error {
+	if _, err := t.w.Write(b.text); err != nil {
+		return wrap("stream: writing csv rows", err)
+	}
+	return nil
 }
 
 // genEmitter applies the ASN-mismatch pre-filter in generation order —

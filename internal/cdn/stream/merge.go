@@ -35,23 +35,6 @@ func cmpEpisode(a, b cdn.Association) int {
 	return 0
 }
 
-// cmpK24K64 groups a shard by (/24, /64) for the degree summaries.
-func cmpK24K64(a, b cdn.Association) int {
-	switch {
-	case a.K24 != b.K24:
-		if a.K24 < b.K24 {
-			return -1
-		}
-		return 1
-	case a.K64 != b.K64:
-		if a.K64 < b.K64 {
-			return -1
-		}
-		return 1
-	}
-	return 0
-}
-
 // merger k-way-merges per-shard sorted run files back into the global
 // (K64, Day, K24, Hits) order. The heap is hand-rolled: container/heap
 // would box every operation (hot-path rule). Ties across sources cannot

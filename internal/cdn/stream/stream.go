@@ -16,7 +16,6 @@
 package stream
 
 import (
-	"bufio"
 	"errors"
 	"os"
 	"path/filepath"
@@ -74,10 +73,10 @@ func ensureSpillDir(explicit string, run *checkpoint.Run) (dir string, temp bool
 }
 
 // spillFile is an open spill or run file being written through the chunk
-// codec.
+// codec. The codec already buffers a whole chunk and writes it in one
+// call, so the file gets no second buffer.
 type spillFile struct {
 	f  *os.File
-	bw *bufio.Writer
 	cw *Writer
 }
 
@@ -86,13 +85,12 @@ func createSpill(path string) (*spillFile, error) {
 	if err != nil {
 		return nil, wrap("stream: creating spill file", err)
 	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	cw, err := NewWriter(bw)
+	cw, err := NewWriter(f)
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	return &spillFile{f: f, bw: bw, cw: cw}, nil
+	return &spillFile{f: f, cw: cw}, nil
 }
 
 // finish flushes, syncs, and closes the file, returning its final size.
@@ -100,10 +98,6 @@ func createSpill(path string) (*spillFile, error) {
 // before trusting the file (validateSpill).
 func (s *spillFile) finish() (int64, error) {
 	if err := s.cw.Flush(); err != nil {
-		s.f.Close()
-		return 0, err
-	}
-	if err := s.bw.Flush(); err != nil {
 		s.f.Close()
 		return 0, err
 	}
@@ -125,14 +119,15 @@ func (s *spillFile) finish() (int64, error) {
 // abort closes the file without flushing; a recompute will truncate it.
 func (s *spillFile) abort() { s.f.Close() }
 
-// openSpill opens a spill file for chunk-codec reading. The caller owns
-// closing the returned file.
+// openSpill opens a spill file for chunk-codec reading. The codec reads
+// a chunk's payload in one call, so the file gets no second buffer. The
+// caller owns closing the returned file.
 func openSpill(path string) (*os.File, *Reader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, wrap("stream: opening spill file", err)
 	}
-	r, err := NewReader(bufio.NewReaderSize(f, 1<<16))
+	r, err := NewReader(f)
 	if err != nil {
 		f.Close()
 		return nil, nil, err

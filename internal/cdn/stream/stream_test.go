@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"dynamips/internal/cdn"
@@ -184,22 +186,59 @@ func TestGenerateMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestGenerateWorkerInvariance: the fan-out width must not change a byte.
+// TestGenerateWorkerInvariance: the fan-out width must not change a byte
+// of the CSV or of the gen-*.bin spills, and the CSV is the oracle's.
 func TestGenerateWorkerInvariance(t *testing.T) {
 	cfg := testGenConfig(3)
-	outs := make([][]byte, 0, 3)
-	for _, workers := range []int{1, 4, 9} {
+	_, want := oracleCSV(t, cfg)
+	var spills map[string][]byte
+	for _, workers := range []int{1, 2, 9} {
 		c := cfg
 		c.Workers = workers
+		dir := t.TempDir()
 		var buf bytes.Buffer
-		if err := Generate(GenConfig{Gen: c}, &buf); err != nil {
+		if err := Generate(GenConfig{Gen: c, SpillDir: dir}, &buf); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		outs = append(outs, buf.Bytes())
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("workers=%d: CSV differs from oracle", workers)
+		}
+		got := readSpills(t, dir, "gen-*.bin")
+		if spills == nil {
+			spills = got
+		}
+		diffSpills(t, spills, got, workers)
 	}
-	for i := 1; i < len(outs); i++ {
-		if !bytes.Equal(outs[0], outs[i]) {
-			t.Fatalf("output depends on worker count (variant %d differs)", i)
+}
+
+// readSpills reads every file in dir that matches pattern, by name.
+func readSpills(t *testing.T, dir, pattern string) map[string][]byte {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, pattern))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no %s under %s (err=%v)", pattern, dir, err)
+	}
+	out := make(map[string][]byte, len(paths))
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[filepath.Base(p)] = b
+	}
+	return out
+}
+
+// diffSpills fails unless got holds the same files with the same bytes
+// as want.
+func diffSpills(t *testing.T, want, got map[string][]byte, workers int) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("workers=%d: %d spill files, want %d", workers, len(got), len(want))
+	}
+	for name, b := range want {
+		if !bytes.Equal(got[name], b) {
+			t.Fatalf("workers=%d: %s differs (%d vs %d bytes)", workers, name, len(got[name]), len(b))
 		}
 	}
 }
@@ -255,8 +294,9 @@ func TestAnalyzeMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestAnalyzeWorkerInvariance: shard fan-out width must not change the
-// report.
+// TestAnalyzeWorkerInvariance: the fan-out width must not change the
+// report, nor a byte of the shard-*.bin partition spills or the
+// run-*.bin sorted runs.
 func TestAnalyzeWorkerInvariance(t *testing.T) {
 	cfg := testGenConfig(5)
 	ds, csv := oracleCSV(t, cfg)
@@ -265,13 +305,88 @@ func TestAnalyzeWorkerInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := renderReport(t, cdn.BuildReport(ds.Assocs, ds.BGP, 350, nil))
-	for _, workers := range []int{1, 4} {
-		rep, err := Analyze(AnalyzeConfig{In: in, Shards: 16, Workers: workers, Threshold: 350, Table: ds.BGP})
+	var shards, runs map[string][]byte
+	for _, workers := range []int{1, 2, 9} {
+		dir := t.TempDir()
+		rep, err := Analyze(AnalyzeConfig{In: in, Shards: 16, Workers: workers, Threshold: 350, Table: ds.BGP, SpillDir: dir})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if got := renderReport(t, rep); !bytes.Equal(got, want) {
 			t.Fatalf("workers=%d: report differs from oracle", workers)
+		}
+		gotShards, gotRuns := readSpills(t, dir, "shard-*.bin"), readSpills(t, dir, "run-*.bin")
+		if shards == nil {
+			shards, runs = gotShards, gotRuns
+		}
+		diffSpills(t, shards, gotShards, workers)
+		diffSpills(t, runs, gotRuns, workers)
+	}
+}
+
+// TestAnalyzeBadLineMidFile: a bad line halfway through the input fails
+// the partition at every worker count with the serial scan's error, and
+// journals nothing, so a resume over the repaired input rewrites every
+// shard-*.bin to the bytes of an uninterrupted run instead of trusting
+// the partial files.
+func TestAnalyzeBadLineMidFile(t *testing.T) {
+	cfg := testGenConfig(17)
+	ds, csv := oracleCSV(t, cfg)
+	base := t.TempDir()
+	cut := bytes.IndexByte(csv[len(csv)/2:], '\n') + len(csv)/2 + 1
+	bad := append(append(append([]byte{}, csv[:cut]...), "not,a,row\n"...), csv[cut:]...)
+	badLine := bytes.Count(csv[:cut], []byte{'\n'}) + 1
+	wantErr := "cdn: line " + strconv.Itoa(badLine) + ": "
+	in := filepath.Join(base, "assocs.csv")
+	want := renderReport(t, cdn.BuildReport(ds.Assocs, ds.BGP, 350, nil))
+
+	cleanDir := t.TempDir()
+	if err := os.WriteFile(in, csv, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Analyze(AnalyzeConfig{In: in, Shards: 8, Threshold: 350, Table: ds.BGP, SpillDir: cleanDir}); err != nil {
+		t.Fatal(err)
+	}
+	clean := readSpills(t, cleanDir, "shard-*.bin")
+
+	if err := os.WriteFile(in, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 9} {
+		ckpt := filepath.Join(base, "ckpt-"+strconv.Itoa(workers))
+		run, err := checkpoint.Open(ckpt, testKey(17), json.RawMessage(`{}`), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acfg := AnalyzeConfig{In: in, Shards: 8, Workers: workers, Threshold: 350, Table: ds.BGP, Checkpoint: run}
+		_, err = Analyze(acfg)
+		run.Close()
+		if err == nil || !strings.HasPrefix(err.Error(), wantErr) {
+			t.Fatalf("workers=%d: err = %v, want prefix %q", workers, err, wantErr)
+		}
+		// The partial shard files are still on disk; the journal must
+		// not vouch for them.
+		readSpills(t, filepath.Join(ckpt, "spill"), "shard-*.bin")
+
+		if err := os.WriteFile(in, csv, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		resumed, err := checkpoint.Open(ckpt, testKey(17), json.RawMessage(`{}`), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acfg.Checkpoint = resumed
+		rep, err := Analyze(acfg)
+		resumed.Close()
+		if err != nil {
+			t.Fatalf("workers=%d: resumed Analyze: %v", workers, err)
+		}
+		if got := renderReport(t, rep); !bytes.Equal(got, want) {
+			t.Fatalf("workers=%d: resumed report differs from oracle", workers)
+		}
+		diffSpills(t, clean, readSpills(t, filepath.Join(ckpt, "spill"), "shard-*.bin"), workers)
+		if err := os.WriteFile(in, bad, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

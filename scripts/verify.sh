@@ -75,7 +75,9 @@ echo "==> watch smoke (dynamips watch -once against a live serve-bng /sketch)"
 "$smokedir/dynamips" serve-bng -subscribers 2000 -shards 3 -churn-hours 24 -round-hours 6 \
 	-listen 127.0.0.1:0 >"$smokedir/serve.log" 2>&1 &
 bngpid=$!
-trap 'kill "$bngpid" 2>/dev/null; rm -rf "$smokedir"' EXIT
+# The daemons are normally stopped already; under set -e a failing kill
+# would end the trap early with status 1.
+trap 'kill "$bngpid" 2>/dev/null || true; rm -rf "$smokedir"' EXIT
 bngurl=""
 i=0
 while [ $i -lt 100 ]; do
@@ -104,7 +106,7 @@ echo "==> live standby smoke (serve-bng -standby tracking a churning active to h
 "$smokedir/dynamips" serve-bng -churn-hours 48 -listen 127.0.0.1:0 >"$smokedir/active.log" 2>&1 &
 activepid=$!
 standbypid=""
-trap 'kill "$activepid" $standbypid 2>/dev/null; rm -rf "$smokedir"' EXIT
+trap 'kill "$activepid" $standbypid 2>/dev/null || true; rm -rf "$smokedir"' EXIT
 activeurl=""
 i=0
 while [ $i -lt 300 ]; do
@@ -186,6 +188,7 @@ go test ./internal/faultnet -run '^$' -fuzz '^FuzzReorder$' -fuzztime "$FUZZTIME
 go test ./internal/checkpoint -run '^$' -fuzz '^FuzzJournalScan$' -fuzztime "$FUZZTIME"
 go test ./internal/cdn/stream -run '^$' -fuzz '^FuzzChunkCodec$' -fuzztime "$FUZZTIME"
 go test ./internal/cdn/stream -run '^$' -fuzz '^FuzzScanCSV$' -fuzztime "$FUZZTIME"
+go test ./internal/cdn -run '^$' -fuzz '^FuzzScanCSVBlocks$' -fuzztime "$FUZZTIME"
 go test ./internal/sketch -run '^$' -fuzz '^FuzzSketchCodec$' -fuzztime "$FUZZTIME"
 go test ./internal/bng -run '^$' -fuzz '^FuzzSketchQuery$' -fuzztime "$FUZZTIME"
 
