@@ -219,13 +219,8 @@ func runStandby(d *bng.Daemon, activeURL string, churnHours int64, poll time.Dur
 		if at != mineAt {
 			continue // the active moved on between /ha and /snapshot
 		}
-		if len(recs) != len(mine) {
-			return false, fmt.Errorf("serve-bng: standby split brain: active snapshot has %d sessions, standby %d", len(recs), len(mine))
-		}
-		for i := range recs {
-			if recs[i] != mine[i] {
-				return false, fmt.Errorf("serve-bng: standby split brain at key %#x", recs[i].Key)
-			}
+		if err := bng.CheckSync(recs, mine); err != nil {
+			return false, fmt.Errorf("serve-bng: standby at hour %d: %w", at, err)
 		}
 	}
 	d.SetRole("active")

@@ -71,7 +71,6 @@ type runSpec struct {
 	In          string `json:"in,omitempty"`
 	Threshold   int    `json:"threshold,omitempty"`
 	Pfx2as      string `json:"pfx2as,omitempty"`
-	Stream      bool   `json:"stream,omitempty"`
 	Shards      int    `json:"shards,omitempty"`
 	SpillDir    string `json:"spill_dir,omitempty"`
 }
@@ -174,8 +173,7 @@ func cmdGen(args []string) error {
 		scale := fs.Float64("scale", 1, "population scale factor")
 		workers := fs.Int("workers", 0, "per-operator generation fan-out, 0 = all CPUs (output is identical for any value)")
 		ckpt := fs.String("checkpoint", "", "journal completed operators under this directory; resumable with 'dynamips resume'")
-		streamMode := fs.Bool("stream", false, "stream each operator through a binary spill file instead of materializing the dataset (bounded memory; output is byte-identical)")
-		spillDir := fs.String("spill-dir", "", "directory for -stream spill files (default: the checkpoint directory's spill/, or a temp dir)")
+		spillDir := fs.String("spill-dir", "", "directory for the per-operator spill files (default: the checkpoint directory's spill/, or a temp dir)")
 		pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address for the run's duration")
 		bngURL := fs.String("bng", "", "pull the operator set from a live serve-bng daemon at this base URL instead of the built-ins")
 		if err := fs.Parse(args[1:]); err != nil {
@@ -192,7 +190,7 @@ func cmdGen(args []string) error {
 			}
 		}
 		spec := runSpec{Kind: "gen-cdn", Out: *out, Seed: *seed, Days: *days, Scale: *scale,
-			Workers: *workers, Stream: *streamMode, SpillDir: *spillDir}
+			Workers: *workers, SpillDir: *spillDir}
 		run, err := openCheckpoint(*ckpt, spec)
 		if err != nil {
 			return err
@@ -245,9 +243,11 @@ func genAtlasProfile(profile isp.Profile, probes int, hours, seed int64, raw boo
 	})
 }
 
-// runGenCDNSpec generates the CDN dataset for spec. ops, when non-nil,
-// overrides the built-in operator set (the -bng path); it is always nil
-// on the checkpoint/resume path, which only ever replays built-ins.
+// runGenCDNSpec generates the CDN dataset for spec, streaming each
+// operator through a binary spill file (bounded memory). ops, when
+// non-nil, overrides the built-in operator set (the -bng path); it is
+// always nil on the checkpoint/resume path, which only ever replays
+// built-ins.
 func runGenCDNSpec(spec runSpec, run *checkpoint.Run, ops []cdn.Operator, o *obs.Observer) error {
 	run.SetObserver(o)
 	cfg := cdn.DefaultGenConfig(spec.Seed)
@@ -257,49 +257,35 @@ func runGenCDNSpec(spec runSpec, run *checkpoint.Run, ops []cdn.Operator, o *obs
 	cfg.Checkpoint = run
 	cfg.Obs = o
 	cfg.Operators = ops
-	if spec.Stream {
-		return writeOutput(spec.Out, func(w io.Writer) error {
-			return stream.Generate(stream.GenConfig{Gen: cfg, SpillDir: spec.SpillDir}, w)
-		})
-	}
-	ds, err := cdn.Generate(cfg)
-	if err != nil {
-		return err
-	}
 	return writeOutput(spec.Out, func(w io.Writer) error {
-		return cdn.WriteCSV(w, ds.Assocs)
+		return stream.Generate(stream.GenConfig{Gen: cfg, SpillDir: spec.SpillDir}, w)
 	})
 }
 
-// cmdAnalyzeCDN loads an association CSV and reruns the CDN analyses on
-// it: durations, degrees, trailing zeros. Without the generator's BGP
+// cmdAnalyzeCDN reruns the CDN analyses on an association CSV:
+// durations, degrees, trailing zeros. Without the generator's BGP
 // table, operators are unavailable, so the output covers the label-based
-// splits only. With -stream the input is hash-partitioned by /24 into
-// shard spill files and analyzed shard-by-shard in bounded memory; the
-// rendered report is byte-identical to the in-memory path.
+// splits only. The input is hash-partitioned by /24 into shard spill
+// files and analyzed shard by shard in bounded memory.
 func cmdAnalyzeCDN(args []string) error {
 	fs := newFlagSet("analyze-cdn")
 	threshold := fs.Int("mobile-threshold", 350, "unique-/64 degree above which a /24 is labeled mobile")
 	pfx2as := fs.String("pfx2as", "", "pfx2as file for per-operator attribution (optional)")
 	out := fs.String("o", "-", "report output file (default stdout; written atomically)")
 	metrics := fs.String("metrics", "", "dump pipeline metrics (JSON) to this file")
-	streamMode := fs.Bool("stream", false, "shard the input through spill files instead of loading it into memory (bounded memory; report is byte-identical)")
-	shards := fs.Int("shards", stream.DefaultShards, "partition width for -stream (peak memory scales as input/shards)")
-	spillDir := fs.String("spill-dir", "", "directory for -stream spill files (default: the checkpoint directory's spill/, or a temp dir)")
-	ckpt := fs.String("checkpoint", "", "journal completed shards under this directory; resumable with 'dynamips resume' (requires -stream)")
-	workers := fs.Int("workers", 0, "per-shard analyze fan-out for -stream, 0 = all CPUs (report is identical for any value)")
+	shards := fs.Int("shards", stream.DefaultShards, "partition width (peak memory scales as input/shards)")
+	spillDir := fs.String("spill-dir", "", "directory for the shard spill files (default: the checkpoint directory's spill/, or a temp dir)")
+	ckpt := fs.String("checkpoint", "", "journal completed shards under this directory; resumable with 'dynamips resume'")
+	workers := fs.Int("workers", 0, "per-shard analyze fan-out, 0 = all CPUs (report is identical for any value)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("analyze-cdn: need one association CSV file")
 	}
-	if *ckpt != "" && !*streamMode {
-		return fmt.Errorf("analyze-cdn: -checkpoint requires -stream (the in-memory path has no journal units)")
-	}
 	spec := runSpec{Kind: "analyze-cdn", In: fs.Arg(0), Out: *out,
 		Threshold: *threshold, Pfx2as: *pfx2as, Workers: *workers,
-		Stream: *streamMode, Shards: *shards, SpillDir: *spillDir}
+		Shards: *shards, SpillDir: *spillDir}
 	run, err := openCheckpoint(*ckpt, spec)
 	if err != nil {
 		return err
@@ -317,9 +303,8 @@ func cmdAnalyzeCDN(args []string) error {
 }
 
 // runAnalyzeCDNSpec executes an analyze-cdn invocation (fresh or
-// resumed): streaming runs shard the input under the optional checkpoint
-// run, in-memory runs materialize it, and both render the same report
-// atomically.
+// resumed): it shards the input under the optional checkpoint run and
+// renders the report atomically.
 func runAnalyzeCDNSpec(spec runSpec, run *checkpoint.Run, o *obs.Observer) error {
 	run.SetObserver(o)
 	var table *bgp.Table
@@ -334,29 +319,15 @@ func runAnalyzeCDNSpec(spec runSpec, run *checkpoint.Run, o *obs.Observer) error
 			return err
 		}
 	}
-	if spec.Stream {
-		rep, err := stream.Analyze(stream.AnalyzeConfig{
-			In: spec.In, Shards: spec.Shards, Workers: spec.Workers,
-			Threshold: spec.Threshold, Table: table, SpillDir: spec.SpillDir,
-			Checkpoint: run, Obs: o,
-		})
-		if err != nil {
-			return err
-		}
-		return writeOutput(spec.Out, rep.Render)
-	}
-	f, err := os.Open(spec.In)
-	if err != nil {
-		return fmt.Errorf("opening associations: %w", err)
-	}
-	defer f.Close()
-	assocs, err := cdn.ReadCSV(bufio.NewReader(f))
+	rep, err := stream.Analyze(stream.AnalyzeConfig{
+		In: spec.In, Shards: spec.Shards, Workers: spec.Workers,
+		Threshold: spec.Threshold, Table: table, SpillDir: spec.SpillDir,
+		Checkpoint: run, Obs: o,
+	})
 	if err != nil {
 		return err
 	}
-	return writeOutput(spec.Out, func(w io.Writer) error {
-		return cdn.BuildReport(assocs, table, spec.Threshold, o).Render(w)
-	})
+	return writeOutput(spec.Out, rep.Render)
 }
 
 func cmdAnalyze(args []string) error {

@@ -168,19 +168,13 @@ func TestResumeErrors(t *testing.T) {
 }
 
 // TestGenCDNCheckpointResume exercises the second checkpointed entry
-// point: gen cdn with -checkpoint, killed and resumed.
+// point: gen cdn with -checkpoint, killed and resumed to the in-memory
+// oracle's exact CSV.
 func TestGenCDNCheckpointResume(t *testing.T) {
 	defer checkpoint.SetCrashPlan(0, false)
 	base := t.TempDir()
-	ref := filepath.Join(base, "ref.csv")
 	common := []string{"cdn", "-scale", "0.02", "-days", "30", "-workers", "2"}
-	if err := cmdGen(append(common, "-o", ref)); err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
-	want, err := os.ReadFile(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracleCSV(t, 1, 0.02, 30)
 
 	dir := filepath.Join(base, "ckpt")
 	out := filepath.Join(base, "out.csv")
@@ -198,7 +192,7 @@ func TestGenCDNCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("resumed gen cdn output differs from uninterrupted run")
+		t.Fatal("resumed gen cdn output differs from the in-memory oracle")
 	}
 }
 
@@ -232,28 +226,22 @@ func TestCheckpointStaleKeyStartsFresh(t *testing.T) {
 }
 
 // TestAnalyzeCDNStreamCheckpointResume exercises the third checkpointed
-// entry point: analyze-cdn -stream with -checkpoint, killed mid-shard and
-// resumed to the in-memory path's exact report.
+// entry point: analyze-cdn with -checkpoint, killed mid-shard and
+// resumed to the in-memory oracle's exact report.
 func TestAnalyzeCDNStreamCheckpointResume(t *testing.T) {
 	defer checkpoint.SetCrashPlan(0, false)
 	base := t.TempDir()
 	csv := filepath.Join(base, "assoc.csv")
-	if err := cmdGen([]string{"cdn", "-scale", "0.02", "-days", "30", "-o", csv}); err != nil {
-		t.Fatalf("gen cdn: %v", err)
-	}
-	ref := filepath.Join(base, "ref.txt")
-	if err := cmdAnalyzeCDN([]string{"-o", ref, csv}); err != nil {
-		t.Fatalf("reference analyze-cdn: %v", err)
-	}
-	want, err := os.ReadFile(ref)
-	if err != nil {
+	data := oracleCSV(t, 1, 0.02, 30)
+	if err := os.WriteFile(csv, data, 0o600); err != nil {
 		t.Fatal(err)
 	}
+	want := oracleReport(t, data, nil, 350)
 
 	dir := filepath.Join(base, "ckpt")
 	out := filepath.Join(base, "out.txt")
 	checkpoint.SetCrashPlan(3, true)
-	runErr := cmdAnalyzeCDN([]string{"-stream", "-shards", "8", "-checkpoint", dir, "-o", out, csv})
+	runErr := cmdAnalyzeCDN([]string{"-shards", "8", "-checkpoint", dir, "-o", out, csv})
 	checkpoint.SetCrashPlan(0, false)
 	if !errors.Is(runErr, checkpoint.ErrCrashInjected) {
 		t.Fatalf("err = %v, want ErrCrashInjected", runErr)
@@ -266,6 +254,6 @@ func TestAnalyzeCDNStreamCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("resumed analyze-cdn report differs from the in-memory path")
+		t.Fatal("resumed analyze-cdn report differs from the in-memory oracle")
 	}
 }

@@ -15,10 +15,8 @@
 // Runs started with -checkpoint DIR journal completed work units and can
 // be resumed after a crash with 'dynamips resume DIR'; the resumed output
 // is byte-identical to an uninterrupted run. 'gen cdn' and 'analyze-cdn'
-// take -stream to run the sharded streaming pipeline in bounded memory
-// (with -shards and -spill-dir controlling the partition width and
-// scratch location); streaming output is byte-identical to the
-// in-memory path.
+// run the sharded streaming pipeline in bounded memory (-spill-dir sets
+// the scratch location, and analyze-cdn's -shards the partition width).
 package main
 
 import (
@@ -89,8 +87,8 @@ commands:
 every command takes -metrics FILE (dump pipeline counters and virtual-time
 span timings as JSON); long-running commands take -pprof ADDR (serve
 net/http/pprof on ADDR for the run's duration); gen cdn and analyze-cdn
-take -stream (sharded streaming pipeline, bounded memory, byte-identical
-output) with -shards N and -spill-dir DIR; gen atlas and gen cdn take
+stream through spill files in bounded memory (-spill-dir DIR; analyze-cdn
+also takes the partition width -shards N); gen atlas and gen cdn take
 -bng URL to pull ground truth from a live serve-bng daemon
 
 run 'dynamips <command> -h' for command flags

@@ -1,10 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"dynamips/internal/bgp"
+	"dynamips/internal/cdn"
 )
 
 func TestCmdProfiles(t *testing.T) {
@@ -130,52 +135,91 @@ func TestAnalyzeCDNWithPfx2as(t *testing.T) {
 	}
 }
 
-// TestGenCDNStreamMatchesInMemory: the -stream flag must not change a
-// byte of either the generated CSV or the analyze-cdn report.
+// oracleCSV is the in-memory oracle of 'gen cdn -seed seed -scale scale
+// -days days': the CSV encoding of cdn.Generate's dataset.
+func oracleCSV(t *testing.T, seed int64, scale float64, days int) []byte {
+	t.Helper()
+	cfg := cdn.DefaultGenConfig(seed)
+	cfg.Scale = scale
+	cfg.Days = days
+	ds, err := cdn.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := cdn.WriteCSV(&buf, ds.Assocs); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// oracleReport renders the in-memory oracle's analyze-cdn report over
+// an association CSV.
+func oracleReport(t *testing.T, csv []byte, table *bgp.Table, threshold int) []byte {
+	t.Helper()
+	assocs, err := cdn.ReadCSV(bytes.NewReader(csv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := cdn.BuildReport(assocs, table, threshold, nil).Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestGenCDNStreamMatchesInMemory: gen cdn and analyze-cdn, which always
+// stream, must reproduce the in-memory oracle byte for byte — the CSV of
+// cdn.Generate's dataset, and cdn.BuildReport's report with and without
+// a pfx2as table. The retired -stream flag must be rejected.
 func TestGenCDNStreamMatchesInMemory(t *testing.T) {
 	base := t.TempDir()
-	plain := filepath.Join(base, "plain.csv")
-	streamed := filepath.Join(base, "stream.csv")
-	common := []string{"cdn", "-scale", "0.02", "-days", "30"}
-	if err := cmdGen(append(common, "-o", plain)); err != nil {
+	csvPath := filepath.Join(base, "assoc.csv")
+	if err := cmdGen([]string{"cdn", "-scale", "0.02", "-days", "30",
+		"-spill-dir", filepath.Join(base, "spill"), "-o", csvPath}); err != nil {
 		t.Fatalf("gen cdn: %v", err)
 	}
-	if err := cmdGen(append(common, "-stream", "-spill-dir", filepath.Join(base, "spill"), "-o", streamed)); err != nil {
-		t.Fatalf("gen cdn -stream: %v", err)
-	}
-	want, err := os.ReadFile(plain)
+	want := oracleCSV(t, 1, 0.02, 30)
+	got, err := os.ReadFile(csvPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(streamed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Fatal("gen cdn -stream output differs from the in-memory path")
+	if !bytes.Equal(got, want) {
+		t.Fatal("gen cdn output differs from the in-memory oracle")
 	}
 
-	repPlain := filepath.Join(base, "rep-plain.txt")
-	repStream := filepath.Join(base, "rep-stream.txt")
-	if err := cmdAnalyzeCDN([]string{"-o", repPlain, plain}); err != nil {
-		t.Fatalf("analyze-cdn: %v", err)
+	const pfx2asTable = "87.128.0.0\t10\t3320\n2003::\t19\t3320\n"
+	pfx := filepath.Join(base, "pfx2as.txt")
+	if err := os.WriteFile(pfx, []byte(pfx2asTable), 0o600); err != nil {
+		t.Fatal(err)
 	}
-	if err := cmdAnalyzeCDN([]string{"-stream", "-shards", "8", "-o", repStream, plain}); err != nil {
-		t.Fatalf("analyze-cdn -stream: %v", err)
-	}
-	wantRep, err := os.ReadFile(repPlain)
+	table, err := bgp.ReadPfx2as(strings.NewReader(pfx2asTable))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotRep, err := os.ReadFile(repStream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(gotRep) != string(wantRep) {
-		t.Fatalf("analyze-cdn -stream report differs:\n got: %s\nwant: %s", gotRep, wantRep)
+	for _, tc := range []struct {
+		flags []string
+		table *bgp.Table
+	}{{nil, nil}, {[]string{"-pfx2as", pfx}, table}} {
+		rep := filepath.Join(base, "rep.txt")
+		args := append([]string{"-shards", "8", "-mobile-threshold", "200", "-o", rep}, tc.flags...)
+		if err := cmdAnalyzeCDN(append(args, csvPath)); err != nil {
+			t.Fatalf("analyze-cdn %v: %v", tc.flags, err)
+		}
+		gotRep, err := os.ReadFile(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantRep := oracleReport(t, want, tc.table, 200); !bytes.Equal(gotRep, wantRep) {
+			t.Fatalf("analyze-cdn %v report differs from the oracle:\n got: %s\nwant: %s", tc.flags, gotRep, wantRep)
+		}
 	}
 
-	if err := cmdAnalyzeCDN([]string{"-checkpoint", filepath.Join(base, "ckpt"), plain}); err == nil {
-		t.Error("analyze-cdn -checkpoint without -stream accepted")
+	const unknown = "flag provided but not defined: -stream"
+	if err := cmdGen([]string{"cdn", "-stream", "-o", filepath.Join(base, "x.csv")}); err == nil || !strings.Contains(err.Error(), unknown) {
+		t.Errorf("gen cdn -stream: err = %v, want %q", err, unknown)
+	}
+	if err := cmdAnalyzeCDN([]string{"-stream", csvPath}); err == nil || !strings.Contains(err.Error(), unknown) {
+		t.Errorf("analyze-cdn -stream: err = %v, want %q", err, unknown)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -44,7 +45,8 @@ func cmdWatch(args []string) error {
 			if err != nil {
 				return err
 			}
-			return renderBNGSketch(os.Stdout, v)
+			renderSketches(os.Stdout, fmt.Sprintf("bng virtual hour %d", v.VirtualHours), v.Sketches)
+			return nil
 		}
 	} else {
 		dir := *spill
@@ -53,7 +55,9 @@ func cmdWatch(args []string) error {
 			if err != nil {
 				return err
 			}
-			return renderTailSketch(os.Stdout, s, n)
+			renderSketches(os.Stdout, fmt.Sprintf("spill tail, %d association rows folded", n),
+				s.Summarize(watchProbs, watchTop))
+			return nil
 		}
 	}
 	if err := tick(); err != nil {
@@ -77,8 +81,12 @@ func cmdWatch(args []string) error {
 	}
 }
 
-// watchProbs is the quantile grid watch snapshots print.
-var watchProbs = []float64{0.5, 0.9, 0.99}
+// watchProbs are the quantile points a snapshot prints. Each is on
+// serve-bng's /sketch grid, so a daemon's view carries all of them.
+var watchProbs = []float64{0.5, 0.95, 0.99}
+
+// watchTop is the number of heavy hitters a snapshot prints per sketch.
+const watchTop = 3
 
 // fmtSketchKey renders a heavy-hitter key in the sketch's own address
 // space: /24 sketches carry the address's top 24 bits, /64 sketches the
@@ -99,27 +107,23 @@ func fmtSketchKey(name string, key uint64) string {
 	}
 }
 
-// renderBNGSketch prints one /sketch view snapshot.
-func renderBNGSketch(w io.Writer, v bng.SketchView) error {
-	fmt.Fprintf(w, "watch: bng virtual hour %d\n", v.VirtualHours)
-	for _, s := range v.Sketches {
+// renderSketches prints one snapshot of either source: a header line,
+// then one line per sketch summary.
+func renderSketches(w io.Writer, header string, sums []sketch.Summary) {
+	fmt.Fprintf(w, "watch: %s\n", header)
+	for _, s := range sums {
 		switch s.Kind {
 		case "quantile":
 			fmt.Fprintf(w, "  %-10s n=%d", s.Name, s.Count)
 			for _, qp := range s.Quantiles {
-				for _, p := range watchProbs {
-					if qp.P == p {
-						fmt.Fprintf(w, " p%02.0f=%.2f", p*100, qp.V)
-					}
+				if slices.Contains(watchProbs, qp.P) {
+					fmt.Fprintf(w, " p%02.0f=%.2f", qp.P*100, qp.V)
 				}
 			}
 			fmt.Fprintln(w)
 		case "topk":
 			fmt.Fprintf(w, "  %-10s n=%d slack=%d top:", s.Name, s.N, s.Slack)
-			for i, e := range s.Top {
-				if i == 3 {
-					break
-				}
+			for _, e := range s.Top[:min(len(s.Top), watchTop)] {
 				fmt.Fprintf(w, " %s=%d", fmtSketchKey(s.Name, e.Key), e.Count)
 			}
 			fmt.Fprintln(w)
@@ -127,35 +131,4 @@ func renderBNGSketch(w io.Writer, v bng.SketchView) error {
 			fmt.Fprintf(w, "  %-10s ~%.0f distinct (rse %.2f%%)\n", s.Name, s.Estimate, 100*s.RSE)
 		}
 	}
-	return nil
-}
-
-// renderTailSketch prints one spill-tail snapshot folded from the
-// chunks on disk so far.
-func renderTailSketch(w io.Writer, s *sketch.Set, records int64) error {
-	fmt.Fprintf(w, "watch: spill tail, %d association rows folded\n", records)
-	for _, name := range s.Names() {
-		switch s.KindOf(name) {
-		case sketch.KindTopK:
-			tk := s.TopK(name)
-			fmt.Fprintf(w, "  %-10s n=%d slack=%d top:", name, tk.N(), tk.Slack())
-			for _, e := range tk.Top(3) {
-				fmt.Fprintf(w, " %s=%d", fmtSketchKey(name, e.Key), e.Count)
-			}
-			fmt.Fprintln(w)
-		case sketch.KindCard:
-			c := s.Card(name)
-			fmt.Fprintf(w, "  %-10s ~%.0f distinct (rse %.2f%%)\n", name, c.Estimate(), 100*c.RSE())
-		case sketch.KindQuantile:
-			q := s.Quantile(name)
-			fmt.Fprintf(w, "  %-10s n=%d", name, q.Count())
-			for _, p := range watchProbs {
-				if q.Count() > 0 {
-					fmt.Fprintf(w, " p%02.0f=%.2f", p*100, q.Query(p))
-				}
-			}
-			fmt.Fprintln(w)
-		}
-	}
-	return nil
 }

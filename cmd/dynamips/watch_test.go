@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"dynamips/internal/bng"
+	"dynamips/internal/sketch"
 )
 
 // captureStdout runs fn with os.Stdout redirected into a pipe and
@@ -40,7 +41,8 @@ func captureStdout(t *testing.T, fn func() error) string {
 }
 
 // TestWatchLiveSmoke drives 'dynamips watch -bng -once' against an
-// in-process serve-bng daemon over real HTTP.
+// in-process serve-bng daemon over real HTTP; the session-duration line
+// shows every watched quantile point.
 func TestWatchLiveSmoke(t *testing.T) {
 	cfg := bng.DefaultConfig(2000, 3)
 	cfg.ShardBits = 3
@@ -60,7 +62,8 @@ func TestWatchLiveSmoke(t *testing.T) {
 	out := captureStdout(t, func() error {
 		return cmdWatch([]string{"-bng", "http://" + api.Addr(), "-once"})
 	})
-	for _, want := range []string{"virtual hour 24", bng.SkDurSession, bng.SkChurn24, bng.SkPfx64, "/24="} {
+	for _, want := range []string{"virtual hour 24", sketch.DurHours, sketch.Churn24, sketch.Pfx64, "/24=",
+		" p50=", " p95=", " p99="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("watch -bng output missing %q:\n%s", want, out)
 		}
@@ -73,9 +76,9 @@ func TestWatchSpillTail(t *testing.T) {
 	dir := t.TempDir()
 	spill := filepath.Join(dir, "spill")
 	out := filepath.Join(dir, "assoc.csv")
-	if err := cmdGen([]string{"cdn", "-scale", "0.03", "-days", "60", "-stream",
+	if err := cmdGen([]string{"cdn", "-scale", "0.03", "-days", "60",
 		"-spill-dir", spill, "-o", out}); err != nil {
-		t.Fatalf("gen cdn -stream: %v", err)
+		t.Fatalf("gen cdn: %v", err)
 	}
 	got := captureStdout(t, func() error {
 		return cmdWatch([]string{"-spill", spill, "-once"})

@@ -98,13 +98,13 @@ func goldenSketchCorpus(t *testing.T, c *experiments.CDNData) {
 	fmt.Fprintf(&buf, "batch-vs-sketch accuracy, golden CDN corpus (shards=%d)\n", goldenSketchShards)
 	fmt.Fprintf(&buf, "associations=%d episodes=%d fixed=%d mobile=%d\n\n",
 		len(c.Dataset.Assocs), len(c.Episodes), len(fixedD), len(mobileD))
-	renderGoldenQuantile(t, &buf, stream.SkDeg24, sk.Quantile(stream.SkDeg24), degD)
-	renderGoldenQuantile(t, &buf, stream.SkDurFixed, sk.Quantile(stream.SkDurFixed), fixedD)
-	renderGoldenQuantile(t, &buf, stream.SkDurMobile, sk.Quantile(stream.SkDurMobile), mobileD)
-	renderGoldenTopK(t, &buf, stream.SkHot24, sk.TopK(stream.SkHot24), deg24)
-	renderGoldenTopK(t, &buf, stream.SkHot64, sk.TopK(stream.SkHot64), rows64)
-	renderGoldenCard(t, &buf, stream.SkPfx24, sk.Card(stream.SkPfx24), len(deg))
-	renderGoldenCard(t, &buf, stream.SkPfx64, sk.Card(stream.SkPfx64), len(rows64))
+	renderGoldenQuantile(t, &buf, sketch.Deg24, sk.Quantile(sketch.Deg24), degD)
+	renderGoldenQuantile(t, &buf, sketch.DurFixed, sk.Quantile(sketch.DurFixed), fixedD)
+	renderGoldenQuantile(t, &buf, sketch.DurMobile, sk.Quantile(sketch.DurMobile), mobileD)
+	renderGoldenTopK(t, &buf, sketch.Hot24, sk.TopK(sketch.Hot24), deg24)
+	renderGoldenTopK(t, &buf, sketch.Hot64, sk.TopK(sketch.Hot64), rows64)
+	renderGoldenCard(t, &buf, sketch.Pfx24, sk.Card(sketch.Pfx24), len(deg))
+	renderGoldenCard(t, &buf, sketch.Pfx64, sk.Card(sketch.Pfx64), len(rows64))
 	checkGolden(t, filepath.Join("sketch", "accuracy.txt"), buf.Bytes())
 
 	// The merged bytes are a pure function of the input multiset: any
@@ -134,7 +134,7 @@ func renderGoldenQuantile(t *testing.T, buf *bytes.Buffer, name string, q *sketc
 	}
 	sorted := append([]float64(nil), data...)
 	sort.Float64s(sorted)
-	bound := math.Ceil(stream.SketchAlpha * float64(len(sorted)))
+	bound := math.Ceil(sketch.Alpha * float64(len(sorted)))
 	fmt.Fprintf(buf, "quantile %-10s n=%-6d rank_bound=%.0f\n", name, len(sorted), bound)
 	if len(sorted) == 0 {
 		fmt.Fprintln(buf, "  (empty)")

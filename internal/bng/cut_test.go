@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"dynamips/internal/bng/stripe"
+	"dynamips/internal/sketch"
 )
 
 // serve runs one GET through the handler and returns the recorder.
@@ -26,7 +27,7 @@ type cutRecord struct {
 	topk []byte // the /sketch?op=topk answer body
 }
 
-const cutTopKPath = "/sketch?op=topk&name=" + SkChurn24 + "&k=3"
+const cutTopKPath = "/sketch?op=topk&name=" + sketch.Churn24 + "&k=3"
 
 // TestReadersSeeOneRoundCut: readers hammering /ha, /snapshot and
 // /sketch while the daemon churns hourly rounds only ever see one round

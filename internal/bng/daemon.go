@@ -413,7 +413,7 @@ func (d *Daemon) tableHalf(c *roundCut, failovers []int64) {
 // the view's canonical JSON.
 func (d *Daemon) sketchHalf(c *roundCut) {
 	c.sketchSet = d.mergeEngineSketches()
-	c.sketchView = buildSketchView(c.hours, c.sketchSet)
+	c.sketchView = SketchView{VirtualHours: c.hours, Sketches: c.sketchSet.Summarize(summaryProbs, summaryTop)}
 	c.sketchJSON = indentJSON(c.sketchView)
 }
 

@@ -245,7 +245,7 @@ func buildEngines(cfg *Config, table *stripe.Table) ([]*shardEngine, error) {
 	shards := table.Shards()
 	engines := make([]*shardEngine, shards)
 	for sh := 0; sh < shards; sh++ {
-		e := &shardEngine{id: sh, clock: &engClock{}, sk: newEngineSketch()}
+		e := &shardEngine{id: sh, clock: &engClock{}, sk: sketch.BNGEngine.New()}
 		e.srvs = make([]groupSrv, len(cfg.Groups))
 		for gi := range cfg.Groups {
 			g := &cfg.Groups[gi]

@@ -3,7 +3,10 @@ package bng
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
+
+	"dynamips/internal/bng/stripe"
 )
 
 // scenarioConfig is testConfig plus a scenario.
@@ -223,41 +226,64 @@ func TestRelayTopology(t *testing.T) {
 	}
 }
 
-// TestPairSyncPromote: the HA pair's codec-level state sync holds
-// across rounds and a failover, and promotion yields a daemon whose
-// state matches a single-daemon run of the same scenario.
+// TestPairSyncPromote: an active/standby pair of daemons built from one
+// Config stays in codec-level sync (CheckSync over the active's decoded
+// snapshot stream) across rounds and a failover, and promotion by
+// SetRole yields a daemon whose state matches a single-daemon run of
+// the same scenario.
 func TestPairSyncPromote(t *testing.T) {
 	sc := &Scenario{FailoverAtHours: []int64{4}, Policy: PolicyRenumber}
 	cfg := scenarioConfig(123, sc)
-	p, err := NewPair(cfg, Options{Workers: 4, RoundHours: 2})
-	if err != nil {
-		t.Fatal(err)
+	opt := Options{Workers: 4, RoundHours: 2}
+	withRole := func(role string) *Daemon {
+		o := opt
+		o.Role = role
+		d, err := New(cfg, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
 	}
-	if err := p.Churn(8); err != nil {
-		t.Fatal(err)
+	active, standby := withRole("active"), withRole("standby")
+	for h := opt.RoundHours; h <= 8; h += opt.RoundHours {
+		for _, d := range []*Daemon{active, standby} {
+			if err := d.Churn(h); err != nil {
+				t.Fatal(err)
+			}
+		}
+		recs, err := stripe.DecodeSnapshot(bytes.NewReader(snapshotBytes(t, active)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, mine := standby.Snapshot()
+		if err := CheckSync(recs, mine); err != nil {
+			t.Fatalf("hour %d: %v", h, err)
+		}
+		if h == 8 {
+			diverged := slices.Clone(mine)
+			diverged[len(diverged)/2].Addr4++
+			if CheckSync(recs, diverged) == nil || CheckSync(recs, mine[1:]) == nil {
+				t.Fatal("CheckSync accepted a diverged standby")
+			}
+		}
 	}
-	if p.Syncs() == 0 {
-		t.Fatal("pair verified no syncs")
-	}
-	if role := p.Active().HA().Role; role != "active" {
+	if role := active.HA().Role; role != "active" {
 		t.Errorf("active role = %q", role)
 	}
-	promoted := p.Promote()
+	active.SetRole("standby")
+	standby.SetRole("active")
+	promoted := standby
 	if role := promoted.HA().Role; role != "active" {
 		t.Errorf("promoted role = %q", role)
 	}
-	if role := p.Standby().HA().Role; role != "standby" {
+	if role := active.HA().Role; role != "standby" {
 		t.Errorf("demoted role = %q", role)
 	}
 	if err := promoted.Churn(12); err != nil {
 		t.Fatal(err)
 	}
-	solo := churned(t, cfg, Options{Workers: 4, RoundHours: 2}, 12)
-	var buf bytes.Buffer
-	if err := promoted.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), snapshotBytes(t, solo)) {
+	solo := churned(t, cfg, opt, 12)
+	if !bytes.Equal(snapshotBytes(t, promoted), snapshotBytes(t, solo)) {
 		t.Error("promoted standby diverged from a solo run of the same scenario")
 	}
 	ha := promoted.HA()

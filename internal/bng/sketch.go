@@ -9,60 +9,19 @@ import (
 	"dynamips/internal/sketch"
 )
 
-// Sketch schema parameters for the assignment plane. Mirrors the CDN
-// stream pipeline's error knobs (rank error ≤ alpha·n, heavy-hitter
-// error ≤ N/k, cardinality RSE ≈ 0.8%) with an independently versioned
-// schema.
-const (
-	sketchAlpha    = 0.01
-	sketchTopK     = 1024
-	sketchCardP    = 14
-	sketchCardSeed = 0x64796E616D495073
-)
-
-// Canonical sketch names in the daemon's analysis set.
-const (
-	SkChurn24    = "churn24"   // top-k: /24s by v4 address changes
-	SkChurn64    = "churn64"   // top-k: /64 groups by delegated-prefix changes
-	SkDurSession = "dur_hours" // quantile: completed session durations (hours)
-	SkPfx24      = "pfx24"     // cardinality: distinct /24s ever assigned from
-	SkPfx64      = "pfx64"     // cardinality: distinct /64 prefix groups assigned
-)
-
-// newEngineSketch returns an empty sketch set with the assignment-plane
-// schema. Every stripe's partial and the daemon's merged barrier state
-// share this shape.
-func newEngineSketch() *sketch.Set {
-	s := sketch.NewSet()
-	for _, it := range []struct {
-		name string
-		sk   sketch.Sketch
-	}{
-		{SkChurn24, sketch.NewTopK(sketchTopK)},
-		{SkChurn64, sketch.NewTopK(sketchTopK)},
-		{SkDurSession, sketch.NewQuantile(sketchAlpha)},
-		{SkPfx24, sketch.NewCard(sketchCardP, sketchCardSeed)},
-		{SkPfx64, sketch.NewCard(sketchCardP, sketchCardSeed)},
-	} {
-		if err := s.Put(it.name, it.sk); err != nil {
-			panic(err)
-		}
-	}
-	return s
-}
-
-// Engine fold hooks. Each stripe's engine is single-threaded within a
-// round and owns its set exclusively, so folds need no locks; the
-// daemon merges the partials in stripe order at the round barrier.
+// Engine fold hooks. Each stripe's engine folds into its own
+// sketch.BNGEngine set; it is single-threaded within a round and owns
+// the set exclusively, so folds need no locks; the daemon merges the
+// partials in stripe order at the round barrier.
 
 // skAssign records an assignment outcome: the pool cardinalities see
 // every held address, and each family's change feeds its churn top-k.
 func (e *shardEngine) skAssign(addr4 uint32, p6hi uint64, p6len uint8) {
 	if addr4 != 0 {
-		e.sk.Card(SkPfx24).Add(uint64(addr4 >> 8))
+		e.sk.Card(sketch.Pfx24).Add(uint64(addr4 >> 8))
 	}
 	if p6len != 0 {
-		e.sk.Card(SkPfx64).Add(p6hi)
+		e.sk.Card(sketch.Pfx64).Add(p6hi)
 	}
 }
 
@@ -70,7 +29,7 @@ func (e *shardEngine) skAssign(addr4 uint32, p6hi uint64, p6len uint8) {
 // subscriber left.
 func (e *shardEngine) skV4Change(oldAddr4 uint32) {
 	if oldAddr4 != 0 {
-		e.sk.TopK(SkChurn24).Add(uint64(oldAddr4>>8), 1)
+		e.sk.TopK(sketch.Churn24).Add(uint64(oldAddr4>>8), 1)
 	}
 }
 
@@ -78,43 +37,14 @@ func (e *shardEngine) skV4Change(oldAddr4 uint32) {
 // group.
 func (e *shardEngine) skV6Change(oldP6Hi uint64, oldP6Len uint8) {
 	if oldP6Len != 0 {
-		e.sk.TopK(SkChurn64).Add(oldP6Hi, 1)
+		e.sk.TopK(sketch.Churn64).Add(oldP6Hi, 1)
 	}
 }
 
 // skSessionEnd records a completed session's duration in hours when the
 // session tears down (flap release or operator disconnect).
 func (e *shardEngine) skSessionEnd(startSec, endSec int64) {
-	e.sk.Quantile(SkDurSession).Add(float64(endSec-startSec) / 3600)
-}
-
-// QuantilePoint is one (probability, value) sample of a duration CDF.
-type QuantilePoint struct {
-	P float64 `json:"p"`
-	V float64 `json:"v"`
-}
-
-// TopEntry is one heavy hitter in a /sketch summary.
-type TopEntry struct {
-	Key   uint64 `json:"key"`
-	Count uint64 `json:"count"`
-}
-
-// SketchSummary is one sketch's canonical /sketch rendering: exactly
-// the fields its kind defines, in a deterministic order.
-type SketchSummary struct {
-	Name string `json:"name"`
-	Kind string `json:"kind"` // "quantile" | "topk" | "card"
-	// Quantile fields.
-	Count     uint64          `json:"count,omitempty"`
-	Quantiles []QuantilePoint `json:"quantiles,omitempty"`
-	// Top-k fields: estimates undercount by at most Slack ≤ N/k.
-	N     uint64     `json:"n,omitempty"`
-	Slack uint64     `json:"slack,omitempty"`
-	Top   []TopEntry `json:"top,omitempty"`
-	// Cardinality fields.
-	Estimate float64 `json:"estimate,omitempty"`
-	RSE      float64 `json:"rse,omitempty"`
+	e.sk.Quantile(sketch.DurHours).Add(float64(endSec-startSec) / 3600)
 }
 
 // SketchView is the full /sketch payload: every sketch summarized at
@@ -122,8 +52,8 @@ type SketchSummary struct {
 // function of engine state, so two daemons at the same virtual hour
 // render byte-identical views at any worker count.
 type SketchView struct {
-	VirtualHours int64           `json:"virtual_hours"`
-	Sketches     []SketchSummary `json:"sketches"`
+	VirtualHours int64            `json:"virtual_hours"`
+	Sketches     []sketch.Summary `json:"sketches"`
 }
 
 // summaryProbs is the fixed quantile grid the full view samples.
@@ -131,39 +61,6 @@ var summaryProbs = []float64{0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99}
 
 // summaryTop is the number of heavy hitters the full view lists.
 const summaryTop = 10
-
-func buildSketchView(hours int64, s *sketch.Set) SketchView {
-	v := SketchView{VirtualHours: hours}
-	for _, name := range s.Names() {
-		sum := SketchSummary{Name: name}
-		switch s.KindOf(name) {
-		case sketch.KindQuantile:
-			q := s.Quantile(name)
-			sum.Kind = "quantile"
-			sum.Count = q.Count()
-			if sum.Count > 0 {
-				for _, p := range summaryProbs {
-					sum.Quantiles = append(sum.Quantiles, QuantilePoint{P: p, V: q.Query(p)})
-				}
-			}
-		case sketch.KindTopK:
-			tk := s.TopK(name)
-			sum.Kind = "topk"
-			sum.N = tk.N()
-			sum.Slack = tk.Slack()
-			for _, e := range tk.Top(summaryTop) {
-				sum.Top = append(sum.Top, TopEntry{Key: e.Key, Count: e.Count})
-			}
-		case sketch.KindCard:
-			c := s.Card(name)
-			sum.Kind = "card"
-			sum.Estimate = c.Estimate()
-			sum.RSE = c.RSE()
-		}
-		v.Sketches = append(v.Sketches, sum)
-	}
-	return v
-}
 
 // SketchQuery is a parsed /sketch request.
 type SketchQuery struct {
@@ -290,11 +187,11 @@ type QuantileAnswer struct {
 
 // TopKAnswer is the op=topk payload.
 type TopKAnswer struct {
-	VirtualHours int64      `json:"virtual_hours"`
-	Name         string     `json:"name"`
-	N            uint64     `json:"n"`
-	Slack        uint64     `json:"slack"`
-	Top          []TopEntry `json:"top"`
+	VirtualHours int64          `json:"virtual_hours"`
+	Name         string         `json:"name"`
+	N            uint64         `json:"n"`
+	Slack        uint64         `json:"slack"`
+	Top          []sketch.Entry `json:"top"`
 }
 
 // CardAnswer is the op=card payload.
@@ -328,8 +225,8 @@ func (d *Daemon) QuerySketch(q SketchQuery) (any, error) {
 		}
 		tk := s.TopK(q.Name)
 		ans := TopKAnswer{VirtualHours: hours, Name: q.Name, N: tk.N(), Slack: tk.Slack()}
-		for _, e := range tk.Top(q.K) {
-			ans.Top = append(ans.Top, TopEntry{Key: e.Key, Count: e.Count})
+		if top := tk.Top(q.K); len(top) > 0 {
+			ans.Top = top // an empty answer stays a JSON null
 		}
 		return ans, nil
 	case "card":
@@ -358,7 +255,7 @@ func (d *Daemon) SketchBinary() []byte { return d.current().sketchSet.Encode() }
 // quiescent); the result is worker-count independent because the
 // stripe partition and each stripe's event order are.
 func (d *Daemon) mergeEngineSketches() *sketch.Set {
-	acc := newEngineSketch()
+	acc := sketch.BNGEngine.New()
 	for _, e := range d.engines {
 		if err := acc.Merge(e.sk); err != nil {
 			// Engines share one schema by construction.

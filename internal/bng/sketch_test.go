@@ -75,13 +75,13 @@ func TestSketchMatchesEngineCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := s.TopK(SkChurn24).N(); n != v.Events.V4Changes {
+	if n := s.TopK(sketch.Churn24).N(); n != v.Events.V4Changes {
 		t.Errorf("churn24 N = %d, want V4Changes %d", n, v.Events.V4Changes)
 	}
-	if n := s.TopK(SkChurn64).N(); n != v.Events.V6Changes {
+	if n := s.TopK(sketch.Churn64).N(); n != v.Events.V6Changes {
 		t.Errorf("churn64 N = %d, want V6Changes %d", n, v.Events.V6Changes)
 	}
-	q := s.Quantile(SkDurSession)
+	q := s.Quantile(sketch.DurHours)
 	if want := v.Events.Flaps + v.Events.Disconnects; q.Count() != want {
 		t.Errorf("dur_hours count = %d, want Flaps+Disconnects %d", q.Count(), want)
 	}
@@ -101,11 +101,11 @@ func TestSketchMatchesEngineCounters(t *testing.T) {
 			live64[rec.Pfx6Hi] = true
 		}
 	}
-	c24 := s.Card(SkPfx24)
+	c24 := s.Card(sketch.Pfx24)
 	if min := float64(len(live24)) * (1 - 4*c24.RSE()); c24.Estimate() < min {
 		t.Errorf("pfx24 estimate %.0f below live floor %.0f", c24.Estimate(), min)
 	}
-	c64 := s.Card(SkPfx64)
+	c64 := s.Card(sketch.Pfx64)
 	if min := float64(len(live64)) * (1 - 4*c64.RSE()); c64.Estimate() < min {
 		t.Errorf("pfx64 estimate %.0f below live floor %.0f", c64.Estimate(), min)
 	}
@@ -126,21 +126,21 @@ func TestSketchEndpoint(t *testing.T) {
 	if view.VirtualHours != 24 || len(view.Sketches) != 5 {
 		t.Fatalf("full view: hours %d sketches %d, want 24 and 5", view.VirtualHours, len(view.Sketches))
 	}
-	qa, err := c.SketchQuantile(SkDurSession, 0.9)
+	qa, err := c.SketchQuantile(sketch.DurHours, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if qa.Count == 0 || qa.P != 0.9 {
 		t.Errorf("quantile answer %+v, want count > 0 and p=0.9", qa)
 	}
-	ta, err := c.SketchTopK(SkChurn24, 5)
+	ta, err := c.SketchTopK(sketch.Churn24, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ta.Top) == 0 || len(ta.Top) > 5 || ta.N != d.Stats().Events.V4Changes {
 		t.Errorf("topk answer %+v, want 1..5 entries and N=%d", ta, d.Stats().Events.V4Changes)
 	}
-	ca, err := c.SketchCard(SkPfx64)
+	ca, err := c.SketchCard(sketch.Pfx64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,12 +170,12 @@ func TestSketchEndpoint(t *testing.T) {
 	}{
 		{"?op=bogus", http.StatusBadRequest},
 		{"?op=quantile", http.StatusBadRequest},
-		{"?op=quantile&name=" + SkDurSession + "&p=2", http.StatusBadRequest},
-		{"?op=quantile&name=" + SkDurSession + "&k=3", http.StatusBadRequest},
-		{"?format=binary&op=card&name=" + SkPfx24, http.StatusBadRequest},
+		{"?op=quantile&name=" + sketch.DurHours + "&p=2", http.StatusBadRequest},
+		{"?op=quantile&name=" + sketch.DurHours + "&k=3", http.StatusBadRequest},
+		{"?format=binary&op=card&name=" + sketch.Pfx24, http.StatusBadRequest},
 		{"?junk=1", http.StatusBadRequest},
 		{"?op=card&name=nope", http.StatusNotFound},
-		{"?op=topk&name=" + SkDurSession, http.StatusNotFound}, // kind mismatch
+		{"?op=topk&name=" + sketch.DurHours, http.StatusNotFound}, // kind mismatch
 	} {
 		resp, err := http.Get(srv.URL + "/sketch" + tc.query)
 		if err != nil {
@@ -213,7 +213,7 @@ func TestSketchViewAdvances(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := s.TopK(SkChurn24).N() + s.Quantile(SkDurSession).Count()
+		n := s.TopK(sketch.Churn24).N() + s.Quantile(sketch.DurHours).Count()
 		if n <= lastN {
 			t.Fatalf("hour %d: event mass %d did not grow past %d", h, n, lastN)
 		}

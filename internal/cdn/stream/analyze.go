@@ -299,8 +299,8 @@ func (az *analyzer) reduce(shards []shardMeta) (*cdn.Report, error) {
 		table:    az.cfg.Table,
 		perOp:    make(map[uint32]*durCounts),
 		zeros:    &core.TrailingZeroBuckets{Counts: make(map[int]int)},
-		skFixed:  sk.Quantile(SkDurFixed),
-		skMobile: sk.Quantile(SkDurMobile),
+		skFixed:  sk.Quantile(sketch.DurFixed),
+		skMobile: sk.Quantile(sketch.DurMobile),
 	}
 	for {
 		a, ok, err := m.next()

@@ -10,63 +10,6 @@ import (
 	"dynamips/internal/sketch"
 )
 
-// Sketch schema parameters. They are part of the pipeline's determinism
-// contract: every shard builds its partial with the same capacities and
-// the same seed, so partials merge to byte-identical state at any
-// -workers value (the shard partition is fixed by -shards, never by
-// -workers). The heavy-hitter capacity also sets where the summary
-// leaves its exact regime: below SketchTopK distinct keys a merged
-// Misra-Gries summary is a pure function of the input multiset; above
-// it, only the N/k error bound is partition-invariant (see DESIGN.md
-// "Online analysis").
-const (
-	// SketchAlpha is the quantile sketches' relative-accuracy knob:
-	// rank error is bounded by alpha·n.
-	SketchAlpha = 0.01
-	// SketchTopK is the heavy-hitter capacity; estimates are within
-	// N/SketchTopK of truth.
-	SketchTopK = 1024
-	// SketchCardP is the cardinality register precision (2^p registers,
-	// RSE ≈ 1.04/2^(p/2) ≈ 0.8%).
-	SketchCardP = 14
-	// SketchCardSeed seeds the cardinality hash; fixed so independently
-	// built partials share register assignments and merge by max.
-	SketchCardSeed = 0x64796E616D495073 // "dynamIPs"
-)
-
-// Canonical sketch names in the analysis set. Sorted here as they are
-// in the encoding.
-const (
-	SkDeg24     = "deg24"      // quantile: distinct-/64 degree per /24
-	SkDurFixed  = "dur_fixed"  // quantile: fixed episode durations (days)
-	SkDurMobile = "dur_mobile" // quantile: mobile episode durations (days)
-	SkHot24     = "hot24"      // top-k: /24s by distinct-/64 churn
-	SkHot64     = "hot64"      // top-k: /64s by association count
-	SkPfx24     = "pfx24"      // cardinality: distinct /24s
-	SkPfx64     = "pfx64"      // cardinality: distinct /64s
-)
-
-func mustPut(s *sketch.Set, name string, sk sketch.Sketch) {
-	if err := s.Put(name, sk); err != nil {
-		panic(err)
-	}
-}
-
-// NewAnalysisSet returns an empty sketch set with the analyze
-// pipeline's schema. Every shard partial and the merged barrier state
-// use exactly this shape, so Merge never sees a schema mismatch.
-func NewAnalysisSet() *sketch.Set {
-	s := sketch.NewSet()
-	mustPut(s, SkDeg24, sketch.NewQuantile(SketchAlpha))
-	mustPut(s, SkDurFixed, sketch.NewQuantile(SketchAlpha))
-	mustPut(s, SkDurMobile, sketch.NewQuantile(SketchAlpha))
-	mustPut(s, SkHot24, sketch.NewTopK(SketchTopK))
-	mustPut(s, SkHot64, sketch.NewTopK(SketchTopK))
-	mustPut(s, SkPfx24, sketch.NewCard(SketchCardP, SketchCardSeed))
-	mustPut(s, SkPfx64, sketch.NewCard(SketchCardP, SketchCardSeed))
-	return s
-}
-
 // buildShardSketch folds one shard's complete view into an encoded
 // partial: the degree, /24-churn, and /24-cardinality sketches from the
 // per-/24 summaries (a /24 maps to exactly one shard, so its degree is
@@ -76,17 +19,17 @@ func NewAnalysisSet() *sketch.Set {
 // folded here — episodes can only be cut after the global k-way merge —
 // so the reduce barrier adds dur_fixed/dur_mobile into the merged set.
 func buildShardSketch(recs []cdn.Association, sums []k24Sum) []byte {
-	s := NewAnalysisSet()
-	deg := s.Quantile(SkDeg24)
-	hot24 := s.TopK(SkHot24)
-	pfx24 := s.Card(SkPfx24)
+	s := sketch.CDNAnalysis.New()
+	deg := s.Quantile(sketch.Deg24)
+	hot24 := s.TopK(sketch.Hot24)
+	pfx24 := s.Card(sketch.Pfx24)
 	for i := range sums {
 		deg.Add(float64(sums[i].Uniq))
 		hot24.Add(uint64(sums[i].K24), uint64(sums[i].Uniq))
 		pfx24.Add(uint64(sums[i].K24))
 	}
-	hot64 := s.TopK(SkHot64)
-	pfx64 := s.Card(SkPfx64)
+	hot64 := s.TopK(sketch.Hot64)
+	pfx64 := s.Card(sketch.Pfx64)
 	i := 0
 	for i < len(recs) {
 		k64 := recs[i].K64
@@ -105,7 +48,7 @@ func buildShardSketch(recs []cdn.Association, sums []k24Sum) []byte {
 // partial's frame again even though decShard already did: the merge is
 // the last consumer before the bytes become queryable state.
 func mergeShardSketches(shards []shardMeta) (*sketch.Set, error) {
-	acc := NewAnalysisSet()
+	acc := sketch.CDNAnalysis.New()
 	for i := range shards {
 		part, err := sketch.DecodeSet(shards[i].Sketch)
 		if err != nil {
@@ -118,34 +61,18 @@ func mergeShardSketches(shards []shardMeta) (*sketch.Set, error) {
 	return acc, nil
 }
 
-// Tail-set schema: the raw-association view a live observer can build
-// from spill files alone, without the sort or the k-way merge. Episode
-// durations and per-/24 degrees need the full reduce, so the tail set
-// tracks row activity and cardinalities only — all of them pure
-// monoid folds, so a partially written spill just yields a partial
-// prefix of the same state.
-const (
-	SkRows24 = "rows24" // top-k: /24s by association rows
-	SkRows64 = "rows64" // top-k: /64s by association rows
-)
-
 // NewTailSet returns an empty sketch set with the spill-tail schema
-// (rows24, rows64, pfx24, pfx64).
-func NewTailSet() *sketch.Set {
-	s := sketch.NewSet()
-	mustPut(s, SkPfx24, sketch.NewCard(SketchCardP, SketchCardSeed))
-	mustPut(s, SkPfx64, sketch.NewCard(SketchCardP, SketchCardSeed))
-	mustPut(s, SkRows24, sketch.NewTopK(SketchTopK))
-	mustPut(s, SkRows64, sketch.NewTopK(SketchTopK))
-	return s
-}
+// (sketch.CDNTail): raw-association row activity and cardinalities,
+// all pure monoid folds, so a partially written spill just yields a
+// partial prefix of the same state.
+func NewTailSet() *sketch.Set { return sketch.CDNTail.New() }
 
 // FoldTail folds one raw association into a tail set.
 func FoldTail(s *sketch.Set, a cdn.Association) {
-	s.TopK(SkRows24).Add(uint64(a.K24), 1)
-	s.TopK(SkRows64).Add(a.K64, 1)
-	s.Card(SkPfx24).Add(uint64(a.K24))
-	s.Card(SkPfx64).Add(a.K64)
+	s.TopK(sketch.Rows24).Add(uint64(a.K24), 1)
+	s.TopK(sketch.Rows64).Add(a.K64, 1)
+	s.Card(sketch.Pfx24).Add(uint64(a.K24))
+	s.Card(sketch.Pfx64).Add(a.K64)
 }
 
 // TailSpillDir folds every record it can read from the association

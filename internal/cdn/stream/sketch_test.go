@@ -29,7 +29,7 @@ func writeOracleCSV(t *testing.T, cfg cdn.GenConfig) (*cdn.Dataset, string) {
 // TestSketchWorkerShardInvariance: the merged sketch bytes must be
 // identical at every -workers value (the partition is fixed by -shards,
 // so this holds unconditionally) and at every -shards value too, because
-// the test dataset's distinct-key counts sit below SketchTopK — the
+// the test dataset's distinct-key counts sit below sketch.TopKCap — the
 // Misra-Gries exact regime, where sketch state is a pure function of the
 // input multiset (see DESIGN.md "Online analysis").
 func TestSketchWorkerShardInvariance(t *testing.T) {
@@ -121,18 +121,18 @@ func TestSketchMatchesBatchOracle(t *testing.T) {
 			} else if float64(hi) < target {
 				rankErr = target - float64(hi)
 			}
-			if bound := SketchAlpha * float64(len(sorted)); rankErr > bound+1 {
+			if bound := sketch.Alpha * float64(len(sorted)); rankErr > bound+1 {
 				t.Errorf("%s p=%.2f: est %.3g rank error %.1f > %.1f", name, p, est, rankErr, bound)
 			}
 		}
 	}
-	checkQuantile(SkDurFixed, sk.Quantile(SkDurFixed), fixedD)
-	checkQuantile(SkDurMobile, sk.Quantile(SkDurMobile), mobileD)
-	checkQuantile(SkDeg24, sk.Quantile(SkDeg24), degD)
+	checkQuantile(sketch.DurFixed, sk.Quantile(sketch.DurFixed), fixedD)
+	checkQuantile(sketch.DurMobile, sk.Quantile(sketch.DurMobile), mobileD)
+	checkQuantile(sketch.Deg24, sk.Quantile(sketch.Deg24), degD)
 
 	// Heavy hitters: the test scale is in the exact regime, so every
 	// estimate must be exact and slack zero.
-	hot24 := sk.TopK(SkHot24)
+	hot24 := sk.TopK(sketch.Hot24)
 	if hot24.Slack() != 0 {
 		t.Fatalf("hot24 slack %d in exact regime", hot24.Slack())
 	}
@@ -141,7 +141,7 @@ func TestSketchMatchesBatchOracle(t *testing.T) {
 			t.Fatalf("hot24 /24 %d: est %d tracked=%v, exact %d", k24, est, ok, len(m))
 		}
 	}
-	hot64 := sk.TopK(SkHot64)
+	hot64 := sk.TopK(sketch.Hot64)
 	if hot64.Slack() != 0 {
 		t.Fatalf("hot64 slack %d in exact regime", hot64.Slack())
 	}
@@ -156,8 +156,8 @@ func TestSketchMatchesBatchOracle(t *testing.T) {
 		name  string
 		exact int
 	}{
-		{SkPfx24, len(deg)},
-		{SkPfx64, len(rows64)},
+		{sketch.Pfx24, len(deg)},
+		{sketch.Pfx64, len(rows64)},
 	} {
 		c := sk.Card(tc.name)
 		rel := math.Abs(c.Estimate()-float64(tc.exact)) / float64(tc.exact)

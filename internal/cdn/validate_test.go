@@ -15,8 +15,8 @@ import (
 func testOp() Operator {
 	return Operator{
 		Name: "tiny", ASN: 65000, Registry: rir.RIPENCC,
-		BGP4: netip.MustParsePrefix("192.0.2.0/24"),
-		BGP6: netip.MustParsePrefix("2001:db8::/32"),
+		BGP4:        netip.MustParsePrefix("192.0.2.0/24"),
+		BGP6:        netip.MustParsePrefix("2001:db8::/32"),
 		Subscribers: 50, UsersPer24: 10, AssocMeanDays: 5, DelegatedLen: 60,
 	}
 }

@@ -30,9 +30,9 @@ import (
 // corrupt or torn frame and the pipeline recomputes from there.
 
 const (
-	fileHeader     = "DYNWAL01"
-	frameMagic     = "DJF1"
-	frameHdrSize   = 16 // magic + index + length + crc
+	fileHeader      = "DYNWAL01"
+	frameMagic      = "DJF1"
+	frameHdrSize    = 16 // magic + index + length + crc
 	maxFramePayload = 1 << 30
 	// syncEvery bounds how many appended frames may sit unsynced: the
 	// journal fsyncs every syncEvery-th append (and on Sync/Close). A

@@ -177,7 +177,7 @@ func TestCodecStructuralRejects(t *testing.T) {
 
 // FuzzSketchCodec throws arbitrary bytes at the decoder and checks the
 // strict-canonical contract: anything accepted re-encodes to the exact
-// input bytes, merges with its own clone, and answers queries without
+// input bytes, merges with its own clone, and summarizes without
 // panicking.
 func FuzzSketchCodec(f *testing.F) {
 	// Seeds stay small (tiny register arrays, a handful of buckets):
@@ -217,15 +217,8 @@ func FuzzSketchCodec(f *testing.F) {
 		if err := s.Merge(s.Clone()); err != nil {
 			t.Fatalf("self-merge of decoded set: %v", err)
 		}
-		for _, name := range s.Names() {
-			switch s.KindOf(name) {
-			case KindQuantile:
-				s.Quantile(name).Query(0.5)
-			case KindTopK:
-				s.TopK(name).Top(5)
-			case KindCard:
-				s.Card(name).Estimate()
-			}
+		if got := s.Summarize([]float64{0.5}, 5); len(got) != s.Len() {
+			t.Fatalf("summarized %d of %d sketches", len(got), s.Len())
 		}
 	})
 }

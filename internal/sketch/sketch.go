@@ -102,15 +102,6 @@ func NewSet() *Set { return &Set{} }
 // Len reports the number of sketches in the set.
 func (s *Set) Len() int { return len(s.items) }
 
-// Names returns the sketch names in canonical (sorted) order.
-func (s *Set) Names() []string {
-	out := make([]string, len(s.items))
-	for i := range s.items {
-		out[i] = s.items[i].name
-	}
-	return out
-}
-
 // find returns the index of name, or -1.
 func (s *Set) find(name string) int {
 	for i := range s.items {
@@ -206,6 +197,62 @@ func (s *Set) Clone() *Set {
 	out := &Set{items: make([]item, len(s.items))}
 	for i := range s.items {
 		out.items[i] = item{name: s.items[i].name, sk: s.items[i].sk.cloneSketch()}
+	}
+	return out
+}
+
+// QuantilePoint is one (probability, value) sample of a quantile
+// sketch.
+type QuantilePoint struct {
+	P float64 `json:"p"`
+	V float64 `json:"v"`
+}
+
+// Summary is one sketch's canonical rendering: exactly the fields its
+// kind defines, in a deterministic order.
+type Summary struct {
+	Name string `json:"name"`
+	Kind string `json:"kind"` // "quantile" | "topk" | "card"
+	// Quantile fields.
+	Count     uint64          `json:"count,omitempty"`
+	Quantiles []QuantilePoint `json:"quantiles,omitempty"`
+	// Top-k fields: estimates undercount by at most Slack ≤ N/k.
+	N     uint64  `json:"n,omitempty"`
+	Slack uint64  `json:"slack,omitempty"`
+	Top   []Entry `json:"top,omitempty"`
+	// Cardinality fields.
+	Estimate float64 `json:"estimate,omitempty"`
+	RSE      float64 `json:"rse,omitempty"`
+}
+
+// Summarize renders every sketch of the set in canonical name order: a
+// quantile sketch sampled at probs (no samples while it is empty), a
+// heavy-hitter summary's top entries, a cardinality estimate with its
+// relative standard error.
+func (s *Set) Summarize(probs []float64, top int) []Summary {
+	out := make([]Summary, len(s.items))
+	for i := range s.items {
+		sum := Summary{Name: s.items[i].name}
+		switch sk := s.items[i].sk.(type) {
+		case *Quantile:
+			sum.Kind = "quantile"
+			sum.Count = sk.Count()
+			if sum.Count > 0 {
+				for _, p := range probs {
+					sum.Quantiles = append(sum.Quantiles, QuantilePoint{P: p, V: sk.Query(p)})
+				}
+			}
+		case *TopK:
+			sum.Kind = "topk"
+			sum.N = sk.N()
+			sum.Slack = sk.Slack()
+			sum.Top = sk.Top(top)
+		case *Card:
+			sum.Kind = "card"
+			sum.Estimate = sk.Estimate()
+			sum.RSE = sk.RSE()
+		}
+		out[i] = sum
 	}
 	return out
 }

@@ -4,8 +4,8 @@ import "slices"
 
 // Entry is one heavy hitter: a key and its estimated count.
 type Entry struct {
-	Key   uint64
-	Count uint64
+	Key   uint64 `json:"key"`
+	Count uint64 `json:"count"`
 }
 
 // TopK is a weighted Misra-Gries heavy-hitter summary over uint64 keys

@@ -1,8 +1,8 @@
 #!/bin/sh
 # verify.sh — the repository's full correctness gate, run locally and in CI:
-#   build, go vet, dynalint (all eight analyzers, JSON findings diffed
-#   against the checked-in empty baseline; DYNALINT_FINDINGS names the
-#   artifact file), the test
+#   build, go vet, gofmt -l (no unformatted file), dynalint (all eight
+#   analyzers, JSON findings diffed against the checked-in empty
+#   baseline; DYNALINT_FINDINGS names the artifact file), the test
 #   suite under the race detector (which includes the fault-injection soak,
 #   TestPipelineUnderLoss), the golden regression corpus, the crash-injection
 #   kill-and-resume smoke, the seeded HA failover matrix (lease-preserving
@@ -35,6 +35,14 @@ go build ./...
 
 echo "==> go vet ./..."
 go vet ./...
+
+echo "==> gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "FAIL: gofmt -l lists unformatted files:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo "==> dynalint ./... (JSON findings, gated against .dynalint-baseline.json)"
 lintjson="${DYNALINT_FINDINGS:-$(mktemp)}"
