@@ -476,7 +476,6 @@ type experimentFlags struct {
 	cdnDays     int
 	workers     int
 	faults      string
-	loss        float64
 	relayHops   int
 	relayFaults string
 }
@@ -486,15 +485,9 @@ type experimentFlags struct {
 // canonical form so equivalent spellings share a checkpoint key.
 func experimentSpec(f experimentFlags) (runSpec, error) {
 	faultSpec := ""
-	if f.faults != "" || f.loss != 0 {
+	if f.faults != "" {
 		prof, err := faultnet.ParseProfile(f.faults)
 		if err != nil {
-			return runSpec{}, fmt.Errorf("experiment: %w", err)
-		}
-		if f.loss != 0 {
-			prof.Drop = f.loss
-		}
-		if err := prof.Validate(); err != nil {
 			return runSpec{}, fmt.Errorf("experiment: %w", err)
 		}
 		faultSpec = prof.String()
@@ -509,9 +502,6 @@ func experimentSpec(f experimentFlags) (runSpec, error) {
 		}
 		prof, err := faultnet.ParseProfile(f.relayFaults)
 		if err != nil {
-			return runSpec{}, fmt.Errorf("experiment: -relay-faults: %w", err)
-		}
-		if err := prof.Validate(); err != nil {
 			return runSpec{}, fmt.Errorf("experiment: -relay-faults: %w", err)
 		}
 		relaySpec = prof.String()
@@ -532,8 +522,7 @@ func cmdExperiment(args []string) error {
 	cdnScale := fs.Float64("cdn-scale", 1, "CDN population multiplier")
 	cdnDays := fs.Int("cdn-days", 150, "CDN window in days")
 	workers := fs.Int("workers", 0, "pipeline build fan-out, 0 = all CPUs (output is identical for any value)")
-	faults := fs.String("faults", "", "fault profile, e.g. drop=0.1,dup=0.02,delay=0.05:200-1500,reorder=0.01 (empty = perfect network)")
-	loss := fs.Float64("loss", 0, "shorthand for the fault profile's drop probability; overrides drop= in -faults")
+	faults := fs.String("faults", "", "fault profile, e.g. drop=0.1,dup=0.02,delay=0.05:200-1500 (empty = perfect network)")
 	relayHops := fs.Int("relay-hops", 0, "route assignment exchanges through this many aggregation relay hops (0 = direct)")
 	relayFaults := fs.String("relay-faults", "", "per-relay-hop fault profile (same syntax as -faults; empty reuses -faults; needs -relay-hops)")
 	asJSON := fs.Bool("json", false, "emit the figure's data series as JSON (fig1/fig2/fig3/fig5/fig9)")
@@ -551,8 +540,7 @@ func cmdExperiment(args []string) error {
 		name: fs.Arg(0), out: *out, asJSON: *asJSON,
 		seed: *seed, hours: *hours, probeScale: *probeScale,
 		cdnScale: *cdnScale, cdnDays: *cdnDays, workers: *workers,
-		faults: *faults, loss: *loss,
-		relayHops: *relayHops, relayFaults: *relayFaults,
+		faults: *faults, relayHops: *relayHops, relayFaults: *relayFaults,
 	})
 	if err != nil {
 		return err

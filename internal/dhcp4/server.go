@@ -9,8 +9,8 @@ import (
 	"dynamips/internal/netutil"
 )
 
-// Clock supplies time to the server in seconds. Simulations drive a
-// virtual clock; live deployments wrap time.Now().Unix().
+// Clock supplies time to the server in seconds: the simulation's virtual
+// epoch (isp's sim clock, or a serve-bng shard's event clock).
 type Clock interface {
 	Now() int64
 }
@@ -67,8 +67,8 @@ func (s *ServerStats) Add(o ServerStats) {
 
 // Server implements the DHCP state machine over a set of address pools.
 // It is not safe for concurrent use; callers serialize access (the
-// simulator is single-threaded per ISP, and the UDP front end in
-// conn.go serializes on its receive loop).
+// simulator is single-threaded per ISP, and each serve-bng shard owns
+// its servers).
 type Server struct {
 	cfg   ServerConfig
 	stats ServerStats

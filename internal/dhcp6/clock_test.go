@@ -1,48 +1,37 @@
 package dhcp6
 
-import (
-	"net"
-	"testing"
-)
+import "testing"
 
 // TestClientExpiryMatchesServerClock pins the determinism fix from the
-// dynalint audit: the client computes Binding.Expiry on the injected clock,
-// matching the server's view exactly at any virtual epoch.
+// dynalint audit: the binding expiry the client side derives from a Reply
+// (Acquire and RenewBinding, the entry points the simulators use) is
+// computed on the injected clock, matching the server's view exactly at
+// any virtual epoch.
 func TestClientExpiryMatchesServerClock(t *testing.T) {
 	srv, clk := newTestServer(86400, true, 56)
 	clk.t = 2_000_000
 
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	b, err := srv.Acquire(duid(7), 1)
 	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- Serve(pc, srv) }()
-
-	cc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("client listen: %v", err)
-	}
-	defer cc.Close()
-	cl := &Client{Conn: cc, Server: pc.LocalAddr(), DUID: duid(7), Clock: clk}
-
-	b, err := cl.AcquirePD()
-	if err != nil {
-		t.Fatalf("AcquirePD: %v", err)
+		t.Fatalf("Acquire: %v", err)
 	}
 	if want := clk.t + 86400; b.Expiry != want {
 		t.Errorf("client binding expiry %d, want %d (virtual clock + valid lifetime)", b.Expiry, want)
 	}
 
-	pc.Close()
-	if err := <-done; err != net.ErrClosed {
-		t.Fatalf("Serve returned %v", err)
+	clk.t += 3600
+	b2, err := srv.RenewBinding(duid(7), 2)
+	if err != nil {
+		t.Fatalf("RenewBinding: %v", err)
+	}
+	if want := clk.t + 86400; b2.Expiry != want {
+		t.Errorf("renewed binding expiry %d, want %d", b2.Expiry, want)
 	}
 	srvB, ok := srv.byClient[duid(7).String()]
 	if !ok {
 		t.Fatal("server lost the binding")
 	}
-	if srvB.Expiry != b.Expiry {
-		t.Errorf("server expiry %d != client expiry %d", srvB.Expiry, b.Expiry)
+	if srvB.Expiry != b2.Expiry {
+		t.Errorf("server expiry %d != client expiry %d", srvB.Expiry, b2.Expiry)
 	}
 }

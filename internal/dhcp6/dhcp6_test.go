@@ -1,7 +1,6 @@
 package dhcp6
 
 import (
-	"net"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -294,35 +293,6 @@ func TestServerConfigPanics(t *testing.T) {
 			}()
 			NewServer(cfg, &fakeClock{})
 		}()
-	}
-}
-
-func TestServeOverUDP(t *testing.T) {
-	srv, clk := newTestServer(86400, true, 56)
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	defer pc.Close()
-	done := make(chan error, 1)
-	go func() { done <- Serve(pc, srv) }()
-
-	cc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("client listen: %v", err)
-	}
-	defer cc.Close()
-	cl := &Client{Conn: cc, Server: pc.LocalAddr(), DUID: duid(42), Clock: clk}
-	b, err := cl.AcquirePD()
-	if err != nil {
-		t.Fatalf("AcquirePD: %v", err)
-	}
-	if b.Prefix.Bits() != 56 {
-		t.Errorf("delegated /%d over UDP", b.Prefix.Bits())
-	}
-	pc.Close()
-	if err := <-done; err != net.ErrClosed {
-		t.Errorf("Serve returned %v", err)
 	}
 }
 

@@ -3,16 +3,15 @@
 // reassignments to outages and measurement gaps (§2.2, Appendix A.1);
 // this package supplies the lossy-network scenario those code paths need:
 // datagrams are dropped, duplicated, and delayed according to a per-link
-// FaultProfile whose every decision comes from a seeded SplitMix64 stream
+// Profile whose every decision comes from a seeded SplitMix64 stream
 // and the simulation's virtual clock — never wall time and never a shared
 // RNG — so identical seeds yield identical fault schedules regardless of
 // worker count.
 //
-// Two transports are provided. Link is the in-memory fast path the
-// internal/isp simulator drives: Exchange replays one request/reply
+// Link is the one datagram transport: Exchange replays one request/reply
 // datagram exchange, including the client's RFC retransmission schedule,
-// entirely in virtual milliseconds. Conn wraps a real net.PacketConn for
-// wire-level integration tests.
+// entirely in virtual milliseconds. The internal/isp simulator drives its
+// RADIUS, DHCPv4 and DHCPv6 exchanges through it.
 package faultnet
 
 import (
@@ -35,15 +34,6 @@ type Profile struct {
 	// uniform draw from [DelayMinMS, DelayMaxMS] virtual milliseconds.
 	Delay                  float64
 	DelayMinMS, DelayMaxMS int64
-	// Reorder is the probability the Conn wrapper holds a datagram back
-	// and transmits it after the next write (on a real socket, delay is
-	// realized as reordering; Link models true virtual-time delay).
-	Reorder float64
-}
-
-// Zero reports whether the profile injects no faults at all.
-func (p Profile) Zero() bool {
-	return p.Drop <= 0 && p.Dup <= 0 && p.Delay <= 0 && p.Reorder <= 0
 }
 
 // Validate rejects probabilities outside [0,1] and inverted delay bounds.
@@ -51,7 +41,7 @@ func (p Profile) Validate() error {
 	for _, f := range []struct {
 		name string
 		v    float64
-	}{{"drop", p.Drop}, {"dup", p.Dup}, {"delay", p.Delay}, {"reorder", p.Reorder}} {
+	}{{"drop", p.Drop}, {"dup", p.Dup}, {"delay", p.Delay}} {
 		if f.v < 0 || f.v > 1 || math.IsNaN(f.v) {
 			return fmt.Errorf("faultnet: %s probability %v outside [0,1]", f.name, f.v)
 		}
@@ -63,7 +53,7 @@ func (p Profile) Validate() error {
 }
 
 // ParseProfile parses the CLI fault specification: comma-separated
-// key=value fields, e.g. "drop=0.1,dup=0.02,delay=0.05:200-1500,reorder=0.01".
+// key=value fields, e.g. "drop=0.1,dup=0.02,delay=0.05:200-1500".
 // The delay value is "prob" or "prob:minms-maxms".
 func ParseProfile(s string) (Profile, error) {
 	var p Profile
@@ -76,18 +66,15 @@ func ParseProfile(s string) (Profile, error) {
 			return Profile{}, fmt.Errorf("faultnet: field %q is not key=value", field)
 		}
 		switch key {
-		case "drop", "dup", "reorder":
+		case "drop", "dup":
 			f, err := strconv.ParseFloat(val, 64)
 			if err != nil {
 				return Profile{}, fmt.Errorf("faultnet: %s=%q: %w", key, val, err)
 			}
-			switch key {
-			case "drop":
+			if key == "drop" {
 				p.Drop = f
-			case "dup":
+			} else {
 				p.Dup = f
-			default:
-				p.Reorder = f
 			}
 		case "delay":
 			prob, bounds, hasBounds := strings.Cut(val, ":")
@@ -110,7 +97,7 @@ func ParseProfile(s string) (Profile, error) {
 				}
 			}
 		default:
-			return Profile{}, fmt.Errorf("faultnet: unknown field %q (have drop, dup, delay, reorder)", key)
+			return Profile{}, fmt.Errorf("faultnet: unknown field %q (have drop, dup, delay)", key)
 		}
 	}
 	if err := p.Validate(); err != nil {
@@ -131,9 +118,6 @@ func (p Profile) String() string {
 	}
 	if p.Delay > 0 {
 		fields = append(fields, fmt.Sprintf("delay=%s:%d-%d", trimFloat(p.Delay), p.DelayMinMS, p.DelayMaxMS))
-	}
-	if p.Reorder > 0 {
-		fields = append(fields, "reorder="+trimFloat(p.Reorder))
 	}
 	sort.Strings(fields) // already ordered; keeps output canonical regardless
 	return strings.Join(fields, ",")
@@ -294,9 +278,6 @@ func NewRelayLink(prof, relayProf Profile, seed, id uint64, hops int) *Link {
 	return l
 }
 
-// Hops returns the number of relay hops on the link.
-func (l *Link) Hops() int { return len(l.relayUp) }
-
 // crossRelay traverses the relay chain in one direction, returning the
 // accumulated hop delay and whether the datagram survived every hop.
 func (l *Link) crossRelay(streams []*Stream) (delayMS int64, ok bool) {
@@ -337,9 +318,9 @@ type Verdict struct {
 // Handle — duplicate deliveries are how RADIUS duplicate detection gets
 // exercised), and each reply independently crosses the downlink. The
 // client accepts the earliest surviving reply and stops retransmitting;
-// replies arriving after give-up are discarded, exactly the late-reply
-// dedup the wire clients perform by transaction id. deliver may be nil
-// when only the timing verdict matters.
+// replies arriving after give-up are discarded, the late-reply dedup a
+// client performs by transaction id. deliver may be nil when only the
+// timing verdict matters.
 func (l *Link) Exchange(nowMS int64, rt Retransmitter, deliver func(copy int)) Verdict {
 	const never = int64(math.MaxInt64)
 	v := Verdict{DoneMS: nowMS}

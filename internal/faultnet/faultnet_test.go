@@ -1,11 +1,9 @@
 package faultnet
 
 import (
-	"net"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestStreamDeterminism(t *testing.T) {
@@ -47,10 +45,10 @@ func TestParseProfile(t *testing.T) {
 	}{
 		{"", Profile{}},
 		{"drop=0.1", Profile{Drop: 0.1}},
-		{"drop=0.1,dup=0.02,delay=0.05:200-1500,reorder=0.01",
-			Profile{Drop: 0.1, Dup: 0.02, Delay: 0.05, DelayMinMS: 200, DelayMaxMS: 1500, Reorder: 0.01}},
+		{"drop=0.1,dup=0.02,delay=0.05:200-1500",
+			Profile{Drop: 0.1, Dup: 0.02, Delay: 0.05, DelayMinMS: 200, DelayMaxMS: 1500}},
 		{"delay=0.5", Profile{Delay: 0.5, DelayMinMS: 0, DelayMaxMS: 1000}},
-		{" drop=0.3 , reorder=1 ", Profile{Drop: 0.3, Reorder: 1}},
+		{" drop=0.3 , dup=1 ", Profile{Drop: 0.3, Dup: 1}},
 	}
 	for _, c := range cases {
 		got, err := ParseProfile(c.in)
@@ -74,6 +72,7 @@ func TestParseProfileErrors(t *testing.T) {
 		"delay=0.1:-5-2",   // negative minimum
 		"delay=0.1:a-b",    // non-numeric bounds
 		"jitter=0.1",       // unknown key
+		"reorder=0.5",      // removed key: no transport reorders
 		"drop=0.1,,dup=.2", // empty field
 	} {
 		if _, err := ParseProfile(in); err == nil {
@@ -83,7 +82,7 @@ func TestParseProfileErrors(t *testing.T) {
 }
 
 func TestProfileStringRoundtrip(t *testing.T) {
-	p := Profile{Drop: 0.1, Dup: 0.02, Delay: 0.05, DelayMinMS: 200, DelayMaxMS: 1500, Reorder: 0.01}
+	p := Profile{Drop: 0.1, Dup: 0.02, Delay: 0.05, DelayMinMS: 200, DelayMaxMS: 1500}
 	back, err := ParseProfile(p.String())
 	if err != nil {
 		t.Fatalf("reparsing %q: %v", p.String(), err)
@@ -192,87 +191,6 @@ func TestExchangeDeterminism(t *testing.T) {
 	}
 	if ok == 0 || ok == len(a) {
 		t.Fatalf("50%% loss produced degenerate outcome: %d/%d exchanges ok", ok, len(a))
-	}
-}
-
-// memConn is an in-memory PacketConn capturing writes.
-type memConn struct {
-	writes [][]byte
-	closed bool
-}
-
-type memAddr struct{}
-
-func (memAddr) Network() string { return "mem" }
-func (memAddr) String() string  { return "mem" }
-
-func (m *memConn) ReadFrom(p []byte) (int, net.Addr, error) { select {} }
-func (m *memConn) WriteTo(p []byte, addr net.Addr) (int, error) {
-	m.writes = append(m.writes, append([]byte(nil), p...))
-	return len(p), nil
-}
-func (m *memConn) Close() error                       { m.closed = true; return nil }
-func (m *memConn) LocalAddr() net.Addr                { return memAddr{} }
-func (m *memConn) SetDeadline(t time.Time) error      { return nil }
-func (m *memConn) SetReadDeadline(t time.Time) error  { return nil }
-func (m *memConn) SetWriteDeadline(t time.Time) error { return nil }
-
-func TestConnDropAndDup(t *testing.T) {
-	inner := &memConn{}
-	c := WrapConn(inner, Profile{Drop: 1}, 1)
-	if n, err := c.WriteTo([]byte("abc"), memAddr{}); err != nil || n != 3 {
-		t.Fatalf("dropped write reported (%d, %v)", n, err)
-	}
-	if len(inner.writes) != 0 {
-		t.Fatalf("drop=1 leaked %d writes", len(inner.writes))
-	}
-
-	inner = &memConn{}
-	c = WrapConn(inner, Profile{Dup: 1}, 1)
-	if _, err := c.WriteTo([]byte("abc"), memAddr{}); err != nil {
-		t.Fatal(err)
-	}
-	if len(inner.writes) != 2 || string(inner.writes[0]) != "abc" || string(inner.writes[1]) != "abc" {
-		t.Fatalf("dup=1 wrote %q", inner.writes)
-	}
-}
-
-func TestConnReorderSwapsAndPreservesBytes(t *testing.T) {
-	// Scan seeds for a hold/no-hold pattern on two writes; that seed's
-	// wrapper must emit them swapped, byte-identical.
-	for seed := uint64(0); seed < 1000; seed++ {
-		inner := &memConn{}
-		c := WrapConn(inner, Profile{Reorder: 0.5}, seed)
-		c.WriteTo([]byte("first"), memAddr{})
-		c.WriteTo([]byte("second"), memAddr{})
-		if len(inner.writes) == 2 && string(inner.writes[0]) == "second" {
-			if string(inner.writes[1]) != "first" {
-				t.Fatalf("seed %d: reorder corrupted payload: %q", seed, inner.writes)
-			}
-			return
-		}
-	}
-	t.Fatal("no seed in [0,1000) produced a swap at reorder=0.5")
-}
-
-func TestConnHeldPacketReleasedNextWrite(t *testing.T) {
-	inner := &memConn{}
-	c := WrapConn(inner, Profile{Reorder: 1}, 1)
-	c.WriteTo([]byte("a"), memAddr{})
-	if len(inner.writes) != 0 {
-		t.Fatalf("held packet escaped immediately: %q", inner.writes)
-	}
-	c.WriteTo([]byte("b"), memAddr{})
-	c.WriteTo([]byte("c"), memAddr{})
-	// Every write held: each released at the following write.
-	if len(inner.writes) != 2 || string(inner.writes[0]) != "a" || string(inner.writes[1]) != "b" {
-		t.Fatalf("reorder=1 emitted %q, want [a b]", inner.writes)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !inner.closed || len(inner.writes) != 2 {
-		t.Fatalf("Close must discard held packets (closed=%v writes=%q)", inner.closed, inner.writes)
 	}
 }
 

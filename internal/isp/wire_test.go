@@ -1,10 +1,9 @@
 package isp
 
 import (
-	"net"
+	"bytes"
 	"net/netip"
 	"testing"
-	"time"
 
 	"dynamips/internal/dhcp4"
 	"dynamips/internal/dhcp6"
@@ -12,20 +11,20 @@ import (
 )
 
 // TestCPEBootstrapOverWire exercises the full CPE bring-up the simulator
-// models, but over real UDP sockets: RADIUS authentication for the
-// session, DHCPv4 for the WAN address, DHCPv6 IA_PD for the delegated
-// prefix — then a renumbering cycle.
+// models, with every message crossing its wire codec: RADIUS
+// authentication for the session, DHCPv4 for the WAN address, DHCPv6 IA_PD
+// for the delegated prefix — then a renumbering cycle.
 func TestCPEBootstrapOverWire(t *testing.T) {
-	now := time.Now().Unix()
-	clock := dhcp6.ClockFunc(func() int64 { return now })
+	const now = 1_600_000_000 // a fixed virtual epoch
+	secret := []byte("wire-secret")
 
-	// ISP side: three assignment servers on loopback.
+	// ISP side: the three assignment servers.
 	radSrv := radius.NewServer(radius.ServerConfig{
 		Pools4:         []netip.Prefix{netip.MustParsePrefix("81.10.0.0/24")},
 		Pools6:         []netip.Prefix{netip.MustParsePrefix("2003:1000::/40")},
 		DelegatedLen6:  56,
 		SessionTimeout: 86400,
-		Secret:         []byte("wire-secret"),
+		Secret:         secret,
 	})
 	d4Srv := dhcp4.NewServer(dhcp4.ServerConfig{
 		Pools:        []netip.Prefix{netip.MustParsePrefix("100.64.0.0/24")},
@@ -36,46 +35,51 @@ func TestCPEBootstrapOverWire(t *testing.T) {
 		Pools:        []netip.Prefix{netip.MustParsePrefix("2003:2000::/40")},
 		DelegatedLen: 56,
 		ValidSeconds: 86400,
-	}, clock)
+	}, dhcp6.ClockFunc(func() int64 { return now }))
 
-	listen := func() net.PacketConn {
-		pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	// access sends one Access-Request as wire bytes and returns the
+	// verified, parsed reply.
+	access := func(req *radius.Packet) *radius.Packet {
+		t.Helper()
+		in, err := radius.Parse(req.Encode())
 		if err != nil {
-			t.Fatalf("listen: %v", err)
+			t.Fatalf("radius server side: %v", err)
 		}
-		t.Cleanup(func() { pc.Close() })
-		return pc
+		out, err := radSrv.Handle(in, now)
+		if err != nil {
+			t.Fatalf("radius Handle: %v", err)
+		}
+		wire := out.EncodeResponse(in, radSrv.Secret())
+		if err := radius.VerifyResponse(wire, req, secret); err != nil {
+			t.Fatalf("response authenticator: %v", err)
+		}
+		rep, err := radius.Parse(wire)
+		if err != nil {
+			t.Fatalf("radius client side: %v", err)
+		}
+		return rep
 	}
-	radConn, d4Conn, d6Conn := listen(), listen(), listen()
-	go radius.Serve(radConn, radSrv, func() int64 { return now })
-	go dhcp4.Serve(d4Conn, d4Srv)
-	go dhcp6.Serve(d6Conn, d6Srv)
 
-	// CPE side.
-	cpeRad := listen()
+	// CPE side: RADIUS session with a hidden password.
 	req := radius.New(radius.AccessRequest, 1)
 	req.Authenticator = [16]byte{1, 2, 3}
 	req.AddString(radius.AttrUserName, "wire-cpe-1")
-	hidden, err := radius.HidePassword("hunter2", []byte("wire-secret"), req.Authenticator)
+	hidden, err := radius.HidePassword("hunter2", secret, req.Authenticator)
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.Add(radius.AttrUserPassword, hidden)
-	if _, err := cpeRad.WriteTo(req.Encode(), radConn.LocalAddr()); err != nil {
+	onWire, err := radius.Parse(req.Encode())
+	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 4096)
-	cpeRad.SetReadDeadline(time.Now().Add(2 * time.Second))
-	n, _, err := cpeRad.ReadFrom(buf)
-	if err != nil {
-		t.Fatalf("radius read: %v", err)
+	pw, ok := onWire.Get(radius.AttrUserPassword)
+	if !ok || bytes.Contains(pw, []byte("hunter2")) || !radius.CheckPassword(pw, "hunter2", secret, onWire.Authenticator) {
+		t.Fatalf("User-Password on the wire is not hunter2 hidden under the secret: %x", pw)
 	}
-	if err := radius.VerifyResponse(buf[:n], req, []byte("wire-secret")); err != nil {
-		t.Fatalf("response authenticator: %v", err)
-	}
-	accept, err := radius.Parse(buf[:n])
-	if err != nil || accept.Code != radius.AccessAccept {
-		t.Fatalf("radius accept: %v %v", accept.Code, err)
+	accept := access(req)
+	if accept.Code != radius.AccessAccept {
+		t.Fatalf("radius accept: %v", accept.Code)
 	}
 	framed, _ := accept.GetAddr4(radius.AttrFramedIPAddress)
 	delegated, _ := accept.GetPrefix6(radius.AttrDelegatedIPv6Prefix)
@@ -84,30 +88,78 @@ func TestCPEBootstrapOverWire(t *testing.T) {
 	}
 
 	// DHCPv4 DORA for the CPE's local pool.
-	d4Client := &dhcp4.Client{
-		Conn: listen(), Server: d4Conn.LocalAddr(),
-		HW:    dhcp4.HWAddr{2, 0, 0, 0, 0, 9},
-		Clock: dhcp4.ClockFunc(func() int64 { return now }),
+	hw := dhcp4.HWAddr{2, 0, 0, 0, 0, 9}
+	dhcp4Exchange := func(m *dhcp4.Message) *dhcp4.Message {
+		t.Helper()
+		in, err := dhcp4.Unmarshal(m.Marshal())
+		if err != nil {
+			t.Fatalf("dhcp4 server side: %v", err)
+		}
+		out, err := d4Srv.Handle(in)
+		if err != nil {
+			t.Fatalf("dhcp4 Handle: %v", err)
+		}
+		rep, err := dhcp4.Unmarshal(out.Marshal())
+		if err != nil {
+			t.Fatalf("dhcp4 client side: %v", err)
+		}
+		if rep.XID != m.XID || rep.CHAddr != hw {
+			t.Fatalf("dhcp4 reply xid %d chaddr %v, want %d %v", rep.XID, rep.CHAddr, m.XID, hw)
+		}
+		return rep
 	}
-	lease, err := d4Client.Acquire()
-	if err != nil {
-		t.Fatalf("dhcp4 acquire: %v", err)
+	offer := dhcp4Exchange(dhcp4.NewMessage(dhcp4.Discover, 1, hw))
+	if offer.Type() != dhcp4.Offer {
+		t.Fatalf("expected OFFER, got %v", offer.Type())
 	}
-	if !netip.MustParsePrefix("100.64.0.0/24").Contains(lease.Addr) {
-		t.Fatalf("lease %v outside pool", lease.Addr)
+	request := dhcp4.NewMessage(dhcp4.Request, 2, hw)
+	request.SetAddrOption(dhcp4.OptRequestedIP, offer.YIAddr)
+	ack := dhcp4Exchange(request)
+	if ack.Type() != dhcp4.ACK || ack.YIAddr != offer.YIAddr {
+		t.Fatalf("expected ACK for %v, got %v for %v", offer.YIAddr, ack.Type(), ack.YIAddr)
 	}
-	if lease.Expiry != now+86400 {
-		t.Fatalf("dhcp4 lease expiry %d, want clock-consistent %d", lease.Expiry, now+86400)
+	if !netip.MustParsePrefix("100.64.0.0/24").Contains(ack.YIAddr) {
+		t.Fatalf("lease %v outside pool", ack.YIAddr)
+	}
+	if secs, ok := ack.U32Option(dhcp4.OptLeaseTime); !ok || secs != 86400 {
+		t.Fatalf("dhcp4 lease time %d s, want 86400", secs)
 	}
 
-	// DHCPv6 IA_PD.
-	d6Client := &dhcp6.Client{Conn: listen(), Server: d6Conn.LocalAddr(), DUID: dhcp6.DUIDLL([6]byte{2, 0, 0, 0, 0, 9}), Clock: clock}
-	pd, err := d6Client.AcquirePD()
-	if err != nil {
-		t.Fatalf("dhcp6 acquire: %v", err)
+	// DHCPv6 IA_PD: Solicit/Advertise/Request/Reply.
+	duid := dhcp6.DUIDLL([6]byte{2, 0, 0, 0, 0, 9})
+	dhcp6Exchange := func(m *dhcp6.Message) *dhcp6.Message {
+		t.Helper()
+		in, err := dhcp6.Unmarshal(m.Marshal())
+		if err != nil {
+			t.Fatalf("dhcp6 server side: %v", err)
+		}
+		out, err := d6Srv.Handle(in)
+		if err != nil {
+			t.Fatalf("dhcp6 Handle: %v", err)
+		}
+		rep, err := dhcp6.Unmarshal(out.Marshal())
+		if err != nil {
+			t.Fatalf("dhcp6 client side: %v", err)
+		}
+		if rep.TxnID != m.TxnID {
+			t.Fatalf("dhcp6 reply txn %d, want %d", rep.TxnID, m.TxnID)
+		}
+		return rep
 	}
-	if pd.Prefix.Bits() != 56 || !netip.MustParsePrefix("2003:2000::/40").Contains(pd.Prefix.Addr()) {
-		t.Fatalf("delegation %v", pd.Prefix)
+	adv := dhcp6Exchange(dhcp6.NewMessage(dhcp6.Solicit, 1, duid))
+	if adv.Type != dhcp6.Advertise || len(adv.IAPDs) == 0 || len(adv.IAPDs[0].Prefixes) == 0 {
+		t.Fatalf("no advertisement: %+v", adv)
+	}
+	req6 := dhcp6.NewMessage(dhcp6.Request, 2, duid)
+	req6.ServerID = adv.ServerID
+	req6.IAPDs = []dhcp6.IAPD{{IAID: adv.IAPDs[0].IAID, Prefixes: adv.IAPDs[0].Prefixes}}
+	reply := dhcp6Exchange(req6)
+	if reply.Type != dhcp6.Reply || len(reply.IAPDs) == 0 || len(reply.IAPDs[0].Prefixes) == 0 {
+		t.Fatalf("request rejected: %+v", reply)
+	}
+	pd := reply.IAPDs[0].Prefixes[0].Prefix
+	if pd.Bits() != 56 || !netip.MustParsePrefix("2003:2000::/40").Contains(pd.Addr()) {
+		t.Fatalf("delegation %v", pd)
 	}
 
 	// Renumbering cycle: the RADIUS session restarts and must hand out
@@ -115,18 +167,7 @@ func TestCPEBootstrapOverWire(t *testing.T) {
 	req2 := radius.New(radius.AccessRequest, 2)
 	req2.Authenticator = [16]byte{9, 9, 9}
 	req2.AddString(radius.AttrUserName, "wire-cpe-1")
-	if _, err := cpeRad.WriteTo(req2.Encode(), radConn.LocalAddr()); err != nil {
-		t.Fatal(err)
-	}
-	cpeRad.SetReadDeadline(time.Now().Add(2 * time.Second))
-	n, _, err = cpeRad.ReadFrom(buf)
-	if err != nil {
-		t.Fatalf("radius read 2: %v", err)
-	}
-	accept2, err := radius.Parse(buf[:n])
-	if err != nil {
-		t.Fatal(err)
-	}
+	accept2 := access(req2)
 	framed2, _ := accept2.GetAddr4(radius.AttrFramedIPAddress)
 	delegated2, _ := accept2.GetPrefix6(radius.AttrDelegatedIPv6Prefix)
 	if framed2 == framed && delegated2 == delegated {

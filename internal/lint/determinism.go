@@ -9,24 +9,13 @@ import (
 // simulation/analysis packages: time must flow from an injected Clock (the
 // servers' virtual epoch), never from the wall clock, and randomness must be
 // drawn from a seeded *rand.Rand (or rand/v2 equivalent), never from the
-// globally-seeded package-level functions.
-//
-// Allowlist: a time.Now() whose value feeds a socket deadline
-// (SetDeadline/SetReadDeadline/SetWriteDeadline) is genuine wall-clock wire
-// I/O — read timeouts on real UDP sockets — and is permitted.
+// globally-seeded package-level functions. Every call is flagged; a
+// justified exception carries a //lint:ignore determinism directive.
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
 	Doc: "forbid time.Now() and global math/rand in simulation packages; " +
 		"inject a Clock and a seeded *rand.Rand instead",
 	Run: runDeterminism,
-}
-
-// deadlineMethods name the wire-I/O calls whose arguments may legitimately
-// derive from the wall clock.
-var deadlineMethods = map[string]bool{
-	"SetDeadline":      true,
-	"SetReadDeadline":  true,
-	"SetWriteDeadline": true,
 }
 
 // randConstructors are the package-level math/rand functions that build
@@ -44,7 +33,7 @@ func runDeterminism(p *Pass) {
 		return
 	}
 	for _, f := range p.Pkg.Files {
-		inspectStack(f, func(n ast.Node, stack []ast.Node) bool {
+		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
@@ -53,9 +42,9 @@ func runDeterminism(p *Pass) {
 			if fn == nil {
 				return true
 			}
-			if isPkgFunc(fn, "time", "Now") && !insideDeadlineCall(stack) {
+			if isPkgFunc(fn, "time", "Now") {
 				p.Reportf("determinism", call.Pos(),
-					"time.Now() in simulation package %s: thread the injected Clock instead (wall clock is allowed only for socket deadlines)",
+					"time.Now() in simulation package %s: thread the injected Clock instead",
 					p.Pkg.Types.Name())
 			}
 			if pkg := fn.Pkg(); pkg != nil && (pkg.Path() == "math/rand" || pkg.Path() == "math/rand/v2") {
@@ -69,19 +58,4 @@ func runDeterminism(p *Pass) {
 			return true
 		})
 	}
-}
-
-// insideDeadlineCall reports whether the node whose ancestors are stack sits
-// inside an argument of a Set*Deadline call.
-func insideDeadlineCall(stack []ast.Node) bool {
-	for _, n := range stack {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			continue
-		}
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && deadlineMethods[sel.Sel.Name] {
-			return true
-		}
-	}
-	return false
 }

@@ -1,5 +1,5 @@
-// Package fixture exercises the determinism analyzer: wall-clock reads and
-// global RNG draws are flagged, seeded generators and socket deadlines pass.
+// Package fixture exercises the determinism analyzer: wall-clock reads (even
+// for a socket deadline) and global RNG draws are flagged, seeded RNGs pass.
 package fixture
 
 import (
@@ -20,7 +20,7 @@ func BadGlobalRand() int {
 	return n
 }
 
-func GoodDeadline(conn net.Conn) error {
+func BadDeadline(conn net.Conn) error {
 	return conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 }
 

@@ -132,21 +132,3 @@ func (s *Server) handleCoA(req *Packet, now int64) *Packet {
 	}
 	return rep
 }
-
-// CoA performs one CoA-Request for user against the client's server,
-// with the RFC 5176 request authenticator and the standard
-// retransmitting exchange.
-func (c *Client) CoA(user string) (*Packet, error) {
-	req := New(CoARequest, c.NextID())
-	req.AddString(AttrUserName, user)
-	req.EncodeRequest(c.Secret)
-	return c.Exchange(req)
-}
-
-// Disconnect performs one Disconnect-Request for user.
-func (c *Client) Disconnect(user string) (*Packet, error) {
-	req := New(DisconnectRequest, c.NextID())
-	req.AddString(AttrUserName, user)
-	req.EncodeRequest(c.Secret)
-	return c.Exchange(req)
-}

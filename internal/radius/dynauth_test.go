@@ -1,10 +1,8 @@
 package radius
 
 import (
-	"net"
 	"net/netip"
 	"testing"
-	"time"
 )
 
 // TestDynauthWireRoundTrip: CoA/Disconnect requests and replies survive
@@ -216,43 +214,6 @@ func TestDynauthReplayCache(t *testing.T) {
 	}
 	if s.Stats().CoARequests != 1 {
 		t.Errorf("CoARequests = %d, want 1 (replay must not re-dispatch)", s.Stats().CoARequests)
-	}
-}
-
-// TestClientCoADisconnect drives the UDP client helpers end-to-end
-// against a served socket.
-func TestClientCoADisconnect(t *testing.T) {
-	g := NewGuarded(dynauthServer(t))
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pc.Close()
-	go Serve(pc, g, func() int64 { return 500 }) //nolint:errcheck // closed socket ends the loop
-
-	cc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cc.Close()
-
-	c := &Client{Conn: cc, Server: pc.LocalAddr(), Secret: []byte("s3cret"), Timeout: 5 * time.Second}
-	rep, err := c.CoA("sub")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Code != CoAACK {
-		t.Fatalf("CoA reply = %v", rep.Code)
-	}
-	rep, err = c.Disconnect("sub")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Code != DisconnectACK {
-		t.Fatalf("Disconnect reply = %v", rep.Code)
-	}
-	if g.ActiveSessions() != 0 {
-		t.Error("session survived client-driven disconnect")
 	}
 }
 

@@ -1,7 +1,6 @@
 package radius
 
 import (
-	"net"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -246,48 +245,6 @@ func TestHandleAccountingStop(t *testing.T) {
 	}
 	if s.ActiveSessions() != 0 {
 		t.Errorf("session not stopped")
-	}
-}
-
-func TestServeOverUDP(t *testing.T) {
-	s := newTestServer(86400, true)
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	defer pc.Close()
-	done := make(chan error, 1)
-	go func() { done <- Serve(pc, s, func() int64 { return 0 }) }()
-
-	cc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("client listen: %v", err)
-	}
-	defer cc.Close()
-	req := New(AccessRequest, 7)
-	req.Authenticator = [16]byte{9, 9, 9}
-	req.AddString(AttrUserName, "wire-user")
-	if _, err := cc.WriteTo(req.Encode(), pc.LocalAddr()); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	buf := make([]byte, 4096)
-	n, _, err := cc.ReadFrom(buf)
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if err := VerifyResponse(buf[:n], req, []byte("s3cret")); err != nil {
-		t.Errorf("VerifyResponse: %v", err)
-	}
-	rep, err := Parse(buf[:n])
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	if rep.Code != AccessAccept || rep.Identifier != 7 {
-		t.Errorf("reply = %+v", rep)
-	}
-	pc.Close()
-	if err := <-done; err != net.ErrClosed {
-		t.Errorf("Serve returned %v", err)
 	}
 }
 

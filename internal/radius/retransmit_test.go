@@ -1,11 +1,10 @@
 package radius
 
 import (
-	"net"
+	"bytes"
 	"net/netip"
 	"reflect"
 	"testing"
-	"time"
 
 	"dynamips/internal/faultnet"
 )
@@ -124,90 +123,87 @@ func TestDuplicateRejectIsCached(t *testing.T) {
 	}
 }
 
-// TestClientRetransmitsOverLossyWire runs Access over a UDP socket whose
-// client side drops the first datagram: the identifier-based retransmit
-// must deliver, and the duplicate the wire creates must not consume a
-// second address.
+// exchangeOverLink runs one Access-Request over link the way the isp
+// simulator does, but through the wire codec: every copy the uplink
+// delivers is parsed and handled by s, and its reply encoded with the
+// response authenticator. It returns the verified reply the client
+// accepts and the wire bytes of every reply the server sent.
+func exchangeOverLink(t *testing.T, link *faultnet.Link, s *Server, req *Packet) (*Packet, [][]byte, faultnet.Verdict) {
+	t.Helper()
+	wire := req.Encode()
+	var replies [][]byte
+	v := link.Exchange(0, NewRetransmitter(link.Client()), func(int) {
+		in, err := Parse(wire)
+		if err != nil {
+			t.Fatalf("server side: %v", err)
+		}
+		out, err := s.Handle(in, 0)
+		if err != nil {
+			t.Fatalf("Handle: %v", err)
+		}
+		replies = append(replies, out.EncodeResponse(in, s.Secret()))
+	})
+	if !v.OK {
+		return nil, replies, v
+	}
+	last := replies[len(replies)-1]
+	if err := VerifyResponse(last, req, s.Secret()); err != nil {
+		t.Fatalf("VerifyResponse: %v", err)
+	}
+	rep, err := Parse(last)
+	if err != nil {
+		t.Fatalf("client side: %v", err)
+	}
+	return rep, replies, v
+}
+
+// TestClientRetransmitsOverLossyWire runs Access-Request over a faultnet
+// link whose uplink drops the first datagram: the identifier-preserving
+// retransmission must deliver, and allocate exactly one session.
 func TestClientRetransmitsOverLossyWire(t *testing.T) {
-	s := NewGuarded(newTestServer(86400, false))
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	s := newTestServer(86400, false)
+	link := faultnet.NewLink(faultnet.Profile{Drop: 0.5}, dropThenPassSeed(t), 0)
+	rep, _, v := exchangeOverLink(t, link, s, accessReq(9, 0x42, "wire-user"))
+	if !v.OK || rep == nil || rep.Code != AccessAccept {
+		t.Fatalf("Access through 50%% loss: verdict %+v, reply %v", v, rep)
 	}
-	defer pc.Close()
-	go Serve(pc, s, func() int64 { return 0 })
-
-	cc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cc.Close()
-
-	// Seed such that the first write is dropped and the second passes:
-	// the exchange succeeds only via retransmission.
-	seed := dropThenPassSeed(t)
-	c := &Client{
-		Conn:      faultnet.WrapConn(cc, faultnet.Profile{Drop: 0.5}, seed),
-		Server:    pc.LocalAddr(),
-		Secret:    []byte("s3cret"),
-		Timeout:   5 * time.Second,
-		WaitScale: 0.01, // 3 s base wait → 30 ms of test time
-	}
-	rep, err := c.Access("wire-user")
-	if err != nil {
-		t.Fatalf("Access through 50%% loss: %v", err)
-	}
-	if rep.Code != AccessAccept {
-		t.Fatalf("reply %v", rep.Code)
+	if v.Sends != 2 || v.DoneMS < 2_500 {
+		t.Fatalf("reply after %d sends at %d ms, want the 3±0.5 s retransmission", v.Sends, v.DoneMS)
 	}
 	if s.ActiveSessions() != 1 {
 		t.Fatalf("lossy exchange left %d sessions", s.ActiveSessions())
 	}
 }
 
-// TestDuplicateOverWire duplicates the request datagram on the wire: the
-// server must answer both copies identically from one allocation.
+// TestDuplicateOverWire duplicates the request datagram on the link: the
+// server must answer both copies byte-identically from one allocation.
 func TestDuplicateOverWire(t *testing.T) {
-	s := NewGuarded(newTestServer(86400, false))
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	s := newTestServer(86400, false)
+	link := faultnet.NewLink(faultnet.Profile{Dup: 1}, 1, 0)
+	rep, replies, v := exchangeOverLink(t, link, s, accessReq(10, 0x43, "dup-wire-user"))
+	if !v.OK || rep == nil || rep.Code != AccessAccept {
+		t.Fatalf("verdict %+v, reply %v", v, rep)
 	}
-	defer pc.Close()
-	go Serve(pc, s, func() int64 { return 0 })
-
-	cc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	if v.Delivered != 2 || len(replies) != 2 || !bytes.Equal(replies[0], replies[1]) {
+		t.Fatalf("%d copies delivered; replies %x", v.Delivered, replies)
 	}
-	defer cc.Close()
-
-	c := &Client{
-		Conn:    faultnet.WrapConn(cc, faultnet.Profile{Dup: 1}, 1),
-		Server:  pc.LocalAddr(),
-		Secret:  []byte("s3cret"),
-		Timeout: 5 * time.Second,
-	}
-	rep, err := c.Access("dup-wire-user")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Code != AccessAccept {
-		t.Fatalf("reply %v", rep.Code)
-	}
-	if s.ActiveSessions() != 1 {
-		t.Fatalf("duplicated request allocated %d sessions", s.ActiveSessions())
+	if s.ActiveSessions() != 1 || s.Stats().ReplayHits != 1 {
+		t.Fatalf("duplicated request: %d sessions, %d replay hits", s.ActiveSessions(), s.Stats().ReplayHits)
 	}
 }
 
+// dropThenPassSeed finds a link seed whose uplink draws at p=0.5 are
+// (drop, pass) and whose first downlink draw passes, so the exchange
+// succeeds only via retransmission. NewLink(_, seed, 0) reads its uplink
+// from stream (seed, 0) and its downlink from (seed, 1).
 func dropThenPassSeed(t *testing.T) uint64 {
 	t.Helper()
 	for seed := uint64(0); seed < 1000; seed++ {
-		s := faultnet.NewStream(seed, 0)
-		if s.Float64() < 0.5 && s.Float64() >= 0.5 {
+		up, down := faultnet.NewStream(seed, 0), faultnet.NewStream(seed, 1)
+		if up.Float64() < 0.5 && up.Float64() >= 0.5 && down.Float64() >= 0.5 {
 			return seed
 		}
 	}
-	t.Fatal("no (drop, pass) seed in [0,1000)")
+	t.Fatal("no (drop, pass | pass) seed in [0,1000)")
 	return 0
 }

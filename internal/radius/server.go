@@ -3,9 +3,7 @@ package radius
 import (
 	"errors"
 	"fmt"
-	"net"
 	"net/netip"
-	"sync"
 
 	"dynamips/internal/netutil"
 )
@@ -161,43 +159,6 @@ func (s *Server) Stats() ServerStats { return s.stats }
 
 // Secret returns the shared secret replies are authenticated with.
 func (s *Server) Secret() []byte { return s.cfg.Secret }
-
-// Handler answers one RADIUS packet. *Server implements it directly for
-// single-goroutine use; wrap a Server in NewGuarded when anything else —
-// a test assertion, an administrative operation — must interleave with a
-// live Serve loop.
-type Handler interface {
-	Handle(req *Packet, now int64) (*Packet, error)
-	Secret() []byte
-}
-
-// Guarded serializes access to a Server shared between a Serve loop and
-// concurrent observers. The plain simulator path keeps calling the
-// Server directly and pays no locking.
-type Guarded struct {
-	mu  sync.Mutex
-	srv *Server
-}
-
-// NewGuarded wraps srv for concurrent use.
-func NewGuarded(srv *Server) *Guarded { return &Guarded{srv: srv} }
-
-// Handle answers one packet under the lock.
-func (g *Guarded) Handle(req *Packet, now int64) (*Packet, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.srv.Handle(req, now)
-}
-
-// Secret returns the shared secret (immutable after construction).
-func (g *Guarded) Secret() []byte { return g.srv.Secret() }
-
-// ActiveSessions counts live sessions under the lock.
-func (g *Guarded) ActiveSessions() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.srv.ActiveSessions()
-}
 
 func (s *Server) nextFree4() (netip.Addr, error) {
 	for len(s.freed4) > 0 {
@@ -384,38 +345,5 @@ func (s *Server) Handle(req *Packet, now int64) (*Packet, error) {
 
 	default:
 		return nil, fmt.Errorf("radius: unhandled code %v", req.Code)
-	}
-}
-
-// Serve answers RADIUS packets on conn until it is closed, returning
-// net.ErrClosed. now() supplies session start times.
-//
-// A bare *Server is not safe for concurrent use: Serve processes packets
-// strictly in arrival order, and nothing else may touch the server while
-// the loop runs. To observe server state mid-serve, pass a *Guarded.
-func Serve(conn net.PacketConn, s Handler, now func() int64) error {
-	buf := make([]byte, 4096)
-	for {
-		n, src, err := conn.ReadFrom(buf)
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return net.ErrClosed
-			}
-			return fmt.Errorf("radius: read: %w", err)
-		}
-		req, err := Parse(buf[:n])
-		if err != nil {
-			continue
-		}
-		rep, err := s.Handle(req, now())
-		if err != nil || rep == nil {
-			continue
-		}
-		if _, err := conn.WriteTo(rep.EncodeResponse(req, s.Secret()), src); err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return net.ErrClosed
-			}
-			return fmt.Errorf("radius: write: %w", err)
-		}
 	}
 }

@@ -18,7 +18,7 @@
 #   events/sec with worker-count hash identity), a bench regression
 #   smoke against the checked-in
 #   baseline, and a bounded fuzz smoke over every wire-codec,
-#   fault-injection, journal-decoding, sketch-codec, and
+#   fault-profile-parsing, journal-decoding, sketch-codec, and
 #   sketch-query-parsing Fuzz* target. FUZZTIME bounds
 #   each fuzz run (default 10s); BENCH_THRESHOLD bounds the allowed ns/op
 #   slowdown factor (default 2.0).
@@ -192,7 +192,6 @@ go test ./internal/radius -run '^$' -fuzz '^FuzzParse$' -fuzztime "$FUZZTIME"
 go test ./internal/radius -run '^$' -fuzz '^FuzzDynauth$' -fuzztime "$FUZZTIME"
 go test ./internal/dhcp6 -run '^$' -fuzz '^FuzzRelayMessage$' -fuzztime "$FUZZTIME"
 go test ./internal/faultnet -run '^$' -fuzz '^FuzzParseProfile$' -fuzztime "$FUZZTIME"
-go test ./internal/faultnet -run '^$' -fuzz '^FuzzReorder$' -fuzztime "$FUZZTIME"
 go test ./internal/checkpoint -run '^$' -fuzz '^FuzzJournalScan$' -fuzztime "$FUZZTIME"
 go test ./internal/cdn/stream -run '^$' -fuzz '^FuzzChunkCodec$' -fuzztime "$FUZZTIME"
 go test ./internal/cdn/stream -run '^$' -fuzz '^FuzzScanCSV$' -fuzztime "$FUZZTIME"
