@@ -6,9 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
+	"strings"
 	"syscall"
 	"time"
 
@@ -481,9 +484,19 @@ type experimentFlags struct {
 }
 
 // experimentSpec validates and normalizes raw experiment flags into the
-// manifest-keyed runSpec. Fault profiles are parsed and re-rendered in
-// canonical form so equivalent spellings share a checkpoint key.
+// manifest-keyed runSpec, before any pipeline is built. Fault profiles are
+// parsed and re-rendered in canonical form so equivalent spellings share a
+// checkpoint key.
 func experimentSpec(f experimentFlags) (runSpec, error) {
+	if f.name != "all" && !slices.Contains(experiments.Names, f.name) {
+		return runSpec{}, fmt.Errorf("experiment: unknown experiment %q (one of %v or 'all')", f.name, experiments.Names)
+	}
+	if f.asJSON && !slices.Contains(experiments.Figures, f.name) {
+		return runSpec{}, fmt.Errorf("experiment: -json needs a figure (one of %v), got %q", experiments.Figures, f.name)
+	}
+	if math.IsNaN(f.cdnScale) || math.IsInf(f.cdnScale, 0) || f.cdnScale <= 0 {
+		return runSpec{}, fmt.Errorf("experiment: -cdn-scale %v is not a positive finite factor", f.cdnScale)
+	}
 	faultSpec := ""
 	if f.faults != "" {
 		prof, err := faultnet.ParseProfile(f.faults)
@@ -525,7 +538,7 @@ func cmdExperiment(args []string) error {
 	faults := fs.String("faults", "", "fault profile, e.g. drop=0.1,dup=0.02,delay=0.05:200-1500 (empty = perfect network)")
 	relayHops := fs.Int("relay-hops", 0, "route assignment exchanges through this many aggregation relay hops (0 = direct)")
 	relayFaults := fs.String("relay-faults", "", "per-relay-hop fault profile (same syntax as -faults; empty reuses -faults; needs -relay-hops)")
-	asJSON := fs.Bool("json", false, "emit the figure's data series as JSON (fig1/fig2/fig3/fig5/fig9)")
+	asJSON := fs.Bool("json", false, "emit the figure's data series as JSON ("+strings.Join(experiments.Figures, "/")+")")
 	out := fs.String("o", "-", "output file (default stdout; written atomically)")
 	ckpt := fs.String("checkpoint", "", "journal completed pipeline units under this directory; resumable with 'dynamips resume'")
 	metrics := fs.String("metrics", "", "dump pipeline metrics (JSON) to this file; byte-identical for any -workers value")

@@ -70,6 +70,37 @@ func TestExperimentSpecTable(t *testing.T) {
 			flags:   mod(func(f *experimentFlags) { f.relayHops = 1; f.relayFaults = "drop=2" }),
 			wantErr: "-relay-faults:",
 		},
+		{
+			label:   "unknown experiment",
+			flags:   mod(func(f *experimentFlags) { f.name = "nosuch" }),
+			wantErr: `unknown experiment "nosuch"`,
+		},
+		{
+			label:   "json of a tabular experiment",
+			flags:   mod(func(f *experimentFlags) { f.name = "table1"; f.asJSON = true }),
+			wantErr: "-json needs a figure",
+		},
+		{
+			label:   "json of all",
+			flags:   mod(func(f *experimentFlags) { f.asJSON = true }),
+			wantErr: "-json needs a figure",
+		},
+		{
+			label:   "zero cdn scale",
+			flags:   mod(func(f *experimentFlags) { f.cdnScale = 0 }),
+			wantErr: "-cdn-scale 0 is not a positive finite factor",
+		},
+		{
+			label:   "negative cdn scale",
+			flags:   mod(func(f *experimentFlags) { f.cdnScale = -2 }),
+			wantErr: "-cdn-scale -2 is not a positive finite factor",
+		},
+		{
+			label: "json of a figure",
+			flags: mod(func(f *experimentFlags) { f.name = "fig4"; f.asJSON = true }),
+			want: runSpec{Kind: "experiment", Name: "fig4", Out: "-", JSON: true, Seed: 7,
+				Hours: 2000, ProbeScale: 0.5, CDNScale: 0.1, CDNDays: 30, Workers: 2},
+		},
 	} {
 		got, err := experimentSpec(tc.flags)
 		if tc.wantErr != "" {
@@ -94,11 +125,11 @@ func TestExperimentSpecTable(t *testing.T) {
 // checkpoint manifest key — a relay run can never resume a direct run's
 // journal.
 func TestExperimentSpecKeySeparation(t *testing.T) {
-	direct, err := experimentSpec(experimentFlags{name: "all", out: "-", seed: 7})
+	direct, err := experimentSpec(experimentFlags{name: "all", out: "-", seed: 7, cdnScale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	relay, err := experimentSpec(experimentFlags{name: "all", out: "-", seed: 7, relayHops: 2})
+	relay, err := experimentSpec(experimentFlags{name: "all", out: "-", seed: 7, cdnScale: 1, relayHops: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

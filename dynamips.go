@@ -17,7 +17,7 @@
 //   - experiment runners regenerating every table and figure of the
 //     paper's evaluation (internal/experiments).
 //
-// See the runnable programs under examples/ and the cmd/dynamips CLI.
+// See the Example functions in example_test.go and the cmd/dynamips CLI.
 package dynamips
 
 import (

@@ -12,7 +12,6 @@ import (
 
 	"dynamips/internal/core"
 	"dynamips/internal/netutil"
-	"dynamips/internal/stats"
 )
 
 // Policy is a per-AS anonymization rule: truncate addresses in the AS to
@@ -62,39 +61,4 @@ func DerivePolicy(asn uint32, pas []core.ProbeAnalysis, marginBits int) (Policy,
 		p.TruncateLen = 16
 	}
 	return p, nil
-}
-
-// Audit measures a policy against a set of concurrently assigned
-// subscriber /64s (one per subscriber at a snapshot): it returns how many
-// released prefixes cover exactly one subscriber and the total released.
-// A sound policy has zero singletons; fixed /48 truncation fails this for
-// /48-delegating ISPs.
-func Audit(p Policy, snapshot []netip.Prefix) (singletons, released int, err error) {
-	counts := make(map[netip.Prefix]int)
-	for _, s := range snapshot {
-		if !s.Addr().Is6() {
-			return 0, 0, fmt.Errorf("anonymize: audit snapshot contains non-IPv6 %v", s)
-		}
-		counts[netutil.PrefixAt(s.Addr(), p.TruncateLen)]++
-	}
-	for _, n := range counts {
-		if n == 1 {
-			singletons++
-		}
-	}
-	return singletons, len(counts), nil
-}
-
-// KDistribution returns the distribution of subscribers per released
-// prefix — the k in k-anonymity each released prefix provides.
-func KDistribution(p Policy, snapshot []netip.Prefix) *stats.ECDF {
-	counts := make(map[netip.Prefix]int)
-	for _, s := range snapshot {
-		counts[netutil.PrefixAt(s.Addr(), p.TruncateLen)]++
-	}
-	e := &stats.ECDF{}
-	for _, n := range counts {
-		e.Add(float64(n))
-	}
-	return e
 }

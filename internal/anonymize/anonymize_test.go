@@ -26,29 +26,6 @@ func TestPolicyAnonymize(t *testing.T) {
 	}
 }
 
-func TestAudit(t *testing.T) {
-	p := Policy{TruncateLen: 56, SubscriberLen: 64}
-	snapshot := []netip.Prefix{
-		netip.MustParsePrefix("2003:0:0:1100::/64"),
-		netip.MustParsePrefix("2003:0:0:1101::/64"), // same /56
-		netip.MustParsePrefix("2003:0:0:2200::/64"), // alone in its /56
-	}
-	singles, released, err := Audit(p, snapshot)
-	if err != nil {
-		t.Fatalf("Audit: %v", err)
-	}
-	if released != 2 || singles != 1 {
-		t.Errorf("Audit = %d singles of %d", singles, released)
-	}
-	k := KDistribution(p, snapshot)
-	if k.Len() != 2 || k.Quantile(1) != 2 {
-		t.Errorf("KDistribution: n=%d max=%v", k.Len(), k.Quantile(1))
-	}
-	if _, _, err := Audit(p, []netip.Prefix{netip.MustParsePrefix("10.0.0.0/24")}); err == nil {
-		t.Error("IPv4 snapshot audited")
-	}
-}
-
 // TestDerivePolicyNetcologne: the derived policy must clear the /48
 // household boundary that naive /48 truncation violates.
 func TestDerivePolicyNetcologne(t *testing.T) {
@@ -74,7 +51,24 @@ func TestDerivePolicyNetcologne(t *testing.T) {
 		t.Errorf("policy truncates at /%d, inside the household boundary", pol.TruncateLen)
 	}
 
-	// Audit against a snapshot of concurrent assignments.
+	// Audit against a snapshot of concurrent assignments: count the
+	// released prefixes that still cover exactly one subscriber.
+	audit := func(p Policy, snapshot []netip.Prefix) (singletons, released int) {
+		counts := make(map[netip.Prefix]int)
+		for _, s := range snapshot {
+			rel, err := p.Anonymize(s.Addr())
+			if err != nil {
+				t.Fatalf("Anonymize(%v): %v", s, err)
+			}
+			counts[rel]++
+		}
+		for _, n := range counts {
+			if n == 1 {
+				singletons++
+			}
+		}
+		return singletons, len(counts)
+	}
 	var snapshot []netip.Prefix
 	at := res.Hours / 2
 	for _, sub := range res.Subscribers {
@@ -91,12 +85,12 @@ func TestDerivePolicyNetcologne(t *testing.T) {
 	}
 	// Naive /48: every released prefix is a single household.
 	naive := Policy{TruncateLen: 48, SubscriberLen: 48}
-	s48, r48, _ := Audit(naive, snapshot)
+	s48, r48 := audit(naive, snapshot)
 	if s48 != r48 {
 		t.Errorf("naive /48: %d of %d singletons, want all", s48, r48)
 	}
 	// Derived policy: no singletons.
-	sd, rd, _ := Audit(pol, snapshot)
+	sd, rd := audit(pol, snapshot)
 	if rd == 0 || sd != 0 {
 		t.Errorf("derived policy: %d of %d singletons, want none", sd, rd)
 	}

@@ -142,9 +142,9 @@ func TestSeriesJSONLRoundTrip(t *testing.T) {
 }
 
 func TestEchoServerAndClient(t *testing.T) {
-	srv, err := StartEchoServer("127.0.0.1:0")
+	srv, err := StartEchoServerObs("127.0.0.1:0", nil)
 	if err != nil {
-		t.Fatalf("StartEchoServer: %v", err)
+		t.Fatalf("StartEchoServerObs: %v", err)
 	}
 	defer srv.Close()
 	cl := &EchoClient{URL: srv.URL()}

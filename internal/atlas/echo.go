@@ -16,14 +16,11 @@ import (
 // address, as in the RIPE Atlas IP echo measurements (§3.1).
 const EchoHeader = "X-Client-IP"
 
-// EchoHandler implements the echo server's HTTP endpoint: it answers every
-// GET with the peer address that opened the TCP connection in the
-// X-Client-IP header.
-func EchoHandler() http.Handler { return EchoHandlerObs(nil) }
-
-// EchoHandlerObs is EchoHandler with request accounting: every request
-// increments echo_requests on o, and unresolvable peers increment
-// echo_errors. A nil observer disables accounting.
+// EchoHandlerObs implements the echo server's HTTP endpoint: it answers
+// every GET with the peer address that opened the TCP connection in the
+// X-Client-IP header. Every request increments echo_requests on o, and
+// unresolvable peers increment echo_errors. A nil observer disables
+// accounting.
 func EchoHandlerObs(o *obs.Observer) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		o.Counter("echo_requests").Inc()
@@ -49,13 +46,9 @@ type EchoServer struct {
 	addr string
 }
 
-// StartEchoServer listens on the given address ("127.0.0.1:0" for an
-// ephemeral test port) and serves the echo endpoint until Close.
-func StartEchoServer(listen string) (*EchoServer, error) {
-	return StartEchoServerObs(listen, nil)
-}
-
-// StartEchoServerObs is StartEchoServer with request accounting on o.
+// StartEchoServerObs listens on the given address ("127.0.0.1:0" for an
+// ephemeral test port) and serves the echo endpoint, with request
+// accounting on o, until Close.
 func StartEchoServerObs(listen string, o *obs.Observer) (*EchoServer, error) {
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {

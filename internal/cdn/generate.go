@@ -55,14 +55,11 @@ func DefaultGenConfig(seed int64) GenConfig {
 	return GenConfig{Days: 150, Scale: 1, Seed: seed, ActivityProb: 0.75, MismatchFrac: 0.01}
 }
 
-// Normalized returns the config with the legacy soft defaults applied: a
-// non-positive Scale becomes 1 and an out-of-range ActivityProb becomes
-// 0.75. Both paths (Generate and the streaming pipeline) normalize before
-// validating, so they agree on the effective configuration.
+// Normalized returns the config with the legacy soft default applied: an
+// out-of-range ActivityProb becomes 0.75. Both paths (Generate and the
+// streaming pipeline) normalize before validating, so they agree on the
+// effective configuration.
 func (cfg GenConfig) Normalized() GenConfig {
-	if cfg.Scale <= 0 {
-		cfg.Scale = 1
-	}
 	if cfg.ActivityProb <= 0 || cfg.ActivityProb > 1 {
 		cfg.ActivityProb = 0.75
 	}

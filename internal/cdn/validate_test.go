@@ -32,6 +32,8 @@ func TestValidateErrors(t *testing.T) {
 		{"day overflow", func(c *GenConfig) { c.Days = 1<<16 + 1 }, "uint16 day"},
 		{"nan scale", func(c *GenConfig) { c.Scale = math.NaN() }, "not a positive finite"},
 		{"inf scale", func(c *GenConfig) { c.Scale = math.Inf(1) }, "not a positive finite"},
+		{"zero scale", func(c *GenConfig) { c.Scale = 0 }, "not a positive finite"},
+		{"negative scale", func(c *GenConfig) { c.Scale = -2 }, "not a positive finite"},
 		{"mismatch frac", func(c *GenConfig) { c.MismatchFrac = 1.5 }, "outside [0, 1]"},
 		{"v6 as BGP4", func(c *GenConfig) {
 			op := testOp()

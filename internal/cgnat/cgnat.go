@@ -1,13 +1,13 @@
 // Package cgnat implements the Carrier-Grade NAT substrate the paper
-// describes for cellular and address-starved fixed networks (§2.1): CPEs
-// receive private addresses from the RFC 6598 shared space and reach the
-// Internet through an upstream NAT that multiplexes many subscribers onto
-// few public addresses — the mechanism behind §4.3's mobile /24s carrying
-// ~10^5 IPv6 /64 associations.
+// describes for cellular and address-starved fixed networks (§2.1): the
+// gateway multiplexes many subscribers onto few public addresses — the
+// mechanism behind §4.3's mobile /24s carrying ~10^5 IPv6 /64
+// associations.
 //
-// The gateway implements deterministic port-block allocation (each
-// subscriber gets contiguous port blocks on one public address), the
-// scheme operators deploy for logging-free subscriber attribution.
+// The gateway implements deterministic port-block allocation: each
+// subscriber is bound to one port block on one public address, in
+// allocation order, so the binding alone fixes the subscriber's public
+// /24.
 package cgnat
 
 import (
@@ -18,43 +18,34 @@ import (
 	"dynamips/internal/netutil"
 )
 
-// SharedSpace is the RFC 6598 address block reserved for CGN inside
-// addressing (100.64.0.0/10).
-var SharedSpace = netip.MustParsePrefix("100.64.0.0/10")
-
 // Config sizes a gateway.
 type Config struct {
 	// Public lists the gateway's public IPv4 prefixes.
 	Public []netip.Prefix
 	// PortsPerBlock is the size of each allocated port block.
 	PortsPerBlock int
-	// BlocksPerSubscriber is how many blocks a subscriber may hold.
-	BlocksPerSubscriber int
 	// PortFloor is the lowest translated port (well-known ports are
 	// never handed out).
 	PortFloor int
 }
 
-// DefaultConfig matches common deployments: 512-port blocks, up to 4 per
-// subscriber, translated ports above 1024.
+// DefaultConfig matches common deployments: 512-port blocks, translated
+// ports above 1024.
 func DefaultConfig(public ...netip.Prefix) Config {
-	return Config{Public: public, PortsPerBlock: 512, BlocksPerSubscriber: 4, PortFloor: 1024}
+	return Config{Public: public, PortsPerBlock: 512, PortFloor: 1024}
 }
 
 // Binding is one subscriber's port-block allocation.
 type Binding struct {
 	Subscriber string
 	Public     netip.Addr
-	// Blocks lists [start, start+PortsPerBlock) port ranges.
-	Blocks []int
+	// Block is the first port of the subscriber's
+	// [Block, Block+PortsPerBlock) range.
+	Block int
 }
 
-// Errors.
-var (
-	ErrExhausted  = errors.New("cgnat: public ports exhausted")
-	ErrNoBinding  = errors.New("cgnat: no binding")
-	ErrBadPrivate = errors.New("cgnat: address outside the shared space")
-)
+// ErrExhausted is returned when every port block is allocated.
+var ErrExhausted = errors.New("cgnat: public ports exhausted")
 
 // Gateway multiplexes subscribers onto public addresses with
 // deterministic port-block allocation. It is not safe for concurrent use.
@@ -72,7 +63,7 @@ func NewGateway(cfg Config) *Gateway {
 	if len(cfg.Public) == 0 {
 		panic("cgnat: no public prefixes")
 	}
-	if cfg.PortsPerBlock <= 0 || cfg.BlocksPerSubscriber <= 0 {
+	if cfg.PortsPerBlock <= 0 {
 		panic("cgnat: non-positive block sizing")
 	}
 	if cfg.PortFloor < 0 || cfg.PortFloor >= 65536 {
@@ -103,94 +94,21 @@ func (g *Gateway) Capacity() int { return g.capacity }
 // Subscribers returns the number of bound subscribers.
 func (g *Gateway) Subscribers() int { return len(g.byName) }
 
-// Bind allocates the subscriber's first port block (idempotent).
+// Bind allocates the subscriber's port block (idempotent): blocks are
+// handed out in order, filling each public address before the next.
 func (g *Gateway) Bind(subscriber string) (*Binding, error) {
 	if b, ok := g.byName[subscriber]; ok {
 		return b, nil
 	}
-	b := &Binding{Subscriber: subscriber}
-	if err := g.grow(b); err != nil {
-		return nil, err
+	if g.next >= g.capacity {
+		return nil, ErrExhausted
 	}
+	b := &Binding{
+		Subscriber: subscriber,
+		Public:     g.addrs[g.next/g.blocksPer],
+		Block:      g.cfg.PortFloor + (g.next%g.blocksPer)*g.cfg.PortsPerBlock,
+	}
+	g.next++
 	g.byName[subscriber] = b
 	return b, nil
-}
-
-// grow adds one block to a binding. Blocks for one subscriber stay on one
-// public address, so attribution needs only (address, port block, time).
-func (g *Gateway) grow(b *Binding) error {
-	if g.next >= g.capacity {
-		return ErrExhausted
-	}
-	addrIdx := g.next / g.blocksPer
-	blockIdx := g.next % g.blocksPer
-	pub := g.addrs[addrIdx]
-	if len(b.Blocks) > 0 && b.Public != pub {
-		// Deterministic schemes do not straddle addresses; the
-		// subscriber is out of blocks on its address.
-		return ErrExhausted
-	}
-	b.Public = pub
-	b.Blocks = append(b.Blocks, g.cfg.PortFloor+blockIdx*g.cfg.PortsPerBlock)
-	g.next++
-	return nil
-}
-
-// Translate maps a subscriber's flow (identified by an internal ordinal)
-// to its public (address, port). New flows consume ports from the
-// subscriber's blocks, growing the binding up to BlocksPerSubscriber.
-func (g *Gateway) Translate(subscriber string, flow int) (netip.Addr, int, error) {
-	b, ok := g.byName[subscriber]
-	if !ok {
-		var err error
-		b, err = g.Bind(subscriber)
-		if err != nil {
-			return netip.Addr{}, 0, err
-		}
-	}
-	need := flow/g.cfg.PortsPerBlock + 1
-	for len(b.Blocks) < need {
-		if len(b.Blocks) >= g.cfg.BlocksPerSubscriber {
-			return netip.Addr{}, 0, fmt.Errorf("%w: subscriber %s at block limit", ErrExhausted, subscriber)
-		}
-		if err := g.grow(b); err != nil {
-			return netip.Addr{}, 0, err
-		}
-	}
-	block := b.Blocks[flow/g.cfg.PortsPerBlock]
-	return b.Public, block + flow%g.cfg.PortsPerBlock, nil
-}
-
-// Release frees a subscriber's binding. Deterministic CGN does not reuse
-// blocks until the address cursor wraps; this gateway simply forgets the
-// binding (ports are reclaimed when the gateway is rebuilt, as operators
-// do on maintenance windows).
-func (g *Gateway) Release(subscriber string) {
-	delete(g.byName, subscriber)
-}
-
-// Attribute answers the abuse-desk question: which subscriber used this
-// public (address, port)? Deterministic allocation makes this a pure
-// computation over bindings — no per-flow logs needed.
-func (g *Gateway) Attribute(public netip.Addr, port int) (string, error) {
-	for name, b := range g.byName {
-		if b.Public != public {
-			continue
-		}
-		for _, start := range b.Blocks {
-			if port >= start && port < start+g.cfg.PortsPerBlock {
-				return name, nil
-			}
-		}
-	}
-	return "", ErrNoBinding
-}
-
-// PrivateAddr deterministically assigns a subscriber ordinal an address in
-// the RFC 6598 shared space — what the CPE's WAN side sees under CGN.
-func PrivateAddr(ordinal int) (netip.Addr, error) {
-	if ordinal < 0 || uint64(ordinal) >= 1<<22 {
-		return netip.Addr{}, fmt.Errorf("%w: ordinal %d", ErrBadPrivate, ordinal)
-	}
-	return netutil.HostAddr(SharedSpace, uint64(ordinal))
 }

@@ -19,7 +19,7 @@ func TestCapacity(t *testing.T) {
 	}
 }
 
-func TestBindAndTranslate(t *testing.T) {
+func TestBind(t *testing.T) {
 	g := testGateway()
 	b, err := g.Bind("sub-1")
 	if err != nil {
@@ -28,77 +28,24 @@ func TestBindAndTranslate(t *testing.T) {
 	if !netip.MustParsePrefix("203.0.113.0/30").Contains(b.Public) {
 		t.Errorf("public %v outside pool", b.Public)
 	}
-	if len(b.Blocks) != 1 || b.Blocks[0] != 1024 {
-		t.Errorf("blocks = %v", b.Blocks)
+	if b.Block != 1024 {
+		t.Errorf("block = %d, want 1024", b.Block)
 	}
 	// Idempotent.
 	b2, _ := g.Bind("sub-1")
 	if b2 != b {
 		t.Error("rebind created a new binding")
 	}
-
-	pub, port, err := g.Translate("sub-1", 0)
-	if err != nil {
-		t.Fatalf("Translate: %v", err)
-	}
-	if pub != b.Public || port != 1024 {
-		t.Errorf("flow 0 -> %v:%d", pub, port)
-	}
-	// Flow beyond the first block grows the binding on the same address.
-	pub2, port2, err := g.Translate("sub-1", 700)
-	if err != nil {
-		t.Fatalf("Translate: %v", err)
-	}
-	if pub2 != b.Public {
-		t.Error("binding straddled public addresses")
-	}
-	if port2 != b.Blocks[1]+700-512 {
-		t.Errorf("flow 700 -> port %d, blocks %v", port2, b.Blocks)
-	}
-}
-
-func TestTranslateBlockLimit(t *testing.T) {
-	g := testGateway()
-	// 4 blocks x 512 ports = flows 0..2047 fine, 2048 over the limit.
-	if _, _, err := g.Translate("sub-1", 2047); err != nil {
-		t.Fatalf("flow 2047: %v", err)
-	}
-	if _, _, err := g.Translate("sub-1", 2048); !errors.Is(err, ErrExhausted) {
-		t.Errorf("flow 2048 err = %v, want exhaustion", err)
-	}
-}
-
-func TestAttribution(t *testing.T) {
-	g := testGateway()
-	for i := 0; i < 20; i++ {
-		name := fmt.Sprintf("sub-%d", i)
-		if _, err := g.Bind(name); err != nil {
-			t.Fatalf("Bind %s: %v", name, err)
-		}
-	}
-	// Every allocated (addr, port) attributes back to its subscriber.
-	for i := 0; i < 20; i++ {
-		name := fmt.Sprintf("sub-%d", i)
-		pub, port, err := g.Translate(name, 17)
-		if err != nil {
-			t.Fatalf("Translate %s: %v", name, err)
-		}
-		got, err := g.Attribute(pub, port)
-		if err != nil || got != name {
-			t.Errorf("Attribute(%v:%d) = %q, %v; want %q", pub, port, got, err, name)
-		}
-	}
-	if _, err := g.Attribute(netip.MustParseAddr("203.0.113.0"), 80); !errors.Is(err, ErrNoBinding) {
-		t.Errorf("well-known port attributed: %v", err)
+	if g.Subscribers() != 1 {
+		t.Errorf("Subscribers = %d, want 1", g.Subscribers())
 	}
 }
 
 func TestExhaustion(t *testing.T) {
 	g := NewGateway(Config{
-		Public:              []netip.Prefix{netip.MustParsePrefix("203.0.113.0/32")},
-		PortsPerBlock:       16384,
-		BlocksPerSubscriber: 1,
-		PortFloor:           1024,
+		Public:        []netip.Prefix{netip.MustParsePrefix("203.0.113.0/32")},
+		PortsPerBlock: 16384,
+		PortFloor:     1024,
 	})
 	// (65536-1024)/16384 = 3 blocks total.
 	for i := 0; i < 3; i++ {
@@ -109,60 +56,54 @@ func TestExhaustion(t *testing.T) {
 	if _, err := g.Bind("overflow"); !errors.Is(err, ErrExhausted) {
 		t.Errorf("4th subscriber err = %v", err)
 	}
-	g.Release("s0")
-	if g.Subscribers() != 2 {
+	if g.Subscribers() != 3 {
 		t.Errorf("Subscribers = %d", g.Subscribers())
 	}
 }
 
+// TestNoPortOverlapAcrossSubscribers: every bound subscriber owns a
+// distinct port block, blocks stay inside the port space, and a public
+// address fills before the next one is used.
 func TestNoPortOverlapAcrossSubscribers(t *testing.T) {
 	g := testGateway()
 	type key struct {
-		pub  netip.Addr
-		port int
+		pub   netip.Addr
+		block int
 	}
 	seen := map[key]string{}
-	for i := 0; i < 60; i++ {
+	var last netip.Addr
+	for i := 0; i < g.Capacity(); i++ {
 		name := fmt.Sprintf("s%d", i)
-		for flow := 0; flow < 520; flow += 173 {
-			pub, port, err := g.Translate(name, flow)
-			if err != nil {
-				t.Fatalf("Translate %s/%d: %v", name, flow, err)
-			}
-			k := key{pub, port}
-			if owner, dup := seen[k]; dup && owner != name {
-				t.Fatalf("%v:%d shared by %s and %s", pub, port, owner, name)
-			}
-			seen[k] = name
+		b, err := g.Bind(name)
+		if err != nil {
+			t.Fatalf("Bind %s: %v", name, err)
 		}
+		k := key{b.Public, b.Block}
+		if owner, dup := seen[k]; dup {
+			t.Fatalf("%v:%d shared by %s and %s", b.Public, b.Block, owner, name)
+		}
+		seen[k] = name
+		if b.Block < 1024 || b.Block+512 > 65536 {
+			t.Fatalf("%s: block %d outside the translated port space", name, b.Block)
+		}
+		if b.Public.Less(last) {
+			t.Fatalf("%s bound to %v after %v: addresses not filled in order", name, b.Public, last)
+		}
+		last = b.Public
 	}
-}
-
-func TestPrivateAddr(t *testing.T) {
-	a, err := PrivateAddr(0)
-	if err != nil || a != netip.MustParseAddr("100.64.0.0") {
-		t.Errorf("PrivateAddr(0) = %v, %v", a, err)
-	}
-	a, err = PrivateAddr(300)
-	if err != nil || !SharedSpace.Contains(a) {
-		t.Errorf("PrivateAddr(300) = %v, %v", a, err)
-	}
-	if _, err := PrivateAddr(-1); err == nil {
-		t.Error("negative ordinal accepted")
-	}
-	if _, err := PrivateAddr(1 << 23); err == nil {
-		t.Error("out-of-space ordinal accepted")
+	if _, err := g.Bind("late"); !errors.Is(err, ErrExhausted) {
+		t.Errorf("Bind on a full gateway: err = %v, want ErrExhausted", err)
 	}
 }
 
 func TestNewGatewayPanics(t *testing.T) {
 	pub := []netip.Prefix{netip.MustParsePrefix("203.0.113.0/30")}
 	for name, cfg := range map[string]Config{
-		"no public":  {PortsPerBlock: 512, BlocksPerSubscriber: 1},
-		"zero block": {Public: pub, BlocksPerSubscriber: 1},
-		"bad floor":  {Public: pub, PortsPerBlock: 512, BlocksPerSubscriber: 1, PortFloor: 70000},
+		"no public":  {PortsPerBlock: 512},
+		"zero block": {Public: pub},
+		"bad floor":  {Public: pub, PortsPerBlock: 512, PortFloor: 70000},
 		"v6 public": {Public: []netip.Prefix{netip.MustParsePrefix("2001:db8::/64")},
-			PortsPerBlock: 512, BlocksPerSubscriber: 1},
+			PortsPerBlock: 512},
 	} {
 		func() {
 			defer func() {
@@ -172,78 +113,5 @@ func TestNewGatewayPanics(t *testing.T) {
 			}()
 			NewGateway(cfg)
 		}()
-	}
-}
-
-// tinyGateway has two public addresses with two blocks each, so the
-// address-straddle and exhaustion edges are a handful of binds away.
-func tinyGateway() *Gateway {
-	return NewGateway(Config{
-		Public:              []netip.Prefix{netip.MustParsePrefix("198.51.100.0/31")},
-		PortsPerBlock:       32256, // (65536-1024)/32256 = 2 blocks per address
-		BlocksPerSubscriber: 4,
-		PortFloor:           1024,
-	})
-}
-
-// TestGrowNeverStraddlesAddresses: a subscriber whose address is out of
-// blocks gets ErrExhausted even while the next public address still has
-// free blocks — deterministic attribution requires one address per
-// subscriber.
-func TestGrowNeverStraddlesAddresses(t *testing.T) {
-	g := tinyGateway()
-	if g.Capacity() != 4 {
-		t.Fatalf("tiny gateway capacity %d, want 4", g.Capacity())
-	}
-	// a takes block 0, b takes block 1: address 0 is now full.
-	if _, err := g.Bind("a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Bind("b"); err != nil {
-		t.Fatal(err)
-	}
-	// a's second block would land on address 1: refused, though the
-	// gateway still has half its capacity free.
-	_, _, err := g.Translate("a", 32256)
-	if !errors.Is(err, ErrExhausted) {
-		t.Errorf("straddling grow: err = %v, want ErrExhausted", err)
-	}
-	// b can still not grow either, but a fresh subscriber starts
-	// cleanly on address 1.
-	if b, err := g.Bind("c"); err != nil {
-		t.Fatal(err)
-	} else if b.Public != netip.MustParseAddr("198.51.100.1") {
-		t.Errorf("c bound to %v, want the second public address", b.Public)
-	}
-}
-
-// TestTranslateBindExhausted: Translate for an unknown subscriber on a
-// fully-allocated gateway surfaces the Bind failure.
-func TestTranslateBindExhausted(t *testing.T) {
-	g := tinyGateway()
-	for i := 0; i < 4; i++ {
-		if _, err := g.Bind(fmt.Sprintf("s%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, err := g.Translate("late", 0); !errors.Is(err, ErrExhausted) {
-		t.Errorf("Translate on exhausted gateway: err = %v, want ErrExhausted", err)
-	}
-	// A bound subscriber growing into the exhausted pool also fails.
-	if _, _, err := g.Translate("s3", 32256); !errors.Is(err, ErrExhausted) {
-		t.Errorf("grow on exhausted gateway: err = %v, want ErrExhausted", err)
-	}
-}
-
-// TestAttributeOtherAddress: attribution skips bindings on other public
-// addresses and reports ErrNoBinding when the queried address holds none.
-func TestAttributeOtherAddress(t *testing.T) {
-	g := tinyGateway()
-	if _, err := g.Bind("a"); err != nil {
-		t.Fatal(err)
-	}
-	// a lives on .0; querying .1 must not attribute a's ports to it.
-	if _, err := g.Attribute(netip.MustParseAddr("198.51.100.1"), 1024); !errors.Is(err, ErrNoBinding) {
-		t.Errorf("Attribute on unused address: err = %v, want ErrNoBinding", err)
 	}
 }

@@ -56,16 +56,3 @@ func CollectDurationsByEra(pas []ProbeAnalysis, eraHours int64) []EraDurations {
 	}
 	return eras
 }
-
-// MeanDuration returns the arithmetic mean of a duration population
-// (0 when empty) — a compact trend indicator for the evolution report.
-func MeanDuration(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}

@@ -54,15 +54,6 @@ func analyzeOne(s *atlas.Series, cfg ExtractConfig) ProbeAnalysis {
 	}
 }
 
-// GroupByASN buckets analyses by the probe's AS.
-func GroupByASN(pas []ProbeAnalysis) map[uint32][]ProbeAnalysis {
-	m := make(map[uint32][]ProbeAnalysis)
-	for _, pa := range pas {
-		m[pa.Probe.ASN] = append(m[pa.Probe.ASN], pa)
-	}
-	return m
-}
-
 // ASDurations aggregates the paper's three duration populations for one AS
 // (Fig. 1): IPv4 on non-dual-stack probes, IPv4 on dual-stack probes, and
 // IPv6 /64 durations.

@@ -186,11 +186,3 @@ func TestTable1(t *testing.T) {
 		t.Errorf("fallback name = %q", rows2[0].Name)
 	}
 }
-
-func TestGroupByASN(t *testing.T) {
-	pas := Analyze([]atlas.Series{fixtureSeries(1, 3320), fixtureSeries(2, 7922)}, DefaultExtractConfig())
-	g := GroupByASN(pas)
-	if len(g) != 2 || len(g[3320]) != 1 || len(g[7922]) != 1 {
-		t.Errorf("groups: %v", g)
-	}
-}

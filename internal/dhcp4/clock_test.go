@@ -4,8 +4,8 @@ import "testing"
 
 // TestClientExpiryMatchesServerClock pins the determinism fix from the
 // dynalint audit: the lease expiry the client side derives from an ACK
-// (Acquire and Renew, the entry points the simulators use) is computed on
-// the injected simulation clock, not the wall clock, so it agrees exactly
+// (Acquire, the entry point the simulators use) is computed on the
+// injected simulation clock, not the wall clock, so it agrees exactly
 // with the server's binding expiry at any virtual epoch.
 func TestClientExpiryMatchesServerClock(t *testing.T) {
 	srv, clk := newTestServer(3600, true)
@@ -19,12 +19,16 @@ func TestClientExpiryMatchesServerClock(t *testing.T) {
 		t.Errorf("client lease expiry %d, want %d (virtual clock + lease)", l.Expiry, want)
 	}
 
-	// Advance the virtual clock and renew: the refreshed expiry must track
-	// the virtual epoch, which a wall-clock computation cannot.
+	// Advance the virtual clock and acquire again, which renews the bound
+	// address: the refreshed expiry must track the virtual epoch, which a
+	// wall-clock computation cannot.
 	clk.t += 1800
-	l2, err := srv.Renew(hw(77), l.Addr, 2)
+	l2, err := srv.Acquire(hw(77), 2)
 	if err != nil {
-		t.Fatalf("Renew: %v", err)
+		t.Fatalf("re-Acquire: %v", err)
+	}
+	if l2.Addr != l.Addr {
+		t.Errorf("re-Acquire moved the lease %v -> %v", l.Addr, l2.Addr)
 	}
 	if want := clk.t + 3600; l2.Expiry != want {
 		t.Errorf("renewed lease expiry %d, want %d", l2.Expiry, want)

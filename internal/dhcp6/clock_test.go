@@ -4,11 +4,10 @@ import "testing"
 
 // TestClientExpiryMatchesServerClock pins the determinism fix from the
 // dynalint audit: the binding expiry the client side derives from a Reply
-// (Acquire and RenewBinding, the entry points the simulators use) is
-// computed on the injected clock, matching the server's view exactly at
-// any virtual epoch.
+// (Acquire, the entry point the simulators use) is computed on the
+// injected clock, matching the server's view exactly at any virtual epoch.
 func TestClientExpiryMatchesServerClock(t *testing.T) {
-	srv, clk := newTestServer(86400, true, 56)
+	srv, clk := newTestServer(86400, 56)
 	clk.t = 2_000_000
 
 	b, err := srv.Acquire(duid(7), 1)
@@ -19,10 +18,14 @@ func TestClientExpiryMatchesServerClock(t *testing.T) {
 		t.Errorf("client binding expiry %d, want %d (virtual clock + valid lifetime)", b.Expiry, want)
 	}
 
+	// Acquiring again renews the held delegation on the advanced clock.
 	clk.t += 3600
-	b2, err := srv.RenewBinding(duid(7), 2)
+	b2, err := srv.Acquire(duid(7), 2)
 	if err != nil {
-		t.Fatalf("RenewBinding: %v", err)
+		t.Fatalf("re-Acquire: %v", err)
+	}
+	if b2.Prefix != b.Prefix {
+		t.Errorf("re-Acquire moved the delegation %v -> %v", b.Prefix, b2.Prefix)
 	}
 	if want := clk.t + 86400; b2.Expiry != want {
 		t.Errorf("renewed binding expiry %d, want %d", b2.Expiry, want)

@@ -14,7 +14,7 @@ func (c *fakeClock) Now() int64 { return c.t }
 
 func duid(b byte) DUID { return DUIDLL([6]byte{0xde, 0xad, 0, 0, 0, b}) }
 
-func newTestServer(valid uint32, sticky bool, delegated int, pools ...string) (*Server, *fakeClock) {
+func newTestServer(valid uint32, delegated int, pools ...string) (*Server, *fakeClock) {
 	if len(pools) == 0 {
 		pools = []string{"2003:0:a000::/40"}
 	}
@@ -27,7 +27,6 @@ func newTestServer(valid uint32, sticky bool, delegated int, pools ...string) (*
 		Pools:        ps,
 		DelegatedLen: delegated,
 		ValidSeconds: valid,
-		Sticky:       sticky,
 	}, clk)
 	return srv, clk
 }
@@ -118,7 +117,7 @@ func TestStatusCodeRoundTrip(t *testing.T) {
 }
 
 func TestSARR(t *testing.T) {
-	srv, _ := newTestServer(86400, true, 56)
+	srv, _ := newTestServer(86400, 56)
 	b, err := srv.Acquire(duid(1), 1)
 	if err != nil {
 		t.Fatalf("Acquire: %v", err)
@@ -141,29 +140,42 @@ func TestSARR(t *testing.T) {
 	}
 }
 
+// renew sends a Renew for client and returns the reply's IA_PD.
+func renew(t *testing.T, srv *Server, client DUID, txn uint32) IAPD {
+	t.Helper()
+	rep, err := srv.Handle(NewMessage(Renew, txn, client))
+	if err != nil {
+		t.Fatalf("Handle(Renew): %v", err)
+	}
+	if rep.Type != Reply || len(rep.IAPDs) != 1 {
+		t.Fatalf("renew got %v with %d IA_PDs", rep.Type, len(rep.IAPDs))
+	}
+	return rep.IAPDs[0]
+}
+
 func TestRenewKeepsPrefix(t *testing.T) {
-	srv, clk := newTestServer(86400, true, 56)
+	srv, clk := newTestServer(86400, 56)
 	b, _ := srv.Acquire(duid(1), 1)
 	clk.t += 43200
-	b2, err := srv.RenewBinding(duid(1), 2)
-	if err != nil {
-		t.Fatalf("Renew: %v", err)
+	ia := renew(t, srv, duid(1), 2)
+	if len(ia.Prefixes) != 1 {
+		t.Fatalf("renew returned no delegation (status %d)", ia.Status)
 	}
-	if b2.Prefix != b.Prefix {
-		t.Errorf("renew moved %v -> %v", b.Prefix, b2.Prefix)
+	if got := ia.Prefixes[0].Prefix; got != b.Prefix {
+		t.Errorf("renew moved %v -> %v", b.Prefix, got)
 	}
-	if b2.Expiry != clk.t+86400 {
-		t.Errorf("expiry = %d", b2.Expiry)
+	if got := srv.byClient[duid(1).String()].Expiry; got != clk.t+86400 {
+		t.Errorf("expiry = %d", got)
 	}
 }
 
 func TestRenewAfterLoseStateFails(t *testing.T) {
-	srv, clk := newTestServer(86400, true, 56)
+	srv, clk := newTestServer(86400, 56)
 	b, _ := srv.Acquire(duid(1), 1)
 	srv.LoseState()
 	clk.t += 10
-	if _, err := srv.RenewBinding(duid(1), 2); err == nil {
-		t.Fatal("renew after LoseState succeeded")
+	if ia := renew(t, srv, duid(1), 2); len(ia.Prefixes) != 0 || ia.Status != StatusNoBinding {
+		t.Fatalf("renew after LoseState: status %d with %d prefixes, want NoBinding", ia.Status, len(ia.Prefixes))
 	}
 	b2, err := srv.Acquire(duid(1), 3)
 	if err != nil {
@@ -174,21 +186,8 @@ func TestRenewAfterLoseStateFails(t *testing.T) {
 	}
 }
 
-func TestStickyReDelegation(t *testing.T) {
-	srv, clk := newTestServer(3600, true, 56)
-	b, _ := srv.Acquire(duid(1), 1)
-	clk.t += 7200
-	b2, err := srv.Acquire(duid(1), 2)
-	if err != nil {
-		t.Fatalf("Acquire: %v", err)
-	}
-	if b2.Prefix != b.Prefix {
-		t.Errorf("sticky server moved returning CPE %v -> %v", b.Prefix, b2.Prefix)
-	}
-}
-
 func TestNonStickyMovesAfterExpiry(t *testing.T) {
-	srv, clk := newTestServer(3600, false, 56)
+	srv, clk := newTestServer(3600, 56)
 	b, _ := srv.Acquire(duid(1), 1)
 	clk.t += 7200
 	srv.Acquire(duid(2), 2) // takes over the reclaimed delegation
@@ -202,7 +201,7 @@ func TestNonStickyMovesAfterExpiry(t *testing.T) {
 }
 
 func TestRenumberMovesEveryone(t *testing.T) {
-	srv, _ := newTestServer(86400, true, 56)
+	srv, _ := newTestServer(86400, 56)
 	b1, _ := srv.Acquire(duid(1), 1)
 	b2, _ := srv.Acquire(duid(2), 2)
 	srv.Renumber()
@@ -215,7 +214,7 @@ func TestRenumberMovesEveryone(t *testing.T) {
 
 func TestPoolExhaustion(t *testing.T) {
 	// /62 pool delegating /64s: 4 delegations.
-	srv, _ := newTestServer(3600, false, 64, "2001:db8:0:4::/62")
+	srv, _ := newTestServer(3600, 64, "2001:db8:0:4::/62")
 	for i := byte(1); i <= 4; i++ {
 		if _, err := srv.Acquire(duid(i), uint32(i)); err != nil {
 			t.Fatalf("Acquire %d: %v", i, err)
@@ -230,7 +229,7 @@ func TestPoolExhaustion(t *testing.T) {
 }
 
 func TestReleaseReturnsPrefix(t *testing.T) {
-	srv, _ := newTestServer(3600, false, 64, "2001:db8:0:4::/62")
+	srv, _ := newTestServer(3600, 64, "2001:db8:0:4::/62")
 	b, _ := srv.Acquire(duid(1), 1)
 	rel := NewMessage(Release, 2, duid(1))
 	rep, err := srv.Handle(rel)
@@ -255,7 +254,7 @@ func TestReleaseReturnsPrefix(t *testing.T) {
 }
 
 func TestRequestWithoutOfferRejected(t *testing.T) {
-	srv, _ := newTestServer(3600, true, 56)
+	srv, _ := newTestServer(3600, 56)
 	req := NewMessage(Request, 1, duid(9))
 	req.IAPDs = []IAPD{{IAID: 1, Prefixes: []IAPrefix{{
 		Prefix: netip.MustParsePrefix("2003:0:a000:aa00::/56"), Valid: 60, Preferred: 60,
@@ -270,7 +269,7 @@ func TestRequestWithoutOfferRejected(t *testing.T) {
 }
 
 func TestMissingClientIDRejected(t *testing.T) {
-	srv, _ := newTestServer(3600, true, 56)
+	srv, _ := newTestServer(3600, 56)
 	if _, err := srv.Handle(&Message{Type: Solicit, TxnID: 1}); err == nil {
 		t.Error("request without client ID accepted")
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 func TestRapidCommit(t *testing.T) {
-	srv, _ := newTestServer(86400, true, 56)
+	srv, _ := newTestServer(86400, 56)
 	sol := NewMessage(Solicit, 1, duid(1))
 	sol.RapidCommit = true
 	rep, err := srv.Handle(sol)
@@ -20,8 +20,8 @@ func TestRapidCommit(t *testing.T) {
 		t.Fatalf("no delegation in rapid reply: %+v", rep.IAPDs)
 	}
 	// The binding is committed: a renew succeeds immediately.
-	if _, err := srv.RenewBinding(duid(1), 2); err != nil {
-		t.Errorf("renew after rapid commit: %v", err)
+	if ia := renew(t, srv, duid(1), 2); len(ia.Prefixes) != 1 {
+		t.Errorf("renew after rapid commit: status %d, no delegation", ia.Status)
 	}
 	if srv.ActiveBindings() != 1 {
 		t.Errorf("ActiveBindings = %d", srv.ActiveBindings())
@@ -49,7 +49,7 @@ func TestRapidCommitWireRoundTrip(t *testing.T) {
 }
 
 func TestConfirm(t *testing.T) {
-	srv, _ := newTestServer(86400, true, 56)
+	srv, _ := newTestServer(86400, 56)
 	b, err := srv.Acquire(duid(1), 1)
 	if err != nil {
 		t.Fatalf("Acquire: %v", err)

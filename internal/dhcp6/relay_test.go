@@ -72,7 +72,7 @@ func TestRelayMessageWireRoundTrip(t *testing.T) {
 // two-level LDRA aggregation, the server's recursive relay handling, and
 // the reply unwrap — the wire path the BNG relay scenario exercises.
 func TestLDRAChainRapidCommit(t *testing.T) {
-	srv, _ := newTestServer(86400, true, 56)
+	srv, _ := newTestServer(86400, 56)
 	chain := NewLDRAChain("dslam0", 2)
 
 	sol := NewMessage(Solicit, 0x31, duid(4))
@@ -132,7 +132,7 @@ func TestLDRAHopLimit(t *testing.T) {
 // TestLDRAValidation: replies only decapsulate at the LDRA whose
 // Interface-ID they carry, and only Relay-reply messages decapsulate.
 func TestLDRAValidation(t *testing.T) {
-	srv, _ := newTestServer(86400, true, 56)
+	srv, _ := newTestServer(86400, 56)
 	chain := NewLDRAChain("a", 2)
 
 	sol := NewMessage(Solicit, 2, duid(6))

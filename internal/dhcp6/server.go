@@ -34,9 +34,6 @@ type ServerConfig struct {
 	DelegatedLen int
 	// ValidSeconds is the delegation's valid lifetime.
 	ValidSeconds uint32
-	// Sticky mirrors dhcp4.ServerConfig.Sticky: remember expired
-	// bindings and re-delegate the same prefix to a returning CPE.
-	Sticky bool
 	// Stride spreads delegations across the pool: the n-th fresh
 	// delegation uses slot (n*Stride) mod poolsize. Real delegation
 	// servers scatter assignments over the pool; sequential allocation
@@ -181,9 +178,7 @@ func (s *Server) reclaim(now int64) {
 			continue
 		}
 		delete(s.byPrefix, b.Prefix)
-		if !s.cfg.Sticky {
-			delete(s.byClient, b.Client)
-		}
+		delete(s.byClient, b.Client)
 		s.freed = append(s.freed, b.Prefix)
 	}
 }
@@ -216,15 +211,8 @@ func (s *Server) nextFree() (netip.Prefix, error) {
 }
 
 func (s *Server) candidate(client string, now int64) (netip.Prefix, error) {
-	if b, ok := s.byClient[client]; ok {
-		if b.Expiry > now {
-			return b.Prefix, nil
-		}
-		if s.cfg.Sticky {
-			if cur, bound := s.byPrefix[b.Prefix]; !bound || cur == b {
-				return b.Prefix, nil
-			}
-		}
+	if b, ok := s.byClient[client]; ok && b.Expiry > now {
+		return b.Prefix, nil
 	}
 	return s.nextFree()
 }
@@ -336,15 +324,7 @@ func (s *Server) Handle(req *Message) (*Message, error) {
 		return s.reply(req, Reply, s.iaSuccess(b.Prefix, iaid)), nil
 
 	case Release:
-		if b, ok := s.byClient[client]; ok {
-			delete(s.byPrefix, b.Prefix)
-			if !s.cfg.Sticky {
-				delete(s.byClient, client)
-			} else {
-				b.Expiry = now
-			}
-			s.freed = append(s.freed, b.Prefix)
-		}
+		s.release(client)
 		return s.reply(req, Reply, s.iaStatus(iaid, StatusSuccess)), nil
 
 	default:
@@ -400,27 +380,15 @@ func (s *Server) Reassign(client DUID, txn uint32) (Binding, error) {
 
 // ReleaseBinding releases the client's delegation programmatically
 // (equivalent to handling a RELEASE message).
-func (s *Server) ReleaseBinding(client DUID) {
-	cl := client.String()
-	if b, ok := s.byClient[cl]; ok {
+func (s *Server) ReleaseBinding(client DUID) { s.release(client.String()) }
+
+// release frees the client's delegation, if it holds one.
+func (s *Server) release(client string) {
+	if b, ok := s.byClient[client]; ok {
 		delete(s.byPrefix, b.Prefix)
-		delete(s.byClient, cl)
+		delete(s.byClient, client)
 		s.freed = append(s.freed, b.Prefix)
 	}
-}
-
-// RenewBinding renews the client's delegation, failing with an error when
-// the server has no binding (e.g. after LoseState).
-func (s *Server) RenewBinding(client DUID, txn uint32) (Binding, error) {
-	rep, err := s.Handle(NewMessage(Renew, txn, client))
-	if err != nil {
-		return Binding{}, err
-	}
-	if len(rep.IAPDs) == 0 || len(rep.IAPDs[0].Prefixes) == 0 {
-		return Binding{}, fmt.Errorf("dhcp6: renew: no binding")
-	}
-	p := rep.IAPDs[0].Prefixes[0]
-	return Binding{Prefix: p.Prefix, Client: client.String(), Expiry: s.clock.Now() + int64(p.Valid)}, nil
 }
 
 type bindingHeap []*Binding

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 
 	"dynamips/internal/cdn"
 	"dynamips/internal/core"
@@ -20,9 +21,13 @@ type FigSeries struct {
 	Points []stats.Point `json:"points"`
 }
 
-// FigureData returns the plottable series for a figure experiment.
-// Supported: fig1, fig2, fig5, fig9 on the Atlas/CDN pipelines the name
-// requires; other experiments are tabular and print via the text runners.
+// Figures lists the experiments FigureData can render as plottable
+// series; the other experiments are tabular and print via the text
+// runners.
+var Figures = []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig7", "fig9"}
+
+// FigureData returns the plottable series for a figure experiment, one of
+// Figures, from the Atlas or CDN pipeline the name requires.
 func FigureData(name string, a *AtlasData, c *CDNData) ([]FigSeries, error) {
 	switch name {
 	case "fig1":
@@ -61,7 +66,7 @@ func FigureData(name string, a *AtlasData, c *CDNData) ([]FigSeries, error) {
 		}
 		return dataFig9(a), nil
 	default:
-		return nil, fmt.Errorf("experiments: no figure data for %q (figures: fig1 fig2 fig3 fig4 fig5 fig7 fig9)", name)
+		return nil, fmt.Errorf("experiments: no figure data for %q (figures: %s)", name, strings.Join(Figures, " "))
 	}
 }
 

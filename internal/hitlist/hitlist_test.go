@@ -128,7 +128,7 @@ func TestLearnAndCurateEndToEnd(t *testing.T) {
 	// horizon: cross-pool hops (CrossPool6Frac per change, compounded
 	// over hundreds of changes) move a sizable minority outside the
 	// original pool. Consecutive-change recovery is the ~99% number
-	// (see examples/hitlist); across the full horizon ~40-60% is the
+	// (see Example_hitlist); across the full horizon ~40-60% is the
 	// expected regime.
 	if frac := float64(found) / float64(len(stale)); frac < 0.35 {
 		t.Errorf("refresh plans contain %v of true locations, want >= 0.35", frac)

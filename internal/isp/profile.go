@@ -29,21 +29,6 @@ const (
 	BackendDHCP
 )
 
-// CPEMode is how the subscriber's CPE derives the LAN /64 it announces
-// inside the delegated prefix (§5.3).
-type CPEMode int
-
-// CPE behaviors.
-const (
-	// CPEZero announces the lowest-numbered /64 of the delegation,
-	// leaving the bits between the delegated length and /64 zero.
-	CPEZero CPEMode = iota
-	// CPEScramble randomizes those bits, and re-randomizes them
-	// periodically without any ISP-side change (a feature of many DTAG
-	// CPE devices, §5.2 fn. 5).
-	CPEScramble
-)
-
 // DurationModel generates inter-change intervals for one address family.
 // Periodic and exponential components may be combined; the shorter draw
 // wins. A model with neither component never fires (static assignment).
@@ -166,8 +151,12 @@ type Profile struct {
 	DS  []Class
 	NDS []Class
 
-	// ScrambleFrac is the fraction of dual-stack CPEs in CPEScramble
-	// mode; ScrambleMeanHours is their re-scramble cadence.
+	// ScrambleFrac is the fraction of dual-stack CPEs that randomize the
+	// bits between the delegated length and /64 of the LAN prefix they
+	// announce, and re-randomize them periodically without any ISP-side
+	// change (a feature of many DTAG CPE devices, §5.2 fn. 5); the rest
+	// announce the delegation's lowest /64. ScrambleMeanHours is the
+	// re-scramble cadence.
 	ScrambleFrac      float64
 	ScrambleMeanHours float64
 

@@ -1,7 +1,6 @@
 package isp
 
 import (
-	"bytes"
 	"net/netip"
 	"testing"
 
@@ -60,23 +59,10 @@ func TestCPEBootstrapOverWire(t *testing.T) {
 		return rep
 	}
 
-	// CPE side: RADIUS session with a hidden password.
+	// CPE side: RADIUS session.
 	req := radius.New(radius.AccessRequest, 1)
 	req.Authenticator = [16]byte{1, 2, 3}
 	req.AddString(radius.AttrUserName, "wire-cpe-1")
-	hidden, err := radius.HidePassword("hunter2", secret, req.Authenticator)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Add(radius.AttrUserPassword, hidden)
-	onWire, err := radius.Parse(req.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pw, ok := onWire.Get(radius.AttrUserPassword)
-	if !ok || bytes.Contains(pw, []byte("hunter2")) || !radius.CheckPassword(pw, "hunter2", secret, onWire.Authenticator) {
-		t.Fatalf("User-Password on the wire is not hunter2 hidden under the secret: %x", pw)
-	}
 	accept := access(req)
 	if accept.Code != radius.AccessAccept {
 		t.Fatalf("radius accept: %v", accept.Code)

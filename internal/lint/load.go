@@ -36,16 +36,6 @@ type Module struct {
 	Pkgs []*Package
 }
 
-// Lookup returns the loaded package with the given import path, or nil.
-func (m *Module) Lookup(importPath string) *Package {
-	for _, p := range m.Pkgs {
-		if p.ImportPath == importPath {
-			return p
-		}
-	}
-	return nil
-}
-
 // LoadModule parses and type-checks every package rooted at dir (a module
 // root containing go.mod, or a bare fixture tree). Directories named
 // testdata, hidden directories, and _test.go files are skipped. Standard

@@ -88,13 +88,3 @@ func sortPrefixes(ps []netip.Prefix) {
 		return ps[i].Bits() < ps[j].Bits()
 	})
 }
-
-// CoveredBy reports whether addr falls inside any prefix of the set.
-func CoveredBy(addr netip.Addr, set []netip.Prefix) bool {
-	for _, p := range set {
-		if p.Contains(addr) {
-			return true
-		}
-	}
-	return false
-}

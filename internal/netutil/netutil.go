@@ -90,12 +90,6 @@ func PrefixAt(a netip.Addr, length int) netip.Prefix {
 //lint:hotpath called per record on the CDN/Atlas aggregation paths
 func Prefix64(a netip.Addr) netip.Prefix { return PrefixAt(a, 64) }
 
-// Prefix24 returns the /24 prefix containing the IPv4 address a.
-// This is the CDN dataset's IPv4 aggregation granularity.
-//
-//lint:hotpath called per record on the CDN/Atlas aggregation paths
-func Prefix24(a netip.Addr) netip.Prefix { return PrefixAt(a, 24) }
-
 // Key64 returns the upper 64 bits (the network component) of an IPv6
 // address, usable as a compact map key for its /64.
 //
@@ -104,12 +98,6 @@ func Key64(a netip.Addr) uint64 {
 	hi, _ := U128(a)
 	return hi
 }
-
-// Key24 returns the upper 24 bits of an IPv4 address shifted down,
-// usable as a compact map key for its /24.
-//
-//lint:hotpath called per record on the CDN/Atlas aggregation paths
-func Key24(a netip.Addr) uint32 { return U32(a) >> 8 }
 
 // CommonPrefixLen returns the number of leading bits that a and b share.
 // Both addresses must be the same family; the result is in [0, 32] for
@@ -312,13 +300,6 @@ func ScrambleBits(p netip.Prefix, fromBit int, r uint64) netip.Prefix {
 	}
 	hi = hi&^mask | r&mask
 	return netip.PrefixFrom(AddrFrom128(hi, lo), p.Bits()).Masked()
-}
-
-// ZeroLowBits returns a copy of /64 prefix p with the bits between fromBit
-// and the /64 boundary zeroed. This models CPEs that announce the
-// lowest-numbered /64 of their delegation (§5.3, scenario 1).
-func ZeroLowBits(p netip.Prefix, fromBit int) netip.Prefix {
-	return ScrambleBits(p, fromBit, 0)
 }
 
 // ComparePrefix orders prefixes by address and then by length (shorter, i.e.

@@ -78,13 +78,6 @@ func TestPrefixKeys(t *testing.T) {
 	if got, want := Prefix64(a6), mustPrefix(t, "2604:3d08:4b80:aa00::/64"); got != want {
 		t.Errorf("Prefix64 = %v, want %v", got, want)
 	}
-	a4 := mustAddr(t, "203.0.113.77")
-	if got, want := Prefix24(a4), mustPrefix(t, "203.0.113.0/24"); got != want {
-		t.Errorf("Prefix24 = %v, want %v", got, want)
-	}
-	if got, want := Key24(a4), uint32(203)<<16|0<<8|113; got != uint32(want) {
-		t.Errorf("Key24 = %x, want %x", got, want)
-	}
 	hi, _ := U128(a6)
 	if Key64(a6) != hi {
 		t.Errorf("Key64 mismatch")
@@ -312,13 +305,15 @@ func TestContainsPrefix(t *testing.T) {
 
 func TestScrambleAndZeroLowBits(t *testing.T) {
 	p := mustPrefix(t, "2003:40:aa:ff00::/64")
-	z := ZeroLowBits(p, 56)
+	// Scrambling with zero bits zeroes them: the lowest /64 of the
+	// delegation, what zeroing CPEs announce.
+	z := ScrambleBits(p, 56, 0)
 	if want := mustPrefix(t, "2003:40:aa:ff00::/64"); z != want {
-		t.Errorf("ZeroLowBits(56) = %v, want %v (bits below /56 were already zero)", z, want)
+		t.Errorf("ScrambleBits(56, 0) = %v, want %v (bits below /56 were already zero)", z, want)
 	}
-	z = ZeroLowBits(p, 48)
+	z = ScrambleBits(p, 48, 0)
 	if want := mustPrefix(t, "2003:40:aa::/64"); z != want {
-		t.Errorf("ZeroLowBits(48) = %v, want %v", z, want)
+		t.Errorf("ScrambleBits(48, 0) = %v, want %v", z, want)
 	}
 	s := ScrambleBits(p, 56, 0xab)
 	if want := mustPrefix(t, "2003:40:aa:ffab::/64"); s != want {

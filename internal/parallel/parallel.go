@@ -37,49 +37,7 @@ func Workers(n int) int {
 // and no results; indices after the first observed failure may be
 // skipped, but everything before the lowest failing index always runs.
 func MapErr[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	workers = min(Workers(workers), n)
-	out := make([]T, n)
-	errs := make([]error, n)
-	if workers == 1 {
-		for i := range out {
-			var err error
-			if out[i], err = fn(i); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || failed.Load() {
-					return
-				}
-				out[i], errs[i] = fn(i)
-				if errs[i] != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return MapErrOrdered(n, workers, fn, nil)
 }
 
 // Map is MapErr for infallible stages.
@@ -98,30 +56,30 @@ func Map[T any](n, workers int, fn func(i int) T) []T {
 // A commit error stops further commits and is reported like a work error
 // at that index; computed-but-uncommitted results are discarded with it.
 // commit runs on whichever worker goroutine completed the gating index,
-// never concurrently with itself.
+// never concurrently with itself; a nil commit makes MapErrOrdered
+// exactly MapErr.
 func MapErrOrdered[T any](n, workers int, fn func(i int) (T, error), commit func(i int, v T) error) ([]T, error) {
-	if commit == nil {
-		return MapErr(n, workers, fn)
-	}
 	if n <= 0 {
 		return nil, nil
 	}
 	workers = min(Workers(workers), n)
 	out := make([]T, n)
-	errs := make([]error, n)
 	if workers == 1 {
 		for i := range out {
 			var err error
 			if out[i], err = fn(i); err != nil {
 				return nil, err
 			}
-			if err := commit(i, out[i]); err != nil {
-				return nil, err
+			if commit != nil {
+				if err := commit(i, out[i]); err != nil {
+					return nil, err
+				}
 			}
 		}
 		return out, nil
 	}
 	var (
+		errs       = make([]error, n)
 		next       atomic.Int64
 		failed     atomic.Bool
 		wg         sync.WaitGroup
@@ -151,16 +109,22 @@ func MapErrOrdered[T any](n, workers int, fn func(i int) (T, error), commit func
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
+			// The stop flag is checked before an index is claimed, never
+			// after: a claimed index always runs, and indices are claimed
+			// in ascending order, so every index below any failure runs
+			// and the lowest failing index is the one reported.
+			for !failed.Load() {
 				i := int(next.Add(1)) - 1
-				if i >= n || failed.Load() {
+				if i >= n {
 					return
 				}
 				out[i], errs[i] = fn(i)
 				if errs[i] != nil {
 					failed.Store(true)
 				}
-				drain(i)
+				if commit != nil {
+					drain(i)
+				}
 			}
 		}()
 	}

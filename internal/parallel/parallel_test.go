@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -46,7 +47,9 @@ func TestMapErrLowestIndexError(t *testing.T) {
 	sentinel := errors.New("boom")
 	for _, workers := range []int{1, 3, 16} {
 		for trial := 0; trial < 20; trial++ {
+			var ran [50]atomic.Bool
 			_, err := MapErr(50, workers, func(i int) (int, error) {
+				ran[i].Store(true)
 				if i == 13 || i == 31 {
 					return 0, fmt.Errorf("index %d: %w", i, sentinel)
 				}
@@ -57,6 +60,11 @@ func TestMapErrLowestIndexError(t *testing.T) {
 			}
 			if got := err.Error(); got != "index 13: boom" {
 				t.Fatalf("workers=%d trial %d: non-deterministic error %q", workers, trial, got)
+			}
+			for i := 0; i < 13; i++ {
+				if !ran[i].Load() {
+					t.Fatalf("workers=%d trial %d: index %d below the lowest failure never ran", workers, trial, i)
+				}
 			}
 		}
 	}

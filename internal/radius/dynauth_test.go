@@ -5,6 +5,10 @@ import (
 	"testing"
 )
 
+// attrNASIPAddress is RFC 2865's NAS-IP-Address, one of the RFC 5176 NAS
+// identification attributes a Disconnect-Request may carry.
+const attrNASIPAddress byte = 4
+
 // TestDynauthWireRoundTrip: CoA/Disconnect requests and replies survive
 // the wire codec byte-for-byte, with valid request authenticators.
 func TestDynauthWireRoundTrip(t *testing.T) {
@@ -21,7 +25,7 @@ func TestDynauthWireRoundTrip(t *testing.T) {
 		{"disconnect-request", func() *Packet {
 			p := New(DisconnectRequest, 8)
 			p.AddString(AttrUserName, "s42")
-			p.AddAddr4(AttrNASIPAddress, netip.MustParseAddr("192.0.2.1"))
+			p.AddAddr4(attrNASIPAddress, netip.MustParseAddr("192.0.2.1"))
 			return p
 		}},
 		{"coa-request-with-addrs", func() *Packet {

@@ -1,6 +1,6 @@
 // Package radius implements the subset of RADIUS (RFC 2865) that broadband
 // ISPs use for subscriber address assignment: the packet codec with
-// response authenticators, the Framed-IP-Address / Framed-IPv6-Prefix /
+// response authenticators, the Framed-IP-Address /
 // Delegated-IPv6-Prefix / Session-Timeout attributes, and an
 // Access-Request server that allocates addresses per session.
 //
@@ -51,19 +51,14 @@ func (c Code) String() string {
 // Attribute types used by this implementation.
 const (
 	AttrUserName            byte = 1
-	AttrNASIPAddress        byte = 4
 	AttrFramedIPAddress     byte = 8
 	AttrSessionTimeout      byte = 27
 	AttrAcctStatusType      byte = 40
-	AttrFramedIPv6Prefix    byte = 97
 	AttrDelegatedIPv6Prefix byte = 123
 )
 
-// Acct-Status-Type values (RFC 2866).
-const (
-	AcctStart uint32 = 1
-	AcctStop  uint32 = 2
-)
+// AcctStop is the RFC 2866 Acct-Status-Type value that ends a session.
+const AcctStop uint32 = 2
 
 // Errors returned by Parse.
 var (

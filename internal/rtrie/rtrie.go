@@ -73,26 +73,6 @@ func (t *Trie[V]) Insert(p netip.Prefix, v V) bool {
 // Len returns the number of prefixes stored.
 func (t *Trie[V]) Len() int { return t.n }
 
-// Get returns the value stored exactly at p.
-func (t *Trie[V]) Get(p netip.Prefix) (V, bool) {
-	var zero V
-	if !p.IsValid() {
-		return zero, false
-	}
-	p = p.Masked()
-	n, hi, lo, _ := t.rootAndKey(p.Addr())
-	for i := 0; i < p.Bits(); i++ {
-		n = n.child[bitAt(hi, lo, i)]
-		if n == nil {
-			return zero, false
-		}
-	}
-	if !n.has {
-		return zero, false
-	}
-	return n.val, true
-}
-
 // Lookup returns the value of the longest stored prefix containing a, the
 // matched prefix itself, and whether any prefix matched.
 func (t *Trie[V]) Lookup(a netip.Addr) (V, netip.Prefix, bool) {
@@ -122,54 +102,6 @@ func (t *Trie[V]) Lookup(a netip.Addr) (V, netip.Prefix, bool) {
 		return zero, netip.Prefix{}, false
 	}
 	return best, mp, true
-}
-
-// LookupPrefix is Lookup keyed by a prefix's network address. It only
-// returns matches that are no longer than p itself (i.e. true containment).
-func (t *Trie[V]) LookupPrefix(p netip.Prefix) (V, netip.Prefix, bool) {
-	v, mp, ok := t.Lookup(p.Addr())
-	var zero V
-	if !ok || mp.Bits() > p.Bits() {
-		return zero, netip.Prefix{}, false
-	}
-	return v, mp, true
-}
-
-// Delete removes the value stored exactly at p and reports whether it was
-// present. Interior nodes left empty are pruned.
-func (t *Trie[V]) Delete(p netip.Prefix) bool {
-	if !p.IsValid() {
-		return false
-	}
-	p = p.Masked()
-	root, hi, lo, _ := t.rootAndKey(p.Addr())
-	path := make([]*node[V], 0, p.Bits()+1)
-	n := root
-	path = append(path, n)
-	for i := 0; i < p.Bits(); i++ {
-		n = n.child[bitAt(hi, lo, i)]
-		if n == nil {
-			return false
-		}
-		path = append(path, n)
-	}
-	if !n.has {
-		return false
-	}
-	var zero V
-	n.has, n.val = false, zero
-	t.n--
-	// Prune childless, valueless nodes bottom-up (never the root).
-	for i := len(path) - 1; i > 0; i-- {
-		nd := path[i]
-		if nd.has || nd.child[0] != nil || nd.child[1] != nil {
-			break
-		}
-		parent := path[i-1]
-		b := bitAt(hi, lo, i-1)
-		parent.child[b] = nil
-	}
-	return true
 }
 
 // Walk visits every stored (prefix, value) pair in lexicographic key order,

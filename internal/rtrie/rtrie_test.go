@@ -37,12 +37,6 @@ func TestInsertGetLookup(t *testing.T) {
 	if tr.Len() != len(entries) {
 		t.Errorf("Len after replace = %d", tr.Len())
 	}
-	if v, ok := tr.Get(mp("10.0.0.0/8")); !ok || v != "replaced" {
-		t.Errorf("Get = %q, %v", v, ok)
-	}
-	if _, ok := tr.Get(mp("10.9.0.0/16")); ok {
-		t.Error("Get of absent prefix succeeded")
-	}
 
 	lookups := []struct {
 		addr string
@@ -81,50 +75,6 @@ func TestFamiliesIsolated(t *testing.T) {
 	tr.Insert(mp("::/0"), 6)
 	if _, _, ok := tr.Lookup(ma("192.0.2.1")); ok {
 		t.Error("IPv4 lookup matched ::/0")
-	}
-}
-
-func TestLookupPrefix(t *testing.T) {
-	var tr Trie[int]
-	tr.Insert(mp("2003::/19"), 1)
-	tr.Insert(mp("2003:0:a000::/40"), 2)
-	v, p, ok := tr.LookupPrefix(mp("2003:0:a0ff::/56"))
-	if !ok || v != 2 || p != mp("2003:0:a000::/40") {
-		t.Errorf("LookupPrefix = (%d, %v, %v)", v, p, ok)
-	}
-	// A /16 query must not match the /19 entry (match longer than query).
-	if _, _, ok := tr.LookupPrefix(mp("2003::/16")); ok {
-		t.Error("LookupPrefix matched a more-specific entry")
-	}
-}
-
-func TestDelete(t *testing.T) {
-	var tr Trie[int]
-	tr.Insert(mp("10.0.0.0/8"), 1)
-	tr.Insert(mp("10.1.0.0/16"), 2)
-	if !tr.Delete(mp("10.1.0.0/16")) {
-		t.Fatal("Delete failed")
-	}
-	if tr.Delete(mp("10.1.0.0/16")) {
-		t.Error("double Delete succeeded")
-	}
-	if tr.Len() != 1 {
-		t.Errorf("Len = %d, want 1", tr.Len())
-	}
-	v, p, ok := tr.Lookup(ma("10.1.2.3"))
-	if !ok || v != 1 || p != mp("10.0.0.0/8") {
-		t.Errorf("Lookup after delete = (%d, %v, %v)", v, p, ok)
-	}
-	// Deleting a covering prefix keeps more-specifics reachable.
-	tr.Insert(mp("10.1.0.0/16"), 2)
-	if !tr.Delete(mp("10.0.0.0/8")) {
-		t.Fatal("Delete /8 failed")
-	}
-	if v, _, ok := tr.Lookup(ma("10.1.2.3")); !ok || v != 2 {
-		t.Errorf("more-specific lost after covering delete: (%d, %v)", v, ok)
-	}
-	if _, _, ok := tr.Lookup(ma("10.200.0.1")); ok {
-		t.Error("deleted covering prefix still matches")
 	}
 }
 

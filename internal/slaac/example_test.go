@@ -2,18 +2,15 @@ package slaac_test
 
 import (
 	"fmt"
-	"net/netip"
 
 	"dynamips/internal/slaac"
 )
 
 // ExampleEUI64 derives the stable interface identifier a device forms
-// from its MAC — and shows why it is trackable: the MAC comes back out.
+// from its MAC — and shows why it is trackable: the MAC's bytes sit in
+// the IID around the 0xFFFE filler.
 func ExampleEUI64() {
 	mac := [6]byte{0x34, 0x56, 0x78, 0x9A, 0xBC, 0xDE}
-	iid := slaac.EUI64(mac)
-	addr, _ := slaac.Address(netip.MustParsePrefix("2003:1000:0:100::/64"), iid)
-	back, _ := slaac.MACFromEUI64(iid)
-	fmt.Printf("%v %02x\n", addr, back)
-	// Output: 2003:1000:0:100:3656:78ff:fe9a:bcde 3456789abcde
+	fmt.Printf("%016x\n", slaac.EUI64(mac))
+	// Output: 365678fffe9abcde
 }

@@ -2,18 +2,14 @@
 // describes in §2.1: hosts autonomously form the 64-bit interface
 // identifier under stateless address autoconfiguration — historically the
 // stable EUI-64 form derived from the MAC (RFC 4862 [56]), today often
-// RFC 7217 stable-opaque identifiers ([18]) or RFC 4941 temporary
-// "privacy addresses" ([32]) that rotate over time. Which form a device
-// uses decides whether it is trackable across renumbering (§2.3, §6).
+// RFC 4941 temporary "privacy addresses" ([32]) that rotate over time.
+// Which form a device uses decides whether it is trackable across
+// renumbering (§2.3, §6).
 package slaac
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
-	"net/netip"
-
-	"dynamips/internal/netutil"
 )
 
 // EUI64 derives the modified EUI-64 interface identifier from a 48-bit
@@ -28,46 +24,6 @@ func EUI64(mac [6]byte) uint64 {
 	return binary.BigEndian.Uint64(b[:])
 }
 
-// IsEUI64 reports whether an IID has the EUI-64 signature (the 0xFFFE
-// filler), the pattern hitlist studies ([3], [17]) scan for.
-func IsEUI64(iid uint64) bool {
-	return (iid>>24)&0xFFFF == 0xFFFE
-}
-
-// MACFromEUI64 inverts EUI64, recovering the device MAC — why stable
-// EUI-64 addressing is "no longer recommended" ([20], RFC 8064).
-func MACFromEUI64(iid uint64) ([6]byte, bool) {
-	if !IsEUI64(iid) {
-		return [6]byte{}, false
-	}
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], iid)
-	var mac [6]byte
-	copy(mac[:3], b[:3])
-	mac[0] ^= 0x02
-	copy(mac[3:], b[5:])
-	return mac, true
-}
-
-// StableOpaque derives an RFC 7217 semantically-opaque IID: stable per
-// (prefix, interface, secret) but unlinkable across prefixes — the
-// recommended replacement for EUI-64. dadCounter disambiguates duplicate
-// address detection retries.
-func StableOpaque(prefix netip.Prefix, ifaceName string, secret []byte, dadCounter uint8) uint64 {
-	h := sha256.New()
-	hi, _ := netutil.U128(prefix.Addr())
-	var pfx [8]byte
-	binary.BigEndian.PutUint64(pfx[:], hi)
-	h.Write(pfx[:])
-	h.Write([]byte(ifaceName))
-	h.Write([]byte{dadCounter})
-	h.Write(secret)
-	sum := h.Sum(nil)
-	iid := binary.BigEndian.Uint64(sum[:8])
-	// Clear the U/L bit: opaque IIDs are local-scope.
-	return iid &^ (1 << 57)
-}
-
 // Temporary derives an RFC 4941 temporary IID for the given rotation
 // index: a fresh pseudorandom identifier per interval, chained from the
 // previous state exactly as §3.2.1 of the RFC sketches.
@@ -79,13 +35,4 @@ func Temporary(secret []byte, rotation uint64) uint64 {
 	h.Write(r[:])
 	sum := h.Sum(nil)
 	return binary.BigEndian.Uint64(sum[:8]) &^ (1 << 57)
-}
-
-// Address composes a full IPv6 address from a /64 prefix and an IID.
-func Address(prefix netip.Prefix, iid uint64) (netip.Addr, error) {
-	if !prefix.Addr().Is6() || prefix.Addr().Unmap().Is4() || prefix.Bits() != 64 {
-		return netip.Addr{}, fmt.Errorf("slaac: need an IPv6 /64, got %v", prefix)
-	}
-	hi, _ := netutil.U128(prefix.Addr())
-	return netutil.AddrFrom128(hi, iid), nil
 }

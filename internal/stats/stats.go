@@ -84,18 +84,6 @@ func (e *ECDF) Quantile(p float64) float64 {
 // Median returns the 0.5 quantile.
 func (e *ECDF) Median() float64 { return e.Quantile(0.5) }
 
-// Mean returns the arithmetic mean of the samples (NaN when empty).
-func (e *ECDF) Mean() float64 {
-	if len(e.xs) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, x := range e.xs {
-		s += x
-	}
-	return s / float64(len(e.xs))
-}
-
 // Curve returns the full step curve of the ECDF as (x, F(x)) points, one per
 // distinct sample value.
 func (e *ECDF) Curve() []Point {
@@ -374,28 +362,4 @@ func (h *IntHistogram) ArgMax() int {
 		}
 	}
 	return best
-}
-
-// MassAbove returns the fraction of samples with value >= v.
-func (h *IntHistogram) MassAbove(v int) float64 {
-	if h.N == 0 {
-		return 0
-	}
-	var c int
-	for i := v; i >= 0 && i < len(h.Counts); i++ {
-		c += h.Counts[i]
-	}
-	return float64(c) / float64(h.N)
-}
-
-// Mean returns the mean sample value (NaN when empty).
-func (h *IntHistogram) Mean() float64 {
-	if h.N == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for v, c := range h.Counts {
-		s += float64(v) * float64(c)
-	}
-	return s / float64(h.N)
 }

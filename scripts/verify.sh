@@ -4,7 +4,8 @@
 #   analyzers, JSON findings diffed against the checked-in empty
 #   baseline; DYNALINT_FINDINGS names the artifact file), the test
 #   suite under the race detector (which includes the fault-injection soak,
-#   TestPipelineUnderLoss), the golden regression corpus, the crash-injection
+#   TestPipelineUnderLoss), a bounded stress run of parallel.MapErr's
+#   lowest-index error contract, the golden regression corpus, the crash-injection
 #   kill-and-resume smoke, the seeded HA failover matrix (lease-preserving
 #   and renumbering takeovers under -race plus the serve-bng standby
 #   promotion), a metrics/stats CLI smoke, a 'dynamips watch' smoke
@@ -57,6 +58,9 @@ echo "    findings artifact: $lintjson"
 
 echo "==> go test -race ./... (includes the loss soak)"
 go test -race ./...
+
+echo "==> parallel.MapErr stress (lowest failing index reported, every lower index run)"
+go test ./internal/parallel -run '^TestMapErrLowestIndexError$' -count=5000 -cpu 4
 
 echo "==> million-session BNG soak (non-race: >=10^6 sessions, >=10^6 events/sec, worker-count identity)"
 go test ./internal/bng -run '^TestMillionSessionSoak$' -count=1 -v
