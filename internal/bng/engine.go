@@ -320,7 +320,6 @@ func buildGroupServers(g *Group, sc *Scenario, shardBits, sh int, clock *engCloc
 		rc := radius.ServerConfig{
 			Pools4:         []netip.Prefix{pool4},
 			SessionTimeout: horizonSeconds,
-			Stride:         257, // scatter active addresses across the pool's /24s
 		}
 		if g.V6 != nil {
 			rc.Pools6 = []netip.Prefix{pool6}
@@ -347,7 +346,6 @@ func buildGroupServers(g *Group, sc *Scenario, shardBits, sh int, clock *engCloc
 				Pools:        []netip.Prefix{pool6},
 				DelegatedLen: g.V6.DelegatedLen,
 				ValidSeconds: horizonSeconds,
-				Stride:       2557, // scatter delegations across the pool
 			}, clock)
 		}
 		if sc != nil && sc.RelayHops > 0 {
@@ -369,7 +367,7 @@ func buildGroupServers(g *Group, sc *Scenario, shardBits, sh int, clock *engCloc
 // shard's borrowed stripe, leaving the clock at until.
 func (e *shardEngine) advance(b stripe.Borrowed, until int64) error {
 	for len(e.events) > 0 && e.events[0].at <= until {
-		ev := e.pop()
+		ev := e.events.pop()
 		e.clock.sec = ev.at
 		e.stats.Events++
 		sub := &e.subs[ev.idx]
@@ -416,8 +414,6 @@ func (e *shardEngine) advance(b stripe.Borrowed, until int64) error {
 	e.clock.sec = until
 	return nil
 }
-
-func (e *shardEngine) pop() event { return e.events.pop() }
 
 // assign (re)allocates the subscriber's addresses through its backend
 // and writes the resulting session record, bumping Gen when either
@@ -495,21 +491,8 @@ func (e *shardEngine) assign(b stripe.Borrowed, ev *event, sub *subState, g *gro
 		s.Start = old.Start
 		s.Gen = old.Gen
 		s.Renews = old.Renews
-		if old.Addr4 != addr4 {
-			s.Gen++
-			e.stats.V4Changes++
-			e.skV4Change(old.Addr4)
-		}
-		if old.Pfx6Hi != p6hi || old.Pfx6Len != p6len {
-			if old.Addr4 == addr4 {
-				s.Gen++
-			}
-			e.stats.V6Changes++
-			e.skV6Change(old.Pfx6Hi, old.Pfx6Len)
-		}
 	}
-	b.Put(s)
-	e.skAssign(addr4, p6hi, p6len)
+	e.update(b, old, had, s)
 	switch {
 	case renum:
 		e.stats.Renumbers++
@@ -521,12 +504,37 @@ func (e *shardEngine) assign(b stripe.Borrowed, ev *event, sub *subState, g *gro
 	return true, nil
 }
 
+// update writes s, the subscriber's record with its new addresses, to
+// the table. When the subscriber had a record (old), each family whose
+// assignment moved counts a change and folds the address it left, and
+// Gen bumps once for the pair. The new assignment is folded last.
+func (e *shardEngine) update(b stripe.Borrowed, old stripe.Session, had bool, s stripe.Session) {
+	if had {
+		if old.Addr4 != s.Addr4 {
+			s.Gen++
+			e.stats.V4Changes++
+			e.skV4Change(old.Addr4)
+		}
+		if old.Pfx6Hi != s.Pfx6Hi || old.Pfx6Len != s.Pfx6Len {
+			if old.Addr4 == s.Addr4 {
+				s.Gen++
+			}
+			e.stats.V6Changes++
+			e.skV6Change(old.Pfx6Hi, old.Pfx6Len)
+		}
+	}
+	b.Put(s)
+	e.skAssign(s.Addr4, s.Pfx6Hi, s.Pfx6Len)
+}
+
 // relayAttemptCap bounds wire-exchange retries behind a lossy relay
 // chain within one virtual attach.
 const relayAttemptCap = 16
 
-// crossRelays draws per-hop loss for one direction of one datagram from
-// the subscriber's cursor. It reports whether the datagram survived.
+// crossRelays draws per-hop loss for one direction of one datagram, v4
+// or v6 (the relay and LDRA chains both have the scenario's RelayHops
+// hops), from the subscriber's cursor. It reports whether the datagram
+// survived.
 func (e *shardEngine) crossRelays(g *groupSrv, rng *uint64) bool {
 	for h := 0; h < len(g.relay4); h++ {
 		if chance(rng, g.relayDrop) {
@@ -605,7 +613,7 @@ func (e *shardEngine) relayAcquire6(g *groupSrv, duid dhcp6.DUID, rng *uint64) (
 		if err != nil {
 			return netip.Prefix{}, false, fmt.Errorf("bng: shard %d: ldra wrap: %w", e.id, err)
 		}
-		if !e.crossLDRA(g, rng) {
+		if !e.crossRelays(g, rng) {
 			continue
 		}
 		parsed, err := dhcp6.UnmarshalRelay(rm.Marshal())
@@ -616,7 +624,7 @@ func (e *shardEngine) relayAcquire6(g *groupSrv, duid dhcp6.DUID, rng *uint64) (
 		if err != nil {
 			return netip.Prefix{}, false, fmt.Errorf("bng: shard %d: relayed dhcp6: %w", e.id, err)
 		}
-		if !e.crossLDRA(g, rng) {
+		if !e.crossRelays(g, rng) {
 			continue
 		}
 		rep, err := g.ldra.Unwrap(repRM)
@@ -629,17 +637,6 @@ func (e *shardEngine) relayAcquire6(g *groupSrv, duid dhcp6.DUID, rng *uint64) (
 		return rep.IAPDs[0].Prefixes[0].Prefix, true, nil
 	}
 	return netip.Prefix{}, false, nil
-}
-
-// crossLDRA draws per-hop loss for one direction of a v6 datagram.
-func (e *shardEngine) crossLDRA(g *groupSrv, rng *uint64) bool {
-	for h := 0; h < len(g.ldra); h++ {
-		if chance(rng, g.relayDrop) {
-			e.stats.RelayDrops++
-			return false
-		}
-	}
-	return true
 }
 
 // relayAssign is the relay-routed attach path. On success it fills the
@@ -693,7 +690,8 @@ func (e *shardEngine) relayAssign(b stripe.Borrowed, ev *event, sub *subState, g
 
 // relayFail abandons an attach after the relay chain exhausted every
 // attempt: any partial server state and the session record are dropped
-// so the retry starts clean.
+// so the retry starts clean. The Release may name an address the
+// subscriber no longer holds; the server then frees nothing.
 func (e *shardEngine) relayFail(b stripe.Borrowed, ev *event, sub *subState, g *groupSrv) {
 	e.stats.RelayOutages++
 	_, _ = g.d4.Handle(dhcp4.NewMessage(dhcp4.Release, uint32(next(&ev.rng)), hwOf(ev.key)))
@@ -739,23 +737,8 @@ func (e *shardEngine) coa(b stripe.Borrowed, ev *event, sub *subState, g *groupS
 	}
 	if old, had := b.Get(ev.key); had {
 		s := old
-		s.Addr4 = addr4
-		s.Pfx6Hi = p6hi
-		s.Pfx6Len = p6len
-		if old.Addr4 != addr4 {
-			s.Gen++
-			e.stats.V4Changes++
-			e.skV4Change(old.Addr4)
-		}
-		if old.Pfx6Hi != p6hi || old.Pfx6Len != p6len {
-			if old.Addr4 == addr4 {
-				s.Gen++
-			}
-			e.stats.V6Changes++
-			e.skV6Change(old.Pfx6Hi, old.Pfx6Len)
-		}
-		b.Put(s)
-		e.skAssign(addr4, p6hi, p6len)
+		s.Addr4, s.Pfx6Hi, s.Pfx6Len = addr4, p6hi, p6len
+		e.update(b, old, true, s)
 	}
 	return nil
 }
@@ -847,23 +830,8 @@ func (e *shardEngine) failoverRenumber(b stripe.Borrowed, atSec int64, seed uint
 		}
 		old, _ := b.Get(sub.key)
 		s := old
-		s.Addr4 = addr4
-		s.Pfx6Hi = p6hi
-		s.Pfx6Len = p6len
-		if old.Addr4 != addr4 {
-			s.Gen++
-			e.stats.V4Changes++
-			e.skV4Change(old.Addr4)
-		}
-		if old.Pfx6Hi != p6hi || old.Pfx6Len != p6len {
-			if old.Addr4 == addr4 {
-				s.Gen++
-			}
-			e.stats.V6Changes++
-			e.skV6Change(old.Pfx6Hi, old.Pfx6Len)
-		}
-		b.Put(s)
-		e.skAssign(addr4, p6hi, p6len)
+		s.Addr4, s.Pfx6Hi, s.Pfx6Len = addr4, p6hi, p6len
+		e.update(b, old, true, s)
 		e.stats.FailoverRenumbers++
 	}
 	return nil

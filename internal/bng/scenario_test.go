@@ -226,6 +226,41 @@ func TestRelayTopology(t *testing.T) {
 	}
 }
 
+// TestRelayLossKeepsAssignmentsUnique: under heavy relay loss no two
+// live sessions share an IPv4 address or a delegated prefix. An attach
+// the relay chain abandons releases whatever the subscriber's sticky
+// memory names, which another subscriber may hold by then; the server
+// must free an address only for the lease that holds it.
+func TestRelayLossKeepsAssignmentsUnique(t *testing.T) {
+	sc := &Scenario{RelayHops: 2, RelayDrop: 0.5}
+	d := churned(t, scenarioConfig(5, sc), Options{Workers: 4, RoundHours: 24}, 1440)
+	type pfx6 struct {
+		hi  uint64
+		len uint8
+	}
+	seen4 := make(map[uint32]bool)
+	seen6 := make(map[pfx6]bool)
+	var shared4, shared6 int
+	_, snap := d.Snapshot()
+	for _, s := range snap {
+		if s.Addr4 != 0 {
+			if seen4[s.Addr4] {
+				shared4++
+			}
+			seen4[s.Addr4] = true
+		}
+		if p := (pfx6{s.Pfx6Hi, s.Pfx6Len}); s.Pfx6Len != 0 {
+			if seen6[p] {
+				shared6++
+			}
+			seen6[p] = true
+		}
+	}
+	if shared4 != 0 || shared6 != 0 {
+		t.Errorf("%d of %d live sessions share an IPv4 address and %d a delegated prefix with another", shared4, len(snap), shared6)
+	}
+}
+
 // TestPairSyncPromote: an active/standby pair of daemons built from one
 // Config stays in codec-level sync (CheckSync over the active's decoded
 // snapshot stream) across rounds and a failover, and promotion by

@@ -183,6 +183,33 @@ func TestStickyReofferAfterExpiry(t *testing.T) {
 	}
 }
 
+// TestStaleReleaseKeepsOtherLease: a sticky client's repeated Release,
+// after another client took its remembered address, must not free the
+// other client's live lease.
+func TestStaleReleaseKeepsOtherLease(t *testing.T) {
+	srv, _ := newTestServer(3600, true)
+	release := func(h HWAddr) {
+		t.Helper()
+		if _, err := srv.Handle(NewMessage(Release, 9, h)); err != nil {
+			t.Fatalf("Release: %v", err)
+		}
+	}
+	l1, _ := srv.Acquire(hw(1), 1)
+	release(hw(1))
+	l2, err := srv.Acquire(hw(2), 2)
+	if err != nil || l2.Addr != l1.Addr {
+		t.Fatalf("hw2 got %v, %v; want hw1's released %v", l2.Addr, err, l1.Addr)
+	}
+	release(hw(1))
+	l3, err := srv.Acquire(hw(3), 3)
+	if err != nil {
+		t.Fatalf("Acquire: %v", err)
+	}
+	if l3.Addr == l2.Addr {
+		t.Errorf("hw3 given %v, which hw2 still holds", l3.Addr)
+	}
+}
+
 func TestNonStickyMovesAfterExpiry(t *testing.T) {
 	srv, clk := newTestServer(3600, false)
 	l, _ := srv.Acquire(hw(1), 1)

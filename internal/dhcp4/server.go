@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"net/netip"
 
-	"dynamips/internal/netutil"
+	"dynamips/internal/addrpool"
 )
 
 // Clock supplies time to the server in seconds: the simulation's virtual
@@ -54,31 +54,23 @@ type Server struct {
 	cfg   ServerConfig
 	clock Clock
 
+	// pool walks the pools sequentially (stride 1); each held address's
+	// holder is the lease bound to it.
+	pool   *addrpool.Pool[netip.Addr, *Lease]
 	byHW   map[HWAddr]*Lease
-	byAddr map[netip.Addr]*Lease
 	offers map[HWAddr]netip.Addr
 	expiry leaseHeap
-	cursor int // pool index
-	offset uint64
-	freed  []netip.Addr // released addresses, reused LIFO
-	total  uint64       // total pool capacity
 }
 
 // NewServer builds a Server. It panics on an empty pool set, zero lease, or
 // a non-IPv4 pool, which are configuration bugs.
 func NewServer(cfg ServerConfig, clock Clock) *Server {
-	if len(cfg.Pools) == 0 {
-		panic("dhcp4: no pools configured")
-	}
 	if cfg.LeaseSeconds == 0 {
 		panic("dhcp4: zero lease duration")
 	}
-	var total uint64
-	for _, p := range cfg.Pools {
-		if !p.Addr().Unmap().Is4() {
-			panic(fmt.Sprintf("dhcp4: non-IPv4 pool %v", p))
-		}
-		total += 1 << uint(32-p.Bits())
+	pool, err := addrpool.Addrs[*Lease](cfg.Pools, 1, ErrPoolExhausted)
+	if err != nil {
+		panic("dhcp4: " + err.Error())
 	}
 	if !cfg.ServerID.IsValid() {
 		cfg.ServerID = netip.MustParseAddr("192.0.2.1")
@@ -86,15 +78,14 @@ func NewServer(cfg ServerConfig, clock Clock) *Server {
 	return &Server{
 		cfg:    cfg,
 		clock:  clock,
+		pool:   pool,
 		byHW:   make(map[HWAddr]*Lease),
-		byAddr: make(map[netip.Addr]*Lease),
 		offers: make(map[HWAddr]netip.Addr),
-		total:  total,
 	}
 }
 
 // Capacity returns the total number of addresses across pools.
-func (s *Server) Capacity() uint64 { return s.total }
+func (s *Server) Capacity() uint64 { return s.pool.Size() }
 
 // ActiveLeases returns the number of unexpired bindings.
 func (s *Server) ActiveLeases() int {
@@ -109,54 +100,21 @@ func (s *Server) ActiveLeases() int {
 }
 
 // reclaim removes expired bindings whose time has passed, returning their
-// addresses to the free list.
+// addresses to the free list. A queued lease no longer holding its
+// address was renewed, released or re-bound since being queued.
 func (s *Server) reclaim(now int64) {
 	for len(s.expiry) > 0 && s.expiry[0].Expiry <= now {
 		l := heap.Pop(&s.expiry).(*Lease)
-		cur, ok := s.byAddr[l.Addr]
-		if !ok || cur != l || cur.Expiry > now {
-			continue // renewed or re-bound since being queued
-		}
-		delete(s.byAddr, l.Addr)
-		if !s.cfg.Sticky {
+		if s.pool.Free(l.Addr, l) && !s.cfg.Sticky {
 			delete(s.byHW, l.HW)
 		}
-		s.freed = append(s.freed, l.Addr)
 	}
-}
-
-// nextFree returns an unbound address.
-func (s *Server) nextFree() (netip.Addr, error) {
-	for len(s.freed) > 0 {
-		a := s.freed[len(s.freed)-1]
-		s.freed = s.freed[:len(s.freed)-1]
-		if _, bound := s.byAddr[a]; !bound {
-			return a, nil
-		}
-	}
-	for s.cursor < len(s.cfg.Pools) {
-		p := s.cfg.Pools[s.cursor]
-		size := uint64(1) << uint(32-p.Bits())
-		for s.offset < size {
-			a, err := netutil.HostAddr(p, s.offset)
-			s.offset++
-			if err != nil {
-				return netip.Addr{}, err
-			}
-			if _, bound := s.byAddr[a]; !bound {
-				return a, nil
-			}
-		}
-		s.cursor++
-		s.offset = 0
-	}
-	return netip.Addr{}, ErrPoolExhausted
 }
 
 func (s *Server) bind(hw HWAddr, a netip.Addr, now int64) *Lease {
 	l := &Lease{Addr: a, HW: hw, Expiry: now + int64(s.cfg.LeaseSeconds)}
 	s.byHW[hw] = l
-	s.byAddr[a] = l
+	s.pool.Hold(a, l)
 	heap.Push(&s.expiry, l)
 	return l
 }
@@ -169,12 +127,12 @@ func (s *Server) candidate(hw HWAddr, now int64) (netip.Addr, error) {
 			return l.Addr, nil
 		}
 		if s.cfg.Sticky {
-			if cur, bound := s.byAddr[l.Addr]; !bound || cur == l {
+			if cur, held := s.pool.Holder(l.Addr); !held || cur == l {
 				return l.Addr, nil
 			}
 		}
 	}
-	return s.nextFree()
+	return s.pool.Next()
 }
 
 // Handle runs one request through the server state machine and returns the
@@ -214,7 +172,7 @@ func (s *Server) Handle(req *Message) (*Message, error) {
 		if !offered {
 			return s.nak(req), nil
 		}
-		if cur, bound := s.byAddr[want]; bound && cur.HW != req.CHAddr && cur.Expiry > now {
+		if cur, held := s.pool.Holder(want); held && cur.HW != req.CHAddr && cur.Expiry > now {
 			return s.nak(req), nil
 		}
 		delete(s.offers, req.CHAddr)
@@ -227,14 +185,17 @@ func (s *Server) Handle(req *Message) (*Message, error) {
 		return rep, nil
 
 	case Release:
+		// A client whose remembered address another client has since
+		// taken frees nothing: only the address's holder can free it.
 		if l, ok := s.byHW[req.CHAddr]; ok {
-			delete(s.byAddr, l.Addr)
+			s.pool.Free(l.Addr, l)
 			if !s.cfg.Sticky {
 				delete(s.byHW, req.CHAddr)
 			} else {
-				l.Expiry = now // remembered, but free for others
+				// Remembered, but free for others. A fresh lease, so the
+				// queued one's expiry (its heap key) never changes.
+				s.byHW[req.CHAddr] = &Lease{Addr: l.Addr, HW: l.HW, Expiry: now}
 			}
-			s.freed = append(s.freed, l.Addr)
 		}
 		return nil, nil
 
@@ -267,12 +228,7 @@ func (s *Server) nak(req *Message) *Message {
 func (s *Server) Forget(hw HWAddr) {
 	if l, ok := s.byHW[hw]; ok {
 		delete(s.byHW, hw)
-		// An expired sticky binding may already have been reclaimed (or
-		// its address re-bound); only free the address this lease still owns.
-		if cur, bound := s.byAddr[l.Addr]; bound && cur == l {
-			delete(s.byAddr, l.Addr)
-			s.freed = append(s.freed, l.Addr)
-		}
+		s.pool.Free(l.Addr, l)
 	}
 	delete(s.offers, hw)
 }

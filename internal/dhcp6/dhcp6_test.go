@@ -169,6 +169,28 @@ func TestRenewKeepsPrefix(t *testing.T) {
 	}
 }
 
+// TestRenewKeepsExpiredBindingsReclaimable: a renewal re-binds rather
+// than raising the expiry of a binding already queued for reclamation,
+// so a binding expiring behind it is still reclaimed on time.
+func TestRenewKeepsExpiredBindingsReclaimable(t *testing.T) {
+	srv, clk := newTestServer(100, 64, "2001:db8:0:4::/63") // two /64s
+	if _, err := srv.Acquire(duid(1), 1); err != nil {
+		t.Fatalf("Acquire 1: %v", err)
+	}
+	clk.t = 10
+	if _, err := srv.Acquire(duid(2), 2); err != nil {
+		t.Fatalf("Acquire 2: %v", err)
+	}
+	clk.t = 50
+	if ia := renew(t, srv, duid(1), 3); len(ia.Prefixes) != 1 {
+		t.Fatalf("renew returned no delegation (status %d)", ia.Status)
+	}
+	clk.t = 120 // client 2's delegation expired at t=110
+	if _, err := srv.Acquire(duid(3), 4); err != nil {
+		t.Fatalf("Acquire 3 after client 2 expired: %v", err)
+	}
+}
+
 func TestRenewAfterLoseStateFails(t *testing.T) {
 	srv, clk := newTestServer(86400, 56)
 	b, _ := srv.Acquire(duid(1), 1)

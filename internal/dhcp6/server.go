@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"net/netip"
 
-	"dynamips/internal/netutil"
+	"dynamips/internal/addrpool"
 )
 
 // Clock supplies time in seconds; simulations drive a virtual clock.
@@ -23,6 +23,12 @@ func (f ClockFunc) Now() int64 { return f() }
 // ErrPoolExhausted is returned when no delegation is available.
 var ErrPoolExhausted = errors.New("dhcp6: delegation pool exhausted")
 
+// stride spreads delegations across the pool: the n-th fresh delegation
+// uses slot (n*stride) mod poolsize. Real delegation servers scatter
+// assignments over the pool; sequential allocation would concentrate
+// every active delegation in the lowest /48.
+const stride = 2557
+
 // ServerConfig configures a prefix-delegation server.
 type ServerConfig struct {
 	// Pools are the blocks delegations are carved from (e.g. a per-region
@@ -34,13 +40,6 @@ type ServerConfig struct {
 	DelegatedLen int
 	// ValidSeconds is the delegation's valid lifetime.
 	ValidSeconds uint32
-	// Stride spreads delegations across the pool: the n-th fresh
-	// delegation uses slot (n*Stride) mod poolsize. Real delegation
-	// servers scatter assignments over the pool; sequential allocation
-	// would concentrate every active delegation in the lowest /48.
-	// Even strides are rounded up to stay coprime with power-of-two
-	// pool sizes. Zero means 1 (sequential).
-	Stride uint64
 	// ServerDUID identifies the server.
 	ServerDUID DUID
 }
@@ -82,59 +81,41 @@ func (s *ServerStats) Add(o ServerStats) {
 // Solicit/Advertise/Request/Reply and Renew/Reply flows over IA_PD.
 // It is not safe for concurrent use.
 type Server struct {
-	cfg      ServerConfig
-	stats    ServerStats
-	clock    Clock
+	cfg   ServerConfig
+	stats ServerStats
+	clock Clock
+
+	// pool's holder of each delegated prefix is the binding for it.
+	pool     *addrpool.Pool[netip.Prefix, *Binding]
 	byClient map[string]*Binding
-	byPrefix map[netip.Prefix]*Binding
 	offers   map[string]netip.Prefix
 	expiry   bindingHeap
-	cursor   int
-	offset   uint64
-	freed    []netip.Prefix
-	total    uint64
 }
 
 // NewServer builds a Server. It panics on configuration bugs: no pools,
 // a delegated length not inside the pools, or a zero lifetime.
 func NewServer(cfg ServerConfig, clock Clock) *Server {
-	if len(cfg.Pools) == 0 {
-		panic("dhcp6: no pools configured")
-	}
 	if cfg.ValidSeconds == 0 {
 		panic("dhcp6: zero valid lifetime")
 	}
-	var total uint64
-	for _, p := range cfg.Pools {
-		if !p.Addr().Is6() || p.Addr().Unmap().Is4() {
-			panic(fmt.Sprintf("dhcp6: non-IPv6 pool %v", p))
-		}
-		if cfg.DelegatedLen < p.Bits() || cfg.DelegatedLen > 64 {
-			panic(fmt.Sprintf("dhcp6: delegated length /%d incompatible with pool %v", cfg.DelegatedLen, p))
-		}
-		total += 1 << uint(cfg.DelegatedLen-p.Bits())
+	pool, err := addrpool.Prefixes[*Binding](cfg.Pools, cfg.DelegatedLen, stride, ErrPoolExhausted)
+	if err != nil {
+		panic("dhcp6: " + err.Error())
 	}
 	if len(cfg.ServerDUID) == 0 {
 		cfg.ServerDUID = DUIDLL([6]byte{0x02, 0, 0, 0, 0, 1})
 	}
-	if cfg.Stride == 0 {
-		cfg.Stride = 1
-	}
-	if cfg.Stride%2 == 0 {
-		cfg.Stride++
-	}
 	return &Server{
 		cfg:      cfg,
 		clock:    clock,
+		pool:     pool,
 		byClient: make(map[string]*Binding),
-		byPrefix: make(map[netip.Prefix]*Binding),
 		offers:   make(map[string]netip.Prefix),
-		total:    total,
 	}
 }
 
 // Capacity returns the number of delegations the pools can hold.
-func (s *Server) Capacity() uint64 { return s.total }
+func (s *Server) Capacity() uint64 { return s.pool.Size() }
 
 // Stats returns the server's accumulated totals.
 func (s *Server) Stats() ServerStats { return s.stats }
@@ -155,8 +136,8 @@ func (s *Server) ActiveBindings() int {
 // NoBinding and must re-solicit, receiving fresh delegations.
 func (s *Server) LoseState() {
 	s.stats.LoseStates++
+	s.pool.Drop()
 	s.byClient = make(map[string]*Binding)
-	s.byPrefix = make(map[netip.Prefix]*Binding)
 	s.offers = make(map[string]netip.Prefix)
 	s.expiry = nil
 }
@@ -167,60 +148,34 @@ func (s *Server) LoseState() {
 func (s *Server) Renumber() {
 	s.stats.Renumbers++
 	s.LoseState()
-	s.freed = nil
+	s.pool.ForgetFreed()
 }
 
+// reclaim frees the delegations whose bindings expired by now. A queued
+// binding no longer holding its prefix was renewed, released or re-bound
+// since being queued.
 func (s *Server) reclaim(now int64) {
 	for len(s.expiry) > 0 && s.expiry[0].Expiry <= now {
 		b := heap.Pop(&s.expiry).(*Binding)
-		cur, ok := s.byPrefix[b.Prefix]
-		if !ok || cur != b || cur.Expiry > now {
-			continue
-		}
-		delete(s.byPrefix, b.Prefix)
-		delete(s.byClient, b.Client)
-		s.freed = append(s.freed, b.Prefix)
-	}
-}
-
-func (s *Server) nextFree() (netip.Prefix, error) {
-	for len(s.freed) > 0 {
-		p := s.freed[len(s.freed)-1]
-		s.freed = s.freed[:len(s.freed)-1]
-		if _, bound := s.byPrefix[p]; !bound {
-			return p, nil
+		if s.pool.Free(b.Prefix, b) {
+			delete(s.byClient, b.Client)
 		}
 	}
-	for s.cursor < len(s.cfg.Pools) {
-		pool := s.cfg.Pools[s.cursor]
-		size := uint64(1) << uint(s.cfg.DelegatedLen-pool.Bits())
-		for s.offset < size {
-			p, err := netutil.SubPrefix(pool, s.cfg.DelegatedLen, (s.offset*s.cfg.Stride)%size)
-			s.offset++
-			if err != nil {
-				return netip.Prefix{}, err
-			}
-			if _, bound := s.byPrefix[p]; !bound {
-				return p, nil
-			}
-		}
-		s.cursor++
-		s.offset = 0
-	}
-	return netip.Prefix{}, ErrPoolExhausted
 }
 
 func (s *Server) candidate(client string, now int64) (netip.Prefix, error) {
 	if b, ok := s.byClient[client]; ok && b.Expiry > now {
 		return b.Prefix, nil
 	}
-	return s.nextFree()
+	return s.pool.Next()
 }
 
+// bind records a fresh binding of p to client. Bindings are never
+// changed once queued on the expiry heap: a renewal binds anew.
 func (s *Server) bind(client string, p netip.Prefix, now int64) *Binding {
 	b := &Binding{Prefix: p, Client: client, Expiry: now + int64(s.cfg.ValidSeconds)}
 	s.byClient[client] = b
-	s.byPrefix[p] = b
+	s.pool.Hold(p, b)
 	heap.Push(&s.expiry, b)
 	return b
 }
@@ -305,7 +260,7 @@ func (s *Server) Handle(req *Message) (*Message, error) {
 			s.stats.NoBindings++
 			return s.reply(req, Reply, s.iaStatus(iaid, StatusNoBinding)), nil
 		}
-		if cur, bound := s.byPrefix[want]; bound && cur.Client != client && cur.Expiry > now {
+		if cur, held := s.pool.Holder(want); held && cur.Client != client && cur.Expiry > now {
 			return s.reply(req, Reply, s.iaStatus(iaid, StatusNoPrefixAvail)), nil
 		}
 		delete(s.offers, client)
@@ -319,8 +274,7 @@ func (s *Server) Handle(req *Message) (*Message, error) {
 			s.stats.NoBindings++
 			return s.reply(req, Reply, s.iaStatus(iaid, StatusNoBinding)), nil
 		}
-		b.Expiry = now + int64(s.cfg.ValidSeconds)
-		heap.Push(&s.expiry, b)
+		b = s.bind(client, b.Prefix, now)
 		return s.reply(req, Reply, s.iaSuccess(b.Prefix, iaid)), nil
 
 	case Release:
@@ -365,14 +319,13 @@ func (s *Server) Reassign(client DUID, txn uint32) (Binding, error) {
 	s.stats.Reassigns++
 	now := s.clock.Now()
 	s.reclaim(now)
-	p, err := s.nextFree()
+	p, err := s.pool.Next()
 	if err != nil {
 		return Binding{}, err
 	}
 	cl := client.String()
 	if old, ok := s.byClient[cl]; ok {
-		delete(s.byPrefix, old.Prefix)
-		s.freed = append(s.freed, old.Prefix)
+		s.pool.Free(old.Prefix, old)
 	}
 	b := s.bind(cl, p, now)
 	return *b, nil
@@ -385,9 +338,8 @@ func (s *Server) ReleaseBinding(client DUID) { s.release(client.String()) }
 // release frees the client's delegation, if it holds one.
 func (s *Server) release(client string) {
 	if b, ok := s.byClient[client]; ok {
-		delete(s.byPrefix, b.Prefix)
+		s.pool.Free(b.Prefix, b)
 		delete(s.byClient, client)
-		s.freed = append(s.freed, b.Prefix)
 	}
 }
 

@@ -246,7 +246,6 @@ func (s *sim) buildServers() error {
 			s.v4Srvs[r][b] = radius.NewServer(radius.ServerConfig{
 				Pools4:         []netip.Prefix{pool},
 				SessionTimeout: lease * 3600,
-				Stride:         257, // scatter active addresses across the pool's /24s
 			})
 		}
 	}
@@ -267,7 +266,6 @@ func (s *sim) buildServers() error {
 			Pools:        []netip.Prefix{pool},
 			DelegatedLen: p.DelegatedLen,
 			ValidSeconds: valid,
-			Stride:       2557, // scatter delegations across the pool's sub-blocks
 		}, s.clock))
 		return nil
 	}

@@ -5,11 +5,17 @@ import (
 	"fmt"
 	"net/netip"
 
-	"dynamips/internal/netutil"
+	"dynamips/internal/addrpool"
 )
 
 // ErrPoolExhausted is returned when no address is available for a session.
 var ErrPoolExhausted = errors.New("radius: address pool exhausted")
+
+// stride spreads allocations across both pools: the n-th fresh
+// allocation uses offset (n*stride) mod poolsize instead of n. Real
+// pools hand out addresses scattered over their range; sequential
+// allocation would concentrate all active addresses in the lowest /24.
+const stride = 257
 
 // ServerConfig configures the session/assignment server.
 type ServerConfig struct {
@@ -24,13 +30,6 @@ type ServerConfig struct {
 	// equipment disconnects the session after this, and the reconnect
 	// draws a fresh address (the paper's periodic renumbering).
 	SessionTimeout uint32
-	// Stride spreads allocations across the pool: the n-th fresh
-	// allocation uses offset (n*Stride) mod poolsize instead of n. Real
-	// pools hand out addresses scattered over their range; sequential
-	// allocation would concentrate all active addresses in the lowest
-	// /24. Even strides are rounded up to stay coprime with
-	// power-of-two pool sizes. Zero means 1 (sequential).
-	Stride uint64
 	// Secret is the shared secret for response authenticators.
 	Secret []byte
 }
@@ -101,53 +100,36 @@ type Server struct {
 	replay  map[replayKey]*replayEntry
 	replayQ []*replayEntry // insertion order, for window pruning
 
-	cursor4 int
-	offset4 uint64
-	freed4  []netip.Addr
-	used4   map[netip.Addr]bool
-
-	cursor6 int
-	offset6 uint64
-	freed6  []netip.Prefix
-	used6   map[netip.Prefix]bool
+	// Each held unit's holder is the session it is assigned to; pool6
+	// is nil when the server delegates no IPv6.
+	pool4 *addrpool.Pool[netip.Addr, *Session]
+	pool6 *addrpool.Pool[netip.Prefix, *Session]
 }
 
 // NewServer builds a Server, panicking on configuration bugs.
 func NewServer(cfg ServerConfig) *Server {
-	if len(cfg.Pools4) == 0 {
-		panic("radius: no IPv4 pools configured")
-	}
 	if cfg.SessionTimeout == 0 {
 		panic("radius: zero session timeout")
 	}
-	for _, p := range cfg.Pools4 {
-		if !p.Addr().Unmap().Is4() {
-			panic(fmt.Sprintf("radius: non-IPv4 pool %v", p))
-		}
+	pool4, err := addrpool.Addrs[*Session](cfg.Pools4, stride, ErrPoolExhausted)
+	if err != nil {
+		panic("radius: " + err.Error())
 	}
-	for _, p := range cfg.Pools6 {
-		if !p.Addr().Is6() || p.Addr().Unmap().Is4() {
-			panic(fmt.Sprintf("radius: non-IPv6 pool %v", p))
-		}
-		if cfg.DelegatedLen6 < p.Bits() || cfg.DelegatedLen6 > 64 {
-			panic(fmt.Sprintf("radius: delegated length /%d incompatible with pool %v", cfg.DelegatedLen6, p))
+	var pool6 *addrpool.Pool[netip.Prefix, *Session]
+	if len(cfg.Pools6) > 0 {
+		if pool6, err = addrpool.Prefixes[*Session](cfg.Pools6, cfg.DelegatedLen6, stride, ErrPoolExhausted); err != nil {
+			panic("radius: " + err.Error())
 		}
 	}
 	if len(cfg.Secret) == 0 {
 		cfg.Secret = []byte("dynamips")
 	}
-	if cfg.Stride == 0 {
-		cfg.Stride = 1
-	}
-	if cfg.Stride%2 == 0 {
-		cfg.Stride++
-	}
 	return &Server{
 		cfg:      cfg,
 		sessions: make(map[string]*Session),
 		replay:   make(map[replayKey]*replayEntry),
-		used4:    make(map[netip.Addr]bool),
-		used6:    make(map[netip.Prefix]bool),
+		pool4:    pool4,
+		pool6:    pool6,
 	}
 }
 
@@ -160,60 +142,6 @@ func (s *Server) Stats() ServerStats { return s.stats }
 // Secret returns the shared secret replies are authenticated with.
 func (s *Server) Secret() []byte { return s.cfg.Secret }
 
-func (s *Server) nextFree4() (netip.Addr, error) {
-	for len(s.freed4) > 0 {
-		a := s.freed4[len(s.freed4)-1]
-		s.freed4 = s.freed4[:len(s.freed4)-1]
-		if !s.used4[a] {
-			return a, nil
-		}
-	}
-	for s.cursor4 < len(s.cfg.Pools4) {
-		p := s.cfg.Pools4[s.cursor4]
-		size := uint64(1) << uint(32-p.Bits())
-		for s.offset4 < size {
-			a, err := netutil.HostAddr(p, (s.offset4*s.cfg.Stride)%size)
-			s.offset4++
-			if err != nil {
-				return netip.Addr{}, err
-			}
-			if !s.used4[a] {
-				return a, nil
-			}
-		}
-		s.cursor4++
-		s.offset4 = 0
-	}
-	return netip.Addr{}, ErrPoolExhausted
-}
-
-func (s *Server) nextFree6() (netip.Prefix, error) {
-	for len(s.freed6) > 0 {
-		p := s.freed6[len(s.freed6)-1]
-		s.freed6 = s.freed6[:len(s.freed6)-1]
-		if !s.used6[p] {
-			return p, nil
-		}
-	}
-	for s.cursor6 < len(s.cfg.Pools6) {
-		pool := s.cfg.Pools6[s.cursor6]
-		size := uint64(1) << uint(s.cfg.DelegatedLen6-pool.Bits())
-		for s.offset6 < size {
-			p, err := netutil.SubPrefix(pool, s.cfg.DelegatedLen6, (s.offset6*s.cfg.Stride)%size)
-			s.offset6++
-			if err != nil {
-				return netip.Prefix{}, err
-			}
-			if !s.used6[p] {
-				return p, nil
-			}
-		}
-		s.cursor6++
-		s.offset6 = 0
-	}
-	return netip.Prefix{}, ErrPoolExhausted
-}
-
 // StartSession authenticates user and allocates session addresses. An
 // existing session for the user is torn down, but only after the new
 // allocation: a reconnecting subscriber therefore draws fresh addresses
@@ -221,21 +149,20 @@ func (s *Server) nextFree6() (netip.Prefix, error) {
 // §2.2's "even very short CPE outages or reboots can result in
 // assignment changes").
 func (s *Server) StartSession(user string, now int64) (*Session, error) {
-	a4, err := s.nextFree4()
+	a4, err := s.pool4.Next()
 	if err != nil {
 		return nil, err
 	}
 	sess := &Session{User: user, Addr4: a4, Start: now, Timeout: s.cfg.SessionTimeout}
-	s.used4[a4] = true
-	if len(s.cfg.Pools6) > 0 {
-		p6, err := s.nextFree6()
+	s.pool4.Hold(a4, sess)
+	if s.pool6 != nil {
+		p6, err := s.pool6.Next()
 		if err != nil {
-			s.used4[a4] = false
-			s.freed4 = append(s.freed4, a4)
+			s.pool4.Free(a4, sess)
 			return nil, err
 		}
 		sess.Prefix6 = p6
-		s.used6[p6] = true
+		s.pool6.Hold(p6, sess)
 	}
 	if old, ok := s.sessions[user]; ok {
 		s.stop(old)
@@ -246,13 +173,9 @@ func (s *Server) StartSession(user string, now int64) (*Session, error) {
 
 func (s *Server) stop(sess *Session) {
 	delete(s.sessions, sess.User)
-	if sess.Addr4.IsValid() {
-		s.used4[sess.Addr4] = false
-		s.freed4 = append(s.freed4, sess.Addr4)
-	}
-	if sess.Prefix6.IsValid() {
-		s.used6[sess.Prefix6] = false
-		s.freed6 = append(s.freed6, sess.Prefix6)
+	s.pool4.Free(sess.Addr4, sess)
+	if s.pool6 != nil {
+		s.pool6.Free(sess.Prefix6, sess)
 	}
 }
 
