@@ -87,6 +87,36 @@ func TestPfx2asRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPfx2asMappedPrefix: a pfx2as line with an IPv4-mapped prefix
+// attributes the IPv4 addresses it covers and writes back as its plain
+// IPv4 form, which reads back to the same table.
+func TestPfx2asMappedPrefix(t *testing.T) {
+	tab, err := ReadPfx2as(strings.NewReader("::ffff:10.0.0.0\t104\t64500\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", tab.Len())
+	}
+	if asn, routed, ok := tab.Origin(ma("10.1.2.3")); !ok || asn != 64500 || routed != mp("10.0.0.0/8") {
+		t.Errorf("Origin(10.1.2.3) = (%d, %v, %v), want (64500, 10.0.0.0/8, true)", asn, routed, ok)
+	}
+	var buf bytes.Buffer
+	if err := tab.WritePfx2as(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buf.String(), "10.0.0.0\t8\t64500\n"; got != want {
+		t.Fatalf("WritePfx2as = %q, want %q", got, want)
+	}
+	back, err := ReadPfx2as(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := tab.Entries(), back.Entries(); len(a) != 1 || len(b) != 1 || a[0] != b[0] {
+		t.Errorf("round trip: %v, want %v", b, a)
+	}
+}
+
 func TestReadPfx2asFormats(t *testing.T) {
 	in := `# comment
 1.0.0.0	24	13335

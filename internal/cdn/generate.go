@@ -128,8 +128,8 @@ func validateOperator(op Operator) error {
 
 // Env is the generation environment shared by the in-memory and streaming
 // paths: the operator set with its routing/registry tables and the mobile
-// ground truth. The ASN-mismatch pre-filter (Keep) lives here so both
-// paths drop exactly the same associations.
+// ground truth. The ASN-mismatch pre-filter (Keep, cached per stream by
+// Filter) lives here so both paths drop exactly the same associations.
 type Env struct {
 	Ops         []Operator
 	BGP         *bgp.Table
@@ -157,10 +157,41 @@ func NewEnv(ops []Operator) *Env {
 // Keep reports whether the association survives the paper's
 // pre-processing: associations whose IPv4 and IPv6 ASNs disagree are
 // discarded (§4.1).
+//
+//lint:hotpath two trie walks; Filter calls it once per (/24, /64) run
 func (e *Env) Keep(a Association) bool {
 	asn4, _, ok4 := e.BGP.Origin(a.P24().Addr())
 	asn6, _, ok6 := e.BGP.Origin(a.P64().Addr())
 	return ok4 && ok6 && asn4 == asn6
+}
+
+// Filter is Env.Keep behind a one-entry (K24, K64) verdict cache. The
+// verdict depends only on the pair, and an operator's stream repeats the
+// previous record's pair for every day of an episode, so a Filter walks
+// the BGP table once per run of equal pairs instead of once per record.
+// Use one Filter per association stream; it is not safe for concurrent
+// use.
+type Filter struct {
+	env   *Env
+	k24   uint32
+	k64   uint64
+	keep  bool
+	valid bool // the zero pair is a real key, so the cache starts empty
+}
+
+// NewFilter returns an empty verdict cache over e.
+func (e *Env) NewFilter() Filter { return Filter{env: e} }
+
+// Keep reports Env.Keep(a), walking the table only when a's pair differs
+// from the previous call's.
+//
+//lint:hotpath called per raw record by both generate paths
+func (f *Filter) Keep(a Association) bool {
+	if !f.valid || a.K24 != f.k24 || a.K64 != f.k64 {
+		f.k24, f.k64, f.valid = a.K24, a.K64, true
+		f.keep = f.env.Keep(a)
+	}
+	return f.keep
 }
 
 // Dataset is a generated and filtered association collection.
@@ -219,8 +250,9 @@ func Generate(cfg GenConfig) (*Dataset, error) {
 	// The paper's pre-processing: discard associations whose IPv4 and
 	// IPv6 ASNs disagree (§4.1).
 	ds.Assocs = raw[:0]
+	filter := env.NewFilter()
 	for _, a := range raw {
-		if !env.Keep(a) {
+		if !filter.Keep(a) {
 			ds.Mismatches++
 			continue
 		}

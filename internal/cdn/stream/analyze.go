@@ -141,7 +141,7 @@ func (az *analyzer) partition(_ int) (partMeta, error) {
 	names := make([]string, n)
 	for i := 0; i < n; i++ {
 		names[i] = "shard-" + strconv.Itoa(i) + ".bin"
-		sf, err := createSpill(filepath.Join(az.dir, names[i]))
+		sf, err := createSpill(filepath.Join(az.dir, names[i]), az.cfg.Checkpoint != nil)
 		if err != nil {
 			p.abortAll()
 			return partMeta{}, err
@@ -191,7 +191,7 @@ func (az *analyzer) shard(si int) (shardMeta, error) {
 	slices.SortFunc(recs, cmpEpisode)
 	sums := summarize(recs)
 	name := "run-" + strconv.Itoa(si) + ".bin"
-	sf, err := createSpill(filepath.Join(az.dir, name))
+	sf, err := createSpill(filepath.Join(az.dir, name), az.cfg.Checkpoint != nil)
 	if err != nil {
 		return shardMeta{}, err
 	}
@@ -380,6 +380,7 @@ type reducer struct {
 	has            bool
 	epK64          uint64
 	epK24          uint32
+	epMobile       bool
 	epStart, epEnd int
 
 	curK64   uint64
@@ -419,9 +420,6 @@ func (r *reducer) record(a cdn.Association) {
 			r.epEnd = int(a.Day)
 		}
 	}
-	if !r.mobile[a.K24] {
-		r.anyFixed = true
-	}
 }
 
 func (r *reducer) finish() {
@@ -432,17 +430,24 @@ func (r *reducer) finish() {
 	r.endK64Group()
 }
 
+// startEpisode opens an episode at a. Its /24 is fixed for the episode,
+// so the /24's mobile label is read here once, for both the episode's
+// duration class and its /64's trailing-zero eligibility.
 func (r *reducer) startEpisode(a cdn.Association) {
 	r.epK64 = a.K64
 	r.epK24 = a.K24
+	r.epMobile = r.mobile[a.K24]
 	r.epStart = int(a.Day)
 	r.epEnd = int(a.Day)
+	if !r.epMobile {
+		r.anyFixed = true
+	}
 }
 
 func (r *reducer) endEpisode() {
 	r.episodes++
 	d := r.epEnd - r.epStart + 1
-	if r.mobile[r.epK24] {
+	if r.epMobile {
 		r.mobileDur.add(d)
 		r.skMobile.Add(float64(d))
 	} else {

@@ -13,15 +13,20 @@ import (
 )
 
 // The per-stage benchmarks time one phase of the streaming path at a
-// time, each at one and two workers, and report ns/record so a stage's
-// before and after compare directly:
+// time, each parallel phase at one and two workers, and report ns/record
+// so a stage's before and after compare directly:
 //
-//	go test -run '^$' -bench 'GenerateTail|Partition|ShardUnit' ./internal/cdn/stream
+//	go test -run '^$' -bench 'GenerateUnits|GenerateTail|Partition|ShardUnit|Reduce' ./internal/cdn/stream
 //
 // Their input is a tenth of the cdn-stream benchmark workload: about
-// 315 000 associations.
+// 315 000 associations. ns/record divides by that dataset size (the
+// records Generate keeps) in every stage.
 
 var benchWorkers = []int{1, 2}
+
+// benchThreshold is the mobile degree threshold of the experiments and
+// the cdn-stream workload (experiments.MobileDegreeThreshold).
+const benchThreshold = 350
 
 func benchGenConfig() cdn.GenConfig {
 	cfg := cdn.DefaultGenConfig(20201201)
@@ -74,6 +79,32 @@ func benchCSV(b *testing.B) (string, int64) {
 
 func reportPerRecord(b *testing.B, recs int64) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*recs), "ns/record")
+}
+
+// BenchmarkGenerateUnits times Generate's operator units: emit every
+// operator's raw associations, filter them, and write the kept ones to
+// the operator's spill file.
+func BenchmarkGenerateUnits(b *testing.B) {
+	gen := benchGenConfig()
+	env := cdn.NewEnv(gen.OperatorSet())
+	for _, workers := range benchWorkers {
+		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
+			g := &generator{cfg: gen, env: env, dir: b.TempDir()}
+			var recs int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				metas, err := parallel.MapErr(len(env.Ops), workers, g.unit)
+				if err != nil {
+					b.Fatal(err)
+				}
+				recs = 0
+				for j := range metas {
+					recs += metas[j].Kept
+				}
+			}
+			reportPerRecord(b, recs)
+		})
+	}
 }
 
 // BenchmarkGenerateTail times Generate's CSV tail: decode the operator
@@ -134,4 +165,28 @@ func BenchmarkShardUnit(b *testing.B) {
 			reportPerRecord(b, recs)
 		})
 	}
+}
+
+// BenchmarkReduce times Analyze's reduce phase: merge the shard sketch
+// partials, k-way-merge the sorted runs and scan their episodes. The
+// reduce is serial, so it has no worker sweep.
+func BenchmarkReduce(b *testing.B) {
+	in, recs := benchCSV(b)
+	az := &analyzer{cfg: AnalyzeConfig{In: in, Shards: DefaultShards, Threshold: benchThreshold}, dir: b.TempDir()}
+	part, err := az.partition(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	az.part = part
+	shards, err := parallel.MapErr(az.cfg.Shards, 0, az.shard)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := az.reduce(shards); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPerRecord(b, recs)
 }

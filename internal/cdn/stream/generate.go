@@ -106,11 +106,11 @@ type generator struct {
 // file and returns the journaled meta.
 func (g *generator) unit(oi int) (genMeta, error) {
 	name := "gen-" + strconv.Itoa(oi) + ".bin"
-	sf, err := createSpill(filepath.Join(g.dir, name))
+	sf, err := createSpill(filepath.Join(g.dir, name), g.cfg.Checkpoint != nil)
 	if err != nil {
 		return genMeta{}, err
 	}
-	e := &genEmitter{w: sf.cw, env: g.env}
+	e := &genEmitter{w: sf.cw, filter: g.env.NewFilter()}
 	if err := cdn.EmitOperator(oi, g.cfg, e.emit); err != nil {
 		sf.abort()
 		return genMeta{}, err
@@ -207,19 +207,19 @@ func (t *csvTail) write(b *csvBatch) error {
 }
 
 // genEmitter applies the ASN-mismatch pre-filter in generation order —
-// the filter is per-record, so filtering inside each operator stream is
+// the verdict is per-record, so filtering inside each operator stream is
 // equivalent to the oracle's post-concatenation pass.
 type genEmitter struct {
-	w    *Writer
-	env  *cdn.Env
-	raw  int64
-	kept int64
-	mism int64
+	w      *Writer
+	filter cdn.Filter
+	raw    int64
+	kept   int64
+	mism   int64
 }
 
 func (e *genEmitter) emit(a cdn.Association) error {
 	e.raw++
-	if !e.env.Keep(a) {
+	if !e.filter.Keep(a) {
 		e.mism++
 		return nil
 	}

@@ -222,7 +222,7 @@ func TestSketchKillAndResume(t *testing.T) {
 // decode validation so checkpoint.Stage recomputes the unit.
 func TestDecShardRejectsBadSketch(t *testing.T) {
 	dir := t.TempDir()
-	sf, err := createSpill(filepath.Join(dir, "run-0.bin"))
+	sf, err := createSpill(filepath.Join(dir, "run-0.bin"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestTailSpillDir(t *testing.T) {
 	}
 	write := func(name string, rs []cdn.Association) {
 		t.Helper()
-		sf, err := createSpill(filepath.Join(dir, name))
+		sf, err := createSpill(filepath.Join(dir, name), false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -76,11 +76,17 @@ func ensureSpillDir(explicit string, run *checkpoint.Run) (dir string, temp bool
 // codec. The codec already buffers a whole chunk and writes it in one
 // call, so the file gets no second buffer.
 type spillFile struct {
-	f  *os.File
-	cw *Writer
+	f       *os.File
+	cw      *Writer
+	durable bool // fsync in finish: a journal will vouch for the file
 }
 
-func createSpill(path string) (*spillFile, error) {
+// createSpill creates a spill or run file. durable is whether the unit
+// writing it is journaled (a non-nil checkpoint): only then must the
+// bytes reach the disk before the journal append that a resume trusts.
+// Without a journal the same process reads the file back through the
+// page cache, and nothing trusts it after a crash.
+func createSpill(path string, durable bool) (*spillFile, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, wrap("stream: creating spill file", err)
@@ -90,20 +96,26 @@ func createSpill(path string) (*spillFile, error) {
 		f.Close()
 		return nil, err
 	}
-	return &spillFile{f: f, cw: cw}, nil
+	return &spillFile{f: f, cw: cw, durable: durable}, nil
 }
 
-// finish flushes, syncs, and closes the file, returning its final size.
-// The size goes into the journaled unit meta: a resume re-validates it
-// before trusting the file (validateSpill).
+// syncSpill is the fsync of a durable spill file (a variable so tests can
+// observe which files are synced).
+var syncSpill = (*os.File).Sync
+
+// finish flushes, syncs when durable, and closes the file, returning its
+// final size. The size goes into the journaled unit meta: a resume
+// re-validates it before trusting the file (validateSpill).
 func (s *spillFile) finish() (int64, error) {
 	if err := s.cw.Flush(); err != nil {
 		s.f.Close()
 		return 0, err
 	}
-	if err := s.f.Sync(); err != nil {
-		s.f.Close()
-		return 0, err
+	if s.durable {
+		if err := syncSpill(s.f); err != nil {
+			s.f.Close()
+			return 0, err
+		}
 	}
 	info, err := s.f.Stat()
 	if err != nil {

@@ -7,8 +7,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"dynamips/internal/cdn"
@@ -527,6 +529,67 @@ func TestGenerateMetricsResumeInvariant(t *testing.T) {
 	}
 	if !fresh.Equal(resumed) {
 		t.Fatalf("resumed metrics differ from uninterrupted run:\nfresh:   %+v\nresumed: %+v", fresh, resumed)
+	}
+}
+
+// TestSpillSyncOnlyWhenJournaled: with a checkpoint, every gen-,
+// shard- and run-*.bin file is fsynced, inside its unit and so before the
+// unit's journal append; without one, none is.
+func TestSpillSyncOnlyWhenJournaled(t *testing.T) {
+	var (
+		mu     sync.Mutex
+		synced []string
+	)
+	defer func(orig func(*os.File) error) { syncSpill = orig }(syncSpill)
+	syncSpill = func(f *os.File) error {
+		mu.Lock()
+		synced = append(synced, filepath.Base(f.Name()))
+		mu.Unlock()
+		return f.Sync()
+	}
+	cfg := testGenConfig(31)
+	stream := func(run *checkpoint.Run, spillDir string) {
+		t.Helper()
+		gen := cfg
+		gen.Checkpoint = run
+		var csv bytes.Buffer
+		if err := Generate(GenConfig{Gen: gen, SpillDir: spillDir}, &csv); err != nil {
+			t.Fatal(err)
+		}
+		in := filepath.Join(t.TempDir(), "assocs.csv")
+		if err := os.WriteFile(in, csv.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Analyze(AnalyzeConfig{In: in, Shards: 8, Threshold: 350, SpillDir: spillDir, Checkpoint: run}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	stream(nil, t.TempDir())
+	stream(nil, "")
+	if len(synced) != 0 {
+		t.Fatalf("without a checkpoint %d spill files were fsynced: %v", len(synced), synced)
+	}
+
+	dir := t.TempDir()
+	run, err := checkpoint.Open(dir, testKey(31), json.RawMessage(`{}`), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer run.Close()
+	stream(run, "")
+	files := readSpills(t, filepath.Join(dir, "spill"), "*.bin")
+	want := make([]string, 0, len(files))
+	for name := range files {
+		want = append(want, name)
+	}
+	slices.Sort(want)
+	slices.Sort(synced)
+	if nOps := len(cfg.OperatorSet()); len(want) != nOps+2*8 {
+		t.Fatalf("%d spill files, want %d gen + 8 shard + 8 run", len(want), nOps)
+	}
+	if !slices.Equal(synced, want) {
+		t.Fatalf("with a checkpoint fsynced %v, want every spill file %v", synced, want)
 	}
 }
 

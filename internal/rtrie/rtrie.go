@@ -1,11 +1,14 @@
-// Package rtrie implements a binary radix (Patricia-style path) trie over
-// netip.Prefix keys with longest-prefix-match lookup for both IPv4 and IPv6.
-// It backs the Routeviews-style pfx2as table (internal/bgp) and the RIR
-// delegation map (internal/rir) that DynamIPs uses to classify addresses
-// by routed BGP prefix and registry.
+// Package rtrie implements a binary trie over netip.Prefix keys with
+// longest-prefix-match lookup for both IPv4 and IPv6: one node per prefix
+// bit, without path compression, so a lookup walks at most the stored
+// prefix lengths. It backs the Routeviews-style pfx2as table
+// (internal/bgp) and the RIR delegation map (internal/rir) that DynamIPs
+// uses to classify addresses by routed BGP prefix and registry.
 //
-// The trie keeps separate roots per address family; IPv4-mapped IPv6
-// addresses are unmapped before keying, matching netip semantics.
+// The trie keeps separate roots per address family. IPv4-mapped IPv6
+// addresses are unmapped before keying, matching netip semantics, and an
+// IPv4-mapped prefix (::ffff:a.b.c.d/n, n >= 96 once masked) is stored as
+// the IPv4 prefix a.b.c.d/(n-96) that Lookup and Walk see.
 package rtrie
 
 import (
@@ -54,8 +57,12 @@ func (t *Trie[V]) Insert(p netip.Prefix, v V) bool {
 		panic(fmt.Sprintf("rtrie: insert of invalid prefix %v", p))
 	}
 	p = p.Masked()
+	bits := p.Bits()
+	if p.Addr().Is4In6() {
+		bits -= 96 // rootAndKey unmaps the address to the IPv4 root
+	}
 	n, hi, lo, _ := t.rootAndKey(p.Addr())
-	for i := 0; i < p.Bits(); i++ {
+	for i := 0; i < bits; i++ {
 		b := bitAt(hi, lo, i)
 		if n.child[b] == nil {
 			n.child[b] = &node[V]{}

@@ -109,6 +109,44 @@ func TestWalkOrderAndCompleteness(t *testing.T) {
 	}
 }
 
+// TestMappedPrefixKeyedAsIPv4: an IPv4-mapped prefix is the IPv4 prefix
+// of Bits()-96 bits, so Lookup (which unmaps its address) matches it,
+// Walk lists it, and inserting the plain IPv4 form replaces it.
+func TestMappedPrefixKeyedAsIPv4(t *testing.T) {
+	var tr Trie[string]
+	if !tr.Insert(mp("::ffff:10.0.0.0/104"), "mapped") {
+		t.Fatal("first insert reported existing")
+	}
+	if tr.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", tr.Len())
+	}
+	for _, a := range []string{"10.1.2.3", "::ffff:10.1.2.3"} {
+		v, p, ok := tr.Lookup(ma(a))
+		if !ok || v != "mapped" || p != mp("10.0.0.0/8") {
+			t.Errorf("Lookup(%s) = (%q, %v, %v), want (\"mapped\", 10.0.0.0/8, true)", a, v, p, ok)
+		}
+	}
+	var walked []netip.Prefix
+	tr.Walk(func(p netip.Prefix, _ string) bool {
+		walked = append(walked, p)
+		return true
+	})
+	if len(walked) != 1 || walked[0] != mp("10.0.0.0/8") {
+		t.Errorf("Walk visited %v, want [10.0.0.0/8]", walked)
+	}
+	if tr.Insert(mp("10.0.0.0/8"), "plain") {
+		t.Error("IPv4 form of a stored mapped prefix reported fresh")
+	}
+	if tr.Len() != 1 {
+		t.Errorf("Len after replace = %d, want 1", tr.Len())
+	}
+	// The whole mapped space is the IPv4 default route.
+	tr.Insert(mp("::ffff:0.0.0.0/96"), "all-v4")
+	if v, p, ok := tr.Lookup(ma("192.0.2.1")); !ok || v != "all-v4" || p != mp("0.0.0.0/0") {
+		t.Errorf("Lookup(192.0.2.1) = (%q, %v, %v), want (\"all-v4\", 0.0.0.0/0, true)", v, p, ok)
+	}
+}
+
 // TestLookupAgainstLinearScan cross-checks trie LPM against a brute-force
 // linear scan over randomly generated tables and queries.
 func TestLookupAgainstLinearScan(t *testing.T) {

@@ -16,9 +16,9 @@
 #   CGN substrate, the checkpoint layer, and the observability layer
 #   (plus a stricter floor over the sketch plane), the non-race
 #   million-session BNG soak (>=10^6 concurrent sessions at >=10^6
-#   events/sec with worker-count hash identity), a bench regression
-#   smoke against the checked-in
-#   baseline, and a bounded fuzz smoke over every wire-codec,
+#   events/sec with worker-count hash identity), one iteration of each
+#   CDN stream stage benchmark, a bench regression smoke against the
+#   checked-in baseline, and a bounded fuzz smoke over every wire-codec,
 #   fault-profile-parsing, journal-decoding, sketch-codec,
 #   sketch-query-parsing, and address-pool Fuzz* target. FUZZTIME bounds
 #   each fuzz run (default 10s); BENCH_THRESHOLD bounds the allowed ns/op
@@ -183,6 +183,9 @@ if awk -v p="$pct" -v f="$SKETCH_COVERAGE_FLOOR" 'BEGIN{exit !(p < f)}'; then
 	echo "FAIL: internal/sketch coverage ${pct}% below floor ${SKETCH_COVERAGE_FLOOR}%" >&2
 	exit 1
 fi
+
+echo "==> CDN stream stage benchmarks (one iteration each, so they keep running)"
+go test ./internal/cdn/stream -run '^$' -bench 'GenerateUnits|GenerateTail|Partition|ShardUnit|Reduce' -benchtime 1x
 
 echo "==> bench regression smoke (<=${BENCH_THRESHOLD}x of baseline; streaming RSS ceiling)"
 go test -run '^$' -bench '^(BenchmarkTable1|BenchmarkFig1|BenchmarkGlobalDurations|BenchmarkBuildAtlasPipeline|BenchmarkBuildCDNPipeline|BenchmarkStreamCDNPipeline|BenchmarkBNGChurn)$' \
