@@ -23,18 +23,25 @@ func serve(h http.Handler, path string) *httptest.ResponseRecorder {
 
 // cutRecord is what a replayed twin publishes at one round boundary.
 type cutRecord struct {
-	hash string
-	topk []byte // the /sketch?op=topk answer body
+	hash     string
+	topk     []byte // the /sketch?op=topk answer body
+	sessions []byte // the cutSessionsPath page body
 }
 
-const cutTopKPath = "/sketch?op=topk&name=" + sketch.Churn24 + "&k=3"
+const (
+	cutTopKPath = "/sketch?op=topk&name=" + sketch.Churn24 + "&k=3"
+	// cutSessionsPath's page spans the residential/business group
+	// boundary (slot 1920) and keys from every stripe.
+	cutSessionsPath = "/sessions?offset=1800&limit=300"
+)
 
-// TestReadersSeeOneRoundCut: readers hammering /ha, /snapshot and
-// /sketch while the daemon churns hourly rounds only ever see one round
-// boundary's state. Every (virtual_hours, table_hash) pair, every
-// /snapshot cut with its hour header, and every heavy-hitter answer must
-// equal what a replayed twin published at that hour. Run under -race,
-// it also checks the barrier's publication against concurrent readers.
+// TestReadersSeeOneRoundCut: readers hammering /ha, /snapshot, /sketch
+// and /sessions while the daemon churns hourly rounds only ever see one
+// round boundary's state. Every (virtual_hours, table_hash) pair, every
+// /snapshot cut with its hour header, every heavy-hitter answer and
+// every sessions page must equal what a replayed twin published at that
+// hour. Run under -race, it also checks the barrier's publication
+// against concurrent readers.
 func TestReadersSeeOneRoundCut(t *testing.T) {
 	cfg := testConfig(21)
 	const hours = 36
@@ -47,7 +54,11 @@ func TestReadersSeeOneRoundCut(t *testing.T) {
 		if err := twin.Churn(h); err != nil {
 			t.Fatal(err)
 		}
-		want[h] = cutRecord{twin.Stats().TableHash, serve(twin.Handler(), cutTopKPath).Body.Bytes()}
+		want[h] = cutRecord{
+			hash:     twin.Stats().TableHash,
+			topk:     serve(twin.Handler(), cutTopKPath).Body.Bytes(),
+			sessions: serve(twin.Handler(), cutSessionsPath).Body.Bytes(),
+		}
 	}
 
 	d, err := New(cfg, Options{Workers: 2, RoundHours: 1})
@@ -83,7 +94,7 @@ func TestReadersSeeOneRoundCut(t *testing.T) {
 			mu.Unlock()
 		}
 	}
-	wg.Add(3)
+	wg.Add(4)
 	go reader("/ha", func(rec *httptest.ResponseRecorder) error {
 		var ha HAView
 		if err := json.Unmarshal(rec.Body.Bytes(), &ha); err != nil {
@@ -118,6 +129,16 @@ func TestReadersSeeOneRoundCut(t *testing.T) {
 		}
 		return nil
 	})
+	go reader(cutSessionsPath, func(rec *httptest.ResponseRecorder) error {
+		var page SessionsPage
+		if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
+			return err
+		}
+		if w := want[page.VirtualHours].sessions; !bytes.Equal(rec.Body.Bytes(), w) {
+			return fmt.Errorf("hour %d page differs from the twin's", page.VirtualHours)
+		}
+		return nil
+	})
 	for hr := int64(1); hr <= hours; hr++ {
 		if err := d.Churn(hr); err != nil {
 			t.Fatal(err)
@@ -128,7 +149,7 @@ func TestReadersSeeOneRoundCut(t *testing.T) {
 	for _, b := range bad {
 		t.Error(b)
 	}
-	for _, path := range []string{"/ha", "/snapshot", cutTopKPath} {
+	for _, path := range []string{"/ha", "/snapshot", cutTopKPath, cutSessionsPath} {
 		if reads[path] == 0 {
 			t.Errorf("no reads of %s during churn", path)
 		}

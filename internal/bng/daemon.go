@@ -9,6 +9,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 
 	"dynamips/internal/bng/stripe"
@@ -472,30 +473,35 @@ type SessionView struct {
 	Renews uint32 `json:"renews"`
 }
 
-// Sessions returns the page of subscriber slots [offset, offset+limit)
-// in dense key order.
-func (d *Daemon) Sessions(offset, limit int) []SessionView {
+// Sessions returns the last round boundary's virtual hour and its page
+// of subscriber slots [offset, offset+limit) in dense key order, read
+// from the boundary's session table. limit is clamped to the slots left.
+func (d *Daemon) Sessions(offset, limit int) (int64, []SessionView) {
+	c := d.current()
 	total := d.cumSubs[len(d.cumSubs)-1]
 	if offset < 0 || offset >= total || limit <= 0 {
-		return nil
+		return c.hours, nil
 	}
-	end := offset + limit
-	if end > total {
-		end = total
-	}
-	out := make([]SessionView, 0, end-offset)
+	limit = min(limit, total-offset)
+	out := make([]SessionView, 0, limit)
 	gi := 0
 	for d.cumSubs[gi+1] <= offset {
 		gi++
 	}
-	for i := offset; i < end; i++ {
+	// The table holds only active slots, in the same key order as the
+	// walk: find the page's first slot, then step forward.
+	first := uint64(gi)<<32 | uint64(offset-d.cumSubs[gi])
+	j := sort.Search(len(c.snap), func(j int) bool { return c.snap[j].Key >= first })
+	for i := offset; i < offset+limit; i++ {
 		for d.cumSubs[gi+1] <= i {
 			gi++
 		}
 		idx := uint32(i - d.cumSubs[gi])
 		key := uint64(gi)<<32 | uint64(idx)
 		v := SessionView{Key: key, Group: d.cfg.Groups[gi].Name, Index: idx}
-		if s, ok := d.table.Get(key); ok {
+		if j < len(c.snap) && c.snap[j].Key == key {
+			s := &c.snap[j]
+			j++
 			v.Active = true
 			v.Addr4 = netutil.AddrFromU32(s.Addr4).String()
 			if s.Pfx6Len != 0 {
@@ -508,7 +514,7 @@ func (d *Daemon) Sessions(offset, limit int) []SessionView {
 		}
 		out = append(out, v)
 	}
-	return out
+	return c.hours, out
 }
 
 // watermark is the replay checkpoint: enough to re-derive the full

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http/httptest"
 	"net/netip"
 	"strconv"
@@ -75,7 +76,7 @@ func TestChurnProducesActivity(t *testing.T) {
 		t.Errorf("expected v4 address changes, got %+v", v.Events)
 	}
 	// Sessions must carry addresses inside their group pools.
-	views := d.Sessions(0, 50)
+	_, views := d.Sessions(0, 50)
 	active := 0
 	for _, sv := range views {
 		if !sv.Active {
@@ -92,6 +93,34 @@ func TestChurnProducesActivity(t *testing.T) {
 	}
 	if active == 0 {
 		t.Error("no active sessions in first page")
+	}
+}
+
+// TestSessionsClampsLimit: a Go caller's limit is clamped to the slots
+// left, so math.MaxInt neither overflows offset+limit nor sizes the page,
+// and the page reads the round boundary's table.
+func TestSessionsClampsLimit(t *testing.T) {
+	d := churned(t, testConfig(7), Options{Workers: 2, RoundHours: 6}, 6)
+	v := d.Stats()
+	hours, page := d.Sessions(1, math.MaxInt)
+	if hours != 6 {
+		t.Errorf("page hour %d, want 6", hours)
+	}
+	if len(page) != v.Subscribers-1 {
+		t.Fatalf("got %d slots, want the %d after slot 0", len(page), v.Subscribers-1)
+	}
+	if page[0].Index != 1 {
+		t.Errorf("first slot index %d, want 1", page[0].Index)
+	}
+	_, head := d.Sessions(0, 1)
+	active := 0
+	for _, sv := range append(head, page...) {
+		if sv.Active {
+			active++
+		}
+	}
+	if active != v.ActiveSessions {
+		t.Errorf("%d active slots, the cut holds %d sessions", active, v.ActiveSessions)
 	}
 }
 

@@ -33,7 +33,16 @@ func next(x *uint64) uint64 {
 // expSeconds draws an exponential interval with the given mean, in
 // whole seconds, floored at 1 so events always advance time.
 func expSeconds(x *uint64, meanSec float64) int64 {
-	u := float64(next(x)>>11) / (1 << 53) // [0, 1)
+	return expInterval(next(x), meanSec)
+}
+
+// expInterval maps one raw draw to its exponential interval: the top 53
+// bits as u in [0, 1), then -ln(1-u)·mean, clamped to [1, horizon]. It is
+// non-decreasing in raw>>11.
+//
+//lint:hotpath
+func expInterval(raw uint64, meanSec float64) int64 {
+	u := float64(raw>>11) / (1 << 53) // [0, 1)
 	d := -math.Log(1-u) * meanSec
 	if d < 1 {
 		return 1
@@ -42,6 +51,53 @@ func expSeconds(x *uint64, meanSec float64) int64 {
 		return horizonSeconds
 	}
 	return int64(d)
+}
+
+// cadence is one of a group's exponential event sources (renumber, flap,
+// CoA, disconnect) as scheduleNext races it against the fixed renewal.
+// A draw whose top 53 bits reach skip yields at least renewSec, so it
+// cannot beat a leading renewal and its logarithm need not be taken.
+type cadence struct {
+	mean float64
+	skip uint64 // raw>>11 threshold; 1<<53 never skips
+}
+
+// skipGuard widens the exact boundary 1-exp(-renewSec/mean) on the unit
+// draw u. math.Log and the multiply by mean are off by a few ulps, which
+// moves the boundary on u by under 1e-14; the guard is 1e5 times wider,
+// and sends only a further 1e-9 of all draws down the exact path.
+const skipGuard = 1e-9
+
+// newCadence returns the cadence for mean against a group's renewSec.
+// mean 0 disables the source: scheduleNext then draws nothing for it.
+func newCadence(mean float64, renewSec int64) cadence {
+	c := cadence{mean: mean, skip: 1 << 53}
+	if mean <= 0 {
+		return c
+	}
+	u := -math.Expm1(-float64(renewSec)/mean) + skipGuard
+	if t := math.Ceil(u * (1 << 53)); t < 1<<53 {
+		c.skip = uint64(t)
+	}
+	return c
+}
+
+// race races the cadence's raw draw, as kind k, against the current
+// leader (in, kind): (d, k) when its interval d beats in, else the leader
+// unchanged. While the renewal leads, a draw at or above the skip
+// threshold is known to lose and its interval is never computed; every
+// other draw, and every draw once another source leads, takes the exact
+// path.
+//
+//lint:hotpath
+func (c *cadence) race(raw uint64, in int64, kind, k uint8) (int64, uint8) {
+	if kind == evRenew && raw>>11 >= c.skip {
+		return in, kind
+	}
+	if d := expInterval(raw, c.mean); d < in {
+		return d, k
+	}
+	return in, kind
 }
 
 // Event kinds.
@@ -75,7 +131,7 @@ func chance(x *uint64, p float64) bool {
 }
 
 // event is one pending subscriber action. Each subscriber has exactly
-// one event in its shard's heap at any time (a flapped-down subscriber
+// one event in its shard's queue at any time (a flapped-down subscriber
 // holds a pending reattach). rng is the subscriber's SplitMix64 cursor;
 // it travels with the event so draws are independent of processing
 // order across subscribers.
@@ -87,17 +143,22 @@ type event struct {
 	kind uint8
 }
 
-// eventHeap is a binary min-heap ordered by (at, key): virtual time
-// first, dense subscriber key as the deterministic tie-break.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before orders events by (at, key): virtual time first, dense subscriber
+// key as the deterministic tie-break. No two pending events tie, since
+// each subscriber has one.
+func (ev *event) before(o *event) bool {
+	if ev.at != o.at {
+		return ev.at < o.at
 	}
-	return h[i].key < h[j].key
+	return ev.key < o.key
 }
 
+// eventHeap is a binary min-heap ordered by before.
+type eventHeap []event
+
+func (h eventHeap) less(i, j int) bool { return h[i].before(&h[j]) }
+
+//lint:hotpath
 func (h *eventHeap) push(ev event) {
 	*h = append(*h, ev)
 	i := len(*h) - 1
@@ -111,6 +172,7 @@ func (h *eventHeap) push(ev event) {
 	}
 }
 
+//lint:hotpath
 func (h *eventHeap) pop() event {
 	old := *h
 	top := old[0]
@@ -137,6 +199,109 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
+// eventQueue is a shard's pending events: one FIFO lane per group for
+// the group's renewals, and a heap for everything drawn from an
+// exponential (renumber, flap, CoA, disconnect, reattach). A lane starts
+// with its group's t=0 attaches, in key order. It stays sorted by
+// (at, key) with no comparison on push: every renewal lands the group's
+// fixed renewSec after the event that scheduled it, and events leave the
+// queue in (at, key) order, so renewals enter a lane in that order too.
+// Popping the earliest of the heap top and the lane heads therefore
+// yields exactly the sequence one heap of every event would.
+type eventQueue struct {
+	heap  eventHeap
+	lanes []lane // indexed by group, the key's high 32 bits
+}
+
+// lane is a ring sized to its group's subscribers in the shard: with one
+// pending event per subscriber it can never fill past that.
+type lane struct {
+	ring []event
+	head int // index of the earliest event
+	n    int // events held
+}
+
+// heapSrc is earliest's source index for the heap.
+const heapSrc = -1
+
+// newEventQueue queues an attach at t=0 for every subscriber of subs,
+// which are in dense key order.
+func newEventQueue(subs []subState, groups int, seed uint64) eventQueue {
+	q := eventQueue{lanes: make([]lane, groups)}
+	sizes := make([]int, groups)
+	for i := range subs {
+		sizes[subs[i].group]++
+	}
+	for gi, n := range sizes {
+		q.lanes[gi].ring = make([]event, n)
+	}
+	for i := range subs {
+		key := subs[i].key
+		q.push(event{at: 0, key: key, idx: int32(i), kind: evAttach, rng: seed + (key+1)*gamma})
+	}
+	return q
+}
+
+// push queues ev: attaches and renewals on their group's lane, every
+// other kind on the heap.
+//
+//lint:hotpath
+func (q *eventQueue) push(ev event) {
+	if ev.kind != evAttach && ev.kind != evRenew {
+		q.heap.push(ev)
+		return
+	}
+	l := &q.lanes[ev.key>>32]
+	if l.n == len(l.ring) {
+		panic(fmt.Sprintf("bng: group %d lane full at %d events: a subscriber holds two pending events", ev.key>>32, l.n))
+	}
+	i := l.head + l.n
+	if i >= len(l.ring) {
+		i -= len(l.ring)
+	}
+	l.ring[i] = ev
+	l.n++
+}
+
+// earliest returns the source of the earliest pending event by
+// (at, key), heapSrc or a lane index, and that event; nil when the queue
+// is empty.
+//
+//lint:hotpath
+func (q *eventQueue) earliest() (int, *event) {
+	src, top := heapSrc, (*event)(nil)
+	if len(q.heap) > 0 {
+		top = &q.heap[0]
+	}
+	for i := range q.lanes {
+		l := &q.lanes[i]
+		if l.n == 0 {
+			continue
+		}
+		if h := &l.ring[l.head]; top == nil || h.before(top) {
+			src, top = i, h
+		}
+	}
+	return src, top
+}
+
+// pop removes and returns the head of source src, as earliest named it.
+//
+//lint:hotpath
+func (q *eventQueue) pop(src int) event {
+	if src == heapSrc {
+		return q.heap.pop()
+	}
+	l := &q.lanes[src]
+	ev := l.ring[l.head]
+	l.head++
+	if l.head == len(l.ring) {
+		l.head = 0
+	}
+	l.n--
+	return ev
+}
+
 // engClock is the shard-local virtual clock injected into the shard's
 // DHCP servers; the event loop sets it to each event's timestamp.
 type engClock struct{ sec int64 }
@@ -158,17 +323,17 @@ type groupSrv struct {
 	d4  *dhcp4.Server
 	d6  *dhcp6.Server
 
-	renewSec    int64
-	renumberSec float64
-	flapSec     float64
-	downSec     float64
+	renewSec int64
+	renumber cadence
+	flap     cadence
+	downSec  float64
 
-	// Scenario extras. coaSec/discSec are the operator-action cadences
-	// (RADIUS groups only; 0 disables). relay4/ldra route DHCP attach
+	// Scenario extras. coa/disc are the operator-action cadences (RADIUS
+	// groups only; mean 0 disables). relay4/ldra route DHCP attach
 	// traffic through an aggregation chain, each hop dropping with
 	// relayDrop per direction.
-	coaSec    float64
-	discSec   float64
+	coa       cadence
+	disc      cadence
 	relay4    dhcp4.RelayChain
 	ldra      dhcp6.LDRAChain
 	relayDrop float64
@@ -214,14 +379,14 @@ func (s *ShardStats) add(o ShardStats) {
 
 // shardEngine is one stripe's complete assignment plane: its
 // subscribers, its per-group server instances (carved from disjoint
-// per-shard pools), its event heap, and its virtual clock. Engines
+// per-shard pools), its event queue, and its virtual clock. Engines
 // share nothing, so any worker count processes them identically.
 type shardEngine struct {
 	id     int
 	clock  *engClock
 	subs   []subState
 	srvs   []groupSrv
-	events eventHeap
+	events eventQueue
 	stats  ShardStats
 	// sk is the stripe's streaming-summary partial (churn heavy
 	// hitters, session-duration quantiles, pool cardinalities). The
@@ -258,8 +423,8 @@ func buildEngines(cfg *Config, table *stripe.Table) ([]*shardEngine, error) {
 		engines[sh] = e
 	}
 	// Route subscribers to shards in (group, index) order so each
-	// shard's sub list — and its initial event pushes — are in dense
-	// key order.
+	// shard's sub list — and its initial attaches — are in dense key
+	// order.
 	var userBuf []byte
 	for gi := range cfg.Groups {
 		g := &cfg.Groups[gi]
@@ -279,14 +444,10 @@ func buildEngines(cfg *Config, table *stripe.Table) ([]*shardEngine, error) {
 				}
 			}
 			e.subs = append(e.subs, st)
-			e.events.push(event{
-				at:   0,
-				key:  key,
-				idx:  int32(len(e.subs) - 1),
-				kind: evAttach,
-				rng:  cfg.Seed + (key+1)*gamma,
-			})
 		}
+	}
+	for _, e := range engines {
+		e.events = newEventQueue(e.subs, len(cfg.Groups), cfg.Seed)
 	}
 	return engines, nil
 }
@@ -296,14 +457,14 @@ func buildEngines(cfg *Config, table *stripe.Table) ([]*shardEngine, error) {
 // scenario machinery the group participates in.
 func buildGroupServers(g *Group, sc *Scenario, shardBits, sh int, clock *engClock) (groupSrv, error) {
 	gs := groupSrv{
-		renewSec:    int64(g.V4.LeaseSeconds / 2),
-		renumberSec: g.RenumberMeanHours * 3600,
-		flapSec:     g.FlapMeanHours * 3600,
-		downSec:     g.DowntimeMeanMinutes * 60,
+		renewSec: int64(g.V4.LeaseSeconds / 2),
+		downSec:  g.DowntimeMeanMinutes * 60,
 	}
 	if gs.renewSec < 1 {
 		gs.renewSec = 1
 	}
+	gs.renumber = newCadence(g.RenumberMeanHours*3600, gs.renewSec)
+	gs.flap = newCadence(g.FlapMeanHours*3600, gs.renewSec)
 	pool4, err := netutil.SubPrefix(g.V4.Network, g.V4.Network.Bits()+shardBits, uint64(sh))
 	if err != nil {
 		return gs, fmt.Errorf("bng: group %s shard %d: carving v4 pool: %w", g.Name, sh, err)
@@ -327,8 +488,8 @@ func buildGroupServers(g *Group, sc *Scenario, shardBits, sh int, clock *engCloc
 		}
 		gs.rad = radius.NewServer(rc)
 		if sc != nil {
-			gs.coaSec = sc.CoAMeanHours * 3600
-			gs.discSec = sc.DisconnectMeanHours * 3600
+			gs.coa = newCadence(sc.CoAMeanHours*3600, gs.renewSec)
+			gs.disc = newCadence(sc.DisconnectMeanHours*3600, gs.renewSec)
 		}
 	case BackendDHCP:
 		serverID, err := netutil.HostAddr(pool4, 1)
@@ -366,8 +527,12 @@ func buildGroupServers(g *Group, sc *Scenario, shardBits, sh int, clock *engCloc
 // advance processes every pending event with at <= until against the
 // shard's borrowed stripe, leaving the clock at until.
 func (e *shardEngine) advance(b stripe.Borrowed, until int64) error {
-	for len(e.events) > 0 && e.events[0].at <= until {
-		ev := e.events.pop()
+	for {
+		src, top := e.events.earliest()
+		if top == nil || top.at > until {
+			break
+		}
+		ev := e.events.pop(src)
 		e.clock.sec = ev.at
 		e.stats.Events++
 		sub := &e.subs[ev.idx]
@@ -858,28 +1023,23 @@ func (e *shardEngine) release(b stripe.Borrowed, ev *event, sub *subState, g *gr
 }
 
 // scheduleNext draws the subscriber's next action — routine renewal at
-// T1 (lease/2), exponential renumbering, or an exponential flap — and
-// pushes whichever comes first. Ties resolve renew < renumber < flap.
+// T1 (lease/2), exponential renumbering, an exponential flap, and, when
+// the scenario sets their cadences, an operator CoA or Disconnect — and
+// queues whichever comes first. Each source consumes one draw in that
+// order, so ties resolve renew < renumber < flap < CoA < disconnect.
+//
+//lint:hotpath
 func (e *shardEngine) scheduleNext(ev *event, g *groupSrv) {
-	in := g.renewSec
-	kind := evRenew
-	if rn := expSeconds(&ev.rng, g.renumberSec); rn < in {
-		in, kind = rn, evRenumber
-	}
-	if fl := expSeconds(&ev.rng, g.flapSec); fl < in {
-		in, kind = fl, evFlap
-	}
+	in, kind := g.renewSec, evRenew
+	in, kind = g.renumber.race(next(&ev.rng), in, kind, evRenumber)
+	in, kind = g.flap.race(next(&ev.rng), in, kind, evFlap)
 	// Scenario operator actions: drawn only when the cadence is set, so
 	// a scenario-free config consumes no extra cursor state.
-	if g.coaSec > 0 {
-		if ca := expSeconds(&ev.rng, g.coaSec); ca < in {
-			in, kind = ca, evCoA
-		}
+	if g.coa.mean > 0 {
+		in, kind = g.coa.race(next(&ev.rng), in, kind, evCoA)
 	}
-	if g.discSec > 0 {
-		if dc := expSeconds(&ev.rng, g.discSec); dc < in {
-			in, kind = dc, evDisconnect
-		}
+	if g.disc.mean > 0 {
+		in, kind = g.disc.race(next(&ev.rng), in, kind, evDisconnect)
 	}
 	e.events.push(event{at: ev.at + in, key: ev.key, idx: ev.idx, kind: kind, rng: ev.rng})
 }

@@ -1,0 +1,170 @@
+package bng
+
+import (
+	"fmt"
+	"testing"
+)
+
+// TestEventQueueOrder: under the engine's scheduling rules the lanes and
+// the heap together pop exactly the sequence one eventHeap of every
+// event pops. Each popped event schedules its subscriber's next one: a
+// renewal its lane's fixed cadence later, any other kind a random
+// interval ≥ 1 later. Cadences and intervals are a few seconds, so many
+// events share an at and the key tie-break decides.
+func TestEventQueueOrder(t *testing.T) {
+	kinds := []uint8{evRenumber, evFlap, evReattach, evCoA, evDisconnect}
+	for seed := uint64(1); seed <= 200; seed++ {
+		rng := seed * gamma
+		groups := 1 + int(next(&rng)%4)
+		renew := make([]int64, groups)
+		var subs []subState
+		for gi := 0; gi < groups; gi++ {
+			renew[gi] = 1 + int64(next(&rng)%5)
+			n := 1 + int(next(&rng)%30)
+			for i := 0; i < n; i++ {
+				subs = append(subs, subState{key: uint64(gi)<<32 | uint64(i), group: int32(gi)})
+			}
+		}
+		q := newEventQueue(subs, groups, seed)
+		var ref eventHeap
+		for i, s := range subs {
+			ref.push(event{at: 0, key: s.key, idx: int32(i), kind: evAttach, rng: seed + (s.key+1)*gamma})
+		}
+		for step := 0; step < 4000; step++ {
+			src, top := q.earliest()
+			if top == nil {
+				t.Fatalf("seed %d step %d: queue empty, reference holds %d events", seed, step, len(ref))
+			}
+			got, want := q.pop(src), ref.pop()
+			if got != want {
+				t.Fatalf("seed %d step %d: popped %+v, reference popped %+v", seed, step, got, want)
+			}
+			ev := got
+			if next(&rng)%3 == 0 {
+				ev.kind = kinds[next(&rng)%uint64(len(kinds))]
+				ev.at += 1 + int64(next(&rng)%4)
+			} else {
+				ev.kind = evRenew
+				ev.at += renew[ev.key>>32]
+			}
+			q.push(ev)
+			ref.push(ev)
+		}
+	}
+}
+
+// TestEventQueueLaneFullPanics: a lane holds one event per subscriber of
+// its group, so a second pending renewal for a subscriber is a bug and
+// panics instead of overwriting the lane head.
+func TestEventQueueLaneFullPanics(t *testing.T) {
+	q := newEventQueue([]subState{{key: 0, group: 0}}, 1, 1)
+	defer func() {
+		if recover() == nil {
+			t.Error("pushing past the lane's capacity did not panic")
+		}
+	}()
+	q.push(event{at: 5, key: 0, kind: evRenew})
+}
+
+// TestCadenceSkipThreshold: for every cadence of DefaultConfig, with and
+// without the scenario's CoA and Disconnect actions, the skip threshold
+// sits at or above the exact boundary — the least top-53-bit draw whose
+// interval is at least renewSec, found by bisecting expInterval — and
+// race decides every draw within 2^20 steps of that boundary, the first
+// 2^16 draws the threshold skips, and random draws exactly as the full
+// computation does.
+func TestCadenceSkipThreshold(t *testing.T) {
+	type source struct {
+		name string
+		c    cadence
+	}
+	checked := map[cadence]bool{}
+	for _, sc := range []*Scenario{nil, {CoAMeanHours: 72, DisconnectMeanHours: 200}} {
+		cfg := DefaultConfig(3000, 1)
+		cfg.Scenario = sc
+		for gi := range cfg.Groups {
+			g := &cfg.Groups[gi]
+			gs, err := buildGroupServers(g, sc, cfg.ShardBits, 0, &engClock{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range []source{{"renumber", gs.renumber}, {"flap", gs.flap}, {"coa", gs.coa}, {"disconnect", gs.disc}} {
+				if s.c.mean == 0 || checked[s.c] {
+					continue
+				}
+				checked[s.c] = true
+				name := g.Name + "/" + s.name
+				bound := skipBoundary(s.c.mean, gs.renewSec)
+				if s.c.skip < bound {
+					t.Errorf("%s: threshold %d below the exact boundary %d", name, s.c.skip, bound)
+				}
+				if s.c.skip >= 1<<53 {
+					t.Errorf("%s: threshold never skips", name)
+				}
+				lo := uint64(0)
+				if bound > 1<<20 {
+					lo = bound - 1<<20
+				}
+				hi := min(bound+1<<20, 1<<53)
+				rng := uint64(gi)
+				for r := lo; r < hi; r++ {
+					if msg := raceMismatch(&s.c, r<<11|next(&rng)&(1<<11-1), gs.renewSec); msg != "" {
+						t.Fatalf("%s: %s", name, msg)
+					}
+				}
+				for r := s.c.skip; r < s.c.skip+1<<16; r++ {
+					if msg := raceMismatch(&s.c, r<<11|next(&rng)&(1<<11-1), gs.renewSec); msg != "" {
+						t.Fatalf("%s: %s", name, msg)
+					}
+				}
+				for i := 0; i < 100_000; i++ {
+					if msg := raceMismatch(&s.c, next(&rng), gs.renewSec); msg != "" {
+						t.Fatalf("%s: %s", name, msg)
+					}
+				}
+			}
+		}
+	}
+	if len(checked) != 10 {
+		t.Errorf("checked %d distinct cadences, want 10 (renumber and flap of 3 groups, CoA and Disconnect of 2)", len(checked))
+	}
+}
+
+// skipBoundary bisects for the least r in [0, 2^53] with
+// expInterval(r<<11, mean) >= renewSec, taking 2^53 as the draw that never
+// comes.
+func skipBoundary(mean float64, renewSec int64) uint64 {
+	lo, hi := uint64(0), uint64(1)<<53
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if expInterval(mid<<11, mean) >= renewSec {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// raceMismatch compares race against the exact decision for raw, with
+// the renewal leading and with another source leading, and describes the
+// first difference ("" when there is none).
+func raceMismatch(c *cadence, raw uint64, renewSec int64) string {
+	d := expInterval(raw, c.mean)
+	wantIn, wantKind := renewSec, evRenew
+	if d < renewSec {
+		wantIn, wantKind = d, evFlap
+	}
+	if in, kind := c.race(raw, renewSec, evRenew, evFlap); in != wantIn || kind != wantKind {
+		return fmt.Sprintf("draw %#x against the renewal: race gave (%d, %d), exact (%d, %d)", raw, in, kind, wantIn, wantKind)
+	}
+	lead := renewSec / 2
+	wantIn, wantKind = lead, evRenumber
+	if d < lead {
+		wantIn, wantKind = d, evFlap
+	}
+	if in, kind := c.race(raw, lead, evRenumber, evFlap); in != wantIn || kind != wantKind {
+		return fmt.Sprintf("draw %#x against a renumber at %d: race gave (%d, %d), exact (%d, %d)", raw, lead, in, kind, wantIn, wantKind)
+	}
+	return ""
+}

@@ -24,16 +24,18 @@ const (
 	MaxPageLimit     = 1000
 )
 
-// SessionsPage is the /sessions payload. NextOffset is nil on the last
+// SessionsPage is the /sessions payload: one page of the last round
+// boundary's table, taken at VirtualHours. NextOffset is nil on the last
 // page. Offsets index the stable subscriber-slot space (every
 // configured subscriber has a slot whether or not it is online), so a
 // paginated walk under churn never skips or repeats a slot.
 type SessionsPage struct {
-	Total      int           `json:"total"`
-	Offset     int           `json:"offset"`
-	Limit      int           `json:"limit"`
-	NextOffset *int          `json:"next_offset"`
-	Sessions   []SessionView `json:"sessions"`
+	VirtualHours int64         `json:"virtual_hours"`
+	Total        int           `json:"total"`
+	Offset       int           `json:"offset"`
+	Limit        int           `json:"limit"`
+	NextOffset   *int          `json:"next_offset"`
+	Sessions     []SessionView `json:"sessions"`
 }
 
 // PoolsPayload is the /pools payload.
@@ -130,8 +132,7 @@ func (s *APIServer) Shutdown(ctx context.Context) error {
 
 // Serve starts the read-only API on addr. The listener goroutine lives
 // for the daemon's lifetime and is drained by Shutdown; it only reads
-// the stripe table (per-shard locks, for /sessions) and the published
-// round cut, never the engines.
+// the published round cut, never the stripe table or the engines.
 func (d *Daemon) Serve(addr string) (*APIServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -144,7 +145,7 @@ func (d *Daemon) Serve(addr string) (*APIServer, error) {
 		WriteTimeout:      httpWriteTimeout,
 		IdleTimeout:       httpIdleTimeout,
 	}
-	//lint:ignore goroutines background API listener joined by APIServer.Shutdown; read-only view of the striped table, never touches the engines
+	//lint:ignore goroutines background API listener joined by APIServer.Shutdown; read-only view of the published round cut, never touches the stripes or the engines
 	go srv.Serve(ln) //nolint:errcheck // Shutdown surfaces as ErrServerClosed here
 	return &APIServer{srv: srv, ln: ln}, nil
 }
@@ -216,12 +217,8 @@ func (d *Daemon) handleSessions(w http.ResponseWriter, r *http.Request) {
 		limit = MaxPageLimit
 	}
 	total := d.cumSubs[len(d.cumSubs)-1]
-	page := SessionsPage{
-		Total:    total,
-		Offset:   offset,
-		Limit:    limit,
-		Sessions: d.Sessions(offset, limit),
-	}
+	page := SessionsPage{Total: total, Offset: offset, Limit: limit}
+	page.VirtualHours, page.Sessions = d.Sessions(offset, limit)
 	if n := offset + len(page.Sessions); len(page.Sessions) > 0 && n < total {
 		page.NextOffset = &n
 	}

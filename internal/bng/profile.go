@@ -8,8 +8,8 @@
 //
 // Determinism contract: every shard owns a fixed subset of subscribers
 // (stripe routing of the dense key), its own per-group server instances
-// carved from disjoint sub-pools, its own event heap ordered by
-// (time, key), and per-subscriber SplitMix64 draw streams. Shards never
+// carved from disjoint sub-pools, its own event queue popped in
+// (time, key) order, and per-subscriber SplitMix64 draw streams. Shards never
 // communicate, so processing them with any `-workers` count — or
 // killing the daemon and replaying from a checkpoint watermark —
 // produces byte-identical session-table snapshots.
@@ -77,7 +77,7 @@ type Group struct {
 type Config struct {
 	Seed uint64 `json:"seed"`
 	// ShardBits sets the stripe width: 2^ShardBits shards, each with
-	// its own servers, event heap, and pool slice.
+	// its own servers, event queue, and pool slice.
 	ShardBits int     `json:"shard_bits"`
 	Groups    []Group `json:"groups"`
 	// Scenario layers operator events — failovers, CoA/Disconnect,

@@ -16,9 +16,10 @@
 #   CGN substrate, the checkpoint layer, and the observability layer
 #   (plus a stricter floor over the sketch plane), the non-race
 #   million-session BNG soak (>=10^6 concurrent sessions at >=10^6
-#   events/sec with worker-count hash identity), one iteration of each
-#   CDN stream stage benchmark, a bench regression smoke against the
-#   checked-in baseline, and a bounded fuzz smoke over every wire-codec,
+#   events/sec with worker-count hash identity), one iteration of the
+#   bng engine stage benchmark and of each CDN stream stage benchmark, a
+#   bench regression smoke against the checked-in baseline, and a
+#   bounded fuzz smoke over every wire-codec,
 #   fault-profile-parsing, journal-decoding, sketch-codec,
 #   sketch-query-parsing, and address-pool Fuzz* target. FUZZTIME bounds
 #   each fuzz run (default 10s); BENCH_THRESHOLD bounds the allowed ns/op
@@ -183,6 +184,9 @@ if awk -v p="$pct" -v f="$SKETCH_COVERAGE_FLOOR" 'BEGIN{exit !(p < f)}'; then
 	echo "FAIL: internal/sketch coverage ${pct}% below floor ${SKETCH_COVERAGE_FLOOR}%" >&2
 	exit 1
 fi
+
+echo "==> bng engine stage benchmark (one iteration, so it keeps running)"
+go test ./internal/bng -run '^$' -bench '^BenchmarkEngineAdvance$' -benchtime 1x
 
 echo "==> CDN stream stage benchmarks (one iteration each, so they keep running)"
 go test ./internal/cdn/stream -run '^$' -bench 'GenerateUnits|GenerateTail|Partition|ShardUnit|Reduce' -benchtime 1x
