@@ -494,8 +494,21 @@ func experimentSpec(f experimentFlags) (runSpec, error) {
 	if f.asJSON && !slices.Contains(experiments.Figures, f.name) {
 		return runSpec{}, fmt.Errorf("experiment: -json needs a figure (one of %v), got %q", experiments.Figures, f.name)
 	}
-	if math.IsNaN(f.cdnScale) || math.IsInf(f.cdnScale, 0) || f.cdnScale <= 0 {
-		return runSpec{}, fmt.Errorf("experiment: -cdn-scale %v is not a positive finite factor", f.cdnScale)
+	// The pipelines would silently turn a non-positive size into their
+	// default, so an invalid size would print the default run's output.
+	if f.hours <= 0 {
+		return runSpec{}, fmt.Errorf("experiment: -hours must be positive, got %d", f.hours)
+	}
+	if f.cdnDays <= 0 {
+		return runSpec{}, fmt.Errorf("experiment: -cdn-days must be positive, got %d", f.cdnDays)
+	}
+	for _, sc := range []struct {
+		flag string
+		v    float64
+	}{{"-probe-scale", f.probeScale}, {"-cdn-scale", f.cdnScale}} {
+		if math.IsNaN(sc.v) || math.IsInf(sc.v, 0) || sc.v <= 0 {
+			return runSpec{}, fmt.Errorf("experiment: %s %v is not a positive finite factor", sc.flag, sc.v)
+		}
 	}
 	faultSpec := ""
 	if f.faults != "" {
@@ -599,75 +612,51 @@ func runExperimentSpec(spec runSpec, run *checkpoint.Run, o *obs.Observer) error
 		}
 		cfg.RelayFaults = &prof
 	}
-	name := spec.Name
-	if spec.JSON {
-		var (
-			a   *experiments.AtlasData
-			c   *experiments.CDNData
-			err error
-		)
-		if experiments.NeedsAtlas(name) {
-			if a, err = experiments.BuildAtlas(cfg); err != nil {
-				return err
-			}
-		} else {
-			if c, err = experiments.BuildCDN(cfg); err != nil {
-				return err
-			}
-		}
-		return writeOutput(spec.Out, func(w io.Writer) error {
-			return experiments.WriteFigureJSON(w, name, a, c)
-		})
+	// The names to run: one, or all of them in order under headers.
+	all := spec.Name == "all"
+	names := []string{spec.Name}
+	if all {
+		names = experiments.Names
 	}
-	if name != "all" {
-		if experiments.NeedsAtlas(name) {
-			a, err := experiments.BuildAtlas(cfg)
-			if err != nil {
-				return err
-			}
-			return writeOutput(spec.Out, func(w io.Writer) error {
-				return experiments.RunAtlasExperiment(name, w, a)
-			})
-		}
-		c, err := experiments.BuildCDN(cfg)
-		if err != nil {
-			return err
-		}
-		return writeOutput(spec.Out, func(w io.Writer) error {
-			return experiments.RunCDNExperiment(name, w, c)
-		})
-	}
-	// Build each pipeline once (journaled, when checkpointed), then render
-	// everything into one atomic output.
+	// Build each pipeline the names need once (journaled, when
+	// checkpointed), then render everything into one atomic output.
 	var (
 		a   *experiments.AtlasData
 		c   *experiments.CDNData
 		err error
 	)
-	for _, n := range experiments.Names {
+	for _, n := range names {
 		if experiments.NeedsAtlas(n) && a == nil {
-			if a, err = experiments.BuildAtlas(cfg); err != nil {
-				return err
-			}
+			a, err = experiments.BuildAtlas(cfg)
+		} else if !experiments.NeedsAtlas(n) && c == nil {
+			c, err = experiments.BuildCDN(cfg)
 		}
-		if !experiments.NeedsAtlas(n) && c == nil {
-			if c, err = experiments.BuildCDN(cfg); err != nil {
-				return err
-			}
+		if err != nil {
+			return err
 		}
 	}
 	return writeOutput(spec.Out, func(w io.Writer) error {
-		for _, n := range experiments.Names {
-			fmt.Fprintf(w, "==== %s ====\n", n)
+		if spec.JSON {
+			return experiments.WriteFigureJSON(w, spec.Name, a, c)
+		}
+		for _, n := range names {
+			if all {
+				fmt.Fprintf(w, "==== %s ====\n", n)
+			}
 			if experiments.NeedsAtlas(n) {
 				err = experiments.RunAtlasExperiment(n, w, a)
 			} else {
 				err = experiments.RunCDNExperiment(n, w, c)
 			}
 			if err != nil {
-				return fmt.Errorf("experiment %s: %w", n, err)
+				if all {
+					return fmt.Errorf("experiment %s: %w", n, err)
+				}
+				return err
 			}
-			fmt.Fprintln(w)
+			if all {
+				fmt.Fprintln(w)
+			}
 		}
 		return nil
 	})

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -96,6 +97,46 @@ func TestExperimentSpecTable(t *testing.T) {
 			wantErr: "-cdn-scale -2 is not a positive finite factor",
 		},
 		{
+			label:   "zero hours",
+			flags:   mod(func(f *experimentFlags) { f.hours = 0 }),
+			wantErr: "-hours must be positive, got 0",
+		},
+		{
+			label:   "negative hours",
+			flags:   mod(func(f *experimentFlags) { f.hours = -5 }),
+			wantErr: "-hours must be positive, got -5",
+		},
+		{
+			label:   "zero cdn days",
+			flags:   mod(func(f *experimentFlags) { f.cdnDays = 0 }),
+			wantErr: "-cdn-days must be positive, got 0",
+		},
+		{
+			label:   "negative cdn days",
+			flags:   mod(func(f *experimentFlags) { f.cdnDays = -3 }),
+			wantErr: "-cdn-days must be positive, got -3",
+		},
+		{
+			label:   "zero probe scale",
+			flags:   mod(func(f *experimentFlags) { f.probeScale = 0 }),
+			wantErr: "-probe-scale 0 is not a positive finite factor",
+		},
+		{
+			label:   "negative probe scale",
+			flags:   mod(func(f *experimentFlags) { f.probeScale = -1 }),
+			wantErr: "-probe-scale -1 is not a positive finite factor",
+		},
+		{
+			label:   "NaN probe scale",
+			flags:   mod(func(f *experimentFlags) { f.probeScale = math.NaN() }),
+			wantErr: "-probe-scale NaN is not a positive finite factor",
+		},
+		{
+			label:   "infinite probe scale",
+			flags:   mod(func(f *experimentFlags) { f.probeScale = math.Inf(1) }),
+			wantErr: "-probe-scale +Inf is not a positive finite factor",
+		},
+		{
 			label: "json of a figure",
 			flags: mod(func(f *experimentFlags) { f.name = "fig4"; f.asJSON = true }),
 			want: runSpec{Kind: "experiment", Name: "fig4", Out: "-", JSON: true, Seed: 7,
@@ -125,11 +166,13 @@ func TestExperimentSpecTable(t *testing.T) {
 // checkpoint manifest key — a relay run can never resume a direct run's
 // journal.
 func TestExperimentSpecKeySeparation(t *testing.T) {
-	direct, err := experimentSpec(experimentFlags{name: "all", out: "-", seed: 7, cdnScale: 1})
+	f := experimentFlags{name: "all", out: "-", seed: 7, hours: 2000, probeScale: 0.5, cdnScale: 1, cdnDays: 30}
+	direct, err := experimentSpec(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	relay, err := experimentSpec(experimentFlags{name: "all", out: "-", seed: 7, cdnScale: 1, relayHops: 2})
+	f.relayHops = 2
+	relay, err := experimentSpec(f)
 	if err != nil {
 		t.Fatal(err)
 	}

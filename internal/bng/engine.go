@@ -9,16 +9,18 @@ import (
 	"dynamips/internal/bng/stripe"
 	"dynamips/internal/dhcp4"
 	"dynamips/internal/dhcp6"
+	"dynamips/internal/evq"
 	"dynamips/internal/netutil"
 	"dynamips/internal/radius"
 	"dynamips/internal/sketch"
 )
 
-// horizonSeconds is the server-side lease/session lifetime: effectively
-// infinite, so server state never expires underneath the event
-// schedule (the same "lifetimes cover the horizon" modeling as
-// internal/isp). The subscriber-visible renewal cadence comes from the
-// group's PoolProfile.LeaseSeconds instead.
+// horizonSeconds (~1.1 M virtual hours) is the lease, delegation and
+// session lifetime the shard's servers advertise, and the cap on
+// expInterval's draws. No server expires a binding: the engine releases,
+// forgets or reassigns it, so the lifetime only fills replies. The
+// subscriber-visible renewal cadence comes from the group's
+// PoolProfile.LeaseSeconds instead.
 const horizonSeconds = 4_000_000_000
 
 // splitmix gamma (same constant as internal/faultnet's streams).
@@ -130,73 +132,19 @@ func chance(x *uint64, p float64) bool {
 	return float64(next(x)>>11)/(1<<53) < p
 }
 
-// event is one pending subscriber action. Each subscriber has exactly
-// one event in its shard's queue at any time (a flapped-down subscriber
-// holds a pending reattach). rng is the subscriber's SplitMix64 cursor;
-// it travels with the event so draws are independent of processing
-// order across subscribers.
-type event struct {
-	at   int64
-	key  uint64
+// event is one pending subscriber action: At its virtual second, Tie the
+// subscriber's dense key, P the rest. Each subscriber has exactly one
+// event in its shard's queue at any time (a flapped-down subscriber
+// holds a pending reattach), so no two pending events tie.
+type event = evq.Event[action]
+
+// action is an event's payload. rng is the subscriber's SplitMix64
+// cursor; it travels with the event so draws are independent of
+// processing order across subscribers.
+type action struct {
 	rng  uint64
 	idx  int32
 	kind uint8
-}
-
-// before orders events by (at, key): virtual time first, dense subscriber
-// key as the deterministic tie-break. No two pending events tie, since
-// each subscriber has one.
-func (ev *event) before(o *event) bool {
-	if ev.at != o.at {
-		return ev.at < o.at
-	}
-	return ev.key < o.key
-}
-
-// eventHeap is a binary min-heap ordered by before.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool { return h[i].before(&h[j]) }
-
-//lint:hotpath
-func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-//lint:hotpath
-func (h *eventHeap) pop() event {
-	old := *h
-	top := old[0]
-	n := len(old)
-	old[0] = old[n-1]
-	*h = old[:n-1]
-	n--
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h.less(l, small) {
-			small = l
-		}
-		if r < n && h.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		(*h)[i], (*h)[small] = (*h)[small], (*h)[i]
-		i = small
-	}
-	return top
 }
 
 // eventQueue is a shard's pending events: one FIFO lane per group for
@@ -209,7 +157,7 @@ func (h *eventHeap) pop() event {
 // Popping the earliest of the heap top and the lane heads therefore
 // yields exactly the sequence one heap of every event would.
 type eventQueue struct {
-	heap  eventHeap
+	heap  evq.Heap[action]
 	lanes []lane // indexed by group, the key's high 32 bits
 }
 
@@ -237,7 +185,7 @@ func newEventQueue(subs []subState, groups int, seed uint64) eventQueue {
 	}
 	for i := range subs {
 		key := subs[i].key
-		q.push(event{at: 0, key: key, idx: int32(i), kind: evAttach, rng: seed + (key+1)*gamma})
+		q.push(event{At: 0, Tie: key, P: action{idx: int32(i), kind: evAttach, rng: seed + (key+1)*gamma}})
 	}
 	return q
 }
@@ -247,13 +195,13 @@ func newEventQueue(subs []subState, groups int, seed uint64) eventQueue {
 //
 //lint:hotpath
 func (q *eventQueue) push(ev event) {
-	if ev.kind != evAttach && ev.kind != evRenew {
-		q.heap.push(ev)
+	if ev.P.kind != evAttach && ev.P.kind != evRenew {
+		q.heap.Push(ev)
 		return
 	}
-	l := &q.lanes[ev.key>>32]
+	l := &q.lanes[ev.Tie>>32]
 	if l.n == len(l.ring) {
-		panic(fmt.Sprintf("bng: group %d lane full at %d events: a subscriber holds two pending events", ev.key>>32, l.n))
+		panic(fmt.Sprintf("bng: group %d lane full at %d events: a subscriber holds two pending events", ev.Tie>>32, l.n))
 	}
 	i := l.head + l.n
 	if i >= len(l.ring) {
@@ -269,16 +217,13 @@ func (q *eventQueue) push(ev event) {
 //
 //lint:hotpath
 func (q *eventQueue) earliest() (int, *event) {
-	src, top := heapSrc, (*event)(nil)
-	if len(q.heap) > 0 {
-		top = &q.heap[0]
-	}
+	src, top := heapSrc, q.heap.Top()
 	for i := range q.lanes {
 		l := &q.lanes[i]
 		if l.n == 0 {
 			continue
 		}
-		if h := &l.ring[l.head]; top == nil || h.before(top) {
+		if h := &l.ring[l.head]; top == nil || h.Before(top) {
 			src, top = i, h
 		}
 	}
@@ -290,7 +235,7 @@ func (q *eventQueue) earliest() (int, *event) {
 //lint:hotpath
 func (q *eventQueue) pop(src int) event {
 	if src == heapSrc {
-		return q.heap.pop()
+		return q.heap.Pop()
 	}
 	l := &q.lanes[src]
 	ev := l.ring[l.head]
@@ -529,15 +474,15 @@ func buildGroupServers(g *Group, sc *Scenario, shardBits, sh int, clock *engCloc
 func (e *shardEngine) advance(b stripe.Borrowed, until int64) error {
 	for {
 		src, top := e.events.earliest()
-		if top == nil || top.at > until {
+		if top == nil || top.At > until {
 			break
 		}
 		ev := e.events.pop(src)
-		e.clock.sec = ev.at
+		e.clock.sec = ev.At
 		e.stats.Events++
-		sub := &e.subs[ev.idx]
+		sub := &e.subs[ev.P.idx]
 		g := &e.srvs[sub.group]
-		switch ev.kind {
+		switch ev.P.kind {
 		case evAttach, evReattach, evRenumber:
 			ok, err := e.assign(b, &ev, sub, g)
 			if err != nil {
@@ -546,8 +491,7 @@ func (e *shardEngine) advance(b stripe.Borrowed, until int64) error {
 			if !ok {
 				// The relay chain ate every attempt: the subscriber stays
 				// down and retries after a fresh downtime draw.
-				down := expSeconds(&ev.rng, g.downSec)
-				e.events.push(event{at: ev.at + down, key: ev.key, idx: ev.idx, kind: evReattach, rng: ev.rng})
+				e.reattachLater(&ev, g)
 				continue
 			}
 			e.scheduleNext(&ev, g)
@@ -560,20 +504,18 @@ func (e *shardEngine) advance(b stripe.Borrowed, until int64) error {
 			if err := e.disconnect(b, &ev, sub, g); err != nil {
 				return err
 			}
-			down := expSeconds(&ev.rng, g.downSec)
-			e.events.push(event{at: ev.at + down, key: ev.key, idx: ev.idx, kind: evReattach, rng: ev.rng})
+			e.reattachLater(&ev, g)
 		case evRenew:
-			if s, ok := b.Get(ev.key); ok {
+			if s, ok := b.Get(ev.Tie); ok {
 				s.Renews++
-				s.Expiry = ev.at + int64(2)*g.renewSec
+				s.Expiry = ev.At + int64(2)*g.renewSec
 				b.Put(s)
 			}
 			e.stats.Renews++
 			e.scheduleNext(&ev, g)
 		case evFlap:
 			e.release(b, &ev, sub, g)
-			down := expSeconds(&ev.rng, g.downSec)
-			e.events.push(event{at: ev.at + down, key: ev.key, idx: ev.idx, kind: evReattach, rng: ev.rng})
+			e.reattachLater(&ev, g)
 		}
 	}
 	e.clock.sec = until
@@ -590,15 +532,15 @@ func (e *shardEngine) assign(b stripe.Borrowed, ev *event, sub *subState, g *gro
 		addr4  uint32
 		p6hi   uint64
 		p6len  uint8
-		renum  = ev.kind == evRenumber
-		reatt  = ev.kind == evReattach
-		newTxn = uint32(next(&ev.rng))
+		renum  = ev.P.kind == evRenumber
+		reatt  = ev.P.kind == evReattach
+		newTxn = uint32(next(&ev.P.rng))
 	)
 	switch {
 	case g.rad != nil:
-		sess, err := g.rad.StartSession(sub.user, ev.at)
+		sess, err := g.rad.StartSession(sub.user, ev.At)
 		if err != nil {
-			return false, fmt.Errorf("bng: shard %d key %#x: radius: %w", e.id, ev.key, err)
+			return false, fmt.Errorf("bng: shard %d key %#x: radius: %w", e.id, ev.Tie, err)
 		}
 		addr4 = netutil.U32(sess.Addr4)
 		if sess.Prefix6.IsValid() {
@@ -613,19 +555,19 @@ func (e *shardEngine) assign(b stripe.Borrowed, ev *event, sub *subState, g *gro
 			return ok, err
 		}
 	default:
-		hw := hwOf(ev.key)
+		hw := hwOf(ev.Tie)
 		if renum {
 			// A forced v4 renumber releases before reacquiring; the
 			// sticky server re-offers the same address (stable
 			// business addressing), while v6 Reassign forces a fresh
 			// delegation.
 			if _, err := g.d4.Handle(dhcp4.NewMessage(dhcp4.Release, newTxn, hw)); err != nil {
-				return false, fmt.Errorf("bng: shard %d key %#x: dhcp4 release: %w", e.id, ev.key, err)
+				return false, fmt.Errorf("bng: shard %d key %#x: dhcp4 release: %w", e.id, ev.Tie, err)
 			}
 		}
 		lease, err := g.d4.Acquire(hw, newTxn)
 		if err != nil {
-			return false, fmt.Errorf("bng: shard %d key %#x: dhcp4: %w", e.id, ev.key, err)
+			return false, fmt.Errorf("bng: shard %d key %#x: dhcp4: %w", e.id, ev.Tie, err)
 		}
 		addr4 = netutil.U32(lease.Addr)
 		if g.d6 != nil {
@@ -636,20 +578,20 @@ func (e *shardEngine) assign(b stripe.Borrowed, ev *event, sub *subState, g *gro
 				bind, err = g.d6.Acquire(sub.duid, newTxn)
 			}
 			if err != nil {
-				return false, fmt.Errorf("bng: shard %d key %#x: dhcp6: %w", e.id, ev.key, err)
+				return false, fmt.Errorf("bng: shard %d key %#x: dhcp6: %w", e.id, ev.Tie, err)
 			}
 			p6hi, _ = netutil.U128(bind.Prefix.Addr())
 			p6len = uint8(bind.Prefix.Bits())
 		}
 	}
-	old, had := b.Get(ev.key)
+	old, had := b.Get(ev.Tie)
 	s := stripe.Session{
-		Key:     ev.key,
+		Key:     ev.Tie,
 		Addr4:   addr4,
 		Pfx6Hi:  p6hi,
 		Pfx6Len: p6len,
-		Start:   ev.at,
-		Expiry:  ev.at + 2*g.renewSec,
+		Start:   ev.At,
+		Expiry:  ev.At + 2*g.renewSec,
 		State:   stripe.StateActive,
 	}
 	if had {
@@ -808,15 +750,15 @@ func (e *shardEngine) relayAcquire6(g *groupSrv, duid dhcp6.DUID, rng *uint64) (
 // assignment out-params; ok=false means the exchange was abandoned and
 // all partial state rolled back.
 func (e *shardEngine) relayAssign(b stripe.Borrowed, ev *event, sub *subState, g *groupSrv, renum bool, addr4 *uint32, p6hi *uint64, p6len *uint8) (bool, error) {
-	hw := hwOf(ev.key)
+	hw := hwOf(ev.Tie)
 	if renum {
 		// The release may itself be lost on a hop; the sticky server
 		// then still holds the old binding and simply re-offers it.
-		if _, _, err := e.relayX4(g, dhcp4.NewMessage(dhcp4.Release, uint32(next(&ev.rng)), hw), &ev.rng); err != nil {
+		if _, _, err := e.relayX4(g, dhcp4.NewMessage(dhcp4.Release, uint32(next(&ev.P.rng)), hw), &ev.P.rng); err != nil {
 			return false, err
 		}
 	}
-	a4, ok, err := e.relayAcquire4(g, hw, &ev.rng)
+	a4, ok, err := e.relayAcquire4(g, hw, &ev.P.rng)
 	if err != nil {
 		return false, err
 	}
@@ -832,15 +774,15 @@ func (e *shardEngine) relayAssign(b stripe.Borrowed, ev *event, sub *subState, g
 		// Renumbering stays programmatic: Reassign's
 		// allocate-before-free contract is what guarantees a fresh
 		// prefix, and it has no single-message wire equivalent.
-		bind, err := g.d6.Reassign(sub.duid, uint32(next(&ev.rng)))
+		bind, err := g.d6.Reassign(sub.duid, uint32(next(&ev.P.rng)))
 		if err != nil {
-			return false, fmt.Errorf("bng: shard %d key %#x: dhcp6: %w", e.id, ev.key, err)
+			return false, fmt.Errorf("bng: shard %d key %#x: dhcp6: %w", e.id, ev.Tie, err)
 		}
 		*p6hi, _ = netutil.U128(bind.Prefix.Addr())
 		*p6len = uint8(bind.Prefix.Bits())
 		return true, nil
 	}
-	p6, ok, err := e.relayAcquire6(g, sub.duid, &ev.rng)
+	p6, ok, err := e.relayAcquire6(g, sub.duid, &ev.P.rng)
 	if err != nil {
 		return false, err
 	}
@@ -859,30 +801,30 @@ func (e *shardEngine) relayAssign(b stripe.Borrowed, ev *event, sub *subState, g
 // subscriber no longer holds; the server then frees nothing.
 func (e *shardEngine) relayFail(b stripe.Borrowed, ev *event, sub *subState, g *groupSrv) {
 	e.stats.RelayOutages++
-	_, _ = g.d4.Handle(dhcp4.NewMessage(dhcp4.Release, uint32(next(&ev.rng)), hwOf(ev.key)))
+	_, _ = g.d4.Handle(dhcp4.NewMessage(dhcp4.Release, uint32(next(&ev.P.rng)), hwOf(ev.Tie)))
 	if g.d6 != nil {
 		g.d6.ReleaseBinding(sub.duid)
 	}
-	b.Delete(ev.key)
+	b.Delete(ev.Tie)
 }
 
 // coa delivers an RFC 5176 CoA-Request through the wire codec and the
 // group's RADIUS server, then applies the ACK's fresh addresses to the
 // session record: operator-forced renumbering without a disconnect.
 func (e *shardEngine) coa(b stripe.Borrowed, ev *event, sub *subState, g *groupSrv) error {
-	req := radius.New(radius.CoARequest, byte(next(&ev.rng)))
+	req := radius.New(radius.CoARequest, byte(next(&ev.P.rng)))
 	req.AddString(radius.AttrUserName, sub.user)
 	wire := req.EncodeRequest(g.rad.Secret())
 	if err := radius.VerifyRequest(wire, g.rad.Secret()); err != nil {
-		return fmt.Errorf("bng: shard %d key %#x: coa auth: %w", e.id, ev.key, err)
+		return fmt.Errorf("bng: shard %d key %#x: coa auth: %w", e.id, ev.Tie, err)
 	}
 	parsed, err := radius.Parse(wire)
 	if err != nil {
-		return fmt.Errorf("bng: shard %d key %#x: coa parse: %w", e.id, ev.key, err)
+		return fmt.Errorf("bng: shard %d key %#x: coa parse: %w", e.id, ev.Tie, err)
 	}
-	rep, err := g.rad.Handle(parsed, ev.at)
+	rep, err := g.rad.Handle(parsed, ev.At)
 	if err != nil {
-		return fmt.Errorf("bng: shard %d key %#x: coa: %w", e.id, ev.key, err)
+		return fmt.Errorf("bng: shard %d key %#x: coa: %w", e.id, ev.Tie, err)
 	}
 	e.stats.CoAs++
 	if rep.Code != radius.CoAACK {
@@ -900,7 +842,7 @@ func (e *shardEngine) coa(b stripe.Borrowed, ev *event, sub *subState, g *groupS
 		p6hi, _ = netutil.U128(p6.Addr())
 		p6len = uint8(p6.Bits())
 	}
-	if old, had := b.Get(ev.key); had {
+	if old, had := b.Get(ev.Tie); had {
 		s := old
 		s.Addr4, s.Pfx6Hi, s.Pfx6Len = addr4, p6hi, p6len
 		e.update(b, old, true, s)
@@ -911,20 +853,20 @@ func (e *shardEngine) coa(b stripe.Borrowed, ev *event, sub *subState, g *groupS
 // disconnect tears the session down with an RFC 5176 Disconnect-Request
 // through the wire codec; the caller schedules the reattach.
 func (e *shardEngine) disconnect(b stripe.Borrowed, ev *event, sub *subState, g *groupSrv) error {
-	req := radius.New(radius.DisconnectRequest, byte(next(&ev.rng)))
+	req := radius.New(radius.DisconnectRequest, byte(next(&ev.P.rng)))
 	req.AddString(radius.AttrUserName, sub.user)
 	parsed, err := radius.Parse(req.EncodeRequest(g.rad.Secret()))
 	if err != nil {
-		return fmt.Errorf("bng: shard %d key %#x: disconnect parse: %w", e.id, ev.key, err)
+		return fmt.Errorf("bng: shard %d key %#x: disconnect parse: %w", e.id, ev.Tie, err)
 	}
-	if _, err := g.rad.Handle(parsed, ev.at); err != nil {
-		return fmt.Errorf("bng: shard %d key %#x: disconnect: %w", e.id, ev.key, err)
+	if _, err := g.rad.Handle(parsed, ev.At); err != nil {
+		return fmt.Errorf("bng: shard %d key %#x: disconnect: %w", e.id, ev.Tie, err)
 	}
 	e.stats.Disconnects++
-	if s, ok := b.Get(ev.key); ok {
-		e.skSessionEnd(s.Start, ev.at)
+	if s, ok := b.Get(ev.Tie); ok {
+		e.skSessionEnd(s.Start, ev.At)
 	}
-	b.Delete(ev.key)
+	b.Delete(ev.Tie)
 	return nil
 }
 
@@ -1009,16 +951,16 @@ func (e *shardEngine) release(b stripe.Borrowed, ev *event, sub *subState, g *gr
 	case g.rad != nil:
 		g.rad.StopSession(sub.user)
 	default:
-		hw := hwOf(ev.key)
-		g.d4.Handle(dhcp4.NewMessage(dhcp4.Release, uint32(next(&ev.rng)), hw))
+		hw := hwOf(ev.Tie)
+		g.d4.Handle(dhcp4.NewMessage(dhcp4.Release, uint32(next(&ev.P.rng)), hw))
 		if g.d6 != nil {
 			g.d6.ReleaseBinding(sub.duid)
 		}
 	}
-	if s, ok := b.Get(ev.key); ok {
-		e.skSessionEnd(s.Start, ev.at)
+	if s, ok := b.Get(ev.Tie); ok {
+		e.skSessionEnd(s.Start, ev.At)
 	}
-	b.Delete(ev.key)
+	b.Delete(ev.Tie)
 	e.stats.Flaps++
 }
 
@@ -1031,15 +973,29 @@ func (e *shardEngine) release(b stripe.Borrowed, ev *event, sub *subState, g *gr
 //lint:hotpath
 func (e *shardEngine) scheduleNext(ev *event, g *groupSrv) {
 	in, kind := g.renewSec, evRenew
-	in, kind = g.renumber.race(next(&ev.rng), in, kind, evRenumber)
-	in, kind = g.flap.race(next(&ev.rng), in, kind, evFlap)
+	in, kind = g.renumber.race(next(&ev.P.rng), in, kind, evRenumber)
+	in, kind = g.flap.race(next(&ev.P.rng), in, kind, evFlap)
 	// Scenario operator actions: drawn only when the cadence is set, so
 	// a scenario-free config consumes no extra cursor state.
 	if g.coa.mean > 0 {
-		in, kind = g.coa.race(next(&ev.rng), in, kind, evCoA)
+		in, kind = g.coa.race(next(&ev.P.rng), in, kind, evCoA)
 	}
 	if g.disc.mean > 0 {
-		in, kind = g.disc.race(next(&ev.rng), in, kind, evDisconnect)
+		in, kind = g.disc.race(next(&ev.P.rng), in, kind, evDisconnect)
 	}
-	e.events.push(event{at: ev.at + in, key: ev.key, idx: ev.idx, kind: kind, rng: ev.rng})
+	e.requeue(ev, in, kind)
+}
+
+// reattachLater queues the subscriber's reattach after a fresh downtime
+// draw.
+func (e *shardEngine) reattachLater(ev *event, g *groupSrv) {
+	e.requeue(ev, expSeconds(&ev.P.rng, g.downSec), evReattach)
+}
+
+// requeue queues the subscriber's next action, kind, in seconds after ev,
+// carrying ev's key, index and cursor.
+//
+//lint:hotpath
+func (e *shardEngine) requeue(ev *event, in int64, kind uint8) {
+	e.events.push(event{At: ev.At + in, Tie: ev.Tie, P: action{rng: ev.P.rng, idx: ev.P.idx, kind: kind}})
 }

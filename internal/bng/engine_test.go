@@ -3,11 +3,13 @@ package bng
 import (
 	"fmt"
 	"testing"
+
+	"dynamips/internal/evq"
 )
 
 // TestEventQueueOrder: under the engine's scheduling rules the lanes and
-// the heap together pop exactly the sequence one eventHeap of every
-// event pops. Each popped event schedules its subscriber's next one: a
+// the heap together pop exactly the sequence one evq.Heap of every event
+// pops. Each popped event schedules its subscriber's next one: a
 // renewal its lane's fixed cadence later, any other kind a random
 // interval ≥ 1 later. Cadences and intervals are a few seconds, so many
 // events share an at and the key tie-break decides.
@@ -26,29 +28,29 @@ func TestEventQueueOrder(t *testing.T) {
 			}
 		}
 		q := newEventQueue(subs, groups, seed)
-		var ref eventHeap
+		var ref evq.Heap[action]
 		for i, s := range subs {
-			ref.push(event{at: 0, key: s.key, idx: int32(i), kind: evAttach, rng: seed + (s.key+1)*gamma})
+			ref.Push(event{At: 0, Tie: s.key, P: action{idx: int32(i), kind: evAttach, rng: seed + (s.key+1)*gamma}})
 		}
 		for step := 0; step < 4000; step++ {
 			src, top := q.earliest()
 			if top == nil {
-				t.Fatalf("seed %d step %d: queue empty, reference holds %d events", seed, step, len(ref))
+				t.Fatalf("seed %d step %d: queue empty, reference holds %d events", seed, step, ref.Len())
 			}
-			got, want := q.pop(src), ref.pop()
+			got, want := q.pop(src), ref.Pop()
 			if got != want {
 				t.Fatalf("seed %d step %d: popped %+v, reference popped %+v", seed, step, got, want)
 			}
 			ev := got
 			if next(&rng)%3 == 0 {
-				ev.kind = kinds[next(&rng)%uint64(len(kinds))]
-				ev.at += 1 + int64(next(&rng)%4)
+				ev.P.kind = kinds[next(&rng)%uint64(len(kinds))]
+				ev.At += 1 + int64(next(&rng)%4)
 			} else {
-				ev.kind = evRenew
-				ev.at += renew[ev.key>>32]
+				ev.P.kind = evRenew
+				ev.At += renew[ev.Tie>>32]
 			}
 			q.push(ev)
-			ref.push(ev)
+			ref.Push(ev)
 		}
 	}
 }
@@ -63,7 +65,7 @@ func TestEventQueueLaneFullPanics(t *testing.T) {
 			t.Error("pushing past the lane's capacity did not panic")
 		}
 	}()
-	q.push(event{at: 5, key: 0, kind: evRenew})
+	q.push(event{At: 5, P: action{kind: evRenew}})
 }
 
 // TestCadenceSkipThreshold: for every cadence of DefaultConfig, with and

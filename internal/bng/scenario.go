@@ -2,6 +2,7 @@ package bng
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -61,6 +62,19 @@ func (s *Scenario) EffectivePolicy() string {
 func (s *Scenario) Validate() error {
 	if s == nil {
 		return nil
+	}
+	for _, v := range []struct {
+		key string
+		x   float64
+	}{
+		{"failover-mean", s.FailoverMeanHours},
+		{"coa-mean", s.CoAMeanHours},
+		{"disconnect-mean", s.DisconnectMeanHours},
+		{"relay-drop", s.RelayDrop},
+	} {
+		if math.IsNaN(v.x) || math.IsInf(v.x, 0) {
+			return fmt.Errorf("bng: scenario %s %v is not finite", v.key, v.x)
+		}
 	}
 	if s.FailoverMeanHours < 0 || s.CoAMeanHours < 0 || s.DisconnectMeanHours < 0 {
 		return fmt.Errorf("bng: scenario means must be non-negative")

@@ -54,6 +54,10 @@ func TestScenarioParse(t *testing.T) {
 		"relay-hops=99",
 		"relay-drop=0.5", // drop without hops
 		"coa-mean=0",
+		"relay-hops=2,relay-drop=NaN",
+		"coa-mean=Inf",
+		"failover-mean=NaN",
+		"disconnect-mean=+Inf",
 	} {
 		if _, err := ParseScenario(bad); err == nil {
 			t.Errorf("ParseScenario(%q) succeeded, want error", bad)

@@ -135,8 +135,8 @@ func TestDORA(t *testing.T) {
 	if !netip.MustParsePrefix("100.64.10.0/24").Contains(l.Addr) {
 		t.Errorf("lease %v outside pool", l.Addr)
 	}
-	if srv.ActiveLeases() != 1 {
-		t.Errorf("ActiveLeases = %d", srv.ActiveLeases())
+	if heldCount(srv) != 1 {
+		t.Errorf("held leases = %d", heldCount(srv))
 	}
 	// A second client gets a different address.
 	l2, err := srv.Acquire(hw(2), 101)
@@ -170,16 +170,33 @@ func TestRenewKeepsAddress(t *testing.T) {
 	}
 }
 
-func TestStickyReofferAfterExpiry(t *testing.T) {
-	srv, clk := newTestServer(3600, true)
-	l, _ := srv.Acquire(hw(1), 1)
-	clk.t += 7200 // lease expired
-	l2, err := srv.Acquire(hw(1), 2)
+// releaseInTurn has hw(1) and hw(2) acquire, then release in that
+// order, which leaves hw(2)'s address on top of the LIFO free list. It
+// returns both addresses and hw(1)'s next lease.
+func releaseInTurn(t *testing.T, srv *Server) (a1, a2, again netip.Addr) {
+	t.Helper()
+	l1, _ := srv.Acquire(hw(1), 1)
+	l2, _ := srv.Acquire(hw(2), 2)
+	for i, h := range []HWAddr{hw(1), hw(2)} {
+		if _, err := srv.Handle(NewMessage(Release, uint32(3+i), h)); err != nil {
+			t.Fatalf("Release: %v", err)
+		}
+	}
+	l3, err := srv.Acquire(hw(1), 5)
 	if err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
-	if l2.Addr != l.Addr {
-		t.Errorf("sticky server moved returning client %v -> %v", l.Addr, l2.Addr)
+	return l1.Addr, l2.Addr, l3.Addr
+}
+
+// TestStickyReofferAfterRelease: a sticky server re-offers a returning
+// client the address it released, although another address sits on top
+// of the free list.
+func TestStickyReofferAfterRelease(t *testing.T) {
+	srv, _ := newTestServer(3600, true)
+	a1, _, again := releaseInTurn(t, srv)
+	if again != a1 {
+		t.Errorf("sticky server moved returning client %v -> %v", a1, again)
 	}
 }
 
@@ -210,18 +227,14 @@ func TestStaleReleaseKeepsOtherLease(t *testing.T) {
 	}
 }
 
-func TestNonStickyMovesAfterExpiry(t *testing.T) {
-	srv, clk := newTestServer(3600, false)
-	l, _ := srv.Acquire(hw(1), 1)
-	clk.t += 7200
-	// Another client grabs the reclaimed address space first.
-	srv.Acquire(hw(2), 2)
-	l2, err := srv.Acquire(hw(1), 3)
-	if err != nil {
-		t.Fatalf("Acquire: %v", err)
-	}
-	if l2.Addr == l.Addr {
-		t.Error("non-sticky server re-issued the same address after expiry and reuse")
+// TestNonStickyMovesAfterRelease: a non-sticky server forgets a released
+// lease, so the returning client gets the top of the free list: the
+// address released last.
+func TestNonStickyMovesAfterRelease(t *testing.T) {
+	srv, _ := newTestServer(3600, false)
+	a1, a2, again := releaseInTurn(t, srv)
+	if again != a2 {
+		t.Errorf("non-sticky server gave returning client %v, want %v (released last; its own was %v)", again, a2, a1)
 	}
 }
 
@@ -282,10 +295,17 @@ func TestPoolExhaustion(t *testing.T) {
 	if _, err := srv.Acquire(hw(5), 5); err == nil {
 		t.Fatal("5th client on /30 pool succeeded")
 	}
-	// After expiry the pool drains back.
+	// Leases outlive their advertised lifetime: only a release frees
+	// an address.
 	clk.t += 200
-	if _, err := srv.Acquire(hw(5), 6); err != nil {
-		t.Errorf("Acquire after reclamation: %v", err)
+	if _, err := srv.Acquire(hw(5), 6); err == nil {
+		t.Fatal("5th client got an address after the leases' lifetime, with none released")
+	}
+	if _, err := srv.Handle(NewMessage(Release, 7, hw(2))); err != nil {
+		t.Fatalf("Release: %v", err)
+	}
+	if _, err := srv.Acquire(hw(5), 8); err != nil {
+		t.Errorf("Acquire after a release: %v", err)
 	}
 	if srv.Capacity() != 4 {
 		t.Errorf("Capacity = %d", srv.Capacity())

@@ -71,8 +71,8 @@ func TestRelayChainDORA(t *testing.T) {
 	if _, err := chain.Return(ack); err != nil {
 		t.Fatalf("Return(ack): %v", err)
 	}
-	if srv.ActiveLeases() != 1 {
-		t.Errorf("ActiveLeases = %d, want 1", srv.ActiveLeases())
+	if heldCount(srv) != 1 {
+		t.Errorf("held leases = %d, want 1", heldCount(srv))
 	}
 }
 

@@ -1,7 +1,6 @@
 package dhcp4
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"net/netip"
@@ -30,17 +29,19 @@ type ServerConfig struct {
 	Pools []netip.Prefix
 	// LeaseSeconds is the lease duration granted to clients.
 	LeaseSeconds uint32
-	// Sticky controls whether the server remembers expired bindings and
-	// re-offers the same address to a returning client (typical DHCP
-	// server behavior). When false the server forgets bindings at
-	// expiry, modeling RADIUS-style assignment where reconnecting after
-	// the session times out yields a fresh address (§2.2).
+	// Sticky controls whether the server remembers released bindings and
+	// re-offers the same address to a returning client while no one else
+	// holds it (typical DHCP server behavior). When false the server
+	// forgets a binding at release, modeling RADIUS-style assignment
+	// where reconnecting yields whatever address is free (§2.2).
 	Sticky bool
 	// ServerID is the server identifier placed in replies.
 	ServerID netip.Addr
 }
 
-// Lease is one active binding.
+// Lease is one binding: Expiry is the end of the lifetime the server
+// advertised, counted on its clock. The server never expires a lease
+// itself; it holds its address until Release or Forget.
 type Lease struct {
 	Addr   netip.Addr
 	HW     HWAddr
@@ -55,11 +56,11 @@ type Server struct {
 	clock Clock
 
 	// pool walks the pools sequentially (stride 1); each held address's
-	// holder is the lease bound to it.
-	pool   *addrpool.Pool[netip.Addr, *Lease]
-	byHW   map[HWAddr]*Lease
+	// holder is the client bound to it. A sticky server's byHW also
+	// remembers released leases, whose addresses it no longer holds.
+	pool   *addrpool.Pool[netip.Addr, HWAddr]
+	byHW   map[HWAddr]Lease
 	offers map[HWAddr]netip.Addr
-	expiry leaseHeap
 }
 
 // NewServer builds a Server. It panics on an empty pool set, zero lease, or
@@ -68,7 +69,7 @@ func NewServer(cfg ServerConfig, clock Clock) *Server {
 	if cfg.LeaseSeconds == 0 {
 		panic("dhcp4: zero lease duration")
 	}
-	pool, err := addrpool.Addrs[*Lease](cfg.Pools, 1, ErrPoolExhausted)
+	pool, err := addrpool.Addrs[HWAddr](cfg.Pools, 1, ErrPoolExhausted)
 	if err != nil {
 		panic("dhcp4: " + err.Error())
 	}
@@ -79,7 +80,7 @@ func NewServer(cfg ServerConfig, clock Clock) *Server {
 		cfg:    cfg,
 		clock:  clock,
 		pool:   pool,
-		byHW:   make(map[HWAddr]*Lease),
+		byHW:   make(map[HWAddr]Lease),
 		offers: make(map[HWAddr]netip.Addr),
 	}
 }
@@ -87,49 +88,21 @@ func NewServer(cfg ServerConfig, clock Clock) *Server {
 // Capacity returns the total number of addresses across pools.
 func (s *Server) Capacity() uint64 { return s.pool.Size() }
 
-// ActiveLeases returns the number of unexpired bindings.
-func (s *Server) ActiveLeases() int {
-	now := s.clock.Now()
-	n := 0
-	for _, l := range s.byHW {
-		if l.Expiry > now {
-			n++
-		}
-	}
-	return n
-}
-
-// reclaim removes expired bindings whose time has passed, returning their
-// addresses to the free list. A queued lease no longer holding its
-// address was renewed, released or re-bound since being queued.
-func (s *Server) reclaim(now int64) {
-	for len(s.expiry) > 0 && s.expiry[0].Expiry <= now {
-		l := heap.Pop(&s.expiry).(*Lease)
-		if s.pool.Free(l.Addr, l) && !s.cfg.Sticky {
-			delete(s.byHW, l.HW)
-		}
-	}
-}
-
-func (s *Server) bind(hw HWAddr, a netip.Addr, now int64) *Lease {
-	l := &Lease{Addr: a, HW: hw, Expiry: now + int64(s.cfg.LeaseSeconds)}
+// bind leases a to hw for a fresh lifetime and makes hw its holder.
+func (s *Server) bind(hw HWAddr, a netip.Addr) Lease {
+	l := Lease{Addr: a, HW: hw, Expiry: s.clock.Now() + int64(s.cfg.LeaseSeconds)}
 	s.byHW[hw] = l
-	s.pool.Hold(a, l)
-	heap.Push(&s.expiry, l)
+	s.pool.Hold(a, hw)
 	return l
 }
 
-// candidate picks the address the server would offer hw: its current or
-// remembered binding when sticky and still free, otherwise a fresh one.
-func (s *Server) candidate(hw HWAddr, now int64) (netip.Addr, error) {
+// candidate picks the address the server would offer hw: the address of
+// its lease, current or (when sticky) released, if no other client holds
+// it, otherwise a fresh one.
+func (s *Server) candidate(hw HWAddr) (netip.Addr, error) {
 	if l, ok := s.byHW[hw]; ok {
-		if l.Expiry > now {
+		if cur, held := s.pool.Holder(l.Addr); !held || cur == hw {
 			return l.Addr, nil
-		}
-		if s.cfg.Sticky {
-			if cur, held := s.pool.Holder(l.Addr); !held || cur == l {
-				return l.Addr, nil
-			}
 		}
 	}
 	return s.pool.Next()
@@ -138,11 +111,9 @@ func (s *Server) candidate(hw HWAddr, now int64) (netip.Addr, error) {
 // Handle runs one request through the server state machine and returns the
 // reply, or nil for messages that elicit none (e.g. RELEASE).
 func (s *Server) Handle(req *Message) (*Message, error) {
-	now := s.clock.Now()
-	s.reclaim(now)
 	switch req.Type() {
 	case Discover:
-		a, err := s.candidate(req.CHAddr, now)
+		a, err := s.candidate(req.CHAddr)
 		if err != nil {
 			return nil, err
 		}
@@ -172,11 +143,11 @@ func (s *Server) Handle(req *Message) (*Message, error) {
 		if !offered {
 			return s.nak(req), nil
 		}
-		if cur, held := s.pool.Holder(want); held && cur.HW != req.CHAddr && cur.Expiry > now {
+		if cur, held := s.pool.Holder(want); held && cur != req.CHAddr {
 			return s.nak(req), nil
 		}
 		delete(s.offers, req.CHAddr)
-		l := s.bind(req.CHAddr, want, now)
+		l := s.bind(req.CHAddr, want)
 		rep := NewMessage(ACK, req.XID, req.CHAddr)
 		rep.YIAddr = l.Addr
 		rep.GIAddr = req.GIAddr
@@ -185,16 +156,13 @@ func (s *Server) Handle(req *Message) (*Message, error) {
 		return rep, nil
 
 	case Release:
-		// A client whose remembered address another client has since
-		// taken frees nothing: only the address's holder can free it.
+		// Only the address's holder frees it: a client whose remembered
+		// address another client has since taken frees nothing. A sticky
+		// server keeps the lease, to re-offer its address.
 		if l, ok := s.byHW[req.CHAddr]; ok {
-			s.pool.Free(l.Addr, l)
+			s.pool.Free(l.Addr, req.CHAddr)
 			if !s.cfg.Sticky {
 				delete(s.byHW, req.CHAddr)
-			} else {
-				// Remembered, but free for others. A fresh lease, so the
-				// queued one's expiry (its heap key) never changes.
-				s.byHW[req.CHAddr] = &Lease{Addr: l.Addr, HW: l.HW, Expiry: now}
 			}
 		}
 		return nil, nil
@@ -228,7 +196,7 @@ func (s *Server) nak(req *Message) *Message {
 func (s *Server) Forget(hw HWAddr) {
 	if l, ok := s.byHW[hw]; ok {
 		delete(s.byHW, hw)
-		s.pool.Free(l.Addr, l)
+		s.pool.Free(l.Addr, hw)
 	}
 	delete(s.offers, hw)
 }
@@ -251,20 +219,4 @@ func (s *Server) Acquire(hw HWAddr, xid uint32) (Lease, error) {
 	}
 	lease, _ := ack.U32Option(OptLeaseTime)
 	return Lease{Addr: ack.YIAddr, HW: hw, Expiry: s.clock.Now() + int64(lease)}, nil
-}
-
-// leaseHeap orders leases by expiry for lazy reclamation.
-type leaseHeap []*Lease
-
-func (h leaseHeap) Len() int            { return len(h) }
-func (h leaseHeap) Less(i, j int) bool  { return h[i].Expiry < h[j].Expiry }
-func (h leaseHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *leaseHeap) Push(x interface{}) { *h = append(*h, x.(*Lease)) }
-func (h *leaseHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return x
 }

@@ -23,8 +23,8 @@ func TestRapidCommit(t *testing.T) {
 	if ia := renew(t, srv, duid(1), 2); len(ia.Prefixes) != 1 {
 		t.Errorf("renew after rapid commit: status %d, no delegation", ia.Status)
 	}
-	if srv.ActiveBindings() != 1 {
-		t.Errorf("ActiveBindings = %d", srv.ActiveBindings())
+	if heldCount(srv) != 1 {
+		t.Errorf("held bindings = %d", heldCount(srv))
 	}
 }
 

@@ -113,8 +113,8 @@ func TestLDRAChainRapidCommit(t *testing.T) {
 	if len(msg.IAPDs) != 1 || len(msg.IAPDs[0].Prefixes) != 1 {
 		t.Fatalf("no delegation through the relay path: %+v", msg.IAPDs)
 	}
-	if srv.ActiveBindings() != 1 {
-		t.Errorf("ActiveBindings = %d, want 1", srv.ActiveBindings())
+	if heldCount(srv) != 1 {
+		t.Errorf("held bindings = %d, want 1", heldCount(srv))
 	}
 }
 

@@ -1,7 +1,6 @@
 package dhcp6
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"net/netip"
@@ -44,7 +43,10 @@ type ServerConfig struct {
 	ServerDUID DUID
 }
 
-// Binding is one active delegation.
+// Binding is one delegation: Expiry is the end of the valid lifetime the
+// server advertised, counted on its clock. The server never expires a
+// binding itself; it holds its prefix until Release, Reassign, LoseState
+// or Renumber.
 type Binding struct {
 	Prefix netip.Prefix
 	Client string // DUID as map key
@@ -85,11 +87,11 @@ type Server struct {
 	stats ServerStats
 	clock Clock
 
-	// pool's holder of each delegated prefix is the binding for it.
-	pool     *addrpool.Pool[netip.Prefix, *Binding]
-	byClient map[string]*Binding
+	// pool's holder of each delegated prefix is the client bound to it,
+	// by DUID string.
+	pool     *addrpool.Pool[netip.Prefix, string]
+	byClient map[string]Binding
 	offers   map[string]netip.Prefix
-	expiry   bindingHeap
 }
 
 // NewServer builds a Server. It panics on configuration bugs: no pools,
@@ -98,7 +100,7 @@ func NewServer(cfg ServerConfig, clock Clock) *Server {
 	if cfg.ValidSeconds == 0 {
 		panic("dhcp6: zero valid lifetime")
 	}
-	pool, err := addrpool.Prefixes[*Binding](cfg.Pools, cfg.DelegatedLen, stride, ErrPoolExhausted)
+	pool, err := addrpool.Prefixes[string](cfg.Pools, cfg.DelegatedLen, stride, ErrPoolExhausted)
 	if err != nil {
 		panic("dhcp6: " + err.Error())
 	}
@@ -109,7 +111,7 @@ func NewServer(cfg ServerConfig, clock Clock) *Server {
 		cfg:      cfg,
 		clock:    clock,
 		pool:     pool,
-		byClient: make(map[string]*Binding),
+		byClient: make(map[string]Binding),
 		offers:   make(map[string]netip.Prefix),
 	}
 }
@@ -120,26 +122,13 @@ func (s *Server) Capacity() uint64 { return s.pool.Size() }
 // Stats returns the server's accumulated totals.
 func (s *Server) Stats() ServerStats { return s.stats }
 
-// ActiveBindings returns the number of unexpired delegations.
-func (s *Server) ActiveBindings() int {
-	now := s.clock.Now()
-	n := 0
-	for _, b := range s.byClient {
-		if b.Expiry > now {
-			n++
-		}
-	}
-	return n
-}
-
 // LoseState drops all bindings (ISP-side outage, §2.2). Renewing CPEs get
 // NoBinding and must re-solicit, receiving fresh delegations.
 func (s *Server) LoseState() {
 	s.stats.LoseStates++
 	s.pool.Drop()
-	s.byClient = make(map[string]*Binding)
+	s.byClient = make(map[string]Binding)
 	s.offers = make(map[string]netip.Prefix)
-	s.expiry = nil
 }
 
 // Renumber frees every binding and advances the allocation cursor past the
@@ -151,32 +140,24 @@ func (s *Server) Renumber() {
 	s.pool.ForgetFreed()
 }
 
-// reclaim frees the delegations whose bindings expired by now. A queued
-// binding no longer holding its prefix was renewed, released or re-bound
-// since being queued.
-func (s *Server) reclaim(now int64) {
-	for len(s.expiry) > 0 && s.expiry[0].Expiry <= now {
-		b := heap.Pop(&s.expiry).(*Binding)
-		if s.pool.Free(b.Prefix, b) {
-			delete(s.byClient, b.Client)
-		}
-	}
-}
-
-func (s *Server) candidate(client string, now int64) (netip.Prefix, error) {
-	if b, ok := s.byClient[client]; ok && b.Expiry > now {
+// candidate is the prefix the server would offer client: the one it
+// holds, otherwise a fresh one.
+func (s *Server) candidate(client string) (netip.Prefix, error) {
+	if b, ok := s.byClient[client]; ok {
 		return b.Prefix, nil
 	}
 	return s.pool.Next()
 }
 
-// bind records a fresh binding of p to client. Bindings are never
-// changed once queued on the expiry heap: a renewal binds anew.
-func (s *Server) bind(client string, p netip.Prefix, now int64) *Binding {
-	b := &Binding{Prefix: p, Client: client, Expiry: now + int64(s.cfg.ValidSeconds)}
+// bind delegates p to client for a fresh lifetime and makes client its
+// holder. It also drops the client's outstanding offer, which predates
+// the binding: a Request naming it would rebind the client without
+// freeing the prefix it now holds.
+func (s *Server) bind(client string, p netip.Prefix) Binding {
+	b := Binding{Prefix: p, Client: client, Expiry: s.clock.Now() + int64(s.cfg.ValidSeconds)}
 	s.byClient[client] = b
-	s.pool.Hold(p, b)
-	heap.Push(&s.expiry, b)
+	s.pool.Hold(p, client)
+	delete(s.offers, client)
 	return b
 }
 
@@ -207,8 +188,6 @@ func (s *Server) iaStatus(iaid uint32, status uint16) IAPD {
 // Handle runs one request through the delegation state machine.
 // Release elicits a plain success Reply.
 func (s *Server) Handle(req *Message) (*Message, error) {
-	now := s.clock.Now()
-	s.reclaim(now)
 	if len(req.ClientID) == 0 {
 		return nil, errors.New("dhcp6: request missing client ID")
 	}
@@ -220,13 +199,13 @@ func (s *Server) Handle(req *Message) (*Message, error) {
 	switch req.Type {
 	case Solicit:
 		s.stats.Solicits++
-		p, err := s.candidate(client, now)
+		p, err := s.candidate(client)
 		if err != nil {
 			return s.reply(req, Advertise, s.iaStatus(iaid, StatusNoPrefixAvail)), nil
 		}
 		if req.RapidCommit {
 			// Two-message exchange: commit immediately (§18.2.1).
-			b := s.bind(client, p, now)
+			b := s.bind(client, p)
 			rep := s.reply(req, Reply, s.iaSuccess(b.Prefix, iaid))
 			rep.RapidCommit = true
 			return rep, nil
@@ -241,7 +220,7 @@ func (s *Server) Handle(req *Message) (*Message, error) {
 		if len(req.IAPDs) > 0 && len(req.IAPDs[0].Prefixes) > 0 {
 			have = req.IAPDs[0].Prefixes[0].Prefix
 		}
-		if b, ok := s.byClient[client]; ok && have.IsValid() && b.Prefix == have && b.Expiry > now {
+		if b, ok := s.byClient[client]; ok && have.IsValid() && b.Prefix == have {
 			return s.reply(req, Reply, s.iaStatus(iaid, StatusSuccess)), nil
 		}
 		return s.reply(req, Reply, s.iaStatus(iaid, StatusNotOnLink)), nil
@@ -260,21 +239,20 @@ func (s *Server) Handle(req *Message) (*Message, error) {
 			s.stats.NoBindings++
 			return s.reply(req, Reply, s.iaStatus(iaid, StatusNoBinding)), nil
 		}
-		if cur, held := s.pool.Holder(want); held && cur.Client != client && cur.Expiry > now {
+		if cur, held := s.pool.Holder(want); held && cur != client {
 			return s.reply(req, Reply, s.iaStatus(iaid, StatusNoPrefixAvail)), nil
 		}
-		delete(s.offers, client)
-		b := s.bind(client, want, now)
+		b := s.bind(client, want)
 		return s.reply(req, Reply, s.iaSuccess(b.Prefix, iaid)), nil
 
 	case Renew, Rebind:
 		s.stats.Renews++
 		b, ok := s.byClient[client]
-		if !ok || b.Expiry <= now {
+		if !ok {
 			s.stats.NoBindings++
 			return s.reply(req, Reply, s.iaStatus(iaid, StatusNoBinding)), nil
 		}
-		b = s.bind(client, b.Prefix, now)
+		b = s.bind(client, b.Prefix)
 		return s.reply(req, Reply, s.iaSuccess(b.Prefix, iaid)), nil
 
 	case Release:
@@ -317,18 +295,15 @@ func (s *Server) Acquire(client DUID, txn uint32) (Binding, error) {
 // then freed for other subscribers.
 func (s *Server) Reassign(client DUID, txn uint32) (Binding, error) {
 	s.stats.Reassigns++
-	now := s.clock.Now()
-	s.reclaim(now)
 	p, err := s.pool.Next()
 	if err != nil {
 		return Binding{}, err
 	}
 	cl := client.String()
 	if old, ok := s.byClient[cl]; ok {
-		s.pool.Free(old.Prefix, old)
+		s.pool.Free(old.Prefix, cl)
 	}
-	b := s.bind(cl, p, now)
-	return *b, nil
+	return s.bind(cl, p), nil
 }
 
 // ReleaseBinding releases the client's delegation programmatically
@@ -338,22 +313,7 @@ func (s *Server) ReleaseBinding(client DUID) { s.release(client.String()) }
 // release frees the client's delegation, if it holds one.
 func (s *Server) release(client string) {
 	if b, ok := s.byClient[client]; ok {
-		s.pool.Free(b.Prefix, b)
+		s.pool.Free(b.Prefix, client)
 		delete(s.byClient, client)
 	}
-}
-
-type bindingHeap []*Binding
-
-func (h bindingHeap) Len() int            { return len(h) }
-func (h bindingHeap) Less(i, j int) bool  { return h[i].Expiry < h[j].Expiry }
-func (h bindingHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *bindingHeap) Push(x interface{}) { *h = append(*h, x.(*Binding)) }
-func (h *bindingHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return x
 }

@@ -1,7 +1,6 @@
 package isp
 
 import (
-	"container/heap"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -10,6 +9,7 @@ import (
 
 	"dynamips/internal/bgp"
 	"dynamips/internal/dhcp6"
+	"dynamips/internal/evq"
 	"dynamips/internal/faultnet"
 	"dynamips/internal/netutil"
 	"dynamips/internal/radius"
@@ -125,31 +125,14 @@ const (
 	evAdminRenumber
 )
 
-type event struct {
-	at   int64
-	seq  int
+// action is what an event does: kind for subscriber sub, or for the
+// region sub when kind is evInfraOutage. An event's Tie is its push
+// sequence, so events due in the same hour fire in the order they were
+// scheduled.
+type action struct {
 	sub  int
 	kind int
 	gen  int // drops events scheduled under a superseded policy
-}
-
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }
 
 // sim holds the live machinery of one run.
@@ -170,8 +153,8 @@ type sim struct {
 	// cfg.Faults); link ids 2i and 2i+1 keep the families uncorrelated.
 	links4, links6 []*faultnet.Link
 
-	events eventHeap
-	seq    int
+	events evq.Heap[action]
+	seq    uint64
 }
 
 // Run simulates the configured AS population and returns its full
@@ -249,10 +232,10 @@ func (s *sim) buildServers() error {
 			})
 		}
 	}
-	// CPEs renew their delegations continuously while online, so a
-	// binding must never expire underneath the schedule: lifetimes cover
-	// the whole horizon. (A lifetime equal to the change period would
-	// let the server reclaim and instantly re-issue the same prefix.)
+	// A delegation server never expires a binding: it holds its prefix
+	// until the schedule moves it (a change, an outage or a renumbering).
+	// The valid lifetime only fills the replies, and covers the horizon
+	// plus a day.
 	valid := uint32(4_000_000_000)
 	if sec := (s.cfg.Hours + 24) * 3600; sec < int64(valid) {
 		valid = uint32(sec)
@@ -376,8 +359,7 @@ func (s *sim) pushInfra(at int64, region int) {
 	if at >= s.cfg.Hours {
 		return
 	}
-	s.seq++
-	heap.Push(&s.events, event{at: at, seq: s.seq, sub: region, kind: evInfraOutage})
+	s.queue(at, action{sub: region, kind: evInfraOutage})
 }
 
 // infraOutage models the region's assignment servers losing state: fresh
@@ -418,8 +400,14 @@ func (s *sim) push(at int64, sub, kind int) {
 	if at >= s.cfg.Hours {
 		return
 	}
+	s.queue(at, action{sub: sub, kind: kind, gen: s.subs[sub].gen})
+}
+
+// queue schedules a at hour at, behind every event already queued for
+// that hour.
+func (s *sim) queue(at int64, a action) {
 	s.seq++
-	heap.Push(&s.events, event{at: at, seq: s.seq, sub: sub, kind: kind, gen: s.subs[sub].gen})
+	s.events.Push(evq.Event[action]{At: at, Tie: s.seq, P: a})
 }
 
 func (s *sim) scheduleNext(t int64, sub *Subscriber) {
@@ -655,47 +643,47 @@ func (s *sim) run() {
 	}
 	for _, at := range p.AdminRenumberAtHours {
 		if at > 0 && at < s.cfg.Hours {
-			s.seq++
-			heap.Push(&s.events, event{at: at, seq: s.seq, kind: evAdminRenumber})
+			s.queue(at, action{kind: evAdminRenumber})
 		}
 	}
 	shift := p.Shift
 	for s.events.Len() > 0 {
-		ev := heap.Pop(&s.events).(event)
+		e := s.events.Pop()
+		at, ev := e.At, e.P
 		if ev.kind == evInfraOutage {
-			s.clock.sec = ev.at * 3600
-			s.infraOutage(ev.at, ev.sub)
-			s.pushInfra(ev.at+max(1, int64(s.rng.ExpFloat64()*p.InfraOutageMeanHours)), ev.sub)
+			s.clock.sec = at * 3600
+			s.infraOutage(at, ev.sub)
+			s.pushInfra(at+max(1, int64(s.rng.ExpFloat64()*p.InfraOutageMeanHours)), ev.sub)
 			continue
 		}
 		if ev.kind == evAdminRenumber {
-			s.clock.sec = ev.at * 3600
-			s.adminRenumber(ev.at)
+			s.clock.sec = at * 3600
+			s.adminRenumber(at)
 			continue
 		}
 		sub := s.subs[ev.sub]
 		if ev.gen != sub.gen {
 			continue // scheduled under a superseded policy
 		}
-		s.clock.sec = ev.at * 3600
+		s.clock.sec = at * 3600
 		switch ev.kind {
 		case evBoth:
-			s.changeV4(ev.at, sub)
-			s.changeV6(ev.at, sub)
+			s.changeV4(at, sub)
+			s.changeV6(at, sub)
 		case evV4:
-			s.changeV4(ev.at, sub)
+			s.changeV4(at, sub)
 		case evV6:
-			s.changeV6(ev.at, sub)
+			s.changeV6(at, sub)
 		case evScramble:
 			if n := len(sub.V6); n > 0 {
 				d := sub.V6[n-1].Delegated
 				lan := netutil.ScrambleBits(netip.PrefixFrom(d.Addr(), 64), p.DelegatedLen, s.rng.Uint64())
 				if lan != sub.V6[n-1].LAN {
-					sub.pushV6(V6Step{Start: ev.at, LAN: lan, Delegated: d})
+					sub.pushV6(V6Step{Start: at, LAN: lan, Delegated: d})
 				}
 			}
 		}
-		if shift != nil && !sub.shifted && ev.at >= shift.AtHour && ev.kind != evScramble {
+		if shift != nil && !sub.shifted && at >= shift.AtHour && ev.kind != evScramble {
 			// Policy change: the subscriber re-draws its behavior class
 			// and re-arms its change processes under the new policy.
 			sub.shifted = true
@@ -706,11 +694,11 @@ func (s *sim) run() {
 				sub.class = pickClass(shift.NDSAfter, s.rng)
 			}
 			if sub.Scramble && p.ScrambleMeanHours > 0 {
-				s.push(ev.at+max(1, int64(s.rng.ExpFloat64()*p.ScrambleMeanHours)), sub.ID, evScramble)
+				s.push(at+max(1, int64(s.rng.ExpFloat64()*p.ScrambleMeanHours)), sub.ID, evScramble)
 			}
-			s.scheduleNext(ev.at, sub)
+			s.scheduleNext(at, sub)
 			continue
 		}
-		s.scheduleOne(ev.at, sub, ev.kind)
+		s.scheduleOne(at, sub, ev.kind)
 	}
 }

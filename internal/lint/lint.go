@@ -38,6 +38,8 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		SimPackages: []string{
+			"internal/addrpool",
+			"internal/evq",
 			"internal/isp",
 			"internal/atlas",
 			"internal/cdn",
@@ -69,6 +71,7 @@ func DefaultConfig() Config {
 			"internal/parallel",
 		},
 		HotPackages: []string{
+			"internal/evq",
 			"internal/rtrie",
 			"internal/cdn/stream",
 			"internal/bng/stripe",
