@@ -34,7 +34,7 @@ func cmdServeBNG(args []string) error {
 	fs := newFlagSet("serve-bng")
 	subscribers := fs.Int("subscribers", 100_000, "total subscribers across the built-in groups")
 	seed := fs.Uint64("seed", 1, "master seed")
-	shardBits := fs.Int("shards", 8, "shard bits: the session table and event loop use 2^n stripes")
+	shardBits := fs.Int("shards", 8, "shard bits: 2^n engines churn the subscribers, each owning one stripe of the session keys")
 	workers := fs.Int("workers", 0, "shard fan-out per round (0 = GOMAXPROCS)")
 	churnHours := fs.Int64("churn-hours", 24, "virtual hours of churn to run")
 	roundHours := fs.Int64("round-hours", 1, "round granularity: stats/watermark refresh every n virtual hours")
@@ -54,6 +54,22 @@ func cmdServeBNG(args []string) error {
 	}
 	if fs.NArg() != 0 {
 		return fmt.Errorf("serve-bng: unexpected arguments %q", fs.Args())
+	}
+	// Each of these would run something other than what was asked:
+	// DefaultConfig floors the subscriber count, the churn loop below
+	// never leaves its hour at a round size under 1, and the standby
+	// promotes without a poll or polls without pause.
+	switch {
+	case *subscribers < 1:
+		return fmt.Errorf("serve-bng: -subscribers must be positive, got %d", *subscribers)
+	case *roundHours < 1:
+		return fmt.Errorf("serve-bng: -round-hours must be positive, got %d", *roundHours)
+	case *churnHours < 0:
+		return fmt.Errorf("serve-bng: -churn-hours must be >= 0, got %d", *churnHours)
+	case *maxMisses < 1:
+		return fmt.Errorf("serve-bng: -max-misses must be positive, got %d", *maxMisses)
+	case *poll <= 0:
+		return fmt.Errorf("serve-bng: -poll must be positive, got %v", *poll)
 	}
 	or, err := startObs(*metrics, *pprofAddr)
 	if err != nil {

@@ -120,9 +120,31 @@ func TestServeBNGSigtermResume(t *testing.T) {
 	}
 }
 
-// TestServeBNGRejectsArgs: stray positional arguments are an error.
+// TestServeBNGRejectsArgs: stray positional arguments and flag values
+// serve-bng would mis-run are errors. Each call runs under a deadline,
+// so a value that makes the daemon spin fails the row instead of
+// hanging the package.
 func TestServeBNGRejectsArgs(t *testing.T) {
-	if err := cmdServeBNG([]string{"-subscribers", "100", "bogus"}); err == nil {
-		t.Error("serve-bng accepted a stray positional argument")
+	for _, args := range [][]string{
+		{"-subscribers", "100", "bogus"},
+		{"-subscribers", "2000", "-round-hours", "0", "-churn-hours", "2"},
+		{"-subscribers", "100", "-round-hours", "-3", "-churn-hours", "2"},
+		{"-subscribers", "0", "-churn-hours", "1"},
+		{"-subscribers", "-5", "-churn-hours", "1"},
+		{"-subscribers", "100", "-churn-hours", "-1"},
+		{"-subscribers", "100", "-churn-hours", "1", "-standby", "http://127.0.0.1:1", "-max-misses", "0"},
+		{"-subscribers", "100", "-churn-hours", "1", "-standby", "http://127.0.0.1:1", "-poll", "0s"},
+		{"-subscribers", "100", "-churn-hours", "1", "-standby", "http://127.0.0.1:1", "-poll", "-1s"},
+	} {
+		done := make(chan error, 1)
+		go func() { done <- cmdServeBNG(args) }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("serve-bng %q: accepted", args)
+			}
+		case <-time.After(10 * time.Second):
+			t.Errorf("serve-bng %q: still running after 10s", args)
+		}
 	}
 }

@@ -202,7 +202,7 @@ func BenchmarkRoundBarrier(b *testing.B) {
 	b.Run("barrier", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			d.buildCut(d.Hours(), d.failovers)
+			d.buildCut(d.Hours())
 		}
 	})
 }

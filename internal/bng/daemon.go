@@ -10,7 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"dynamips/internal/bng/stripe"
 	"dynamips/internal/checkpoint"
@@ -81,7 +81,7 @@ type StatsView struct {
 	LastFailoverHour int64 `json:"last_failover_hour"`
 }
 
-// Daemon hosts the sharded assignment plane: the stripe table, one
+// Daemon hosts the sharded assignment plane: the session table, one
 // engine per stripe, and the round cut the HTTP API serves.
 type Daemon struct {
 	cfg     Config
@@ -93,19 +93,20 @@ type Daemon struct {
 	// pagination index for /sessions.
 	cumSubs []int
 
-	// mu guards the published state below: the last round's cut, the
-	// role, and the failover schedule. The churn goroutine replaces cut
-	// and failovers together, so a reader never pairs one round's hour
-	// with another round's view.
-	mu   sync.RWMutex
-	cut  *roundCut
-	role string
+	// cut is the last round's published cut. The churn goroutine stores
+	// a new one at each round boundary; a reader loads it once and takes
+	// everything from it, so it never pairs one round's hour with
+	// another round's view.
+	cut atomic.Pointer[roundCut]
+	// role labels the daemon in /ha; SetRole replaces it under readers.
+	role atomic.Pointer[string]
 
 	// Failover schedule (scenario-driven). failCursor draws exponential
 	// gaps when FailoverMeanHours is set; failIdx walks the explicit
 	// FailoverAtHours list. nextFail is the next failover hour (0 =
 	// none pending); failovers records fired hours. Only the churn
-	// goroutine writes these; readers go through mu.
+	// goroutine touches these; each cut carries failovers and nextFail
+	// for readers.
 	failCursor uint64
 	failIdx    int
 	nextFail   int64
@@ -117,7 +118,7 @@ type Daemon struct {
 // roundCut is what a round boundary publishes: the virtual hour and
 // everything the read API serves for it. The session table is retained
 // in key order, so /snapshot encodes the boundary's table instead of
-// re-reading the stripes the engines are writing. The sketch set is the
+// re-reading the live table the engines are writing. The sketch set is the
 // stripe partials merged in stripe order; its binary form is encoded on
 // demand. Every field is a pure function of engine state at the
 // boundary, so two daemons at the same hour hold byte-identical cuts at
@@ -127,6 +128,11 @@ type roundCut struct {
 	view      StatsView
 	statsJSON []byte
 	snap      []stripe.Session
+
+	// failovers lists the fired failover hours and nextFail the next
+	// scheduled one (0 = none pending), as of this boundary.
+	failovers []int64
+	nextFail  int64
 
 	sketchSet  *sketch.Set
 	sketchView SketchView
@@ -146,7 +152,11 @@ func New(cfg Config, opt Options) (*Daemon, error) {
 	if opt.RoundHours < 1 {
 		opt.RoundHours = 1
 	}
-	table, err := stripe.New(cfg.ShardBits)
+	sizes := make([]int, len(cfg.Groups))
+	for gi := range cfg.Groups {
+		sizes[gi] = cfg.Groups[gi].Subscribers
+	}
+	table, err := stripe.New(cfg.ShardBits, sizes...)
 	if err != nil {
 		return nil, err
 	}
@@ -169,15 +179,16 @@ func New(cfg Config, opt Options) (*Daemon, error) {
 	for gi := range cfg.Groups {
 		d.cumSubs[gi+1] = d.cumSubs[gi] + cfg.Groups[gi].Subscribers
 	}
-	d.role = opt.Role
-	if d.role == "" {
-		d.role = "active"
+	role := opt.Role
+	if role == "" {
+		role = "active"
 	}
+	d.role.Store(&role)
 	if cfg.Scenario.hasFailover() {
 		d.failCursor = stripe.Mix64(cfg.Seed ^ failoverSalt)
 		d.advanceFailover(0)
 	}
-	d.cut = d.buildCut(0, nil)
+	d.cut.Store(d.buildCut(0))
 	return d, nil
 }
 
@@ -188,19 +199,18 @@ func (d *Daemon) Config() Config { return d.cfg }
 func (d *Daemon) Hours() int64 { return d.current().hours }
 
 // current returns the last published round cut.
-func (d *Daemon) current() *roundCut {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.cut
-}
+func (d *Daemon) current() *roundCut { return d.cut.Load() }
 
-// Table exposes the session table (read-only use).
+// Table exposes the live session table for reading. It takes no locks,
+// so call it only while no Churn runs; readers that may overlap a round
+// use the round cut (Snapshot, Stats) instead.
 func (d *Daemon) Table() *stripe.Table { return d.table }
 
 // Churn advances the daemon to the given virtual hour, processing
 // rounds of Options.RoundHours: each round fans the shards out across
-// workers (each engine exclusively borrows its stripe), then refreshes
-// the stats view and persists the checkpoint watermark.
+// workers (each engine writes only its own stripe's slots of the
+// table), then publishes the round cut and persists the checkpoint
+// watermark. Only one goroutine may call Churn.
 func (d *Daemon) Churn(toHours int64) error {
 	for {
 		h := d.Hours()
@@ -213,7 +223,7 @@ func (d *Daemon) Churn(toHours int64) error {
 		}
 		// Clamp rounds to the next failover hour so the takeover fires
 		// at its exact virtual time regardless of round granularity.
-		if nf := d.nextFailover(); nf > h && nf < round {
+		if nf := d.nextFail; nf > h && nf < round {
 			round = nf
 		}
 		if err := d.runRound(round); err != nil {
@@ -222,15 +232,8 @@ func (d *Daemon) Churn(toHours int64) error {
 	}
 }
 
-// nextFailover returns the next pending failover hour (0 = none).
-func (d *Daemon) nextFailover() int64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.nextFail
-}
-
 // advanceFailover computes the next scheduled failover hour strictly
-// after from, under d.mu (or before the daemon is shared).
+// after from, on the churn goroutine.
 func (d *Daemon) advanceFailover(from int64) {
 	sc := d.cfg.Scenario
 	if !sc.hasFailover() {
@@ -257,42 +260,38 @@ func (d *Daemon) advanceFailover(from int64) {
 
 func (d *Daemon) runRound(toHours int64) error {
 	until := toHours * 3600
-	fire := d.nextFailover() == toHours && toHours != 0
+	fire := d.nextFail == toHours && toHours != 0
 	renumber := fire && d.cfg.Scenario.EffectivePolicy() == PolicyRenumber
 	var span *obs.Span
 	if d.opt.Obs != nil {
 		span = d.opt.Obs.StartSpan("bng.round")
 	}
+	// Each engine writes only the slots of the keys its stripe owns, and
+	// the barrier below reads the table only after every engine has
+	// returned, so the table needs no lock.
 	_, err := parallel.MapErr(len(d.engines), d.opt.Workers, func(sh int) (struct{}, error) {
-		b := d.table.Borrow(sh)
-		defer b.Release()
-		if err := d.engines[sh].advance(b, until); err != nil {
+		e := d.engines[sh]
+		if err := e.advance(until); err != nil {
 			return struct{}{}, err
 		}
 		if renumber {
-			// A lease-preserving takeover leaves the stripes untouched;
+			// A lease-preserving takeover leaves the table untouched;
 			// the renumbering one re-runs every assignment in place.
-			return struct{}{}, d.engines[sh].failoverRenumber(b, until, d.cfg.Seed)
+			return struct{}{}, e.failoverRenumber(until, d.cfg.Seed)
 		}
 		return struct{}{}, nil
 	})
 	if err != nil {
 		return err
 	}
-	// Only this goroutine writes failovers, so it reads them unlocked;
-	// readers see the appended hour only with the cut that counts it.
-	failovers := d.failovers
+	// Readers see the appended hour only with the cut that counts it:
+	// an earlier cut's failovers stop short of the slot append writes.
 	if fire {
-		failovers = append(failovers, toHours)
-	}
-	cut := d.buildCut(toHours, failovers)
-	d.mu.Lock()
-	d.cut = cut
-	d.failovers = failovers
-	if fire {
+		d.failovers = append(d.failovers, toHours)
 		d.advanceFailover(toHours)
 	}
-	d.mu.Unlock()
+	cut := d.buildCut(toHours)
+	d.cut.Store(cut)
 	if d.opt.Obs != nil {
 		v := cut.view
 		d.opt.Obs.Counter("bng_rounds").Inc()
@@ -312,17 +311,18 @@ func (d *Daemon) runRound(toHours int64) error {
 	return nil
 }
 
-// buildCut computes the round cut for hours with the given fired
-// failovers. It runs at the round barrier, with the engines quiescent,
-// as two independent halves: the table half (one sorted pass over the
-// stripes for the counts, the hash and /stats) and the sketch half (the
-// stripe merge and the /sketch view). Each writes only its own fields of
-// the cut, so the halves run concurrently within Options.Workers.
-func (d *Daemon) buildCut(hours int64, failovers []int64) *roundCut {
-	c := &roundCut{hours: hours}
+// buildCut computes the round cut for hours with the failover schedule
+// as it stands. It runs at the round barrier, with the engines
+// quiescent, as two independent halves: the table half (one key-order
+// walk of the table for the counts, the hash and /stats) and the sketch
+// half (the stripe merge and the /sketch view). Each writes only its
+// own fields of the cut, so the halves run concurrently within
+// Options.Workers.
+func (d *Daemon) buildCut(hours int64) *roundCut {
+	c := &roundCut{hours: hours, failovers: d.failovers, nextFail: d.nextFail}
 	parallel.Map(2, d.opt.Workers, func(half int) struct{} {
 		if half == 0 {
-			d.tableHalf(c, failovers)
+			d.tableHalf(c)
 		} else {
 			d.sketchHalf(c)
 		}
@@ -331,9 +331,9 @@ func (d *Daemon) buildCut(hours int64, failovers []int64) *roundCut {
 	return c
 }
 
-// tableHalf fills the cut's sorted session table, stats view and its
-// canonical JSON.
-func (d *Daemon) tableHalf(c *roundCut, failovers []int64) {
+// tableHalf fills the cut's key-ordered session table, stats view and
+// its canonical JSON.
+func (d *Daemon) tableHalf(c *roundCut) {
 	snap := d.table.SnapshotSorted()
 	groups := make([]GroupStats, len(d.cfg.Groups))
 	var pools []PoolStats
@@ -392,8 +392,8 @@ func (d *Daemon) tableHalf(c *roundCut, failovers []int64) {
 		stats.add(e.stats)
 	}
 	var lastFail int64
-	if n := len(failovers); n > 0 {
-		lastFail = failovers[n-1]
+	if n := len(c.failovers); n > 0 {
+		lastFail = c.failovers[n-1]
 	}
 	c.snap = snap
 	c.view = StatsView{
@@ -404,7 +404,7 @@ func (d *Daemon) tableHalf(c *roundCut, failovers []int64) {
 		Events:           stats,
 		Groups:           groups,
 		Pools:            pools,
-		Failovers:        len(failovers),
+		Failovers:        len(c.failovers),
 		LastFailoverHour: lastFail,
 	}
 	c.statsJSON = indentJSON(c.view)
@@ -590,22 +590,17 @@ type HAView struct {
 
 // HA returns the daemon's high-availability posture.
 func (d *Daemon) HA() HAView {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	c := d.current()
 	return HAView{
-		Role:             d.role,
+		Role:             *d.role.Load(),
 		Policy:           d.cfg.Scenario.EffectivePolicy(),
 		Scenario:         d.cfg.Scenario.String(),
-		FailoverHours:    append([]int64(nil), d.failovers...),
-		NextFailoverHour: d.nextFail,
-		VirtualHours:     d.cut.hours,
-		TableHash:        d.cut.view.TableHash,
+		FailoverHours:    append([]int64(nil), c.failovers...),
+		NextFailoverHour: c.nextFail,
+		VirtualHours:     c.hours,
+		TableHash:        c.view.TableHash,
 	}
 }
 
 // SetRole relabels the daemon (standby promotion); state is unaffected.
-func (d *Daemon) SetRole(role string) {
-	d.mu.Lock()
-	d.role = role
-	d.mu.Unlock()
-}
+func (d *Daemon) SetRole(role string) { d.role.Store(&role) }

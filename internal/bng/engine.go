@@ -296,9 +296,10 @@ type ShardStats struct {
 	V4Changes uint64 `json:"v4_changes"`
 	V6Changes uint64 `json:"v6_changes"`
 	// Scenario counters: CoAs/Disconnects are RFC 5176 operator actions
-	// delivered; FailoverRenumbers counts subscribers renumbered by a
-	// failover takeover; RelayDrops counts datagrams lost on relay hops
-	// and RelayOutages attaches abandoned after exhausting retries.
+	// delivered; FailoverRenumbers counts the sessions a failover
+	// takeover reacquired, moved or not (V4Changes and V6Changes count
+	// the moves); RelayDrops counts datagrams lost on relay hops and
+	// RelayOutages attaches abandoned after exhausting retries.
 	CoAs              uint64 `json:"coas"`
 	Disconnects       uint64 `json:"disconnects"`
 	FailoverRenumbers uint64 `json:"failover_renumbers"`
@@ -325,9 +326,12 @@ func (s *ShardStats) add(o ShardStats) {
 // shardEngine is one stripe's complete assignment plane: its
 // subscribers, its per-group server instances (carved from disjoint
 // per-shard pools), its event queue, and its virtual clock. Engines
-// share nothing, so any worker count processes them identically.
+// share only the daemon's session table, in which each writes just its
+// own subscribers' slots, so any worker count processes them
+// identically.
 type shardEngine struct {
 	id     int
+	table  *stripe.Table
 	clock  *engClock
 	subs   []subState
 	srvs   []groupSrv
@@ -355,7 +359,7 @@ func buildEngines(cfg *Config, table *stripe.Table) ([]*shardEngine, error) {
 	shards := table.Shards()
 	engines := make([]*shardEngine, shards)
 	for sh := 0; sh < shards; sh++ {
-		e := &shardEngine{id: sh, clock: &engClock{}, sk: sketch.BNGEngine.New()}
+		e := &shardEngine{id: sh, table: table, clock: &engClock{}, sk: sketch.BNGEngine.New()}
 		e.srvs = make([]groupSrv, len(cfg.Groups))
 		for gi := range cfg.Groups {
 			g := &cfg.Groups[gi]
@@ -469,9 +473,10 @@ func buildGroupServers(g *Group, sc *Scenario, shardBits, sh int, clock *engCloc
 	return gs, nil
 }
 
-// advance processes every pending event with at <= until against the
-// shard's borrowed stripe, leaving the clock at until.
-func (e *shardEngine) advance(b stripe.Borrowed, until int64) error {
+// advance processes every pending event with at <= until, writing its
+// subscribers' slots of the session table, and leaves the clock at
+// until.
+func (e *shardEngine) advance(until int64) error {
 	for {
 		src, top := e.events.earliest()
 		if top == nil || top.At > until {
@@ -484,7 +489,7 @@ func (e *shardEngine) advance(b stripe.Borrowed, until int64) error {
 		g := &e.srvs[sub.group]
 		switch ev.P.kind {
 		case evAttach, evReattach, evRenumber:
-			ok, err := e.assign(b, &ev, sub, g)
+			ok, err := e.assign(&ev, sub, g)
 			if err != nil {
 				return err
 			}
@@ -496,25 +501,25 @@ func (e *shardEngine) advance(b stripe.Borrowed, until int64) error {
 			}
 			e.scheduleNext(&ev, g)
 		case evCoA:
-			if err := e.coa(b, &ev, sub, g); err != nil {
+			if err := e.coa(&ev, sub, g); err != nil {
 				return err
 			}
 			e.scheduleNext(&ev, g)
 		case evDisconnect:
-			if err := e.disconnect(b, &ev, sub, g); err != nil {
+			if err := e.disconnect(&ev, sub, g); err != nil {
 				return err
 			}
 			e.reattachLater(&ev, g)
 		case evRenew:
-			if s, ok := b.Get(ev.Tie); ok {
+			if s, ok := e.table.Get(ev.Tie); ok {
 				s.Renews++
 				s.Expiry = ev.At + int64(2)*g.renewSec
-				b.Put(s)
+				e.table.Put(s)
 			}
 			e.stats.Renews++
 			e.scheduleNext(&ev, g)
 		case evFlap:
-			e.release(b, &ev, sub, g)
+			e.release(&ev, sub, g)
 			e.reattachLater(&ev, g)
 		}
 	}
@@ -527,7 +532,7 @@ func (e *shardEngine) advance(b stripe.Borrowed, until int64) error {
 // family's assignment changed. ok=false (no error) means a relay-routed
 // attach exhausted its wire attempts; the subscriber holds no record or
 // server state and the caller schedules the retry.
-func (e *shardEngine) assign(b stripe.Borrowed, ev *event, sub *subState, g *groupSrv) (bool, error) {
+func (e *shardEngine) assign(ev *event, sub *subState, g *groupSrv) (bool, error) {
 	var (
 		addr4  uint32
 		p6hi   uint64
@@ -550,7 +555,7 @@ func (e *shardEngine) assign(b stripe.Borrowed, ev *event, sub *subState, g *gro
 	case len(g.relay4) > 0:
 		// Wire-level attach through the aggregation chain: every
 		// datagram crosses the relays and may be lost on any hop.
-		ok, err := e.relayAssign(b, ev, sub, g, renum, &addr4, &p6hi, &p6len)
+		ok, err := e.relayAssign(ev, sub, g, renum, &addr4, &p6hi, &p6len)
 		if err != nil || !ok {
 			return ok, err
 		}
@@ -584,7 +589,7 @@ func (e *shardEngine) assign(b stripe.Borrowed, ev *event, sub *subState, g *gro
 			p6len = uint8(bind.Prefix.Bits())
 		}
 	}
-	old, had := b.Get(ev.Tie)
+	old, had := e.table.Get(ev.Tie)
 	s := stripe.Session{
 		Key:     ev.Tie,
 		Addr4:   addr4,
@@ -599,7 +604,7 @@ func (e *shardEngine) assign(b stripe.Borrowed, ev *event, sub *subState, g *gro
 		s.Gen = old.Gen
 		s.Renews = old.Renews
 	}
-	e.update(b, old, had, s)
+	e.update(old, had, s)
 	switch {
 	case renum:
 		e.stats.Renumbers++
@@ -615,7 +620,7 @@ func (e *shardEngine) assign(b stripe.Borrowed, ev *event, sub *subState, g *gro
 // the table. When the subscriber had a record (old), each family whose
 // assignment moved counts a change and folds the address it left, and
 // Gen bumps once for the pair. The new assignment is folded last.
-func (e *shardEngine) update(b stripe.Borrowed, old stripe.Session, had bool, s stripe.Session) {
+func (e *shardEngine) update(old stripe.Session, had bool, s stripe.Session) {
 	if had {
 		if old.Addr4 != s.Addr4 {
 			s.Gen++
@@ -630,7 +635,7 @@ func (e *shardEngine) update(b stripe.Borrowed, old stripe.Session, had bool, s 
 			e.skV6Change(old.Pfx6Hi, old.Pfx6Len)
 		}
 	}
-	b.Put(s)
+	e.table.Put(s)
 	e.skAssign(s.Addr4, s.Pfx6Hi, s.Pfx6Len)
 }
 
@@ -749,7 +754,7 @@ func (e *shardEngine) relayAcquire6(g *groupSrv, duid dhcp6.DUID, rng *uint64) (
 // relayAssign is the relay-routed attach path. On success it fills the
 // assignment out-params; ok=false means the exchange was abandoned and
 // all partial state rolled back.
-func (e *shardEngine) relayAssign(b stripe.Borrowed, ev *event, sub *subState, g *groupSrv, renum bool, addr4 *uint32, p6hi *uint64, p6len *uint8) (bool, error) {
+func (e *shardEngine) relayAssign(ev *event, sub *subState, g *groupSrv, renum bool, addr4 *uint32, p6hi *uint64, p6len *uint8) (bool, error) {
 	hw := hwOf(ev.Tie)
 	if renum {
 		// The release may itself be lost on a hop; the sticky server
@@ -763,7 +768,7 @@ func (e *shardEngine) relayAssign(b stripe.Borrowed, ev *event, sub *subState, g
 		return false, err
 	}
 	if !ok {
-		e.relayFail(b, ev, sub, g)
+		e.relayFail(ev, sub, g)
 		return false, nil
 	}
 	*addr4 = netutil.U32(a4)
@@ -787,7 +792,7 @@ func (e *shardEngine) relayAssign(b stripe.Borrowed, ev *event, sub *subState, g
 		return false, err
 	}
 	if !ok {
-		e.relayFail(b, ev, sub, g)
+		e.relayFail(ev, sub, g)
 		return false, nil
 	}
 	*p6hi, _ = netutil.U128(p6.Addr())
@@ -799,19 +804,19 @@ func (e *shardEngine) relayAssign(b stripe.Borrowed, ev *event, sub *subState, g
 // attempt: any partial server state and the session record are dropped
 // so the retry starts clean. The Release may name an address the
 // subscriber no longer holds; the server then frees nothing.
-func (e *shardEngine) relayFail(b stripe.Borrowed, ev *event, sub *subState, g *groupSrv) {
+func (e *shardEngine) relayFail(ev *event, sub *subState, g *groupSrv) {
 	e.stats.RelayOutages++
 	_, _ = g.d4.Handle(dhcp4.NewMessage(dhcp4.Release, uint32(next(&ev.P.rng)), hwOf(ev.Tie)))
 	if g.d6 != nil {
 		g.d6.ReleaseBinding(sub.duid)
 	}
-	b.Delete(ev.Tie)
+	e.table.Delete(ev.Tie)
 }
 
 // coa delivers an RFC 5176 CoA-Request through the wire codec and the
 // group's RADIUS server, then applies the ACK's fresh addresses to the
 // session record: operator-forced renumbering without a disconnect.
-func (e *shardEngine) coa(b stripe.Borrowed, ev *event, sub *subState, g *groupSrv) error {
+func (e *shardEngine) coa(ev *event, sub *subState, g *groupSrv) error {
 	req := radius.New(radius.CoARequest, byte(next(&ev.P.rng)))
 	req.AddString(radius.AttrUserName, sub.user)
 	wire := req.EncodeRequest(g.rad.Secret())
@@ -842,17 +847,17 @@ func (e *shardEngine) coa(b stripe.Borrowed, ev *event, sub *subState, g *groupS
 		p6hi, _ = netutil.U128(p6.Addr())
 		p6len = uint8(p6.Bits())
 	}
-	if old, had := b.Get(ev.Tie); had {
+	if old, had := e.table.Get(ev.Tie); had {
 		s := old
 		s.Addr4, s.Pfx6Hi, s.Pfx6Len = addr4, p6hi, p6len
-		e.update(b, old, true, s)
+		e.update(old, true, s)
 	}
 	return nil
 }
 
 // disconnect tears the session down with an RFC 5176 Disconnect-Request
 // through the wire codec; the caller schedules the reattach.
-func (e *shardEngine) disconnect(b stripe.Borrowed, ev *event, sub *subState, g *groupSrv) error {
+func (e *shardEngine) disconnect(ev *event, sub *subState, g *groupSrv) error {
 	req := radius.New(radius.DisconnectRequest, byte(next(&ev.P.rng)))
 	req.AddString(radius.AttrUserName, sub.user)
 	parsed, err := radius.Parse(req.EncodeRequest(g.rad.Secret()))
@@ -863,35 +868,38 @@ func (e *shardEngine) disconnect(b stripe.Borrowed, ev *event, sub *subState, g 
 		return fmt.Errorf("bng: shard %d key %#x: disconnect: %w", e.id, ev.Tie, err)
 	}
 	e.stats.Disconnects++
-	if s, ok := b.Get(ev.Tie); ok {
+	if s, ok := e.table.Get(ev.Tie); ok {
 		e.skSessionEnd(s.Start, ev.At)
 	}
-	b.Delete(ev.Tie)
+	e.table.Delete(ev.Tie)
 	return nil
 }
 
 // failoverRenumber applies a renumbering takeover at atSec: the standby
-// that assumed this shard holds no lease state, so every subscriber is
-// forced through reattachment. Two passes — release everything first,
-// then reacquire in dense key order — so the LIFO free lists cannot
-// hand a subscriber its own address straight back. Fresh per-subscriber
-// cursors derived from (seed, atSec, key) leave the traveling event
-// cursors untouched: the post-failover event schedule is identical to
-// an uninterrupted run, only the assignments change.
-func (e *shardEngine) failoverRenumber(b stripe.Borrowed, atSec int64, seed uint64) error {
+// that assumed this shard holds no lease state, so every active
+// subscriber is forced through reattachment. Two passes in dense key
+// order: release every session, then reacquire each. The LIFO free
+// lists hand each (group, shard) its addresses and prefixes back in
+// reverse, so every subscriber moves except the middle one of a set of
+// odd size, which gets its own address and prefix back. Fresh
+// per-subscriber cursors derived from (seed, atSec, key) leave the
+// traveling event cursors untouched: the post-failover event schedule
+// is identical to an uninterrupted run, only the assignments change.
+func (e *shardEngine) failoverRenumber(atSec int64, seed uint64) error {
 	e.clock.sec = atSec
 	active := make([]int, 0, len(e.subs))
 	for i := range e.subs {
 		sub := &e.subs[i]
 		g := &e.srvs[sub.group]
-		_, had := b.Get(sub.key)
+		_, had := e.table.Get(sub.key)
 		if g.rad != nil {
 			if had {
 				g.rad.StopSession(sub.user)
 			}
 		} else {
-			// Forget clears even the sticky memory, so every DHCP
-			// subscriber — online or mid-flap — draws fresh afterwards.
+			// Forget drops the sticky memory too, so no DHCP
+			// subscriber, online or mid-flap, is re-offered its old
+			// address: each draws from the free list.
 			g.d4.Forget(hwOf(sub.key))
 			if g.d6 != nil {
 				g.d6.ReleaseBinding(sub.duid)
@@ -935,10 +943,10 @@ func (e *shardEngine) failoverRenumber(b stripe.Borrowed, atSec int64, seed uint
 				p6len = uint8(bind.Prefix.Bits())
 			}
 		}
-		old, _ := b.Get(sub.key)
+		old, _ := e.table.Get(sub.key)
 		s := old
 		s.Addr4, s.Pfx6Hi, s.Pfx6Len = addr4, p6hi, p6len
-		e.update(b, old, true, s)
+		e.update(old, true, s)
 		e.stats.FailoverRenumbers++
 	}
 	return nil
@@ -946,7 +954,7 @@ func (e *shardEngine) failoverRenumber(b stripe.Borrowed, atSec int64, seed uint
 
 // release tears the subscriber's server-side state down and deletes its
 // session record.
-func (e *shardEngine) release(b stripe.Borrowed, ev *event, sub *subState, g *groupSrv) {
+func (e *shardEngine) release(ev *event, sub *subState, g *groupSrv) {
 	switch {
 	case g.rad != nil:
 		g.rad.StopSession(sub.user)
@@ -957,10 +965,10 @@ func (e *shardEngine) release(b stripe.Borrowed, ev *event, sub *subState, g *gr
 			g.d6.ReleaseBinding(sub.duid)
 		}
 	}
-	if s, ok := b.Get(ev.Tie); ok {
+	if s, ok := e.table.Get(ev.Tie); ok {
 		e.skSessionEnd(s.Start, ev.At)
 	}
-	b.Delete(ev.Tie)
+	e.table.Delete(ev.Tie)
 	e.stats.Flaps++
 }
 

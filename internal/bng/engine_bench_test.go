@@ -38,9 +38,7 @@ func BenchmarkEngineAdvance(b *testing.B) {
 				before := d.Stats().Events.Events
 				b.StartTimer()
 				_, err = parallel.MapErr(len(d.engines), workers, func(sh int) (struct{}, error) {
-					bw := d.table.Borrow(sh)
-					defer bw.Release()
-					return struct{}{}, d.engines[sh].advance(bw, until)
+					return struct{}{}, d.engines[sh].advance(until)
 				})
 				b.StopTimer()
 				if err != nil {

@@ -2,7 +2,7 @@
 // `dynamips serve-bng`: subscriber groups with address-pool profiles
 // (the osvbng shape — named v4 pools and v6 delegation profiles
 // referenced by groups), the existing DHCPv4/DHCPv6/RADIUS servers
-// sharded behind a lock-striped session table (internal/bng/stripe),
+// sharded behind one dense session table (internal/bng/stripe),
 // and a virtual-time event loop that churns lease-renewal, renumbering
 // and flap events for millions of subscribers deterministically.
 //

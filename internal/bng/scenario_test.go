@@ -123,12 +123,51 @@ func TestFailoverRenumberDeterministic(t *testing.T) {
 	if v.Events.FailoverRenumbers == 0 {
 		t.Fatal("no subscribers renumbered by the failover")
 	}
-	// Mass renumbering must be visible as generation bumps: RADIUS
-	// subscribers always draw fresh addresses on takeover.
+	// Mass renumbering must be visible as generation bumps: all but at
+	// most one subscriber per (group, shard) move on takeover.
 	if v.Events.V4Changes <= uninterrupted.Stats().Events.V4Changes {
 		t.Errorf("failover renumbering did not raise v4 changes (%d vs %d)",
 			v.Events.V4Changes, uninterrupted.Stats().Events.V4Changes)
 	}
+}
+
+// TestFailoverRenumberKeepsAtMostOne: a renumbering takeover releases
+// each (group, shard)'s active sessions in key order onto a LIFO free
+// list, then reacquires them in key order, so the set gets its
+// addresses back reversed. Against a scenario-free twin at the takeover
+// hour, at most one active subscriber per (group, shard) keeps its IPv4
+// address: the middle one of an odd-sized set.
+func TestFailoverRenumberKeepsAtMostOne(t *testing.T) {
+	sc := &Scenario{FailoverAtHours: []int64{6}, Policy: PolicyRenumber}
+	d := churned(t, scenarioConfig(23, sc), Options{Workers: 4, RoundHours: 4}, 6)
+	twin := churned(t, testConfig(23), Options{Workers: 4, RoundHours: 4}, 6)
+	_, after := d.Snapshot()
+	_, before := twin.Snapshot()
+	if len(after) != len(before) {
+		t.Fatalf("takeover changed the active count: %d vs %d", len(after), len(before))
+	}
+	shards := d.table.Shards()
+	kept := make([]int, len(d.cfg.Groups)*shards)
+	total := 0
+	for i := range after {
+		key := after[i].Key
+		if key != before[i].Key {
+			t.Fatalf("record %d: key %#x, twin has %#x", i, key, before[i].Key)
+		}
+		if after[i].Addr4 == before[i].Addr4 {
+			kept[int(key>>32)*shards+d.table.ShardOf(key)]++
+			total++
+		}
+	}
+	for set, n := range kept {
+		if n > 1 {
+			t.Errorf("group %d shard %d: %d subscribers kept their IPv4 address, want at most 1", set/shards, set%shards, n)
+		}
+	}
+	if renumbered := d.Stats().Events.FailoverRenumbers; renumbered != uint64(len(after)) {
+		t.Errorf("failover_renumbers = %d, want every one of the %d active sessions", renumbered, len(after))
+	}
+	t.Logf("%d of %d active subscribers kept their IPv4 address", total, len(after))
 }
 
 // TestFailoverResumeReplay: kill/resume across a failover replays to

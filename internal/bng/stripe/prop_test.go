@@ -19,6 +19,9 @@ type op struct {
 	arg  uint32
 }
 
+// propUniverse is the property test's key space: one group's slots.
+const propUniverse = 4096
+
 const (
 	opAttach uint8 = iota
 	opRenew
@@ -63,7 +66,7 @@ func applyOp(o op, at int64, get func(uint64) (Session, bool), put func(Session)
 }
 
 // oracleState applies the full op stream, in order, to one plain map:
-// the naive single-threaded reference the striped table must match.
+// the naive single-threaded reference the table must match.
 func oracleState(ops []op) []Session {
 	m := make(map[uint64]Session)
 	for i, o := range ops {
@@ -82,10 +85,11 @@ func oracleState(ops []op) []Session {
 
 // stripedState partitions the op stream by owning shard (preserving
 // each shard's relative op order), applies shards concurrently with
-// the given worker count, and snapshots.
+// the given worker count to one table sized for the key universe, as
+// the daemon's engines write its table, and snapshots.
 func stripedState(t *testing.T, ops []op, shardBits, workers int) []Session {
 	t.Helper()
-	tab, err := New(shardBits)
+	tab, err := New(shardBits, propUniverse)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +103,8 @@ func stripedState(t *testing.T, ops []op, shardBits, workers int) []Session {
 		perShard[sh] = append(perShard[sh], idxOp{op: o, at: int64(i)})
 	}
 	_, err = parallel.MapErr(tab.Shards(), workers, func(sh int) (struct{}, error) {
-		b := tab.Borrow(sh)
-		defer b.Release()
 		for _, io := range perShard[sh] {
-			applyOp(io.op, io.at, b.Get, b.Put, b.Delete)
+			applyOp(io.op, io.at, tab.Get, tab.Put, tab.Delete)
 		}
 		return struct{}{}, nil
 	})
@@ -112,13 +114,14 @@ func stripedState(t *testing.T, ops []op, shardBits, workers int) []Session {
 	return tab.SnapshotSorted()
 }
 
-// TestStripedTableMatchesOracle is the ISSUE 8 property test: the
-// lock-striped table, driven concurrently at -workers ∈ {1,4,16}, must
-// produce a byte-identical snapshot to the naive single-map oracle fed
-// the same seeded attach/renew/release stream. Ops on different keys
-// commute and ops on one key stay shard-ordered, so any divergence
-// means the striping itself (shard routing, borrow discipline, or
-// snapshot canonicalization) is broken.
+// TestStripedTableMatchesOracle: the table, written concurrently by
+// one goroutine per stripe at -workers ∈ {1,4,16}, must produce a
+// byte-identical snapshot to the naive single-map oracle fed the same
+// seeded attach/renew/release stream. Ops on different keys commute and
+// ops on one key stay shard-ordered, so any divergence means the table
+// itself (stripe routing, slot addressing, or the snapshot walk) is
+// broken; under -race it also shows that disjoint stripes' writes do
+// not race.
 func TestStripedTableMatchesOracle(t *testing.T) {
 	workerCounts := []int{1, 4, 16}
 	if *propWorkers > 0 {
@@ -126,7 +129,7 @@ func TestStripedTableMatchesOracle(t *testing.T) {
 	}
 	seeds := []uint64{1, 42, 0xD1CE}
 	for _, seed := range seeds {
-		ops := genOps(seed, 20000, 4096)
+		ops := genOps(seed, 20000, propUniverse)
 		want := oracleState(ops)
 		var wantBuf bytes.Buffer
 		if err := EncodeSnapshot(&wantBuf, want); err != nil {
@@ -148,18 +151,18 @@ func TestStripedTableMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestStripedTableConcurrentMixed hammers the locked Put/Get/Delete
-// API (not Borrow) from many goroutines and then checks the table
-// matches an oracle that saw the same per-key final op. Per-key op
-// streams are independent here, so the final state is deterministic
-// even though goroutines interleave freely — this is the -race foil
-// for the shard mutexes.
+// TestStripedTableConcurrentMixed hammers Put/Get/Delete from many
+// goroutines, one per key, on a table sized for every key, and then
+// checks the table matches an oracle that saw the same per-key ops.
+// Per-key op streams are independent here, so the final state is
+// deterministic even though goroutines interleave freely — this is the
+// -race foil for disjoint slot writes.
 func TestStripedTableConcurrentMixed(t *testing.T) {
-	tab, err := New(6)
+	const keys = 2048
+	tab, err := New(6, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const keys = 2048
 	_, err = parallel.MapErr(keys, 16, func(k int) (struct{}, error) {
 		rng := faultnet.NewStream(99, uint64(k))
 		key := uint64(k)

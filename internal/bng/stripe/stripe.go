@@ -1,8 +1,17 @@
-// Package stripe is the BNG daemon's lock-striped session store: a
-// fixed-width session record keyed by a dense uint64 subscriber key,
-// spread over 2^k independently locked shards. The stripe index is the
-// top bits of a SplitMix64 finalizer over the key, so dense per-group
-// key ranges scatter uniformly and no shard becomes a hot spot.
+// Package stripe is the BNG daemon's session store: one fixed-width
+// session record per configured subscriber, in a dense slice per
+// subscriber group. A record's key is group<<32 | index, and its slot
+// is those two halves, so Get, Put and Delete are two index operations:
+// nothing is hashed or looked up. The 2^k stripes only route: ShardOf,
+// the top bits of a SplitMix64 finalizer over the key, names the engine
+// that owns a key, so dense per-group key ranges scatter uniformly and
+// no stripe becomes a hot spot.
+//
+// The table takes no locks. Goroutines may write it at once only while
+// each touches the keys of stripes it alone owns, which are distinct
+// slots, and nothing reads a slot while another goroutine writes it.
+// The daemon's engines each write their own stripe's keys, and its
+// round barrier reads the table only after every engine has stopped.
 //
 // The package sits on the daemon's per-event hot path (≥10⁶ virtual-time
 // renewal events per second), so every function here is held to
@@ -13,10 +22,11 @@
 //
 // Determinism contract: the table is a pure key-value store — it never
 // allocates addresses, draws randomness, or reads clocks — so its state
-// is exactly the set of records the caller wrote. SnapshotSorted orders
-// records by key and EncodeSnapshot has one canonical byte encoding,
-// making "byte-identical across -workers counts and across kill/resume"
-// a property the daemon can assert with a single byte comparison.
+// is exactly the set of records the caller wrote. SnapshotSorted lists
+// records in key order and EncodeSnapshot has one canonical byte
+// encoding, making "byte-identical across -workers counts and across
+// kill/resume" a property the daemon can assert with a single byte
+// comparison.
 package stripe
 
 import (
@@ -24,7 +34,6 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
-	"sync"
 )
 
 // Session is one subscriber's live assignment state, sized and laid out
@@ -48,13 +57,13 @@ type Session struct {
 	Renews uint32
 	// Pfx6Len is the delegated prefix length (0 = none).
 	Pfx6Len uint8
-	// State is the session state (StateActive; the zero value means
-	// "not present" and is never stored).
+	// State is the session state (StateActive); a slot whose State is
+	// 0 holds no session.
 	State uint8
 }
 
-// StateActive is the only stored session state: released sessions are
-// deleted from the table.
+// StateActive is the only stored session state: a released session's
+// slot is cleared.
 const StateActive uint8 = 1
 
 // EncodedSessionSize is the canonical record width.
@@ -68,6 +77,7 @@ var (
 	ErrSnapshotMagic    = errors.New("stripe: bad snapshot magic")
 	ErrSnapshotTruncate = errors.New("stripe: truncated snapshot")
 	ErrSnapshotCRC      = errors.New("stripe: snapshot CRC mismatch")
+	ErrSnapshotPadding  = errors.New("stripe: nonzero snapshot record padding")
 )
 
 // castagnoli is the CRC-32C table shared with the checkpoint layer's
@@ -83,21 +93,15 @@ func Mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// shard is one stripe: a mutex and its slice of the keyspace.
-type shard struct {
-	mu sync.Mutex
-	m  map[uint64]Session
-	// pad keeps neighboring shard mutexes off one cache line under
-	// heavy cross-shard churn.
-	_ [40]byte
-}
-
-// Table is the lock-striped session store. Shard count is fixed at
-// construction and independent of how many workers drive it, so worker
-// fan-out never changes which shard owns a key.
+// Table is the session store: groups[g][i] is the slot of key
+// g<<32 | i, and a slot whose State is 0 is absent. Memory follows the
+// largest group and index stored, so keys must be dense. The stripe
+// count is fixed at construction and independent of how many workers
+// drive the table, so worker fan-out never changes which stripe owns a
+// key.
 type Table struct {
 	shift  uint
-	shards []shard
+	groups [][]Session
 }
 
 // MaxShardBits bounds the stripe width (2^14 shards).
@@ -106,23 +110,22 @@ const MaxShardBits = 14
 // ErrShardBits rejects out-of-range stripe widths.
 var ErrShardBits = errors.New("stripe: shard bits outside [0, 14]")
 
-// New builds a table with 2^shardBits stripes.
-func New(shardBits int) (*Table, error) {
+// New builds a table with 2^shardBits stripes and one group per entry
+// of groupSizes, holding that many subscriber slots. Put grows a group
+// past its size, so a table built without sizes fills as keys arrive.
+func New(shardBits int, groupSizes ...int) (*Table, error) {
 	if shardBits < 0 || shardBits > MaxShardBits {
 		return nil, ErrShardBits
 	}
-	t := &Table{
-		shift:  64 - uint(shardBits),
-		shards: make([]shard, 1<<uint(shardBits)),
-	}
-	for i := range t.shards {
-		t.shards[i].m = make(map[uint64]Session)
+	t := &Table{shift: 64 - uint(shardBits), groups: make([][]Session, len(groupSizes))}
+	for g, n := range groupSizes {
+		t.groups[g] = make([]Session, n)
 	}
 	return t, nil
 }
 
 // Shards returns the stripe count.
-func (t *Table) Shards() int { return len(t.shards) }
+func (t *Table) Shards() int { return 1 << (64 - t.shift) }
 
 // ShardOf returns the stripe index owning key.
 func (t *Table) ShardOf(key uint64) int {
@@ -132,182 +135,88 @@ func (t *Table) ShardOf(key uint64) int {
 	return int(Mix64(key) >> t.shift)
 }
 
-// Put stores s under s.Key, locking its shard.
-func (t *Table) Put(s Session) {
-	sh := &t.shards[t.ShardOf(s.Key)]
-	sh.mu.Lock()
-	sh.m[s.Key] = s
-	sh.mu.Unlock()
-}
-
-// Get returns the session stored under key, locking its shard.
-func (t *Table) Get(key uint64) (Session, bool) {
-	sh := &t.shards[t.ShardOf(key)]
-	sh.mu.Lock()
-	s, ok := sh.m[key]
-	sh.mu.Unlock()
-	return s, ok
-}
-
-// Delete removes key, locking its shard; it reports whether a session
-// was present.
-func (t *Table) Delete(key uint64) bool {
-	sh := &t.shards[t.ShardOf(key)]
-	sh.mu.Lock()
-	_, ok := sh.m[key]
-	if ok {
-		delete(sh.m, key)
+// slot returns key's slot, or nil when the key lies outside every
+// group.
+func (t *Table) slot(key uint64) *Session {
+	g, i := key>>32, key&0xFFFF_FFFF
+	if g >= uint64(len(t.groups)) || i >= uint64(len(t.groups[g])) {
+		return nil
 	}
-	sh.mu.Unlock()
-	return ok
+	return &t.groups[g][i]
 }
 
-// Len returns the total session count across all shards.
+// Put stores s under s.Key. A key past its group's size grows the
+// group geometrically, which moves every slot of the group: only a
+// table no other goroutine holds may grow, so a shared table is sized
+// for every key it will see.
+func (t *Table) Put(s Session) {
+	p := t.slot(s.Key)
+	if p == nil {
+		p = t.grow(s.Key)
+	}
+	*p = s
+}
+
+// grow extends the table until key, which has no slot, has one, and
+// returns it. A full group moves to twice the length the key needs, so
+// a run of Puts past the sized range copies each record O(1) times.
+func (t *Table) grow(key uint64) *Session {
+	g, i := int(key>>32), int(key&0xFFFF_FFFF)
+	if g >= len(t.groups) {
+		t.groups = append(t.groups, make([][]Session, g+1-len(t.groups))...)
+	}
+	grp := t.groups[g]
+	if i >= cap(grp) {
+		grp = append(make([]Session, 0, 2*(i+1)), grp...)
+	}
+	t.groups[g] = grp[:i+1]
+	return &t.groups[g][i]
+}
+
+// Get returns the session stored under key.
+func (t *Table) Get(key uint64) (Session, bool) {
+	if p := t.slot(key); p != nil && p.State != 0 {
+		return *p, true
+	}
+	return Session{}, false
+}
+
+// Delete clears key's slot; it reports whether a session was present.
+func (t *Table) Delete(key uint64) bool {
+	p := t.slot(key)
+	if p == nil || p.State == 0 {
+		return false
+	}
+	*p = Session{}
+	return true
+}
+
+// Len returns the session count: the slots whose State is set.
 func (t *Table) Len() int {
 	n := 0
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		n += len(sh.m)
-		sh.mu.Unlock()
+	for _, grp := range t.groups {
+		for i := range grp {
+			if grp[i].State != 0 {
+				n++
+			}
+		}
 	}
 	return n
 }
 
-// Borrowed is exclusive single-goroutine access to one stripe: the
-// daemon's churn loop borrows each shard for a whole round and mutates
-// it lock-free, while readers on other shards proceed.
-type Borrowed struct {
-	sh *shard
-}
-
-// Borrow locks stripe i and returns direct access to it. The caller
-// must Release it; only keys owned by stripe i may be touched.
-func (t *Table) Borrow(i int) Borrowed {
-	sh := &t.shards[i]
-	sh.mu.Lock()
-	//lint:ignore lockscope lock handoff by design: Borrow transfers the stripe lock to the caller, who must Release it
-	return Borrowed{sh: sh}
-}
-
-// Release unlocks the borrowed stripe.
-func (b Borrowed) Release() { b.sh.mu.Unlock() }
-
-// Get reads a session from the borrowed stripe.
-func (b Borrowed) Get(key uint64) (Session, bool) {
-	s, ok := b.sh.m[key]
-	return s, ok
-}
-
-// Put writes a session into the borrowed stripe.
-func (b Borrowed) Put(s Session) { b.sh.m[s.Key] = s }
-
-// Delete removes a session from the borrowed stripe, reporting whether
-// it was present.
-func (b Borrowed) Delete(key uint64) bool {
-	_, ok := b.sh.m[key]
-	if ok {
-		delete(b.sh.m, key)
-	}
-	return ok
-}
-
-// Len returns the borrowed stripe's session count.
-func (b Borrowed) Len() int { return len(b.sh.m) }
-
-// SnapshotSorted collects every session into a slice sorted by key —
-// the canonical order group-then-subscriber, since keys are dense
-// (group<<32 | index). Each shard is locked only while it is copied.
+// SnapshotSorted copies every session into a new slice in key order,
+// group then subscriber. That is the order of the slots, so the copy
+// is a walk and nothing is sorted.
 func (t *Table) SnapshotSorted() []Session {
-	n := t.Len()
-	out := make([]Session, 0, n)
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for _, s := range sh.m {
-			out = append(out, s)
-		}
-		sh.mu.Unlock()
-	}
-	radixSortByKey(out)
-	return out
-}
-
-// radixSortByKey orders records by key in place, with no comparison
-// sort: an MSD radix sort (American flag sort) that permutes each byte's
-// buckets into place by swap cycles, then recurses into every bucket on
-// the next lower byte. Bytes constant across every key are skipped, so
-// dense group<<32|index keys cost about four passes however large the
-// table, and the sort allocates nothing. Keys in a table are unique, so
-// the result is the one key order any sort would give.
-func radixSortByKey(s []Session) {
-	var diff uint64
-	for i := range s {
-		diff |= s[i].Key ^ s[0].Key
-	}
-	radixSortByte(s, diff, 7)
-}
-
-// smallSortMax is the bucket size below which an insertion sort beats
-// another radix pass's 256-entry tables.
-const smallSortMax = 24
-
-// radixSortByte sorts s, whose keys agree on every byte above b, by key
-// bytes b down to 0, skipping those that diff marks constant.
-func radixSortByte(s []Session, diff uint64, b int) {
-	for b >= 0 && byte(diff>>(8*uint(b))) == 0 {
-		b--
-	}
-	if b < 0 || len(s) < 2 {
-		return
-	}
-	if len(s) <= smallSortMax {
-		insertionSortByKey(s)
-		return
-	}
-	shift := 8 * uint(b)
-	var count, next [256]int
-	for i := range s {
-		count[byte(s[i].Key>>shift)]++
-	}
-	at := 0
-	for d := range count {
-		next[d] = at
-		at += count[d]
-	}
-	// Walk the buckets: each misplaced record is swapped into the next
-	// free slot of its own bucket until the slot under the cursor holds
-	// a record that belongs there.
-	end := 0
-	for d := range count {
-		end += count[d]
-		for next[d] < end {
-			r := s[next[d]]
-			for rd := byte(r.Key >> shift); int(rd) != d; rd = byte(r.Key >> shift) {
-				r, s[next[rd]] = s[next[rd]], r
-				next[rd]++
+	out := make([]Session, 0, t.Len())
+	for _, grp := range t.groups {
+		for i := range grp {
+			if grp[i].State != 0 {
+				out = append(out, grp[i])
 			}
-			s[next[d]] = r
-			next[d]++
 		}
 	}
-	start := 0
-	for d := range count {
-		radixSortByte(s[start:start+count[d]], diff, b-1)
-		start += count[d]
-	}
-}
-
-// insertionSortByKey orders a small run of records by key.
-func insertionSortByKey(s []Session) {
-	for i := 1; i < len(s); i++ {
-		r := s[i]
-		j := i
-		for ; j > 0 && s[j-1].Key > r.Key; j-- {
-			s[j] = s[j-1]
-		}
-		s[j] = r
-	}
+	return out
 }
 
 // AppendSession appends the canonical 48-byte encoding of s to dst.
@@ -367,8 +276,16 @@ func EncodeSnapshot(w io.Writer, sessions []Session) error {
 	return err
 }
 
+// snapshotHint caps the records DecodeSnapshot reserves before reading
+// any from a reader that cannot say how many bytes it holds: a header's
+// count is unverified until the records arrive, so a forged count costs
+// at most this much memory (3 MiB).
+const snapshotHint = 1 << 16
+
 // DecodeSnapshot reads an EncodeSnapshot stream back into its record
-// slice, verifying framing and the CRC trailer.
+// slice, verifying framing, the CRC trailer and every record's zero
+// padding, so a stream decodes only if it is the canonical encoding of
+// what it decodes to.
 func DecodeSnapshot(r io.Reader) ([]Session, error) {
 	crc := crc32.New(castagnoli)
 	var hdr [16]byte
@@ -380,15 +297,20 @@ func DecodeSnapshot(r io.Reader) ([]Session, error) {
 	}
 	crc.Write(hdr[:])
 	n := binary.LittleEndian.Uint64(hdr[8:])
-	if n > 1<<40 {
-		return nil, ErrSnapshotTruncate
+	hint := min(n, snapshotHint)
+	if b, ok := r.(interface{ Len() int }); ok {
+		hint = min(n, uint64(b.Len())/EncodedSessionSize)
 	}
-	out := make([]Session, 0, n)
-	var rec [EncodedSessionSize]byte
+	out := make([]Session, 0, hint)
+	var (
+		rec [EncodedSessionSize]byte
+		pad byte
+	)
 	for i := uint64(0); i < n; i++ {
 		if _, err := io.ReadFull(r, rec[:]); err != nil {
 			return nil, ErrSnapshotTruncate
 		}
+		pad |= rec[46] | rec[47]
 		crc.Write(rec[:])
 		out = append(out, decodeSession(rec[:]))
 	}
@@ -398,6 +320,9 @@ func DecodeSnapshot(r io.Reader) ([]Session, error) {
 	}
 	if binary.LittleEndian.Uint32(tail[:]) != crc.Sum32() {
 		return nil, ErrSnapshotCRC
+	}
+	if pad != 0 {
+		return nil, ErrSnapshotPadding
 	}
 	return out, nil
 }

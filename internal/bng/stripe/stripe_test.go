@@ -2,7 +2,11 @@ package stripe
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"slices"
 	"testing"
 )
 
@@ -75,32 +79,66 @@ func TestPutGetDeleteLen(t *testing.T) {
 	}
 }
 
-func TestBorrowOps(t *testing.T) {
-	tab, err := New(2)
+// TestPutGrowsGroup: a Put past a group's sized range grows the group,
+// or adds groups, and keeps every record stored before.
+func TestPutGrowsGroup(t *testing.T) {
+	tab, err := New(2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := uint64(7)
-	sh := tab.ShardOf(key)
-	b := tab.Borrow(sh)
-	b.Put(Session{Key: key, State: StateActive})
-	if got, ok := b.Get(key); !ok || got.Key != key {
-		t.Fatalf("Borrowed.Get = %+v, %v", got, ok)
+	keys := []uint64{0, 3, 4, 1000, 1<<32 | 9, 3<<32 | 0}
+	for i, k := range keys {
+		tab.Put(Session{Key: k, Addr4: uint32(i + 1), State: StateActive})
 	}
-	if b.Len() != 1 {
-		t.Errorf("Borrowed.Len = %d, want 1", b.Len())
+	for i, k := range keys {
+		if got, ok := tab.Get(k); !ok || got.Addr4 != uint32(i+1) {
+			t.Errorf("Get(%#x) = %+v, %v after growth", k, got, ok)
+		}
 	}
-	if !b.Delete(key) {
-		t.Error("Borrowed.Delete = false, want true")
+	if _, ok := tab.Get(999); ok {
+		t.Error("growth filled a slot nothing was stored in")
 	}
-	if b.Delete(key) {
-		t.Error("second Borrowed.Delete = true, want false")
+	if tab.Len() != len(keys) {
+		t.Errorf("Len() = %d, want %d", tab.Len(), len(keys))
 	}
-	b.Release()
-	// Table must be usable again after release.
-	tab.Put(Session{Key: key, State: StateActive})
-	if tab.Len() != 1 {
-		t.Errorf("Len after release = %d, want 1", tab.Len())
+}
+
+// TestOutsideGroupsAbsent: a key past a group's slots, or in a group the
+// table does not have, reads as absent and deletes nothing.
+func TestOutsideGroupsAbsent(t *testing.T) {
+	tab, err := New(3, 5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []uint64{5, 1<<32 | 2, 2 << 32, ^uint64(0)} {
+		if _, ok := tab.Get(k); ok {
+			t.Errorf("Get(%#x) found a session outside every group", k)
+		}
+		if tab.Delete(k) {
+			t.Errorf("Delete(%#x) reported a session outside every group", k)
+		}
+	}
+}
+
+// TestZeroStateAbsent: a slot whose State is 0 holds no session, even
+// when the rest of its record was written.
+func TestZeroStateAbsent(t *testing.T) {
+	tab, err := New(0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab.Put(Session{Key: 1, Addr4: 0x0a000001, Expiry: 3600})
+	if _, ok := tab.Get(1); ok {
+		t.Error("Get returned a record whose State is 0")
+	}
+	if tab.Delete(1) {
+		t.Error("Delete reported a record whose State is 0")
+	}
+	if n := tab.Len(); n != 0 {
+		t.Errorf("Len() = %d, want 0", n)
+	}
+	if snap := tab.SnapshotSorted(); len(snap) != 0 {
+		t.Errorf("SnapshotSorted listed %d records whose State is 0", len(snap))
 	}
 }
 
@@ -189,6 +227,24 @@ func TestDecodeSnapshotErrors(t *testing.T) {
 			t.Errorf("got %v, want ErrSnapshotCRC", err)
 		}
 	})
+	// A forged count with no records behind it must fail as truncated
+	// without first reserving memory for the records it claims.
+	for _, n := range []uint64{1 << 39, 1<<40 - 1} {
+		t.Run(fmt.Sprintf("forged-count-%d", n), func(t *testing.T) {
+			hdr := binary.LittleEndian.AppendUint64([]byte(snapshotMagic), n)
+			if _, err := DecodeSnapshot(bytes.NewReader(hdr)); !errors.Is(err, ErrSnapshotTruncate) {
+				t.Errorf("got %v, want ErrSnapshotTruncate", err)
+			}
+		})
+	}
+	t.Run("padding", func(t *testing.T) {
+		bad := append([]byte(nil), enc...)
+		bad[16+46] = 1
+		binary.LittleEndian.PutUint32(bad[len(bad)-4:], crc32.Checksum(bad[:len(bad)-4], castagnoli))
+		if _, err := DecodeSnapshot(bytes.NewReader(bad)); !errors.Is(err, ErrSnapshotPadding) {
+			t.Errorf("got %v, want ErrSnapshotPadding", err)
+		}
+	})
 	t.Run("absurd-count", func(t *testing.T) {
 		bad := append([]byte(nil), enc...)
 		for i := 8; i < 16; i++ {
@@ -224,5 +280,66 @@ func TestMix64Bijective(t *testing.T) {
 			t.Fatalf("Mix64 collision: %d and %d -> %#x", prev, k, h)
 		}
 		seen[h] = k
+	}
+}
+
+// FuzzDecodeSnapshot: any input either fails to decode or is, up to
+// where the decoder stopped reading, the canonical encoding of what it
+// decoded to. Each input is also tried with the CRC trailer its count
+// implies recomputed, so mutations reach the record checks rather than
+// stopping at the checksum.
+func FuzzDecodeSnapshot(f *testing.F) {
+	for _, recs := range [][]Session{
+		nil,
+		{{Key: 1, State: StateActive}},
+		{
+			{Key: 7, Pfx6Hi: 0x20010db800000000, Start: 10, Expiry: 3610, Addr4: 0x0a000001, Gen: 2, Renews: 9, Pfx6Len: 56, State: StateActive},
+			{Key: 1<<32 | 3, Start: -5, Expiry: 1 << 40, Addr4: 0xffffffff, State: StateActive},
+		},
+	} {
+		var buf bytes.Buffer
+		if err := EncodeSnapshot(&buf, recs); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	// A record whose padding is not zero: once its CRC is repaired, a
+	// decoder that skipped the padding would accept it, and the records
+	// would re-encode to other bytes.
+	var buf bytes.Buffer
+	if err := EncodeSnapshot(&buf, []Session{{Key: 1, State: StateActive}}); err != nil {
+		f.Fatal(err)
+	}
+	padded := buf.Bytes()
+	padded[16+47] = 0x80
+	f.Add(padded)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		decodesCanonical(t, data)
+		if len(data) < 16 {
+			return
+		}
+		n := binary.LittleEndian.Uint64(data[8:])
+		if end := 16 + n*EncodedSessionSize; n < uint64(len(data)) && end+4 <= uint64(len(data)) {
+			fixed := slices.Clone(data)
+			binary.LittleEndian.PutUint32(fixed[end:], crc32.Checksum(fixed[:end], castagnoli))
+			decodesCanonical(t, fixed)
+		}
+	})
+}
+
+// decodesCanonical fails t when data decodes but does not re-encode to
+// the bytes the decoder consumed.
+func decodesCanonical(t *testing.T, data []byte) {
+	r := bytes.NewReader(data)
+	recs, err := DecodeSnapshot(r)
+	if err != nil {
+		return
+	}
+	var buf bytes.Buffer
+	if err := EncodeSnapshot(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	if consumed := data[:len(data)-r.Len()]; !bytes.Equal(buf.Bytes(), consumed) {
+		t.Fatalf("%d decoded records re-encode to %d bytes that differ from the %d consumed", len(recs), buf.Len(), len(consumed))
 	}
 }

@@ -188,11 +188,12 @@ func (s *Server) nak(req *Message) *Message {
 	return rep
 }
 
-// Forget releases hw's binding AND drops the sticky memory of it, so the
-// client's next discovery draws a fresh address. This is the
-// operator-forced renumbering a failover with the renumbering recovery
-// policy applies: unlike Release, a sticky server will not re-offer the
-// same address.
+// Forget releases hw's binding and drops the sticky memory of it, so
+// unlike after Release the server no longer re-offers hw that address.
+// The address goes on top of the pool's LIFO free list, though: with
+// nothing freed in between, hw's next discovery draws it straight back.
+// The renumbering failover policy moves its clients by forgetting all
+// of them before any reacquires.
 func (s *Server) Forget(hw HWAddr) {
 	if l, ok := s.byHW[hw]; ok {
 		delete(s.byHW, hw)

@@ -13,8 +13,8 @@
 #   serve-bng -standby tracking a churning active to hour 48 with no
 #   split brain), a coverage floor over
 #   the assignment-plane protocol packages and their address pool, the
-#   simulators' event queue, the CGN substrate, the checkpoint layer, and
-#   the observability layer
+#   simulators' event queue, the bng session store, the CGN substrate,
+#   the checkpoint layer, and the observability layer
 #   (plus a stricter floor over the sketch plane), the non-race
 #   million-session BNG soak (>=10^6 concurrent sessions at >=10^6
 #   events/sec with worker-count hash identity), one iteration of the
@@ -22,7 +22,8 @@
 #   bench regression smoke against the checked-in baseline, and a
 #   bounded fuzz smoke over every wire-codec,
 #   fault-profile-parsing, journal-decoding, sketch-codec,
-#   sketch-query-parsing, address-pool and event-queue Fuzz* target.
+#   sketch-query-parsing, session-snapshot codec, address-pool and
+#   event-queue Fuzz* target.
 #   FUZZTIME bounds each fuzz run (default 10s); BENCH_THRESHOLD bounds
 #   the allowed ns/op slowdown factor (default 2.0).
 set -eu
@@ -159,7 +160,7 @@ if [ "$rc" -ne 0 ] || grep -q "split brain" "$smokedir/standby.log"; then
 fi
 
 echo "==> coverage floor (>=${COVERAGE_FLOOR}% of statements)"
-for pkg in internal/addrpool internal/evq internal/dhcp4 internal/dhcp6 internal/radius internal/faultnet internal/checkpoint internal/obs internal/cgnat internal/bng; do
+for pkg in internal/addrpool internal/evq internal/dhcp4 internal/dhcp6 internal/radius internal/faultnet internal/checkpoint internal/obs internal/cgnat internal/bng internal/bng/stripe; do
 	line=$(go test -cover "./$pkg" | tail -n 1)
 	echo "$line"
 	pct=$(echo "$line" | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')
@@ -210,6 +211,7 @@ go test ./internal/cdn/stream -run '^$' -fuzz '^FuzzScanCSV$' -fuzztime "$FUZZTI
 go test ./internal/cdn -run '^$' -fuzz '^FuzzScanCSVBlocks$' -fuzztime "$FUZZTIME"
 go test ./internal/sketch -run '^$' -fuzz '^FuzzSketchCodec$' -fuzztime "$FUZZTIME"
 go test ./internal/bng -run '^$' -fuzz '^FuzzSketchQuery$' -fuzztime "$FUZZTIME"
+go test ./internal/bng/stripe -run '^$' -fuzz '^FuzzDecodeSnapshot$' -fuzztime "$FUZZTIME"
 go test ./internal/addrpool -run '^$' -fuzz '^FuzzPool$' -fuzztime "$FUZZTIME"
 go test ./internal/evq -run '^$' -fuzz '^FuzzHeap$' -fuzztime "$FUZZTIME"
 
