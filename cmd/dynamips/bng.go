@@ -32,7 +32,7 @@ var bngRoundHook func(hours int64)
 // restart with the same flags resumes by deterministic replay.
 func cmdServeBNG(args []string) error {
 	fs := newFlagSet("serve-bng")
-	subscribers := fs.Int("subscribers", 100_000, "total subscribers across the built-in groups")
+	subscribers := fs.Int("subscribers", 100_000, fmt.Sprintf("total subscribers across the built-in groups (at least %d)", bng.MinSubscribers))
 	seed := fs.Uint64("seed", 1, "master seed")
 	shardBits := fs.Int("shards", 8, "shard bits: 2^n engines churn the subscribers, each owning one stripe of the session keys")
 	workers := fs.Int("workers", 0, "shard fan-out per round (0 = GOMAXPROCS)")
@@ -60,8 +60,8 @@ func cmdServeBNG(args []string) error {
 	// never leaves its hour at a round size under 1, and the standby
 	// promotes without a poll or polls without pause.
 	switch {
-	case *subscribers < 1:
-		return fmt.Errorf("serve-bng: -subscribers must be positive, got %d", *subscribers)
+	case *subscribers < bng.MinSubscribers:
+		return fmt.Errorf("serve-bng: -subscribers must be at least %d, got %d", bng.MinSubscribers, *subscribers)
 	case *roundHours < 1:
 		return fmt.Errorf("serve-bng: -round-hours must be positive, got %d", *roundHours)
 	case *churnHours < 0:
@@ -311,10 +311,8 @@ func bngProfile(baseURL, group string) (isp.Profile, error) {
 	if g.Backend == bng.BackendDHCP {
 		backend = isp.BackendDHCP
 	}
-	// Bare-/64 delegation is the cellular signature (§4.3).
-	mobile := delegatedLen == 64
 	return isp.RemoteProfile("bng/"+g.Name, uint32(bngBaseASN+gi), backend,
-		[]netip.Prefix{v4}, v6, delegatedLen, leaseHours, mobile)
+		[]netip.Prefix{v4}, v6, delegatedLen, leaseHours)
 }
 
 // bngOperators builds a CDN operator set from a live daemon: one

@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"dynamips/internal/bng"
 )
 
 // bngArgs is the small-but-complete daemon run the crash test uses:
@@ -131,6 +134,8 @@ func TestServeBNGRejectsArgs(t *testing.T) {
 		{"-subscribers", "100", "-round-hours", "-3", "-churn-hours", "2"},
 		{"-subscribers", "0", "-churn-hours", "1"},
 		{"-subscribers", "-5", "-churn-hours", "1"},
+		{"-subscribers", "50", "-churn-hours", "1"},
+		{"-subscribers", "99", "-churn-hours", "1"},
 		{"-subscribers", "100", "-churn-hours", "-1"},
 		{"-subscribers", "100", "-churn-hours", "1", "-standby", "http://127.0.0.1:1", "-max-misses", "0"},
 		{"-subscribers", "100", "-churn-hours", "1", "-standby", "http://127.0.0.1:1", "-poll", "0s"},
@@ -146,5 +151,29 @@ func TestServeBNGRejectsArgs(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Errorf("serve-bng %q: still running after 10s", args)
 		}
+	}
+
+	// Below the floor the error names it; at the floor the run is the
+	// size asked for.
+	floor := fmt.Sprint(bng.MinSubscribers)
+	if err := cmdServeBNG([]string{"-subscribers", fmt.Sprint(bng.MinSubscribers - 1), "-churn-hours", "1"}); err == nil || !strings.Contains(err.Error(), floor) {
+		t.Errorf("-subscribers below the floor: error %v does not name %s", err, floor)
+	}
+	statsOut := filepath.Join(t.TempDir(), "stats.json")
+	if err := cmdServeBNG([]string{"-subscribers", floor, "-shards", "0", "-churn-hours", "1", "-stats-out", statsOut}); err != nil {
+		t.Fatalf("-subscribers %s: %v", floor, err)
+	}
+	raw, err := os.ReadFile(statsOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v struct {
+		Subscribers int `json:"subscribers"`
+	}
+	if err := json.Unmarshal(raw, &v); err != nil {
+		t.Fatal(err)
+	}
+	if v.Subscribers != bng.MinSubscribers {
+		t.Errorf("-subscribers %s ran %d subscribers", floor, v.Subscribers)
 	}
 }

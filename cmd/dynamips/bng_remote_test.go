@@ -40,8 +40,8 @@ func TestBNGProfileFromDaemon(t *testing.T) {
 	if p.Name != "bng/residential" || p.ASN != bngBaseASN {
 		t.Errorf("default group: got %s AS%d, want bng/residential AS%d", p.Name, p.ASN, bngBaseASN)
 	}
-	if p.Backend != isp.BackendRADIUS || p.Mobile {
-		t.Errorf("residential: backend=%v mobile=%v, want RADIUS fixed-line", p.Backend, p.Mobile)
+	if p.Backend != isp.BackendRADIUS {
+		t.Errorf("residential: backend=%v, want RADIUS", p.Backend)
 	}
 	if p.LeaseHours != 4 || p.DelegatedLen != 56 {
 		t.Errorf("residential: lease=%dh delegated=/%d, want 4h //56", p.LeaseHours, p.DelegatedLen)
@@ -61,8 +61,8 @@ func TestBNGProfileFromDaemon(t *testing.T) {
 	}
 	if p, err = bngProfile(url, "mobile"); err != nil {
 		t.Fatal(err)
-	} else if !p.Mobile || p.DelegatedLen != 64 {
-		t.Errorf("mobile: mobile=%v delegated=/%d, want bare /64 cellular", p.Mobile, p.DelegatedLen)
+	} else if p.DelegatedLen != 64 {
+		t.Errorf("mobile: delegated=/%d, want bare /64 cellular", p.DelegatedLen)
 	}
 
 	if _, err := bngProfile(url, "nonesuch"); err == nil {

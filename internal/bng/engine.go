@@ -519,12 +519,35 @@ func (e *shardEngine) advance(until int64) error {
 			e.stats.Renews++
 			e.scheduleNext(&ev, g)
 		case evFlap:
-			e.release(&ev, sub, g)
+			e.flap(&ev, sub, g)
 			e.reattachLater(&ev, g)
 		}
 	}
 	e.clock.sec = until
 	return nil
+}
+
+// assignment is a subscriber's addresses in the session table's form:
+// the IPv4 address, and the delegated prefix's high 64 bits and length
+// (0 when there is no delegation).
+type assignment struct {
+	addr4 uint32
+	p6hi  uint64
+	p6len uint8
+}
+
+// assignmentOf converts a server's answer. An invalid address or prefix
+// converts to 0: none assigned.
+func assignmentOf(a4 netip.Addr, p6 netip.Prefix) assignment {
+	var a assignment
+	if a4.IsValid() {
+		a.addr4 = netutil.U32(a4)
+	}
+	if p6.IsValid() {
+		a.p6hi, _ = netutil.U128(p6.Addr())
+		a.p6len = uint8(p6.Bits())
+	}
+	return a
 }
 
 // assign (re)allocates the subscriber's addresses through its backend
@@ -533,82 +556,34 @@ func (e *shardEngine) advance(until int64) error {
 // attach exhausted its wire attempts; the subscriber holds no record or
 // server state and the caller schedules the retry.
 func (e *shardEngine) assign(ev *event, sub *subState, g *groupSrv) (bool, error) {
+	renum := ev.P.kind == evRenumber
+	// Every path draws the id, the relayed one too, which draws its own
+	// per datagram: the cursor's draw order is part of the history.
+	txn := uint32(next(&ev.P.rng))
 	var (
-		addr4  uint32
-		p6hi   uint64
-		p6len  uint8
-		renum  = ev.P.kind == evRenumber
-		reatt  = ev.P.kind == evReattach
-		newTxn = uint32(next(&ev.P.rng))
+		a   assignment
+		err error
 	)
-	switch {
-	case g.rad != nil:
-		sess, err := g.rad.StartSession(sub.user, ev.At)
-		if err != nil {
-			return false, fmt.Errorf("bng: shard %d key %#x: radius: %w", e.id, ev.Tie, err)
-		}
-		addr4 = netutil.U32(sess.Addr4)
-		if sess.Prefix6.IsValid() {
-			p6hi, _ = netutil.U128(sess.Prefix6.Addr())
-			p6len = uint8(sess.Prefix6.Bits())
-		}
-	case len(g.relay4) > 0:
+	if len(g.relay4) > 0 {
 		// Wire-level attach through the aggregation chain: every
 		// datagram crosses the relays and may be lost on any hop.
-		ok, err := e.relayAssign(ev, sub, g, renum, &addr4, &p6hi, &p6len)
-		if err != nil || !ok {
-			return ok, err
+		var ok bool
+		if a, ok, err = e.relayAssign(ev, sub, g, renum); !ok {
+			return false, err
 		}
-	default:
-		hw := hwOf(ev.Tie)
-		if renum {
-			// A forced v4 renumber releases before reacquiring; the
-			// sticky server re-offers the same address (stable
-			// business addressing), while v6 Reassign forces a fresh
-			// delegation.
-			if _, err := g.d4.Handle(dhcp4.NewMessage(dhcp4.Release, newTxn, hw)); err != nil {
-				return false, fmt.Errorf("bng: shard %d key %#x: dhcp4 release: %w", e.id, ev.Tie, err)
-			}
-		}
-		lease, err := g.d4.Acquire(hw, newTxn)
-		if err != nil {
-			return false, fmt.Errorf("bng: shard %d key %#x: dhcp4: %w", e.id, ev.Tie, err)
-		}
-		addr4 = netutil.U32(lease.Addr)
-		if g.d6 != nil {
-			var bind dhcp6.Binding
-			if renum {
-				bind, err = g.d6.Reassign(sub.duid, newTxn)
-			} else {
-				bind, err = g.d6.Acquire(sub.duid, newTxn)
-			}
-			if err != nil {
-				return false, fmt.Errorf("bng: shard %d key %#x: dhcp6: %w", e.id, ev.Tie, err)
-			}
-			p6hi, _ = netutil.U128(bind.Prefix.Addr())
-			p6len = uint8(bind.Prefix.Bits())
-		}
+	} else if a, err = e.acquire(g, sub, renum, txn); err != nil {
+		return false, err
 	}
-	old, had := e.table.Get(ev.Tie)
-	s := stripe.Session{
-		Key:     ev.Tie,
-		Addr4:   addr4,
-		Pfx6Hi:  p6hi,
-		Pfx6Len: p6len,
-		Start:   ev.At,
-		Expiry:  ev.At + 2*g.renewSec,
-		State:   stripe.StateActive,
+	s, had := e.table.Get(ev.Tie)
+	if !had {
+		s = stripe.Session{Key: ev.Tie, Start: ev.At, State: stripe.StateActive}
 	}
-	if had {
-		s.Start = old.Start
-		s.Gen = old.Gen
-		s.Renews = old.Renews
-	}
-	e.update(old, had, s)
-	switch {
-	case renum:
+	s.Expiry = ev.At + 2*g.renewSec
+	e.update(s, had, a)
+	switch ev.P.kind {
+	case evRenumber:
 		e.stats.Renumbers++
-	case reatt:
+	case evReattach:
 		e.stats.Reattach++
 	default:
 		e.stats.Attaches++
@@ -616,27 +591,94 @@ func (e *shardEngine) assign(ev *event, sub *subState, g *groupSrv) (bool, error
 	return true, nil
 }
 
-// update writes s, the subscriber's record with its new addresses, to
-// the table. When the subscriber had a record (old), each family whose
-// assignment moved counts a change and folds the address it left, and
-// Gen bumps once for the pair. The new assignment is folded last.
-func (e *shardEngine) update(old stripe.Session, had bool, s stripe.Session) {
+// update writes the subscriber's record s with its addresses set to a.
+// When the subscriber had a record, each family whose assignment moved
+// counts a change and folds the address it left, and Gen bumps once for
+// the pair. The new assignment is folded last.
+func (e *shardEngine) update(s stripe.Session, had bool, a assignment) {
 	if had {
-		if old.Addr4 != s.Addr4 {
+		moved4 := s.Addr4 != a.addr4
+		if moved4 {
 			s.Gen++
 			e.stats.V4Changes++
-			e.skV4Change(old.Addr4)
+			e.skV4Change(s.Addr4)
 		}
-		if old.Pfx6Hi != s.Pfx6Hi || old.Pfx6Len != s.Pfx6Len {
-			if old.Addr4 == s.Addr4 {
+		if s.Pfx6Hi != a.p6hi || s.Pfx6Len != a.p6len {
+			if !moved4 {
 				s.Gen++
 			}
 			e.stats.V6Changes++
-			e.skV6Change(old.Pfx6Hi, old.Pfx6Len)
+			e.skV6Change(s.Pfx6Hi, s.Pfx6Len)
 		}
 	}
+	s.Addr4, s.Pfx6Hi, s.Pfx6Len = a.addr4, a.p6hi, a.p6len
 	e.table.Put(s)
-	e.skAssign(s.Addr4, s.Pfx6Hi, s.Pfx6Len)
+	e.skAssign(a.addr4, a.p6hi, a.p6len)
+}
+
+// acquire (re)assigns the subscriber's addresses through its backend,
+// with no relays. A RADIUS subscriber starts a fresh session. A DHCP
+// subscriber runs DORA, then the delegation; a renumber releases the
+// IPv4 lease first, which the sticky server re-offers (stable business
+// addressing), and reassigns the delegation, which forces a fresh one.
+// txn is the DHCP exchanges' transaction id.
+func (e *shardEngine) acquire(g *groupSrv, sub *subState, renum bool, txn uint32) (assignment, error) {
+	if g.rad != nil {
+		sess, err := g.rad.StartSession(sub.user)
+		if err != nil {
+			return assignment{}, fmt.Errorf("bng: shard %d key %#x: radius: %w", e.id, sub.key, err)
+		}
+		return assignmentOf(sess.Addr4, sess.Prefix6), nil
+	}
+	hw := hwOf(sub.key)
+	if renum {
+		if _, err := g.d4.Handle(dhcp4.NewMessage(dhcp4.Release, txn, hw)); err != nil {
+			return assignment{}, fmt.Errorf("bng: shard %d key %#x: dhcp4 release: %w", e.id, sub.key, err)
+		}
+	}
+	lease, err := g.d4.Acquire(hw, txn)
+	if err != nil {
+		return assignment{}, fmt.Errorf("bng: shard %d key %#x: dhcp4: %w", e.id, sub.key, err)
+	}
+	var p6 netip.Prefix
+	if g.d6 != nil {
+		var bind dhcp6.Binding
+		if renum {
+			bind, err = g.d6.Reassign(sub.duid, txn)
+		} else {
+			bind, err = g.d6.Acquire(sub.duid, txn)
+		}
+		if err != nil {
+			return assignment{}, fmt.Errorf("bng: shard %d key %#x: dhcp6: %w", e.id, sub.key, err)
+		}
+		p6 = bind.Prefix
+	}
+	return assignmentOf(lease.Addr, p6), nil
+}
+
+// release frees the subscriber's server-side state through its backend,
+// with no relays: a RADIUS stop, or a DHCP Release (its transaction id
+// drawn from the subscriber's cursor) and the delegation's release. A
+// Release may name an address the subscriber no longer holds; the
+// server then frees nothing.
+func (e *shardEngine) release(ev *event, sub *subState, g *groupSrv) {
+	if g.rad != nil {
+		g.rad.StopSession(sub.user)
+		return
+	}
+	_, _ = g.d4.Handle(dhcp4.NewMessage(dhcp4.Release, uint32(next(&ev.P.rng)), hwOf(ev.Tie)))
+	if g.d6 != nil {
+		g.d6.ReleaseBinding(sub.duid)
+	}
+}
+
+// endSession folds the duration of the subscriber's session, if it has
+// one, and clears its slot.
+func (e *shardEngine) endSession(ev *event) {
+	if s, ok := e.table.Get(ev.Tie); ok {
+		e.skSessionEnd(s.Start, ev.At)
+	}
+	e.table.Delete(ev.Tie)
 }
 
 // relayAttemptCap bounds wire-exchange retries behind a lossy relay
@@ -657,18 +699,18 @@ func (e *shardEngine) crossRelays(g *groupSrv, rng *uint64) bool {
 	return true
 }
 
-// relayX4 pushes one DHCPv4 message up the relay chain, through the
-// wire codec into the shard's server, and the reply back down. ok=false
-// means the request or its reply was lost on a hop.
+// relayX4 pushes one DHCPv4 message up the relay chain, which stamps it
+// in place, through the wire codec into the shard's server, and the
+// reply back down. ok=false means the request or its reply was lost on
+// a hop.
 func (e *shardEngine) relayX4(g *groupSrv, msg *dhcp4.Message, rng *uint64) (*dhcp4.Message, bool, error) {
-	fwd, err := g.relay4.Forward(msg)
-	if err != nil {
+	if err := g.relay4.Forward(msg); err != nil {
 		return nil, false, fmt.Errorf("bng: shard %d: relay forward: %w", e.id, err)
 	}
 	if !e.crossRelays(g, rng) {
 		return nil, false, nil
 	}
-	wire, err := dhcp4.Unmarshal(fwd.Marshal())
+	wire, err := dhcp4.Unmarshal(msg.Marshal())
 	if err != nil {
 		return nil, false, fmt.Errorf("bng: shard %d: relay codec: %w", e.id, err)
 	}
@@ -682,11 +724,10 @@ func (e *shardEngine) relayX4(g *groupSrv, msg *dhcp4.Message, rng *uint64) (*dh
 	if !e.crossRelays(g, rng) {
 		return nil, false, nil
 	}
-	back, err := g.relay4.Return(rep)
-	if err != nil {
+	if err := g.relay4.Return(rep); err != nil {
 		return nil, false, fmt.Errorf("bng: shard %d: relay return: %w", e.id, err)
 	}
-	return back, true, nil
+	return rep, true, nil
 }
 
 // relayAcquire4 runs the full DORA exchange across the relay chain,
@@ -751,66 +792,57 @@ func (e *shardEngine) relayAcquire6(g *groupSrv, duid dhcp6.DUID, rng *uint64) (
 	return netip.Prefix{}, false, nil
 }
 
-// relayAssign is the relay-routed attach path. On success it fills the
-// assignment out-params; ok=false means the exchange was abandoned and
-// all partial state rolled back.
-func (e *shardEngine) relayAssign(ev *event, sub *subState, g *groupSrv, renum bool, addr4 *uint32, p6hi *uint64, p6len *uint8) (bool, error) {
+// relayAssign is the relay-routed attach path. ok=false means the
+// exchange was abandoned and all partial state rolled back.
+func (e *shardEngine) relayAssign(ev *event, sub *subState, g *groupSrv, renum bool) (assignment, bool, error) {
 	hw := hwOf(ev.Tie)
 	if renum {
 		// The release may itself be lost on a hop; the sticky server
 		// then still holds the old binding and simply re-offers it.
 		if _, _, err := e.relayX4(g, dhcp4.NewMessage(dhcp4.Release, uint32(next(&ev.P.rng)), hw), &ev.P.rng); err != nil {
-			return false, err
+			return assignment{}, false, err
 		}
 	}
 	a4, ok, err := e.relayAcquire4(g, hw, &ev.P.rng)
 	if err != nil {
-		return false, err
+		return assignment{}, false, err
 	}
 	if !ok {
 		e.relayFail(ev, sub, g)
-		return false, nil
+		return assignment{}, false, nil
 	}
-	*addr4 = netutil.U32(a4)
-	if g.d6 == nil {
-		return true, nil
-	}
-	if renum {
+	var p6 netip.Prefix
+	switch {
+	case g.d6 == nil:
+	case renum:
 		// Renumbering stays programmatic: Reassign's
 		// allocate-before-free contract is what guarantees a fresh
 		// prefix, and it has no single-message wire equivalent.
 		bind, err := g.d6.Reassign(sub.duid, uint32(next(&ev.P.rng)))
 		if err != nil {
-			return false, fmt.Errorf("bng: shard %d key %#x: dhcp6: %w", e.id, ev.Tie, err)
+			return assignment{}, false, fmt.Errorf("bng: shard %d key %#x: dhcp6: %w", e.id, ev.Tie, err)
 		}
-		*p6hi, _ = netutil.U128(bind.Prefix.Addr())
-		*p6len = uint8(bind.Prefix.Bits())
-		return true, nil
+		p6 = bind.Prefix
+	default:
+		if p6, ok, err = e.relayAcquire6(g, sub.duid, &ev.P.rng); err != nil {
+			return assignment{}, false, err
+		}
+		if !ok {
+			e.relayFail(ev, sub, g)
+			return assignment{}, false, nil
+		}
 	}
-	p6, ok, err := e.relayAcquire6(g, sub.duid, &ev.P.rng)
-	if err != nil {
-		return false, err
-	}
-	if !ok {
-		e.relayFail(ev, sub, g)
-		return false, nil
-	}
-	*p6hi, _ = netutil.U128(p6.Addr())
-	*p6len = uint8(p6.Bits())
-	return true, nil
+	return assignmentOf(a4, p6), true, nil
 }
 
 // relayFail abandons an attach after the relay chain exhausted every
-// attempt: any partial server state and the session record are dropped
-// so the retry starts clean. The Release may name an address the
-// subscriber no longer holds; the server then frees nothing.
+// attempt: any partial server state and the session are dropped so the
+// retry starts clean. A renumber's attach abandons a live session, whose
+// duration is folded like any other ending.
 func (e *shardEngine) relayFail(ev *event, sub *subState, g *groupSrv) {
 	e.stats.RelayOutages++
-	_, _ = g.d4.Handle(dhcp4.NewMessage(dhcp4.Release, uint32(next(&ev.P.rng)), hwOf(ev.Tie)))
-	if g.d6 != nil {
-		g.d6.ReleaseBinding(sub.duid)
-	}
-	e.table.Delete(ev.Tie)
+	e.release(ev, sub, g)
+	e.endSession(ev)
 }
 
 // coa delivers an RFC 5176 CoA-Request through the wire codec and the
@@ -835,22 +867,10 @@ func (e *shardEngine) coa(ev *event, sub *subState, g *groupSrv) error {
 	if rep.Code != radius.CoAACK {
 		return nil // NAKed: the subscriber keeps its current lease
 	}
-	var addr4 uint32
-	if a4, ok := rep.GetAddr4(radius.AttrFramedIPAddress); ok {
-		addr4 = netutil.U32(a4)
-	}
-	var (
-		p6hi  uint64
-		p6len uint8
-	)
-	if p6, ok := rep.GetPrefix6(radius.AttrDelegatedIPv6Prefix); ok {
-		p6hi, _ = netutil.U128(p6.Addr())
-		p6len = uint8(p6.Bits())
-	}
-	if old, had := e.table.Get(ev.Tie); had {
-		s := old
-		s.Addr4, s.Pfx6Hi, s.Pfx6Len = addr4, p6hi, p6len
-		e.update(old, true, s)
+	if s, had := e.table.Get(ev.Tie); had {
+		a4, _ := rep.GetAddr4(radius.AttrFramedIPAddress)
+		p6, _ := rep.GetPrefix6(radius.AttrDelegatedIPv6Prefix)
+		e.update(s, true, assignmentOf(a4, p6))
 	}
 	return nil
 }
@@ -868,10 +888,7 @@ func (e *shardEngine) disconnect(ev *event, sub *subState, g *groupSrv) error {
 		return fmt.Errorf("bng: shard %d key %#x: disconnect: %w", e.id, ev.Tie, err)
 	}
 	e.stats.Disconnects++
-	if s, ok := e.table.Get(ev.Tie); ok {
-		e.skSessionEnd(s.Start, ev.At)
-	}
-	e.table.Delete(ev.Tie)
+	e.endSession(ev)
 	return nil
 }
 
@@ -881,10 +898,11 @@ func (e *shardEngine) disconnect(ev *event, sub *subState, g *groupSrv) error {
 // order: release every session, then reacquire each. The LIFO free
 // lists hand each (group, shard) its addresses and prefixes back in
 // reverse, so every subscriber moves except the middle one of a set of
-// odd size, which gets its own address and prefix back. Fresh
-// per-subscriber cursors derived from (seed, atSec, key) leave the
-// traveling event cursors untouched: the post-failover event schedule
-// is identical to an uninterrupted run, only the assignments change.
+// odd size, which gets its own address and prefix back. A DHCP
+// subscriber's transaction id comes from a fresh cursor derived from
+// (seed, atSec, key), which leaves the traveling event cursors
+// untouched: the post-failover event schedule is identical to an
+// uninterrupted run, only the assignments change.
 func (e *shardEngine) failoverRenumber(atSec int64, seed uint64) error {
 	e.clock.sec = atSec
 	active := make([]int, 0, len(e.subs))
@@ -911,64 +929,23 @@ func (e *shardEngine) failoverRenumber(atSec int64, seed uint64) error {
 	}
 	for _, i := range active {
 		sub := &e.subs[i]
-		g := &e.srvs[sub.group]
 		rng := (seed ^ uint64(atSec)*gamma) + (sub.key+1)*gamma
-		var (
-			addr4 uint32
-			p6hi  uint64
-			p6len uint8
-		)
-		if g.rad != nil {
-			sess, err := g.rad.StartSession(sub.user, atSec)
-			if err != nil {
-				return fmt.Errorf("bng: shard %d key %#x: failover radius: %w", e.id, sub.key, err)
-			}
-			addr4 = netutil.U32(sess.Addr4)
-			if sess.Prefix6.IsValid() {
-				p6hi, _ = netutil.U128(sess.Prefix6.Addr())
-				p6len = uint8(sess.Prefix6.Bits())
-			}
-		} else {
-			lease, err := g.d4.Acquire(hwOf(sub.key), uint32(next(&rng)))
-			if err != nil {
-				return fmt.Errorf("bng: shard %d key %#x: failover dhcp4: %w", e.id, sub.key, err)
-			}
-			addr4 = netutil.U32(lease.Addr)
-			if g.d6 != nil {
-				bind, err := g.d6.Acquire(sub.duid, uint32(next(&rng)))
-				if err != nil {
-					return fmt.Errorf("bng: shard %d key %#x: failover dhcp6: %w", e.id, sub.key, err)
-				}
-				p6hi, _ = netutil.U128(bind.Prefix.Addr())
-				p6len = uint8(bind.Prefix.Bits())
-			}
+		a, err := e.acquire(&e.srvs[sub.group], sub, false, uint32(next(&rng)))
+		if err != nil {
+			return fmt.Errorf("failover at %ds: %w", atSec, err)
 		}
-		old, _ := e.table.Get(sub.key)
-		s := old
-		s.Addr4, s.Pfx6Hi, s.Pfx6Len = addr4, p6hi, p6len
-		e.update(old, true, s)
+		s, _ := e.table.Get(sub.key)
+		e.update(s, true, a)
 		e.stats.FailoverRenumbers++
 	}
 	return nil
 }
 
-// release tears the subscriber's server-side state down and deletes its
-// session record.
-func (e *shardEngine) release(ev *event, sub *subState, g *groupSrv) {
-	switch {
-	case g.rad != nil:
-		g.rad.StopSession(sub.user)
-	default:
-		hw := hwOf(ev.Tie)
-		g.d4.Handle(dhcp4.NewMessage(dhcp4.Release, uint32(next(&ev.P.rng)), hw))
-		if g.d6 != nil {
-			g.d6.ReleaseBinding(sub.duid)
-		}
-	}
-	if s, ok := e.table.Get(ev.Tie); ok {
-		e.skSessionEnd(s.Start, ev.At)
-	}
-	e.table.Delete(ev.Tie)
+// flap takes the subscriber offline: its server-side state is released
+// and its session ended.
+func (e *shardEngine) flap(ev *event, sub *subState, g *groupSrv) {
+	e.release(ev, sub, g)
+	e.endSession(ev)
 	e.stats.Flaps++
 }
 

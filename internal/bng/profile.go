@@ -174,14 +174,19 @@ func (c *Config) Subscribers() int {
 
 func mustPfx(s string) netip.Prefix { return netip.MustParsePrefix(s) }
 
+// MinSubscribers is the smallest total DefaultConfig splits as given: it
+// raises any smaller total to this floor, where the 64/16/20 split gives
+// every group subscribers.
+const MinSubscribers = 100
+
 // DefaultConfig is the built-in three-group BNG: PPPoE residential
 // (RADIUS, dual-stack /56), sticky-DHCP business (dual-stack /56), and
 // CGNAT mobile (RADIUS from 100.64.0.0/10, bare /64s) — the populations
-// whose assignment signatures the paper contrasts. totalSubs is split
-// 64/16/20 across them.
+// whose assignment signatures the paper contrasts. totalSubs, floored at
+// MinSubscribers, is split 64/16/20 across them.
 func DefaultConfig(totalSubs int, seed uint64) Config {
-	if totalSubs < 100 {
-		totalSubs = 100
+	if totalSubs < MinSubscribers {
+		totalSubs = MinSubscribers
 	}
 	res := totalSubs * 64 / 100
 	biz := totalSubs * 16 / 100

@@ -111,6 +111,46 @@ func TestSketchMatchesEngineCounters(t *testing.T) {
 	}
 }
 
+// TestSessionEndsBalanceAttaches: at every round boundary each session
+// an attach or reattach opened is either live or has ended and folded
+// its duration into dur_hours. A renumber whose relayed DORA exhausts
+// its attempts ends a live session, and must fold it like a flap or a
+// disconnect does; sticky business renumbering every 2 hours behind
+// lossy relays makes that common.
+func TestSessionEndsBalanceAttaches(t *testing.T) {
+	relayed := DefaultConfig(1000, 20201201)
+	relayed.ShardBits = 2
+	relayed.Groups[1].RenumberMeanHours = 2
+	relayed.Scenario = &Scenario{RelayHops: 2, RelayDrop: 0.3}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"plain", testConfig(20201201)},
+		{"relayed", relayed},
+	} {
+		d, err := New(tc.cfg, Options{Workers: 2, RoundHours: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for h := int64(6); h <= 48; h += 6 {
+			if err := d.Churn(h); err != nil {
+				t.Fatal(err)
+			}
+			v := d.Stats()
+			s, err := sketch.DecodeSet(d.SketchBinary())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ended := s.Quantile(sketch.DurHours).Count()
+			if opened := v.Events.Attaches + v.Events.Reattach; opened != ended+uint64(v.ActiveSessions) {
+				t.Fatalf("%s, hour %d: %d sessions opened, %d ended and %d active (%d relay outages)",
+					tc.name, h, opened, ended, v.ActiveSessions, v.Events.RelayOutages)
+			}
+		}
+	}
+}
+
 // TestSketchEndpoint drives the /sketch route through real HTTP: full
 // view, per-op answers, the binary form, and the error statuses.
 func TestSketchEndpoint(t *testing.T) {

@@ -31,53 +31,38 @@ type Relay struct {
 	MaxHops byte
 }
 
-// Forward relays a client-to-server message: the hop count is
-// incremented, giaddr is stamped if this is the first relay on the path,
-// and the message is rejected if it has traveled too far. The input is
-// not modified.
-func (r *Relay) Forward(req *Message) (*Message, error) {
+// Forward relays a client-to-server message in place: the hop count is
+// incremented and giaddr is stamped if this is the first relay on the
+// path. A message that has traveled too far is rejected unchanged.
+func (r *Relay) Forward(req *Message) error {
 	if req.Op != OpRequest {
-		return nil, fmt.Errorf("dhcp4: relay forwarding non-request op %d", req.Op)
+		return fmt.Errorf("dhcp4: relay forwarding non-request op %d", req.Op)
 	}
 	limit := r.MaxHops
 	if limit == 0 || limit > relayHardHops {
 		limit = relayHardHops
 	}
 	if req.Hops >= limit {
-		return nil, fmt.Errorf("%w: %d hops at relay %v", ErrHopLimit, req.Hops, r.GIAddr)
+		return fmt.Errorf("%w: %d hops at relay %v", ErrHopLimit, req.Hops, r.GIAddr)
 	}
-	out := req.Clone()
-	out.Hops++
-	if !out.GIAddr.IsValid() || out.GIAddr == netip.IPv4Unspecified() {
-		out.GIAddr = r.GIAddr
+	req.Hops++
+	if !req.GIAddr.IsValid() || req.GIAddr == netip.IPv4Unspecified() {
+		req.GIAddr = r.GIAddr
 	}
-	return out, nil
+	return nil
 }
 
-// Return relays a server-to-client reply back toward the subscriber.
-// The server unicasts replies to giaddr (RFC 2131 §4.1); a relay only
-// accepts replies stamped with its own gateway address.
-func (r *Relay) Return(rep *Message) (*Message, error) {
+// Return checks a server-to-client reply on its way back toward the
+// subscriber. The server unicasts replies to giaddr (RFC 2131 §4.1); a
+// relay only accepts replies stamped with its own gateway address.
+func (r *Relay) Return(rep *Message) error {
 	if rep.Op != OpReply {
-		return nil, fmt.Errorf("dhcp4: relay returning non-reply op %d", rep.Op)
+		return fmt.Errorf("dhcp4: relay returning non-reply op %d", rep.Op)
 	}
 	if rep.GIAddr != r.GIAddr {
-		return nil, fmt.Errorf("dhcp4: reply giaddr %v does not match relay %v", rep.GIAddr, r.GIAddr)
+		return fmt.Errorf("dhcp4: reply giaddr %v does not match relay %v", rep.GIAddr, r.GIAddr)
 	}
-	out := rep.Clone()
-	return out, nil
-}
-
-// Clone returns a deep copy of the message (options included).
-func (m *Message) Clone() *Message {
-	out := *m
-	out.Options = make(map[byte][]byte, len(m.Options))
-	for c, v := range m.Options {
-		cp := make([]byte, len(v))
-		copy(cp, v)
-		out.Options[c] = cp
-	}
-	return &out
+	return nil
 }
 
 // RelayChain is an ordered aggregation path from the subscriber to the
@@ -99,24 +84,23 @@ func NewRelayChain(base netip.Addr, n int) (RelayChain, error) {
 	return chain, nil
 }
 
-// Forward runs a request up the whole chain, client to server.
-func (c RelayChain) Forward(req *Message) (*Message, error) {
-	out := req
+// Forward runs a request up the whole chain, client to server, updating
+// it in place. A hop that rejects it leaves the hops before it applied.
+func (c RelayChain) Forward(req *Message) error {
 	for _, r := range c {
-		var err error
-		if out, err = r.Forward(out); err != nil {
-			return nil, err
+		if err := r.Forward(req); err != nil {
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// Return runs a reply down the chain, server to client. Only the
-// innermost relay stamped giaddr, so only it validates the address;
-// outer hops pass the reply through.
-func (c RelayChain) Return(rep *Message) (*Message, error) {
+// Return checks a reply on its way down the chain, server to client.
+// Only the innermost relay stamped giaddr, so only it validates the
+// address; outer hops pass the reply through.
+func (c RelayChain) Return(rep *Message) error {
 	if len(c) == 0 {
-		return rep, nil
+		return nil
 	}
 	return c[0].Return(rep)
 }

@@ -44,7 +44,6 @@ type ServerConfig struct {
 // itself; it holds its address until Release or Forget.
 type Lease struct {
 	Addr   netip.Addr
-	HW     HWAddr
 	Expiry int64
 }
 
@@ -90,7 +89,7 @@ func (s *Server) Capacity() uint64 { return s.pool.Size() }
 
 // bind leases a to hw for a fresh lifetime and makes hw its holder.
 func (s *Server) bind(hw HWAddr, a netip.Addr) Lease {
-	l := Lease{Addr: a, HW: hw, Expiry: s.clock.Now() + int64(s.cfg.LeaseSeconds)}
+	l := Lease{Addr: a, Expiry: s.clock.Now() + int64(s.cfg.LeaseSeconds)}
 	s.byHW[hw] = l
 	s.pool.Hold(a, hw)
 	return l
@@ -219,5 +218,5 @@ func (s *Server) Acquire(hw HWAddr, xid uint32) (Lease, error) {
 		return Lease{}, fmt.Errorf("dhcp4: acquire got %v", ack.Type())
 	}
 	lease, _ := ack.U32Option(OptLeaseTime)
-	return Lease{Addr: ack.YIAddr, HW: hw, Expiry: s.clock.Now() + int64(lease)}, nil
+	return Lease{Addr: ack.YIAddr, Expiry: s.clock.Now() + int64(lease)}, nil
 }

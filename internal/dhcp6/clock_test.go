@@ -30,7 +30,7 @@ func TestClientExpiryMatchesServerClock(t *testing.T) {
 	if want := clk.t + 86400; b2.Expiry != want {
 		t.Errorf("renewed binding expiry %d, want %d", b2.Expiry, want)
 	}
-	srvB, ok := srv.byClient[duid(7).String()]
+	srvB, ok := srv.byClient[string(duid(7))]
 	if !ok {
 		t.Fatal("server lost the binding")
 	}

@@ -164,7 +164,7 @@ func TestRenewKeepsPrefix(t *testing.T) {
 	if got := ia.Prefixes[0].Prefix; got != b.Prefix {
 		t.Errorf("renew moved %v -> %v", b.Prefix, got)
 	}
-	if got := srv.byClient[duid(1).String()].Expiry; got != clk.t+86400 {
+	if got := srv.byClient[string(duid(1))].Expiry; got != clk.t+86400 {
 		t.Errorf("expiry = %d", got)
 	}
 }

@@ -39,7 +39,7 @@ func checkHolders(t *testing.T, s *Server, pool netip.Prefix, bits, clients int,
 		}
 		held++
 		if b, bound := s.byClient[c]; !bound || b.Prefix != p {
-			t.Fatalf("after %s: %v is held by %s, whose binding is %+v (present %v)", step, p, c, b, bound)
+			t.Fatalf("after %s: %v is held by %v, whose binding is %+v (present %v)", step, p, DUID(c), b, bound)
 		}
 	}
 	if held > clients {
@@ -70,7 +70,7 @@ func TestServerHolderInvariant(t *testing.T) {
 		for step := 0; step < 300; step++ {
 			clk.t += int64(rng.Intn(7200))
 			d := duid(byte(1 + rng.Intn(clients)))
-			client := d.String()
+			client := string(d)
 			txn := uint32(step)
 			handle := func(m *Message) *Message {
 				t.Helper()

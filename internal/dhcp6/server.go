@@ -49,7 +49,6 @@ type ServerConfig struct {
 // or Renumber.
 type Binding struct {
 	Prefix netip.Prefix
-	Client string // DUID as map key
 	Expiry int64
 }
 
@@ -87,8 +86,8 @@ type Server struct {
 	stats ServerStats
 	clock Clock
 
-	// pool's holder of each delegated prefix is the client bound to it,
-	// by DUID string.
+	// Clients are keyed by their DUID's bytes: pool's holder of each
+	// delegated prefix is the client bound to it.
 	pool     *addrpool.Pool[netip.Prefix, string]
 	byClient map[string]Binding
 	offers   map[string]netip.Prefix
@@ -154,7 +153,7 @@ func (s *Server) candidate(client string) (netip.Prefix, error) {
 // the binding: a Request naming it would rebind the client without
 // freeing the prefix it now holds.
 func (s *Server) bind(client string, p netip.Prefix) Binding {
-	b := Binding{Prefix: p, Client: client, Expiry: s.clock.Now() + int64(s.cfg.ValidSeconds)}
+	b := Binding{Prefix: p, Expiry: s.clock.Now() + int64(s.cfg.ValidSeconds)}
 	s.byClient[client] = b
 	s.pool.Hold(p, client)
 	delete(s.offers, client)
@@ -191,7 +190,7 @@ func (s *Server) Handle(req *Message) (*Message, error) {
 	if len(req.ClientID) == 0 {
 		return nil, errors.New("dhcp6: request missing client ID")
 	}
-	client := req.ClientID.String()
+	client := string(req.ClientID)
 	var iaid uint32
 	if len(req.IAPDs) > 0 {
 		iaid = req.IAPDs[0].IAID
@@ -285,7 +284,7 @@ func (s *Server) Acquire(client DUID, txn uint32) (Binding, error) {
 		return Binding{}, fmt.Errorf("dhcp6: acquire rejected (status %d)", rep.IAPDs[0].Status)
 	}
 	p := rep.IAPDs[0].Prefixes[0]
-	return Binding{Prefix: p.Prefix, Client: client.String(), Expiry: s.clock.Now() + int64(p.Valid)}, nil
+	return Binding{Prefix: p.Prefix, Expiry: s.clock.Now() + int64(p.Valid)}, nil
 }
 
 // Reassign forces a fresh delegation for the client, modeling an ISP-side
@@ -299,7 +298,7 @@ func (s *Server) Reassign(client DUID, txn uint32) (Binding, error) {
 	if err != nil {
 		return Binding{}, err
 	}
-	cl := client.String()
+	cl := string(client)
 	if old, ok := s.byClient[cl]; ok {
 		s.pool.Free(old.Prefix, cl)
 	}
@@ -308,7 +307,7 @@ func (s *Server) Reassign(client DUID, txn uint32) (Binding, error) {
 
 // ReleaseBinding releases the client's delegation programmatically
 // (equivalent to handling a RELEASE message).
-func (s *Server) ReleaseBinding(client DUID) { s.release(client.String()) }
+func (s *Server) ReleaseBinding(client DUID) { s.release(string(client)) }
 
 // release frees the client's delegation, if it holds one.
 func (s *Server) release(client string) {

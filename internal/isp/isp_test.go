@@ -514,7 +514,7 @@ func TestRemoteProfile(t *testing.T) {
 	v4 := []netip.Prefix{netip.MustParsePrefix("10.0.0.0/9")}
 	v6 := netip.MustParsePrefix("2001:db8::/34")
 
-	p, err := RemoteProfile("bng/res", 64512, BackendRADIUS, v4, v6, 56, 4, false)
+	p, err := RemoteProfile("bng/res", 64512, BackendRADIUS, v4, v6, 56, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +529,7 @@ func TestRemoteProfile(t *testing.T) {
 	}
 
 	// A sticky DHCP backend gets exponential, decoupled classes.
-	p, err = RemoteProfile("bng/biz", 64513, BackendDHCP, v4, v6, 56, 24, false)
+	p, err = RemoteProfile("bng/biz", 64513, BackendDHCP, v4, v6, 56, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,12 +541,12 @@ func TestRemoteProfile(t *testing.T) {
 
 	// The v6 pool never outruns the delegation, and a runnable profile
 	// comes back even from a tight aggregate.
-	p, err = RemoteProfile("bng/tight", 64514, BackendRADIUS, v4, netip.MustParsePrefix("2001:db8::/60"), 61, 2, true)
+	p, err = RemoteProfile("bng/tight", 64514, BackendRADIUS, v4, netip.MustParsePrefix("2001:db8::/60"), 61, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.PoolLen6 != 61 || !p.Mobile {
-		t.Errorf("tight aggregate: pool //%d mobile=%v, want //61 true", p.PoolLen6, p.Mobile)
+	if p.PoolLen6 != 61 {
+		t.Errorf("tight aggregate: pool //%d, want //61", p.PoolLen6)
 	}
 	if _, err := Run(Config{Profile: p, Subscribers: 20, Hours: 24, Seed: 3}); err != nil {
 		t.Errorf("tight remote profile does not run: %v", err)
@@ -558,23 +558,23 @@ func TestRemoteProfile(t *testing.T) {
 		err  func() error
 	}{
 		{"no name", func() error {
-			_, err := RemoteProfile("", 1, BackendRADIUS, v4, v6, 56, 4, false)
+			_, err := RemoteProfile("", 1, BackendRADIUS, v4, v6, 56, 4)
 			return err
 		}},
 		{"no v4", func() error {
-			_, err := RemoteProfile("x", 1, BackendRADIUS, nil, v6, 56, 4, false)
+			_, err := RemoteProfile("x", 1, BackendRADIUS, nil, v6, 56, 4)
 			return err
 		}},
 		{"invalid v6", func() error {
-			_, err := RemoteProfile("x", 1, BackendRADIUS, v4, netip.Prefix{}, 56, 4, false)
+			_, err := RemoteProfile("x", 1, BackendRADIUS, v4, netip.Prefix{}, 56, 4)
 			return err
 		}},
 		{"delegation above aggregate", func() error {
-			_, err := RemoteProfile("x", 1, BackendRADIUS, v4, v6, 34, 4, false)
+			_, err := RemoteProfile("x", 1, BackendRADIUS, v4, v6, 34, 4)
 			return err
 		}},
 		{"delegation below /64", func() error {
-			_, err := RemoteProfile("x", 1, BackendRADIUS, v4, v6, 65, 4, false)
+			_, err := RemoteProfile("x", 1, BackendRADIUS, v4, v6, 65, 4)
 			return err
 		}},
 	}

@@ -16,15 +16,20 @@ import (
 	"net/netip"
 )
 
-// Backend selects the assignment machinery for IPv4.
+// Backend labels a profile's IPv4 assignment style. It is descriptive:
+// the simulator runs every profile's IPv4 on RADIUS sessions, and the
+// stability a sticky DHCP server would give lives in the profile's
+// class duration models. `dynamips profiles` prints the label, and
+// RemoteProfile picks its classes by it.
 type Backend int
 
 // Assignment backends.
 const (
-	// BackendRADIUS models session-based assignment: every session draws
-	// a fresh address (Orange, DTAG and most European DSL profiles).
+	// BackendRADIUS labels session-based assignment, where every
+	// session draws a fresh address (Orange, DTAG and most European DSL
+	// profiles).
 	BackendRADIUS Backend = iota
-	// BackendDHCP models sticky DHCP servers that re-offer the same
+	// BackendDHCP labels sticky DHCP servers that re-offer the same
 	// address to returning clients (typical US cable profiles).
 	BackendDHCP
 )
@@ -134,7 +139,8 @@ type Profile struct {
 	// aggregate length.
 	CrossCPL int
 
-	// Backend selects the IPv4 machinery.
+	// Backend labels the IPv4 assignment style; the simulator does not
+	// read it (see Backend).
 	Backend Backend
 	// LeaseHours is the DHCP lease / RADIUS session-timeout horizon in
 	// hours, bounded below by 1.
@@ -182,9 +188,6 @@ type Profile struct {
 	// subscribers re-draw their behavior class from the After lists at
 	// their next change. Nil keeps policy stationary.
 	Shift *PolicyShift
-
-	// Mobile marks cellular profiles (used by the CDN pipeline).
-	Mobile bool
 }
 
 // Validate checks a profile for internal consistency.
@@ -453,7 +456,7 @@ func ProfileByName(name string) (Profile, bool) {
 // ground truth, with class mixes derived heuristically from the
 // backend. The daemon's groups are fully dual-stack, so the profile
 // is too. The result passes Validate.
-func RemoteProfile(name string, asn uint32, backend Backend, v4 []netip.Prefix, v6 netip.Prefix, delegatedLen int, leaseHours uint32, mobile bool) (Profile, error) {
+func RemoteProfile(name string, asn uint32, backend Backend, v4 []netip.Prefix, v6 netip.Prefix, delegatedLen int, leaseHours uint32) (Profile, error) {
 	if name == "" {
 		return Profile{}, fmt.Errorf("isp: remote profile without name")
 	}
@@ -498,7 +501,6 @@ func RemoteProfile(name string, asn uint32, backend Backend, v4 []netip.Prefix, 
 		CrossPool6Frac: 0.01,
 		Backend:        backend, LeaseHours: leaseHours,
 		DualStackFrac: 1, StaticFrac: 0.05,
-		Mobile: mobile,
 	}
 	if len(v4) > 1 {
 		p.CrossBGP4Frac = 0.2

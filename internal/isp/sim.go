@@ -476,7 +476,7 @@ func (s *sim) changeV4(t int64, sub *Subscriber) {
 		}
 		addr = a
 	} else {
-		sess, err := srv.StartSession(sub.user, s.clock.sec)
+		sess, err := srv.StartSession(sub.user)
 		if err != nil {
 			return // pool exhausted: keep the old address
 		}

@@ -106,29 +106,20 @@ func (s *Server) handleDisconnect(req *Packet) *Packet {
 // mid-lease renumbering a RADIUS operator forces without disconnecting
 // the subscriber. The ACK carries the new Framed-IP-Address and, when
 // the server delegates IPv6, the new Delegated-IPv6-Prefix.
-func (s *Server) handleCoA(req *Packet, now int64) *Packet {
+func (s *Server) handleCoA(req *Packet) *Packet {
 	user, ok := req.GetString(AttrUserName)
 	if !ok || user == "" {
 		s.stats.DynauthNAKs++
 		return nakWithCause(CoANAK, req.Identifier, ErrCauseMissingAttribute)
 	}
-	old, ok := s.sessions[user]
-	if !ok {
+	if _, ok := s.sessions[user]; !ok {
 		s.stats.DynauthNAKs++
 		return nakWithCause(CoANAK, req.Identifier, ErrCauseSessionNotFound)
 	}
-	start := old.Start
-	sess, err := s.StartSession(user, now)
+	sess, err := s.StartSession(user)
 	if err != nil {
 		s.stats.DynauthNAKs++
 		return nakWithCause(CoANAK, req.Identifier, ErrCauseResourceUnavailable)
 	}
-	sess.Start = start // the session survives; only its authorization changed
-	rep := New(CoAACK, req.Identifier)
-	rep.AddAddr4(AttrFramedIPAddress, sess.Addr4)
-	rep.AddU32(AttrSessionTimeout, sess.Timeout)
-	if sess.Prefix6.IsValid() {
-		rep.AddPrefix6(AttrDelegatedIPv6Prefix, sess.Prefix6)
-	}
-	return rep
+	return s.grant(CoAACK, req.Identifier, sess)
 }

@@ -92,7 +92,7 @@ func dynauthServer(t *testing.T) *Server {
 		DelegatedLen6:  56,
 		SessionTimeout: 3600,
 	})
-	if _, err := s.StartSession("sub", 100); err != nil {
+	if _, err := s.StartSession("sub"); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -125,8 +125,11 @@ func TestCoADispatch(t *testing.T) {
 	if after == before {
 		t.Error("CoA did not renumber the session")
 	}
-	if sess := s.sessions["sub"]; sess.Start != 100 {
-		t.Errorf("CoA reset session start to %d", sess.Start)
+	if sess := s.sessions["sub"]; sess.Addr4 != after {
+		t.Errorf("session holds %v, CoA-ACK names %v", sess.Addr4, after)
+	}
+	if v, _ := rep.GetU32(AttrSessionTimeout); v != 3600 {
+		t.Errorf("CoA-ACK Session-Timeout = %d, want 3600", v)
 	}
 	if _, ok := rep.GetPrefix6(AttrDelegatedIPv6Prefix); !ok {
 		t.Error("ACK missing Delegated-IPv6-Prefix")
@@ -243,7 +246,7 @@ func FuzzDynauth(f *testing.F) {
 			Pools4:         []netip.Prefix{netip.MustParsePrefix("10.9.0.0/24")},
 			SessionTimeout: 3600,
 		})
-		if _, err := s.StartSession("sub", 1); err != nil {
+		if _, err := s.StartSession("sub"); err != nil {
 			t.Fatal(err)
 		}
 		for _, code := range []Code{CoARequest, DisconnectRequest} {

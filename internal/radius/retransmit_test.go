@@ -65,10 +65,10 @@ func TestDuplicateAccessRequestIsIdempotent(t *testing.T) {
 	if s.ActiveSessions() != sessions {
 		t.Fatalf("duplicate changed session count: %d -> %d", sessions, s.ActiveSessions())
 	}
-	// The original session's start time must not have been reset by the
-	// duplicate: a fresh allocation at now=105 would start then.
-	if sess := s.sessions["dup-user"]; sess.Start != 100 {
-		t.Fatalf("duplicate reset session start to %d", sess.Start)
+	// The original session must not have been replaced by the
+	// duplicate: a fresh allocation would hold another address.
+	if sess := s.sessions["dup-user"]; sess.Addr4 != addr1 {
+		t.Fatalf("duplicate moved the session from %v to %v", addr1, sess.Addr4)
 	}
 }
 

@@ -34,13 +34,12 @@ type ServerConfig struct {
 	Secret []byte
 }
 
-// Session is one active subscriber session.
+// Session is one active subscriber session: the addresses it holds. Its
+// user is its key in the server's sessions, and its timeout is the
+// server's SessionTimeout.
 type Session struct {
-	User    string
 	Addr4   netip.Addr
 	Prefix6 netip.Prefix
-	Start   int64
-	Timeout uint32
 }
 
 // replayWindowSec is how long a duplicate Access-Request — same
@@ -148,12 +147,14 @@ func (s *Server) Secret() []byte { return s.cfg.Secret }
 // rather than instantly recycling its own (the RADIUS behavior behind
 // §2.2's "even very short CPE outages or reboots can result in
 // assignment changes").
-func (s *Server) StartSession(user string, now int64) (*Session, error) {
+func (s *Server) StartSession(user string) (*Session, error) {
 	a4, err := s.pool4.Next()
 	if err != nil {
 		return nil, err
 	}
-	sess := &Session{User: user, Addr4: a4, Start: now, Timeout: s.cfg.SessionTimeout}
+	sess := &Session{Addr4: a4}
+	// Next has consumed a4, so it is held even when the delegation
+	// below fails: only its holder can free it back to the pool.
 	s.pool4.Hold(a4, sess)
 	if s.pool6 != nil {
 		p6, err := s.pool6.Next()
@@ -164,42 +165,44 @@ func (s *Server) StartSession(user string, now int64) (*Session, error) {
 		sess.Prefix6 = p6
 		s.pool6.Hold(p6, sess)
 	}
-	if old, ok := s.sessions[user]; ok {
-		s.stop(old)
-	}
+	s.StopSession(user)
 	s.sessions[user] = sess
 	return sess, nil
 }
 
-func (s *Server) stop(sess *Session) {
-	delete(s.sessions, sess.User)
+// StopSession ends a user's session, freeing its addresses.
+func (s *Server) StopSession(user string) {
+	sess, ok := s.sessions[user]
+	if !ok {
+		return
+	}
+	delete(s.sessions, user)
 	s.pool4.Free(sess.Addr4, sess)
 	if s.pool6 != nil {
 		s.pool6.Free(sess.Prefix6, sess)
 	}
 }
 
-// StopSession ends a user's session, freeing its addresses.
-func (s *Server) StopSession(user string) {
-	if sess, ok := s.sessions[user]; ok {
-		s.stop(sess)
-	}
-}
-
 // handleAccess authenticates and allocates for one first-seen
 // Access-Request, returning Access-Accept or Access-Reject.
-func (s *Server) handleAccess(req *Packet, now int64) *Packet {
+func (s *Server) handleAccess(req *Packet) *Packet {
 	user, ok := req.GetString(AttrUserName)
 	if !ok || user == "" {
 		return New(AccessReject, req.Identifier)
 	}
-	sess, err := s.StartSession(user, now)
+	sess, err := s.StartSession(user)
 	if err != nil {
 		return New(AccessReject, req.Identifier)
 	}
-	rep := New(AccessAccept, req.Identifier)
+	return s.grant(AccessAccept, req.Identifier, sess)
+}
+
+// grant builds an Access-Accept or CoA-ACK carrying sess's addresses and
+// the configured Session-Timeout.
+func (s *Server) grant(code Code, id byte, sess *Session) *Packet {
+	rep := New(code, id)
 	rep.AddAddr4(AttrFramedIPAddress, sess.Addr4)
-	rep.AddU32(AttrSessionTimeout, sess.Timeout)
+	rep.AddU32(AttrSessionTimeout, s.cfg.SessionTimeout)
 	if sess.Prefix6.IsValid() {
 		rep.AddPrefix6(AttrDelegatedIPv6Prefix, sess.Prefix6)
 	}
@@ -244,13 +247,13 @@ func (s *Server) Handle(req *Packet, now int64) (*Packet, error) {
 		switch req.Code {
 		case AccessRequest:
 			s.stats.AccessRequests++
-			rep = s.handleAccess(req, now)
+			rep = s.handleAccess(req)
 			if rep.Code == AccessReject {
 				s.stats.Rejects++
 			}
 		case CoARequest:
 			s.stats.CoARequests++
-			rep = s.handleCoA(req, now)
+			rep = s.handleCoA(req)
 		case DisconnectRequest:
 			s.stats.Disconnects++
 			rep = s.handleDisconnect(req)

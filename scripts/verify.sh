@@ -1,6 +1,8 @@
 #!/bin/sh
 # verify.sh — the repository's full correctness gate, run locally and in CI:
-#   build, go vet, gofmt -l (no unformatted file), dynalint (all eight
+#   build, go vet, go vet of the bench module (which type-checks the
+#   benchmark's calls into this tree, so a renamed or re-signed name it
+#   uses fails here), gofmt -l (no unformatted file), dynalint (all eight
 #   analyzers, JSON findings diffed against the checked-in empty
 #   baseline; DYNALINT_FINDINGS names the artifact file), the test
 #   suite under the race detector (which includes the fault-injection soak,
@@ -39,6 +41,9 @@ go build ./...
 
 echo "==> go vet ./..."
 go vet ./...
+
+echo "==> (cd bench && go vet ./...) (the benchmark compiles against this tree)"
+(cd bench && go vet ./...)
 
 echo "==> gofmt -l ."
 unformatted=$(gofmt -l .)
