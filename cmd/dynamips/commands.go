@@ -21,6 +21,7 @@ import (
 	"dynamips/internal/cdn/stream"
 	"dynamips/internal/checkpoint"
 	"dynamips/internal/core"
+	"dynamips/internal/echo"
 	"dynamips/internal/experiments"
 	"dynamips/internal/faultnet"
 	"dynamips/internal/isp"
@@ -236,13 +237,14 @@ func genAtlasProfile(profile isp.Profile, probes int, hours, seed int64, raw boo
 	o.Counter("gen_series", obs.L("as", profile.Name)).Add(int64(len(fleet.Series)))
 	return writeOutput(out, func(w io.Writer) error {
 		if raw {
-			var recs []atlas.Record
 			for i := range fleet.Series {
-				recs = append(recs, fleet.Series[i].Expand()...)
+				if err := echo.WriteRecords(w, fleet.Series[i].Expand()); err != nil {
+					return err
+				}
 			}
-			return atlas.WriteRecords(w, recs)
+			return nil
 		}
-		return atlas.WriteSeries(w, fleet.Series)
+		return echo.WriteSeries(w, fleet.Series)
 	})
 }
 
@@ -351,21 +353,21 @@ func cmdAnalyze(args []string) error {
 		return fmt.Errorf("opening dataset: %w", err)
 	}
 	defer f.Close()
-	var series []atlas.Series
+	var series []echo.Series
 	switch *format {
 	case "series":
-		series, err = atlas.ReadSeries(bufio.NewReader(f))
+		series, err = echo.ReadSeries(bufio.NewReader(f))
 	case "records":
-		var recs []atlas.Record
-		recs, err = atlas.ReadRecords(bufio.NewReader(f))
+		var recs []echo.Record
+		recs, err = echo.ReadRecords(bufio.NewReader(f))
 		if err == nil {
-			series = atlas.Compress(recs)
+			series = echo.Compress(recs)
 		}
 	case "ripe":
-		var recs []atlas.Record
+		var recs []echo.Record
 		recs, err = atlas.ReadRIPEResults(bufio.NewReader(f), *epoch)
 		if err == nil {
-			series = atlas.Compress(recs)
+			series = echo.Compress(recs)
 		}
 	default:
 		return fmt.Errorf("analyze: unknown format %q", *format)
@@ -415,7 +417,7 @@ func cmdAnalyze(args []string) error {
 	return err
 }
 
-func analyzeReport(w io.Writer, series []atlas.Series, table *bgp.Table, o *obs.Observer) error {
+func analyzeReport(w io.Writer, series []echo.Series, table *bgp.Table, o *obs.Observer) error {
 	sanSpan := o.StartSpan("analyze/sanitize")
 	sc := atlas.DefaultSanitizeConfig()
 	sc.Obs = o

@@ -110,12 +110,22 @@ func TestAnalyzeRIPEFormat(t *testing.T) {
 }
 
 func TestAnalyzeRecordsFormat(t *testing.T) {
-	series := filepath.Join(t.TempDir(), "records.jsonl")
+	dir := t.TempDir()
+	series := filepath.Join(dir, "records.jsonl")
 	if err := cmdGen([]string{"atlas", "-profile", "Versatel", "-probes", "10", "-hours", "1200", "-raw", "-o", series}); err != nil {
 		t.Fatalf("gen: %v", err)
 	}
 	if err := cmdAnalyze([]string{"-format", "records", series}); err != nil {
 		t.Fatalf("analyze records: %v", err)
+	}
+	// A record no series can hold (here one with no echoed address) is an
+	// error naming its line, not a panic in the routing-table fallback.
+	bad := filepath.Join(dir, "bad.jsonl")
+	if err := os.WriteFile(bad, []byte(`{"prb_id":1,"hour":0,"af":4,"src_addr":"192.168.1.2"}`+"\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdAnalyze([]string{"-format", "records", bad}); err == nil || !strings.Contains(err.Error(), "line 1") {
+		t.Errorf("analyze -format records of a record with no echo = %v, want an error naming line 1", err)
 	}
 }
 

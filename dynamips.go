@@ -7,8 +7,8 @@
 //
 //   - ISP ground-truth simulation (internal/isp) behind real DHCPv4,
 //     DHCPv6-PD and RADIUS machinery,
-//   - the RIPE-Atlas-style IP-echo dataset: generation, JSONL codec,
-//     sanitization (internal/atlas),
+//   - the RIPE-Atlas-style IP-echo dataset: its schema and JSONL codec
+//     (internal/echo), generation and sanitization (internal/atlas),
 //   - the CDN association dataset: generation, filtering, labeling
 //     (internal/cdn),
 //   - the analyses themselves (internal/core): assignment durations,
@@ -29,6 +29,7 @@ import (
 	"dynamips/internal/bgp"
 	"dynamips/internal/cdn"
 	"dynamips/internal/core"
+	"dynamips/internal/echo"
 	"dynamips/internal/experiments"
 	"dynamips/internal/hitlist"
 	"dynamips/internal/isp"
@@ -49,7 +50,7 @@ type (
 	// Fleet is a generated Atlas probe population.
 	Fleet = atlas.Fleet
 	// Series is one probe's observation history.
-	Series = atlas.Series
+	Series = echo.Series
 	// ProbeAnalysis is the per-probe analysis digest.
 	ProbeAnalysis = core.ProbeAnalysis
 	// BGPTable is a routed-prefix (pfx2as) table.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dynamips/internal/bgp"
+	"dynamips/internal/echo"
 	"dynamips/internal/isp"
 )
 
@@ -33,99 +34,14 @@ func cleanFleet(t *testing.T, res *isp.Result, probes int) *Fleet {
 	return f
 }
 
-func TestSpanBasics(t *testing.T) {
-	sp := Span{Start: 10, End: 13, Echo: netip.MustParseAddr("2003:1000:0:100::2:1")}
-	if sp.Hours() != 4 {
-		t.Errorf("Hours = %d", sp.Hours())
-	}
-	if sp.Prefix64() != netip.MustParsePrefix("2003:1000:0:100::/64") {
-		t.Errorf("Prefix64 = %v", sp.Prefix64())
-	}
-}
-
-func TestExpandCompressRoundTrip(t *testing.T) {
-	ser := Series{
-		Probe: Probe{ID: 7},
-		V4: []Span{
-			{Start: 0, End: 5, Echo: netip.MustParseAddr("81.10.0.1"), Src: privateProbeSrc},
-			{Start: 6, End: 9, Echo: netip.MustParseAddr("81.10.0.2"), Src: privateProbeSrc},
-			{Start: 20, End: 22, Echo: netip.MustParseAddr("81.10.0.2"), Src: privateProbeSrc},
-		},
-		V6: []Span{
-			{Start: 0, End: 9, Echo: netip.MustParseAddr("2003:1000::1"), Src: netip.MustParseAddr("2003:1000::1")},
-		},
-	}
-	recs := ser.Expand()
-	if len(recs) != 10+3+10 {
-		t.Fatalf("expanded to %d records", len(recs))
-	}
-	back := Compress(recs)
-	if len(back) != 1 {
-		t.Fatalf("compressed to %d series", len(back))
-	}
-	got := back[0]
-	if got.Probe.ID != 7 || len(got.V4) != 3 || len(got.V6) != 1 {
-		t.Fatalf("round trip: %+v", got)
-	}
-	for i := range ser.V4 {
-		if got.V4[i] != ser.V4[i] {
-			t.Errorf("V4[%d] = %+v, want %+v", i, got.V4[i], ser.V4[i])
-		}
-	}
-	if got.V6[0] != ser.V6[0] {
-		t.Errorf("V6[0] = %+v", got.V6[0])
-	}
-}
-
-func TestCompressMergesAdjacentAndDropsDuplicates(t *testing.T) {
-	a := netip.MustParseAddr("81.10.0.1")
-	recs := []Record{
-		{ProbeID: 1, Hour: 2, Family: 4, Echo: a},
-		{ProbeID: 1, Hour: 1, Family: 4, Echo: a},
-		{ProbeID: 1, Hour: 2, Family: 4, Echo: a}, // duplicate hour
-		{ProbeID: 1, Hour: 3, Family: 4, Echo: a},
-	}
-	out := Compress(recs)
-	if len(out) != 1 || len(out[0].V4) != 1 {
-		t.Fatalf("Compress = %+v", out)
-	}
-	if out[0].V4[0].Start != 1 || out[0].V4[0].End != 3 {
-		t.Errorf("span = %+v", out[0].V4[0])
-	}
-}
-
-func TestRecordsJSONLRoundTrip(t *testing.T) {
-	recs := []Record{
-		{ProbeID: 1, Hour: 5, Family: 4, Echo: netip.MustParseAddr("81.10.0.1"), Src: privateProbeSrc},
-		{ProbeID: 1, Hour: 5, Family: 6, Echo: netip.MustParseAddr("2003::1"), Src: netip.MustParseAddr("2003::1")},
-	}
-	var buf bytes.Buffer
-	if err := WriteRecords(&buf, recs); err != nil {
-		t.Fatalf("WriteRecords: %v", err)
-	}
-	got, err := ReadRecords(&buf)
-	if err != nil {
-		t.Fatalf("ReadRecords: %v", err)
-	}
-	if len(got) != 2 || got[0] != recs[0] || got[1] != recs[1] {
-		t.Errorf("round trip: %+v", got)
-	}
-}
-
-func TestReadRecordsBadLine(t *testing.T) {
-	if _, err := ReadRecords(bytes.NewBufferString("{not json}\n")); err == nil {
-		t.Error("bad line accepted")
-	}
-}
-
 func TestSeriesJSONLRoundTrip(t *testing.T) {
 	res := simResult(t)
 	f := cleanFleet(t, res, 20)
 	var buf bytes.Buffer
-	if err := WriteSeries(&buf, f.Series); err != nil {
+	if err := echo.WriteSeries(&buf, f.Series); err != nil {
 		t.Fatalf("WriteSeries: %v", err)
 	}
-	got, err := ReadSeries(&buf)
+	got, err := echo.ReadSeries(&buf)
 	if err != nil {
 		t.Fatalf("ReadSeries: %v", err)
 	}
@@ -137,6 +53,33 @@ func TestSeriesJSONLRoundTrip(t *testing.T) {
 			len(got[i].V4) != len(f.Series[i].V4) ||
 			len(got[i].V6) != len(f.Series[i].V6) {
 			t.Errorf("series %d differs after round trip", i)
+		}
+	}
+}
+
+// TestFleetsPassValidation: every built-in profile's fleet, anomalies
+// included, is valid input for the records path: each series passes
+// ValidateSeries and each record Expand gives passes Record.Validate, so
+// 'gen atlas -raw' output always feeds 'analyze -format records'.
+func TestFleetsPassValidation(t *testing.T) {
+	for i, prof := range isp.Profiles() {
+		res, err := isp.Run(isp.Config{Profile: prof, Subscribers: 60, Hours: 3000, Seed: int64(i)})
+		if err != nil {
+			t.Fatalf("%s: isp.Run: %v", prof.Name, err)
+		}
+		f, err := BuildFleet(res, DefaultFleetConfig(30, int64(i)+1))
+		if err != nil {
+			t.Fatalf("%s: BuildFleet: %v", prof.Name, err)
+		}
+		for j := range f.Series {
+			if err := echo.ValidateSeries(&f.Series[j]); err != nil {
+				t.Fatalf("%s: %v", prof.Name, err)
+			}
+			for _, r := range f.Series[j].Expand() {
+				if err := r.Validate(); err != nil {
+					t.Fatalf("%s: %v", prof.Name, err)
+				}
+			}
 		}
 	}
 }
@@ -314,30 +257,16 @@ func TestSanitizeShortProbes(t *testing.T) {
 }
 
 func TestPrependTestAddr(t *testing.T) {
-	ser := Series{V4: []Span{{Start: 0, End: 10, Echo: netip.MustParseAddr("81.10.0.1")}}}
+	ser := echo.Series{V4: []echo.Span{{Start: 0, End: 10, Echo: netip.MustParseAddr("81.10.0.1")}}}
 	PrependTestAddr(&ser)
 	if len(ser.V4) != 2 || ser.V4[0].Echo != TestAddr || ser.V4[1].Start != 2 {
 		t.Errorf("PrependTestAddr: %+v", ser.V4)
 	}
 	// Too-short first span: no-op.
-	short := Series{V4: []Span{{Start: 0, End: 1, Echo: netip.MustParseAddr("81.10.0.1")}}}
+	short := echo.Series{V4: []echo.Span{{Start: 0, End: 1, Echo: netip.MustParseAddr("81.10.0.1")}}}
 	PrependTestAddr(&short)
 	if len(short.V4) != 1 {
 		t.Errorf("short PrependTestAddr modified series")
-	}
-}
-
-func TestDualStackCriterion(t *testing.T) {
-	ser := Series{
-		V4: []Span{{Start: 0, End: 799}},
-		V6: []Span{{Start: 0, End: 100}},
-	}
-	if ser.DualStack(720) {
-		t.Error("100h of v6 counted as dual-stack")
-	}
-	ser.V6 = []Span{{Start: 0, End: 799}}
-	if !ser.DualStack(720) {
-		t.Error("800h of both not counted as dual-stack")
 	}
 }
 
@@ -347,71 +276,6 @@ func TestKindString(t *testing.T) {
 	}
 	if Kind(99).String() != "unknown" {
 		t.Error("unknown kind name wrong")
-	}
-}
-
-// BenchmarkCompressVsExpand is the RLE ablation: hourly records cost ~50x
-// the space and proportional decode time versus RLE series.
-func BenchmarkExpandHourly(b *testing.B) {
-	ser := Series{Probe: Probe{ID: 1}}
-	addr := netip.MustParseAddr("81.10.0.1")
-	for i := int64(0); i < 100; i++ {
-		ser.V4 = append(ser.V4, Span{Start: i * 24, End: i*24 + 23, Echo: addr, Src: privateProbeSrc})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := ser.Expand(); len(got) != 2400 {
-			b.Fatal("bad expansion")
-		}
-	}
-}
-
-func BenchmarkCompressHourly(b *testing.B) {
-	ser := Series{Probe: Probe{ID: 1}}
-	addr := netip.MustParseAddr("81.10.0.1")
-	for i := int64(0); i < 100; i++ {
-		ser.V4 = append(ser.V4, Span{Start: i * 24, End: i*24 + 23, Echo: addr, Src: privateProbeSrc})
-	}
-	recs := ser.Expand()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := Compress(recs); len(got) != 1 {
-			b.Fatal("bad compression")
-		}
-	}
-}
-
-func TestValidateSeries(t *testing.T) {
-	good := Series{
-		Probe: Probe{ID: 1},
-		V4:    []Span{{Start: 0, End: 5, Echo: netip.MustParseAddr("81.10.0.1")}},
-		V6:    []Span{{Start: 0, End: 5, Echo: netip.MustParseAddr("2003::1")}},
-	}
-	if err := ValidateSeries(&good); err != nil {
-		t.Fatalf("valid series rejected: %v", err)
-	}
-	bad := map[string]Series{
-		"inverted": {V4: []Span{{Start: 5, End: 0, Echo: netip.MustParseAddr("81.10.0.1")}}},
-		"no echo":  {V4: []Span{{Start: 0, End: 5}}},
-		"family":   {V4: []Span{{Start: 0, End: 5, Echo: netip.MustParseAddr("2003::1")}}},
-		"overlap": {V4: []Span{
-			{Start: 0, End: 5, Echo: netip.MustParseAddr("81.10.0.1")},
-			{Start: 3, End: 9, Echo: netip.MustParseAddr("81.10.0.2")},
-		}},
-	}
-	for name, ser := range bad {
-		ser := ser
-		if err := ValidateSeries(&ser); err == nil {
-			t.Errorf("%s: invalid series accepted", name)
-		}
-	}
-}
-
-func TestReadSeriesRejectsCorrupt(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString(`{"probe":{"prb_id":1},"v4":[{"start":9,"end":2,"x_client_ip":"81.10.0.1","src_addr":"192.168.1.2"}],"v6":null}` + "\n")
-	if _, err := ReadSeries(&buf); err == nil {
-		t.Error("corrupt series file accepted")
 	}
 }
 
@@ -429,15 +293,15 @@ func TestSanitizeUnroutedSpans(t *testing.T) {
 	foreign := netip.MustParseAddr("203.0.113.7")
 
 	// Transiently unrouted echo between two stretches of the home AS.
-	ser := Series{
-		Probe: Probe{ID: 1, ASN: 3320},
-		V4: []Span{
+	ser := echo.Series{
+		Probe: echo.Probe{ID: 1, ASN: 3320},
+		V4: []echo.Span{
 			{Start: 0, End: 800, Echo: homeA},
 			{Start: 801, End: 820, Echo: unrouted},
 			{Start: 821, End: 1700, Echo: homeB},
 		},
 	}
-	out := Sanitize([]Series{ser}, table, DefaultSanitizeConfig())
+	out := Sanitize([]echo.Series{ser}, table, DefaultSanitizeConfig())
 	if len(out.Clean) != 1 || out.Drops[DropMultihomed] != 0 {
 		t.Fatalf("transiently unrouted probe mishandled: clean=%d drops=%v", len(out.Clean), out.Drops)
 	}
@@ -446,15 +310,15 @@ func TestSanitizeUnroutedSpans(t *testing.T) {
 	}
 
 	// Genuine AS switch with an unrouted stretch in the middle.
-	sw := Series{
-		Probe: Probe{ID: 2, ASN: 3320},
-		V4: []Span{
+	sw := echo.Series{
+		Probe: echo.Probe{ID: 2, ASN: 3320},
+		V4: []echo.Span{
 			{Start: 0, End: 900, Echo: homeA},
 			{Start: 901, End: 920, Echo: unrouted},
 			{Start: 921, End: 1900, Echo: foreign},
 		},
 	}
-	out = Sanitize([]Series{sw}, table, DefaultSanitizeConfig())
+	out = Sanitize([]echo.Series{sw}, table, DefaultSanitizeConfig())
 	if out.VirtualSplits != 1 || len(out.Clean) != 2 {
 		t.Fatalf("switch probe: splits=%d clean=%d drops=%v", out.VirtualSplits, len(out.Clean), out.Drops)
 	}

@@ -7,6 +7,7 @@ import (
 	"net/netip"
 
 	"dynamips/internal/bgp"
+	"dynamips/internal/echo"
 	"dynamips/internal/faultnet"
 	"dynamips/internal/isp"
 	"dynamips/internal/netutil"
@@ -106,7 +107,7 @@ func DefaultFleetConfig(probes int, seed int64) FleetConfig {
 
 // Fleet is a generated probe population with its ground truth.
 type Fleet struct {
-	Series []Series
+	Series []echo.Series
 	Truth  map[int]Kind
 	BGP    *bgp.Table
 	Result *isp.Result
@@ -132,7 +133,7 @@ func BuildFleet(res *isp.Result, cfg FleetConfig) (*Fleet, error) {
 	}
 	for i := 0; i < cfg.Probes; i++ {
 		sub := res.Subscribers[i]
-		probe := Probe{
+		probe := echo.Probe{
 			ID:           int(res.Profile.ASN)*100000 + i,
 			ASN:          res.Profile.ASN,
 			SubscriberID: sub.ID,
@@ -161,7 +162,7 @@ func BuildFleet(res *isp.Result, cfg FleetConfig) (*Fleet, error) {
 		hostID := slaac.EUI64(probeMAC)
 		privacySecret := probeMAC[:]
 		privacy := rng.Float64() < cfg.PrivacyIIDFrac
-		ser := Series{Probe: probe}
+		ser := echo.Series{Probe: probe}
 		ser.V4 = buildFamilySpans(up, v4Timeline(sub), func(a netip.Addr) (netip.Addr, netip.Addr) {
 			return a, privateProbeSrc
 		})
@@ -269,11 +270,11 @@ func v6Timeline(sub *isp.Subscriber) []step {
 
 // buildFamilySpans intersects uptime segments with the assignment timeline,
 // emitting one span per (segment ∩ assignment) stretch.
-func buildFamilySpans(up []segment, steps []step, render func(netip.Addr) (echo, src netip.Addr)) []Span {
+func buildFamilySpans(up []segment, steps []step, render func(netip.Addr) (echoed, src netip.Addr)) []echo.Span {
 	if len(steps) == 0 {
 		return nil
 	}
-	var spans []Span
+	var spans []echo.Span
 	for _, seg := range up {
 		// Find the step active at seg.a (last step with start <= seg.a).
 		i := 0
@@ -286,8 +287,8 @@ func buildFamilySpans(up []segment, steps []step, render func(netip.Addr) (echo,
 				end = steps[i+1].start - 1
 			}
 			if end >= a {
-				echo, src := render(steps[i].addr)
-				spans = append(spans, Span{Start: a, End: end, Echo: echo, Src: src})
+				echoed, src := render(steps[i].addr)
+				spans = append(spans, echo.Span{Start: a, End: end, Echo: echoed, Src: src})
 			}
 			a = end + 1
 			i++
@@ -317,7 +318,7 @@ func foreignAddr6(pfx netip.Prefix, rng *rand.Rand) netip.Addr {
 	return withHost(p64, rng.Uint64()|1)
 }
 
-func applyAnomaly(ser *Series, kind Kind, rng *rand.Rand) {
+func applyAnomaly(ser *echo.Series, kind Kind, rng *rand.Rand) {
 	switch kind {
 	case KindAtypicalNAT:
 		// The probe reports a public src_addr in IPv4 (no home NAT) and a
@@ -350,8 +351,8 @@ func applyAnomaly(ser *Series, kind Kind, rng *rand.Rand) {
 	}
 }
 
-func alternate(spans []Span, altEcho, altSrc netip.Addr, rng *rand.Rand) []Span {
-	var out []Span
+func alternate(spans []echo.Span, altEcho, altSrc netip.Addr, rng *rand.Rand) []echo.Span {
+	var out []echo.Span
 	for _, sp := range spans {
 		use := rng.Intn(2) == 0
 		for a := sp.Start; a <= sp.End; {
@@ -370,12 +371,12 @@ func alternate(spans []Span, altEcho, altSrc netip.Addr, rng *rand.Rand) []Span 
 	return out
 }
 
-func switchTail(spans []Span, alt netip.Addr) []Span {
+func switchTail(spans []echo.Span, alt netip.Addr) []echo.Span {
 	if len(spans) < 2 {
 		return spans
 	}
 	cut := len(spans) / 2
-	out := append([]Span(nil), spans...)
+	out := append([]echo.Span(nil), spans...)
 	for i := cut; i < len(out); i++ {
 		out[i].Echo = alt
 		out[i].Src = alt
@@ -387,7 +388,7 @@ func switchTail(spans []Span, alt netip.Addr) []Span {
 }
 
 // measuredHours sums the measured hours across spans.
-func measuredHours(spans []Span) int64 {
+func measuredHours(spans []echo.Span) int64 {
 	var n int64
 	for _, sp := range spans {
 		n += sp.Hours()
@@ -400,7 +401,7 @@ func measuredHours(spans []Span) int64 {
 // are located by geometric skip-sampling (inversion of the geometric
 // distribution), so the cost is proportional to the number of losses, not
 // the number of measured hours, and the spans stay run-length encoded.
-func dropEchoes(spans []Span, p float64, st *faultnet.Stream) []Span {
+func dropEchoes(spans []echo.Span, p float64, st *faultnet.Stream) []echo.Span {
 	if p <= 0 || len(spans) == 0 {
 		return spans
 	}
@@ -412,7 +413,7 @@ func dropEchoes(spans []Span, p float64, st *faultnet.Stream) []Span {
 	nextGap := func() int64 {
 		return int64(math.Log(1-st.Float64()) / logq)
 	}
-	out := make([]Span, 0, len(spans))
+	out := make([]echo.Span, 0, len(spans))
 	loss := nextGap() // index of the next lost hour, counted over measured hours
 	var off int64
 	for _, sp := range spans {
@@ -438,7 +439,7 @@ func dropEchoes(spans []Span, p float64, st *faultnet.Stream) []Span {
 
 // PrependTestAddr marks the first hours of a probe's IPv4 history with the
 // RIPE test address, as probes tested before shipping show.
-func PrependTestAddr(ser *Series) {
+func PrependTestAddr(ser *echo.Series) {
 	if len(ser.V4) == 0 || ser.V4[0].Hours() < 3 {
 		return
 	}
@@ -448,5 +449,5 @@ func PrependTestAddr(ser *Series) {
 	test.Echo = TestAddr
 	rest := first
 	rest.Start = first.Start + 2
-	ser.V4 = append([]Span{test, rest}, ser.V4[1:]...)
+	ser.V4 = append([]echo.Span{test, rest}, ser.V4[1:]...)
 }

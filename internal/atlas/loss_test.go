@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dynamips/internal/echo"
 	"dynamips/internal/faultnet"
 	"dynamips/internal/isp"
 )
@@ -103,7 +104,7 @@ func TestDropEchoesSplitsDoNotFabricateValues(t *testing.T) {
 }
 
 func TestDropEchoesUnitGeometry(t *testing.T) {
-	spans := []Span{{Start: 0, End: 99, Echo: TestAddr, Src: TestAddr}}
+	spans := []echo.Span{{Start: 0, End: 99, Echo: TestAddr, Src: TestAddr}}
 	out := dropEchoes(spans, 0.5, faultnet.NewStream(3, 0))
 	var hours int64
 	last := int64(-1)

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/netip"
 	"strings"
+
+	"dynamips/internal/echo"
 )
 
 // Adapter for the real RIPE Atlas "IP echo" result format (measurements
@@ -35,10 +37,11 @@ type ripeHTTPPart struct {
 // (one JSON object per line, as served by the Atlas API with
 // format=txt) into Records. epoch is the Unix time mapped to hour 0;
 // timestamps are floored to the hourly grid the paper's analysis uses.
-// Results without a recoverable X-Client-IP are skipped; malformed JSON
-// lines are an error.
-func ReadRIPEResults(r io.Reader, epoch int64) ([]Record, error) {
-	var out []Record
+// Results without a recoverable X-Client-IP, or whose af disagrees with
+// the echoed address's family, are skipped; malformed JSON lines are an
+// error.
+func ReadRIPEResults(r io.Reader, epoch int64) ([]echo.Record, error) {
+	var out []echo.Record
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
 	line := 0
@@ -63,21 +66,21 @@ func ReadRIPEResults(r io.Reader, epoch int64) ([]Record, error) {
 	return out, nil
 }
 
-func (res *ripeResult) toRecord(epoch int64) (Record, bool) {
-	echo, af, ok := res.clientIP()
+func (res *ripeResult) toRecord(epoch int64) (echo.Record, bool) {
+	echoed, af, ok := res.clientIP()
 	if !ok {
-		return Record{}, false
+		return echo.Record{}, false
 	}
-	rec := Record{
+	rec := echo.Record{
 		ProbeID: res.PrbID,
 		Hour:    (res.Timestamp - epoch) / 3600,
 		Family:  af,
-		Echo:    echo,
+		Echo:    echoed,
 	}
 	if src, err := netip.ParseAddr(res.SrcAddr); err == nil {
 		rec.Src = src
 	}
-	return rec, true
+	return rec, rec.Validate() == nil
 }
 
 // clientIP extracts the echoed public address from whichever field the

@@ -4,6 +4,8 @@ import (
 	"net/netip"
 	"strings"
 	"testing"
+
+	"dynamips/internal/echo"
 )
 
 func TestReadRIPEResults(t *testing.T) {
@@ -53,7 +55,7 @@ func TestReadRIPEResultsIntoPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	series := Compress(recs)
+	series := echo.Compress(recs)
 	if len(series) != 1 || len(series[0].V4) != 2 {
 		t.Fatalf("series = %+v", series)
 	}
@@ -82,6 +84,7 @@ func TestReadRIPEResultsCorruptedInput(t *testing.T) {
 		{"unparsable src addr", `{"prb_id":7,"src_addr":"::gg","result":[{"x_client_ip":"81.10.0.1"}]}` + "\n", false},
 		{"header without colon", `{"prb_id":7,"result":[{"hdr":["X-Client-IP 81.10.0.1"]}]}` + "\n", false},
 		{"null result entry", `{"prb_id":7,"result":[null]}` + "\n", false},
+		{"af disagrees with echo", `{"prb_id":7,"timestamp":3600,"result":[{"af":6,"x_client_ip":"81.10.0.1"}]}` + "\n", false},
 		{"blank lines only", "\n\n\n", false},
 	}
 	for _, c := range cases {

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"dynamips/internal/bgp"
+	"dynamips/internal/echo"
 	"dynamips/internal/obs"
 )
 
@@ -41,7 +42,7 @@ type SanitizeResult struct {
 	// Clean holds the surviving series, each confined to a single AS,
 	// sorted by probe ID. Virtual probes from AS-switch splitting carry
 	// derived IDs (originalID*10 + part).
-	Clean []Series
+	Clean []echo.Series
 	// Drops counts filtered probes by reason.
 	Drops map[string]int
 	// VirtualSplits counts probes split into per-AS virtual probes.
@@ -52,7 +53,7 @@ type SanitizeResult struct {
 // drop short-lived probes, drop disqualifying tags, drop atypical NAT
 // deployments, drop multihomed probes (alternating ASes or addresses), and
 // split probes that permanently switched AS into virtual probes.
-func Sanitize(in []Series, table *bgp.Table, cfg SanitizeConfig) SanitizeResult {
+func Sanitize(in []echo.Series, table *bgp.Table, cfg SanitizeConfig) SanitizeResult {
 	if cfg.MinObservedHours <= 0 {
 		cfg.MinObservedHours = 720
 	}
@@ -119,7 +120,7 @@ func Sanitize(in []Series, table *bgp.Table, cfg SanitizeConfig) SanitizeResult 
 	return res
 }
 
-func stripTestAddr(spans []Span) []Span {
+func stripTestAddr(spans []echo.Span) []echo.Span {
 	out := spans[:0:0]
 	for _, sp := range spans {
 		if sp.Echo != TestAddr {
@@ -143,7 +144,7 @@ func hasBadTag(tags, bad []string) bool {
 // atypicalNAT reports probes deployed outside the expected residential
 // topology: IPv4 probes whose src_addr is already public (no home NAT), or
 // IPv6 probes whose src_addr differs from the echoed address.
-func atypicalNAT(s *Series) bool {
+func atypicalNAT(s *echo.Series) bool {
 	for _, sp := range s.V4 {
 		if sp.Src.IsValid() && !sp.Src.IsPrivate() {
 			return true
@@ -162,7 +163,7 @@ func atypicalNAT(s *Series) bool {
 // skipped: a transiently unrouted echo between two stretches of the home
 // AS must not read as an A,0,A alternation (which would drop the probe as
 // multihomed) or as an AS transition (which would split it).
-func asnSequence(spans []Span, table *bgp.Table) []uint32 {
+func asnSequence(spans []echo.Span, table *bgp.Table) []uint32 {
 	var seq []uint32
 	for _, sp := range spans {
 		asn, _, ok := table.Origin(sp.Echo)
@@ -194,7 +195,7 @@ func alternates(seq []uint32) bool {
 // whose both links sit in the same AS. Dynamic pools do occasionally
 // re-issue a subscriber's old address, so a handful of returns is normal;
 // multihoming produces them for a large share of the history.
-func addrAlternates(spans []Span) bool {
+func addrAlternates(spans []echo.Span) bool {
 	if len(spans) < 8 {
 		return false
 	}
@@ -211,13 +212,13 @@ func addrAlternates(spans []Span) bool {
 // per AS (Appendix A.1: 2,517 probes became per-AS virtual probes).
 // Unrouted spans are discarded rather than collected into a fictitious
 // AS-0 virtual probe.
-func splitByASN(s *Series, table *bgp.Table) []Series {
+func splitByASN(s *echo.Series, table *bgp.Table) []echo.Series {
 	type bucket struct {
-		v4, v6 []Span
+		v4, v6 []echo.Span
 	}
 	buckets := map[uint32]*bucket{}
 	var order []uint32
-	add := func(sp Span, v6 bool) {
+	add := func(sp echo.Span, v6 bool) {
 		asn, _, ok := table.Origin(sp.Echo)
 		if !ok {
 			return
@@ -240,12 +241,12 @@ func splitByASN(s *Series, table *bgp.Table) []Series {
 	for _, sp := range s.V6 {
 		add(sp, true)
 	}
-	out := make([]Series, 0, len(order))
+	out := make([]echo.Series, 0, len(order))
 	for i, asn := range order {
 		p := s.Probe
 		p.ID = s.Probe.ID*10 + i + 1
 		p.ASN = asn
-		out = append(out, Series{Probe: p, V4: buckets[asn].v4, V6: buckets[asn].v6})
+		out = append(out, echo.Series{Probe: p, V4: buckets[asn].v4, V6: buckets[asn].v6})
 	}
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dynamips/internal/bgp"
+	"dynamips/internal/echo"
 	"dynamips/internal/obs"
 )
 
@@ -18,8 +19,8 @@ func sanitizeRulesTable() *bgp.Table {
 }
 
 // longSpan is a clean year-long home-AS observation.
-func longSpan() []Span {
-	return []Span{{Start: 0, End: 8759, Echo: netip.MustParseAddr("81.10.0.1")}}
+func longSpan() []echo.Span {
+	return []echo.Span{{Start: 0, End: 8759, Echo: netip.MustParseAddr("81.10.0.1")}}
 }
 
 // TestSanitizeRules enumerates every drop rule with one minimal fixture
@@ -32,43 +33,43 @@ func TestSanitizeRules(t *testing.T) {
 
 	cases := []struct {
 		name   string
-		series Series
+		series echo.Series
 		reason string // expected drop reason ("" = survives)
 		clean  int    // expected surviving series
 		splits int    // expected virtual splits
 	}{
 		{
 			name:   "clean probe survives",
-			series: Series{Probe: Probe{ID: 1, ASN: 3320}, V4: longSpan()},
+			series: echo.Series{Probe: echo.Probe{ID: 1, ASN: 3320}, V4: longSpan()},
 			clean:  1,
 		},
 		{
 			name:   "short-duration",
-			series: Series{Probe: Probe{ID: 2, ASN: 3320}, V4: []Span{{Start: 0, End: 99, Echo: home}}},
+			series: echo.Series{Probe: echo.Probe{ID: 2, ASN: 3320}, V4: []echo.Span{{Start: 0, End: 99, Echo: home}}},
 			reason: DropShort,
 		},
 		{
 			name: "bad-tag",
-			series: Series{
-				Probe: Probe{ID: 3, ASN: 3320, Tags: []string{"system-anchor"}},
+			series: echo.Series{
+				Probe: echo.Probe{ID: 3, ASN: 3320, Tags: []string{"system-anchor"}},
 				V4:    longSpan(),
 			},
 			reason: DropBadTag,
 		},
 		{
 			name: "atypical-nat public v4 src",
-			series: Series{
-				Probe: Probe{ID: 4, ASN: 3320},
-				V4:    []Span{{Start: 0, End: 8759, Echo: home, Src: netip.MustParseAddr("81.10.0.2")}},
+			series: echo.Series{
+				Probe: echo.Probe{ID: 4, ASN: 3320},
+				V4:    []echo.Span{{Start: 0, End: 8759, Echo: home, Src: netip.MustParseAddr("81.10.0.2")}},
 			},
 			reason: DropAtypicalNAT,
 		},
 		{
 			name: "atypical-nat v6 src differs from echo",
-			series: Series{
-				Probe: Probe{ID: 5, ASN: 3320},
+			series: echo.Series{
+				Probe: echo.Probe{ID: 5, ASN: 3320},
 				V4:    longSpan(),
-				V6: []Span{{
+				V6: []echo.Span{{
 					Start: 0, End: 8759,
 					Echo: netip.MustParseAddr("2001:db8::1"),
 					Src:  netip.MustParseAddr("2001:db8::2"),
@@ -78,9 +79,9 @@ func TestSanitizeRules(t *testing.T) {
 		},
 		{
 			name: "multihomed AS alternation",
-			series: Series{
-				Probe: Probe{ID: 6, ASN: 3320},
-				V4: []Span{
+			series: echo.Series{
+				Probe: echo.Probe{ID: 6, ASN: 3320},
+				V4: []echo.Span{
 					{Start: 0, End: 3000, Echo: home},
 					{Start: 3001, End: 6000, Echo: foreign},
 					{Start: 6001, End: 9000, Echo: homeB},
@@ -90,9 +91,9 @@ func TestSanitizeRules(t *testing.T) {
 		},
 		{
 			name: "multihomed address flip-flop",
-			series: Series{
-				Probe: Probe{ID: 7, ASN: 3320},
-				V4: []Span{
+			series: echo.Series{
+				Probe: echo.Probe{ID: 7, ASN: 3320},
+				V4: []echo.Span{
 					{Start: 0, End: 999, Echo: home},
 					{Start: 1000, End: 1999, Echo: homeB},
 					{Start: 2000, End: 2999, Echo: home},
@@ -107,9 +108,9 @@ func TestSanitizeRules(t *testing.T) {
 		},
 		{
 			name: "AS switch splits into virtual probes",
-			series: Series{
-				Probe: Probe{ID: 8, ASN: 3320},
-				V4: []Span{
+			series: echo.Series{
+				Probe: echo.Probe{ID: 8, ASN: 3320},
+				V4: []echo.Span{
 					{Start: 0, End: 4999, Echo: home},
 					{Start: 5000, End: 9999, Echo: foreign},
 				},
@@ -119,9 +120,9 @@ func TestSanitizeRules(t *testing.T) {
 		},
 		{
 			name: "AS switch with short remainder drops the short part",
-			series: Series{
-				Probe: Probe{ID: 9, ASN: 3320},
-				V4: []Span{
+			series: echo.Series{
+				Probe: echo.Probe{ID: 9, ASN: 3320},
+				V4: []echo.Span{
 					{Start: 0, End: 4999, Echo: home},
 					{Start: 5000, End: 5099, Echo: foreign},
 				},
@@ -137,7 +138,7 @@ func TestSanitizeRules(t *testing.T) {
 			o := obs.NewObserver()
 			cfg := DefaultSanitizeConfig()
 			cfg.Obs = o
-			res := Sanitize([]Series{tc.series}, sanitizeRulesTable(), cfg)
+			res := Sanitize([]echo.Series{tc.series}, sanitizeRulesTable(), cfg)
 
 			wantDrops := 0
 			if tc.reason != "" {

@@ -4,7 +4,6 @@ import (
 	"net/netip"
 	"sort"
 
-	"dynamips/internal/core"
 	"dynamips/internal/netutil"
 	"dynamips/internal/rir"
 	"dynamips/internal/stats"
@@ -256,10 +255,51 @@ func Degrees(assocs []Association, mobile map[uint32]bool) *DegreeDistributions 
 	return dd
 }
 
+// TrailingZeroBuckets classifies a set of observed /64 prefixes by their
+// nibble-aligned trailing-zero run, the paper's CDN technique (§5.3,
+// Fig. 7): the returned map counts prefixes whose longest zero run ends at
+// the /60, /56, /52, and /48 boundaries; Total counts all prefixes and
+// Inferable those with any nibble-aligned run.
+type TrailingZeroBuckets struct {
+	Counts    map[int]int // inferred delegated length -> count
+	Total     int
+	Inferable int
+}
+
+// InferableFrac is the share of prefixes whose delegation length the
+// technique recovers (the percentages in Fig. 7's panel titles).
+func (b *TrailingZeroBuckets) InferableFrac() float64 {
+	if b.Total == 0 {
+		return 0
+	}
+	return float64(b.Inferable) / float64(b.Total)
+}
+
+// Frac returns the fraction of all prefixes classified at the length.
+func (b *TrailingZeroBuckets) Frac(length int) float64 {
+	if b.Total == 0 {
+		return 0
+	}
+	return float64(b.Counts[length]) / float64(b.Total)
+}
+
+// ClassifyTrailingZeros buckets /64 prefixes by inferred delegation length.
+func ClassifyTrailingZeros(prefixes []netip.Prefix) *TrailingZeroBuckets {
+	b := &TrailingZeroBuckets{Counts: make(map[int]int)}
+	for _, p := range prefixes {
+		b.Total++
+		if l, ok := netutil.InferredDelegation(p); ok {
+			b.Counts[l]++
+			b.Inferable++
+		}
+	}
+	return b
+}
+
 // TrailingZerosByRegistry computes Fig. 7: unique fixed /64s classified by
 // nibble-aligned trailing-zero run, per registry. Mobile /24s' prefixes
 // are excluded, matching the paper's fixed-only analysis.
-func TrailingZerosByRegistry(ds *Dataset, mobile map[uint32]bool) map[rir.Registry]*core.TrailingZeroBuckets {
+func TrailingZerosByRegistry(ds *Dataset, mobile map[uint32]bool) map[rir.Registry]*TrailingZeroBuckets {
 	seen := make(map[uint64]bool)
 	perReg := make(map[rir.Registry][]netip.Prefix)
 	for _, a := range ds.Assocs {
@@ -274,9 +314,9 @@ func TrailingZerosByRegistry(ds *Dataset, mobile map[uint32]bool) map[rir.Regist
 		}
 		perReg[reg] = append(perReg[reg], p64)
 	}
-	out := make(map[rir.Registry]*core.TrailingZeroBuckets, len(perReg))
+	out := make(map[rir.Registry]*TrailingZeroBuckets, len(perReg))
 	for reg, prefixes := range perReg {
-		out[reg] = core.ClassifyTrailingZeros(prefixes)
+		out[reg] = ClassifyTrailingZeros(prefixes)
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package cdn
 import (
 	"math"
 	"math/rand"
+	"net/netip"
 	"reflect"
 	"testing"
 
@@ -234,6 +235,35 @@ func TestTrailingZeros(t *testing.T) {
 	// Mobile /64s show ~no trailing-zero structure.
 	if f := MobileTrailingZeroFrac(ds, mobile); f > 0.2 {
 		t.Errorf("mobile trailing-zero fraction = %v, want ~1/16 by chance", f)
+	}
+}
+
+func TestClassifyTrailingZeros(t *testing.T) {
+	prefixes := []netip.Prefix{
+		netip.MustParsePrefix("2a01:c000:0:ff00::/64"), // /56
+		netip.MustParsePrefix("2a01:c000:0:fff0::/64"), // /60
+		netip.MustParsePrefix("2a01:c000:0:f000::/64"), // /52
+		netip.MustParsePrefix("2a01:c000:1::/64"),      // /48
+		netip.MustParsePrefix("2a01:c000:0:ffff::/64"), // none
+	}
+	b := ClassifyTrailingZeros(prefixes)
+	if b.Total != 5 || b.Inferable != 4 {
+		t.Fatalf("buckets: %+v", b)
+	}
+	for l, want := range map[int]int{56: 1, 60: 1, 52: 1, 48: 1} {
+		if b.Counts[l] != want {
+			t.Errorf("Counts[%d] = %d, want %d", l, b.Counts[l], want)
+		}
+	}
+	if f := b.InferableFrac(); f != 0.8 {
+		t.Errorf("InferableFrac = %v", f)
+	}
+	if f := b.Frac(56); f != 0.2 {
+		t.Errorf("Frac(56) = %v", f)
+	}
+	empty := ClassifyTrailingZeros(nil)
+	if empty.InferableFrac() != 0 || empty.Frac(56) != 0 {
+		t.Error("empty buckets nonzero")
 	}
 }
 

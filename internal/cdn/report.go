@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"dynamips/internal/bgp"
-	"dynamips/internal/core"
 	"dynamips/internal/netutil"
 	"dynamips/internal/obs"
 	"dynamips/internal/sketch"
@@ -36,7 +35,7 @@ type Report struct {
 	PerOperator bool
 	PerOp       []OperatorDurations
 	// Zeros buckets unique fixed /64s by inferred delegation length.
-	Zeros *core.TrailingZeroBuckets
+	Zeros *TrailingZeroBuckets
 	// Sketches holds the streaming pipeline's merged online summaries
 	// (durations, degrees, heavy hitters, cardinalities). The in-memory
 	// oracle leaves it nil — exact answers need no sketch — and Render
@@ -142,6 +141,6 @@ func BuildReport(assocs []Association, table *bgp.Table, threshold int, o *obs.O
 		seen[a.K64] = true
 		prefixes = append(prefixes, a.P64())
 	}
-	r.Zeros = core.ClassifyTrailingZeros(prefixes)
+	r.Zeros = ClassifyTrailingZeros(prefixes)
 	return r
 }

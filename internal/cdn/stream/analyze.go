@@ -9,7 +9,6 @@ import (
 	"dynamips/internal/bgp"
 	"dynamips/internal/cdn"
 	"dynamips/internal/checkpoint"
-	"dynamips/internal/core"
 	"dynamips/internal/netutil"
 	"dynamips/internal/obs"
 	"dynamips/internal/sketch"
@@ -298,7 +297,7 @@ func (az *analyzer) reduce(shards []shardMeta) (*cdn.Report, error) {
 		mobile:   mobile,
 		table:    az.cfg.Table,
 		perOp:    make(map[uint32]*durCounts),
-		zeros:    &core.TrailingZeroBuckets{Counts: make(map[int]int)},
+		zeros:    &cdn.TrailingZeroBuckets{Counts: make(map[int]int)},
 		skFixed:  sk.Quantile(sketch.DurFixed),
 		skMobile: sk.Quantile(sketch.DurMobile),
 	}
@@ -391,7 +390,7 @@ type reducer struct {
 	mobileDur durCounts
 	perOp     map[uint32]*durCounts
 	asns      []uint32
-	zeros     *core.TrailingZeroBuckets
+	zeros     *cdn.TrailingZeroBuckets
 
 	// skFixed and skMobile receive every episode duration; the barrier
 	// is the only place episodes exist, so the duration sketches are

@@ -10,8 +10,8 @@ package core
 import (
 	"net/netip"
 
-	"dynamips/internal/atlas"
 	"dynamips/internal/checkpoint"
+	"dynamips/internal/echo"
 	"dynamips/internal/netutil"
 )
 
@@ -60,7 +60,7 @@ func DefaultExtractConfig() ExtractConfig { return ExtractConfig{MaxGapHours: 6}
 
 // extract folds spans into assignments under cfg. Spans must be sorted by
 // Start and non-overlapping, as atlas produces them.
-func extract[V comparable](spans []atlas.Span, value func(atlas.Span) V, cfg ExtractConfig) []Assignment[V] {
+func extract[V comparable](spans []echo.Span, value func(echo.Span) V, cfg ExtractConfig) []Assignment[V] {
 	var out []Assignment[V]
 	for _, sp := range spans {
 		v := value(sp)
@@ -91,14 +91,14 @@ func extract[V comparable](spans []atlas.Span, value func(atlas.Span) V, cfg Ext
 }
 
 // V4Assignments extracts IPv4 address assignments from a probe's spans.
-func V4Assignments(spans []atlas.Span, cfg ExtractConfig) []Assignment[netip.Addr] {
-	return extract(spans, func(sp atlas.Span) netip.Addr { return sp.Echo }, cfg)
+func V4Assignments(spans []echo.Span, cfg ExtractConfig) []Assignment[netip.Addr] {
+	return extract(spans, func(sp echo.Span) netip.Addr { return sp.Echo }, cfg)
 }
 
 // V6Assignments extracts IPv6 /64-prefix assignments from a probe's spans.
 // The /64 is the paper's IPv6 tracking granularity (§2.1).
-func V6Assignments(spans []atlas.Span, cfg ExtractConfig) []Assignment[netip.Prefix] {
-	return extract(spans, func(sp atlas.Span) netip.Prefix { return netutil.Prefix64(sp.Echo) }, cfg)
+func V6Assignments(spans []echo.Span, cfg ExtractConfig) []Assignment[netip.Prefix] {
+	return extract(spans, func(sp echo.Span) netip.Prefix { return netutil.Prefix64(sp.Echo) }, cfg)
 }
 
 // Changes counts assignment changes: consecutive assignments whose values

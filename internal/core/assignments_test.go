@@ -5,19 +5,19 @@ import (
 	"net/netip"
 	"testing"
 
-	"dynamips/internal/atlas"
+	"dynamips/internal/echo"
 )
 
 func a4(s string) netip.Addr { return netip.MustParseAddr(s) }
 
-func spans(parts ...atlas.Span) []atlas.Span { return parts }
+func spans(parts ...echo.Span) []echo.Span { return parts }
 
-func sp4(start, end int64, addr string) atlas.Span {
-	return atlas.Span{Start: start, End: end, Echo: a4(addr)}
+func sp4(start, end int64, addr string) echo.Span {
+	return echo.Span{Start: start, End: end, Echo: a4(addr)}
 }
 
-func sp6(start, end int64, addr string) atlas.Span {
-	return atlas.Span{Start: start, End: end, Echo: netip.MustParseAddr(addr)}
+func sp6(start, end int64, addr string) echo.Span {
+	return echo.Span{Start: start, End: end, Echo: netip.MustParseAddr(addr)}
 }
 
 func TestV4AssignmentsContiguous(t *testing.T) {
@@ -148,7 +148,7 @@ func TestExtractionInvariantsProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	addrs := []string{"81.10.0.1", "81.10.0.2", "81.10.0.3"}
 	for trial := 0; trial < 200; trial++ {
-		var spans []atlas.Span
+		var spans []echo.Span
 		hour := int64(0)
 		for i := 0; i < 20; i++ {
 			hour += int64(rng.Intn(20)) // gaps of 0..19 hours

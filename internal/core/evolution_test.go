@@ -6,25 +6,26 @@ import (
 	"testing"
 
 	"dynamips/internal/atlas"
+	"dynamips/internal/echo"
 	"dynamips/internal/isp"
 	"dynamips/internal/stats"
 )
 
 // evolvingSeries changes daily for the first year, then weekly.
-func evolvingSeries(id int, asn uint32) atlas.Series {
-	ser := atlas.Series{Probe: atlas.Probe{ID: id, ASN: asn}}
+func evolvingSeries(id int, asn uint32) echo.Series {
+	ser := echo.Series{Probe: echo.Probe{ID: id, ASN: asn}}
 	hour := int64(0)
 	i := 0
 	for hour < 8760 {
 		end := hour + 23
-		ser.V4 = append(ser.V4, atlas.Span{Start: hour, End: end,
+		ser.V4 = append(ser.V4, echo.Span{Start: hour, End: end,
 			Echo: netip.AddrFrom4([4]byte{81, 1, byte(i >> 8), byte(i)})})
 		hour = end + 1
 		i++
 	}
 	for hour < 2*8760 {
 		end := hour + 167
-		ser.V4 = append(ser.V4, atlas.Span{Start: hour, End: end,
+		ser.V4 = append(ser.V4, echo.Span{Start: hour, End: end,
 			Echo: netip.AddrFrom4([4]byte{81, 2, byte(i >> 8), byte(i)})})
 		hour = end + 1
 		i++
@@ -33,7 +34,7 @@ func evolvingSeries(id int, asn uint32) atlas.Series {
 }
 
 func TestCollectDurationsByEra(t *testing.T) {
-	pas := Analyze([]atlas.Series{evolvingSeries(1, 3320)}, DefaultExtractConfig())
+	pas := Analyze([]echo.Series{evolvingSeries(1, 3320)}, DefaultExtractConfig())
 	eras := CollectDurationsByEra(pas, 8760)
 	if len(eras) < 2 {
 		t.Fatalf("eras = %d", len(eras))
@@ -109,13 +110,13 @@ func fractionAt(curve []stats.Point, x float64) float64 {
 func TestResponsivenessDurationsUnderReport(t *testing.T) {
 	// A probe with exact 2-week assignments: the echo method sees 336h;
 	// the responsiveness estimator splits sessions at unanswered probes.
-	var ser atlas.Series
-	ser.Probe = atlas.Probe{ID: 1, ASN: 2856}
+	var ser echo.Series
+	ser.Probe = echo.Probe{ID: 1, ASN: 2856}
 	for i := int64(0); i < 20; i++ {
-		ser.V4 = append(ser.V4, atlas.Span{Start: i * 336, End: i*336 + 335,
+		ser.V4 = append(ser.V4, echo.Span{Start: i * 336, End: i*336 + 335,
 			Echo: netip.AddrFrom4([4]byte{86, 128, 0, byte(i)})})
 	}
-	pas := Analyze([]atlas.Series{ser}, DefaultExtractConfig())
+	pas := Analyze([]echo.Series{ser}, DefaultExtractConfig())
 	resp := ResponsivenessDurations(pas, DefaultResponsivenessConfig())[2856]
 	if len(resp) == 0 {
 		t.Fatal("no inferred sessions")
@@ -134,13 +135,13 @@ func TestResponsivenessDurationsUnderReport(t *testing.T) {
 }
 
 func TestResponsivenessPerfectProber(t *testing.T) {
-	var ser atlas.Series
-	ser.Probe = atlas.Probe{ID: 1, ASN: 1}
+	var ser echo.Series
+	ser.Probe = echo.Probe{ID: 1, ASN: 1}
 	for i := int64(0); i < 5; i++ {
-		ser.V4 = append(ser.V4, atlas.Span{Start: i * 100, End: i*100 + 99,
+		ser.V4 = append(ser.V4, echo.Span{Start: i * 100, End: i*100 + 99,
 			Echo: netip.AddrFrom4([4]byte{81, 0, 0, byte(i)})})
 	}
-	pas := Analyze([]atlas.Series{ser}, DefaultExtractConfig())
+	pas := Analyze([]echo.Series{ser}, DefaultExtractConfig())
 	resp := ResponsivenessDurations(pas, ResponsivenessConfig{ResponseProb: 1, MaxSilentHours: 0, Seed: 1})[1]
 	if len(resp) != 5 {
 		t.Fatalf("sessions = %v", resp)

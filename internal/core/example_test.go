@@ -4,14 +4,14 @@ import (
 	"fmt"
 	"net/netip"
 
-	"dynamips/internal/atlas"
 	"dynamips/internal/core"
+	"dynamips/internal/echo"
 )
 
 // ExampleInferSubscriberLength shows the §5.3 zero-bit technique: three
 // /64s whose low byte is always zero reveal a /56 delegation.
 func ExampleInferSubscriberLength() {
-	spans := []atlas.Span{
+	spans := []echo.Span{
 		{Start: 0, End: 99, Echo: netip.MustParseAddr("2003:1000:0:1100::1")},
 		{Start: 100, End: 199, Echo: netip.MustParseAddr("2003:1000:0:4300::1")},
 		{Start: 200, End: 299, Echo: netip.MustParseAddr("2003:1000:1:af00::1")},
@@ -25,7 +25,7 @@ func ExampleInferSubscriberLength() {
 // ExampleV4Assignments shows sandwiched-duration extraction: only the
 // middle assignment has both boundaries observed.
 func ExampleV4Assignments() {
-	spans := []atlas.Span{
+	spans := []echo.Span{
 		{Start: 0, End: 23, Echo: netip.MustParseAddr("81.10.0.1")},
 		{Start: 24, End: 47, Echo: netip.MustParseAddr("81.10.0.2")},
 		{Start: 48, End: 80, Echo: netip.MustParseAddr("81.10.0.3")},

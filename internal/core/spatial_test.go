@@ -4,17 +4,17 @@ import (
 	"net/netip"
 	"testing"
 
-	"dynamips/internal/atlas"
 	"dynamips/internal/bgp"
+	"dynamips/internal/echo"
 	"dynamips/internal/stats"
 )
 
-func v6Series(id int, asn uint32, prefixes []string, hoursEach int64) atlas.Series {
-	ser := atlas.Series{Probe: atlas.Probe{ID: id, ASN: asn}}
+func v6Series(id int, asn uint32, prefixes []string, hoursEach int64) echo.Series {
+	ser := echo.Series{Probe: echo.Probe{ID: id, ASN: asn}}
 	for i, ps := range prefixes {
 		p := netip.MustParsePrefix(ps)
 		addr := p.Addr().Next() // host inside the /64
-		ser.V6 = append(ser.V6, atlas.Span{
+		ser.V6 = append(ser.V6, echo.Span{
 			Start: int64(i) * hoursEach, End: int64(i+1)*hoursEach - 1,
 			Echo: addr, Src: addr,
 		})
@@ -28,7 +28,7 @@ func TestCPLSpectra(t *testing.T) {
 		"2003:1000:0:1f0::/64",  // CPL 56 with previous
 		"2003:1000:40:100::/64", // CPL 41
 	}, 100)
-	pas := Analyze([]atlas.Series{ser}, DefaultExtractConfig())
+	pas := Analyze([]echo.Series{ser}, DefaultExtractConfig())
 	spec := CPLSpectra(pas)[3320]
 	if spec == nil {
 		t.Fatal("no spectrum")
@@ -62,7 +62,7 @@ func TestUniquePrefixesAndPoolBoundary(t *testing.T) {
 		prefixes[i] = netip.PrefixFrom(netip.AddrFrom16(p), 64).String()
 	}
 	ser := v6Series(1, 3320, prefixes, 500)
-	pas := Analyze([]atlas.Series{ser}, DefaultExtractConfig())
+	pas := Analyze([]echo.Series{ser}, DefaultExtractConfig())
 	dists := UniquePrefixes(pas, &table)
 	d := dists[3320]
 	if d == nil {
@@ -96,7 +96,7 @@ func TestTable2(t *testing.T) {
 	table.Announce(netip.MustParsePrefix("90.0.0.0/9"), 3215)
 	table.Announce(netip.MustParsePrefix("2003::/19"), 3320)
 
-	ser := atlas.Series{Probe: atlas.Probe{ID: 1, ASN: 3215}}
+	ser := echo.Series{Probe: echo.Probe{ID: 1, ASN: 3215}}
 	addrs := []string{
 		"81.10.0.1",  // base
 		"81.10.0.99", // same /24, same BGP
@@ -105,13 +105,13 @@ func TestTable2(t *testing.T) {
 		"8.8.8.8",    // unrouted in this table
 	}
 	for i, a := range addrs {
-		ser.V4 = append(ser.V4, atlas.Span{Start: int64(i) * 10, End: int64(i)*10 + 9, Echo: netip.MustParseAddr(a)})
+		ser.V4 = append(ser.V4, echo.Span{Start: int64(i) * 10, End: int64(i)*10 + 9, Echo: netip.MustParseAddr(a)})
 	}
-	ser.V6 = []atlas.Span{
+	ser.V6 = []echo.Span{
 		{Start: 0, End: 9, Echo: netip.MustParseAddr("2003:1::1")},
 		{Start: 10, End: 19, Echo: netip.MustParseAddr("2003:2::1")},
 	}
-	pas := Analyze([]atlas.Series{ser}, DefaultExtractConfig())
+	pas := Analyze([]echo.Series{ser}, DefaultExtractConfig())
 	rows := Table2(pas, &table)
 	r := rows[3215]
 	if r == nil {

@@ -60,44 +60,3 @@ func SubscriberLengths(pas []ProbeAnalysis) (perAS map[uint32]*stats.IntHistogra
 	}
 	return perAS, pooled
 }
-
-// TrailingZeroBuckets classifies a set of observed /64 prefixes by their
-// nibble-aligned trailing-zero run, the paper's CDN technique (§5.3,
-// Fig. 7): the returned map counts prefixes whose longest zero run ends at
-// the /60, /56, /52, and /48 boundaries; Total counts all prefixes and
-// Inferable those with any nibble-aligned run.
-type TrailingZeroBuckets struct {
-	Counts    map[int]int // inferred delegated length -> count
-	Total     int
-	Inferable int
-}
-
-// InferableFrac is the share of prefixes whose delegation length the
-// technique recovers (the percentages in Fig. 7's panel titles).
-func (b *TrailingZeroBuckets) InferableFrac() float64 {
-	if b.Total == 0 {
-		return 0
-	}
-	return float64(b.Inferable) / float64(b.Total)
-}
-
-// Frac returns the fraction of all prefixes classified at the length.
-func (b *TrailingZeroBuckets) Frac(length int) float64 {
-	if b.Total == 0 {
-		return 0
-	}
-	return float64(b.Counts[length]) / float64(b.Total)
-}
-
-// ClassifyTrailingZeros buckets /64 prefixes by inferred delegation length.
-func ClassifyTrailingZeros(prefixes []netip.Prefix) *TrailingZeroBuckets {
-	b := &TrailingZeroBuckets{Counts: make(map[int]int)}
-	for _, p := range prefixes {
-		b.Total++
-		if l, ok := netutil.InferredDelegation(p); ok {
-			b.Counts[l]++
-			b.Inferable++
-		}
-	}
-	return b
-}

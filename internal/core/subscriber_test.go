@@ -4,14 +4,14 @@ import (
 	"net/netip"
 	"testing"
 
-	"dynamips/internal/atlas"
+	"dynamips/internal/echo"
 )
 
 func assignmentsFor(prefixes ...string) []Assignment[netip.Prefix] {
-	var spans []atlas.Span
+	var spans []echo.Span
 	for i, ps := range prefixes {
 		p := netip.MustParsePrefix(ps)
-		spans = append(spans, atlas.Span{
+		spans = append(spans, echo.Span{
 			Start: int64(i) * 100, End: int64(i)*100 + 99,
 			Echo: p.Addr().Next(), Src: p.Addr().Next(),
 		})
@@ -91,18 +91,18 @@ func TestInferSubscriberLengthCap(t *testing.T) {
 }
 
 func TestSubscriberLengths(t *testing.T) {
-	mk := func(id int, asn uint32, prefixes ...string) atlas.Series {
-		var spans []atlas.Span
+	mk := func(id int, asn uint32, prefixes ...string) echo.Series {
+		var spans []echo.Span
 		for i, ps := range prefixes {
 			p := netip.MustParsePrefix(ps)
-			spans = append(spans, atlas.Span{
+			spans = append(spans, echo.Span{
 				Start: int64(i) * 1000, End: int64(i)*1000 + 999,
 				Echo: p.Addr().Next(), Src: p.Addr().Next(),
 			})
 		}
-		return atlas.Series{Probe: atlas.Probe{ID: id, ASN: asn}, V6: spans}
+		return echo.Series{Probe: echo.Probe{ID: id, ASN: asn}, V6: spans}
 	}
-	series := []atlas.Series{
+	series := []echo.Series{
 		mk(1, 3320, "2003:1000:0:100::/64", "2003:1000:0:7800::/64"),
 		mk(2, 3320, "2003:2000:0:a100::/64", "2003:2000:0:4200::/64"),
 		mk(3, 8422, "2001:4dd0:5::/64", "2001:4dd0:91::/64"),
@@ -118,34 +118,5 @@ func TestSubscriberLengths(t *testing.T) {
 	}
 	if pooled.N != 3 {
 		t.Errorf("pooled N = %d", pooled.N)
-	}
-}
-
-func TestClassifyTrailingZeros(t *testing.T) {
-	prefixes := []netip.Prefix{
-		netip.MustParsePrefix("2a01:c000:0:ff00::/64"), // /56
-		netip.MustParsePrefix("2a01:c000:0:fff0::/64"), // /60
-		netip.MustParsePrefix("2a01:c000:0:f000::/64"), // /52
-		netip.MustParsePrefix("2a01:c000:1::/64"),      // /48
-		netip.MustParsePrefix("2a01:c000:0:ffff::/64"), // none
-	}
-	b := ClassifyTrailingZeros(prefixes)
-	if b.Total != 5 || b.Inferable != 4 {
-		t.Fatalf("buckets: %+v", b)
-	}
-	for l, want := range map[int]int{56: 1, 60: 1, 52: 1, 48: 1} {
-		if b.Counts[l] != want {
-			t.Errorf("Counts[%d] = %d, want %d", l, b.Counts[l], want)
-		}
-	}
-	if f := b.InferableFrac(); f != 0.8 {
-		t.Errorf("InferableFrac = %v", f)
-	}
-	if f := b.Frac(56); f != 0.2 {
-		t.Errorf("Frac(56) = %v", f)
-	}
-	empty := ClassifyTrailingZeros(nil)
-	if empty.InferableFrac() != 0 || empty.Frac(56) != 0 {
-		t.Error("empty buckets nonzero")
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"net/netip"
 	"sort"
 
-	"dynamips/internal/atlas"
 	"dynamips/internal/checkpoint"
+	"dynamips/internal/echo"
 	"dynamips/internal/parallel"
 	"dynamips/internal/stats"
 )
@@ -17,7 +17,7 @@ const DualStackMinHours = 720
 // ProbeAnalysis is the per-probe digest every higher-level analysis
 // consumes: the extracted assignment sequences plus derived classifiers.
 type ProbeAnalysis struct {
-	Probe     atlas.Probe
+	Probe     echo.Probe
 	V4        []Assignment[netip.Addr]
 	V6        []Assignment[netip.Prefix]
 	DualStack bool
@@ -27,7 +27,7 @@ type ProbeAnalysis struct {
 // independent, so they are digested concurrently under cfg.Workers; the
 // result keeps the input order. Analyze never journals (and so never
 // fails); checkpointed pipelines use AnalyzeErr.
-func Analyze(series []atlas.Series, cfg ExtractConfig) []ProbeAnalysis {
+func Analyze(series []echo.Series, cfg ExtractConfig) []ProbeAnalysis {
 	return parallel.Map(len(series), cfg.Workers, func(i int) ProbeAnalysis {
 		return analyzeOne(&series[i], cfg)
 	})
@@ -37,7 +37,7 @@ func Analyze(series []atlas.Series, cfg ExtractConfig) []ProbeAnalysis {
 // set, each digested series is recorded in index order under the "analyze"
 // stage, and a resumed run decodes completed digests instead of
 // recomputing them. With a nil Checkpoint it is exactly Analyze.
-func AnalyzeErr(series []atlas.Series, cfg ExtractConfig) ([]ProbeAnalysis, error) {
+func AnalyzeErr(series []echo.Series, cfg ExtractConfig) ([]ProbeAnalysis, error) {
 	return checkpoint.Stage(cfg.Checkpoint, "analyze", len(series), cfg.Workers,
 		func(i int) (ProbeAnalysis, error) {
 			return analyzeOne(&series[i], cfg), nil
@@ -45,7 +45,7 @@ func AnalyzeErr(series []atlas.Series, cfg ExtractConfig) ([]ProbeAnalysis, erro
 		checkpoint.GobEncode[ProbeAnalysis], checkpoint.GobDecode[ProbeAnalysis])
 }
 
-func analyzeOne(s *atlas.Series, cfg ExtractConfig) ProbeAnalysis {
+func analyzeOne(s *echo.Series, cfg ExtractConfig) ProbeAnalysis {
 	return ProbeAnalysis{
 		Probe:     s.Probe,
 		V4:        V4Assignments(s.V4, cfg),

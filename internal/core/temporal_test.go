@@ -5,16 +5,16 @@ import (
 	"net/netip"
 	"testing"
 
-	"dynamips/internal/atlas"
+	"dynamips/internal/echo"
 	"dynamips/internal/stats"
 )
 
 // fixtureSeries builds a probe with deterministic daily IPv4 changes and
 // monthly IPv6 changes over a year, dual-stack.
-func fixtureSeries(id int, asn uint32) atlas.Series {
-	ser := atlas.Series{Probe: atlas.Probe{ID: id, ASN: asn}}
+func fixtureSeries(id int, asn uint32) echo.Series {
+	ser := echo.Series{Probe: echo.Probe{ID: id, ASN: asn}}
 	for d := int64(0); d < 365; d++ {
-		ser.V4 = append(ser.V4, atlas.Span{
+		ser.V4 = append(ser.V4, echo.Span{
 			Start: d * 24, End: d*24 + 23,
 			Echo: netip.AddrFrom4([4]byte{81, 10, byte(d >> 8), byte(d)}),
 			Src:  netip.MustParseAddr("192.168.1.2"),
@@ -24,7 +24,7 @@ func fixtureSeries(id int, asn uint32) atlas.Series {
 		p := netip.MustParseAddr("2003:1000::").As16()
 		p[6] = byte(m)
 		addr := netip.AddrFrom16(p)
-		ser.V6 = append(ser.V6, atlas.Span{
+		ser.V6 = append(ser.V6, echo.Span{
 			Start: m * 730, End: m*730 + 729,
 			Echo: addr, Src: addr,
 		})
@@ -33,7 +33,7 @@ func fixtureSeries(id int, asn uint32) atlas.Series {
 }
 
 func TestAnalyzeAndCollectDurations(t *testing.T) {
-	series := []atlas.Series{fixtureSeries(1, 3320), fixtureSeries(2, 3320)}
+	series := []echo.Series{fixtureSeries(1, 3320), fixtureSeries(2, 3320)}
 	pas := Analyze(series, DefaultExtractConfig())
 	if len(pas) != 2 {
 		t.Fatalf("analyzed %d probes", len(pas))
@@ -111,34 +111,34 @@ func repeat(v float64, n int) []float64 {
 
 func TestMeasureSimultaneity(t *testing.T) {
 	// Probe whose v4 and v6 change at the same hours.
-	coupled := atlas.Series{Probe: atlas.Probe{ID: 1, ASN: 3320}}
+	coupled := echo.Series{Probe: echo.Probe{ID: 1, ASN: 3320}}
 	for d := int64(0); d < 60; d++ {
-		coupled.V4 = append(coupled.V4, atlas.Span{
+		coupled.V4 = append(coupled.V4, echo.Span{
 			Start: d * 24, End: d*24 + 23,
 			Echo: netip.AddrFrom4([4]byte{81, 10, 0, byte(d)}),
 		})
 		p := netip.MustParseAddr("2003:1000::").As16()
 		p[7] = byte(d)
-		coupled.V6 = append(coupled.V6, atlas.Span{
+		coupled.V6 = append(coupled.V6, echo.Span{
 			Start: d * 24, End: d*24 + 23,
 			Echo: netip.AddrFrom16(p), Src: netip.AddrFrom16(p),
 		})
 	}
 	// Probe whose v6 changes at offset hours.
-	uncoupled := atlas.Series{Probe: atlas.Probe{ID: 2, ASN: 7922}}
+	uncoupled := echo.Series{Probe: echo.Probe{ID: 2, ASN: 7922}}
 	for d := int64(0); d < 60; d++ {
-		uncoupled.V4 = append(uncoupled.V4, atlas.Span{
+		uncoupled.V4 = append(uncoupled.V4, echo.Span{
 			Start: d * 24, End: d*24 + 23,
 			Echo: netip.AddrFrom4([4]byte{24, 10, 0, byte(d)}),
 		})
 		p := netip.MustParseAddr("2601::").As16()
 		p[7] = byte(d)
-		uncoupled.V6 = append(uncoupled.V6, atlas.Span{
+		uncoupled.V6 = append(uncoupled.V6, echo.Span{
 			Start: d*24 + 12, End: d*24 + 35,
 			Echo: netip.AddrFrom16(p), Src: netip.AddrFrom16(p),
 		})
 	}
-	pas := Analyze([]atlas.Series{coupled, uncoupled}, DefaultExtractConfig())
+	pas := Analyze([]echo.Series{coupled, uncoupled}, DefaultExtractConfig())
 	sim := MeasureSimultaneity(pas)
 	if got := sim[3320].Fraction(); got != 1 {
 		t.Errorf("coupled fraction = %v, want 1", got)
@@ -159,7 +159,7 @@ func TestTable1(t *testing.T) {
 	dsSer := fixtureSeries(1, 3320)
 	ndsSer := fixtureSeries(2, 3320)
 	ndsSer.V6 = nil
-	pas := Analyze([]atlas.Series{dsSer, ndsSer}, DefaultExtractConfig())
+	pas := Analyze([]echo.Series{dsSer, ndsSer}, DefaultExtractConfig())
 	rows := Table1(pas, map[uint32]string{3320: "DTAG"})
 	if len(rows) != 1 {
 		t.Fatalf("rows = %+v", rows)

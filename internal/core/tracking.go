@@ -4,7 +4,7 @@ import (
 	"net/netip"
 	"sort"
 
-	"dynamips/internal/atlas"
+	"dynamips/internal/echo"
 	"dynamips/internal/netutil"
 )
 
@@ -49,7 +49,7 @@ func (r TrackingReport) LinkableFrac() float64 {
 // MeasureTracking evaluates IID trackability over raw series (the IIDs
 // live in the full echoed addresses, which Analyze's /64 aggregation
 // discards).
-func MeasureTracking(series []atlas.Series) TrackingReport {
+func MeasureTracking(series []echo.Series) TrackingReport {
 	var rep TrackingReport
 	owners := make(map[uint64]map[int]bool) // IID -> set of probes
 	for i := range series {
@@ -102,7 +102,7 @@ type TrackedDevice struct {
 
 // LinkByIID groups observed IPv6 addresses (with observation hours) by
 // IID, returning per-device /64 trajectories sorted by IID.
-func LinkByIID(series []atlas.Series) []TrackedDevice {
+func LinkByIID(series []echo.Series) []TrackedDevice {
 	type sighting struct {
 		hour int64
 		p64  netip.Prefix

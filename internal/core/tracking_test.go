@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dynamips/internal/atlas"
+	"dynamips/internal/echo"
 	"dynamips/internal/isp"
 	"dynamips/internal/netutil"
 )
@@ -27,14 +28,14 @@ func TestIID(t *testing.T) {
 
 func TestMeasureTrackingStableIID(t *testing.T) {
 	const iid = 0x0200_0000_0000_0042
-	ser := atlas.Series{Probe: atlas.Probe{ID: 1, ASN: 3320}}
+	ser := echo.Series{Probe: echo.Probe{ID: 1, ASN: 3320}}
 	for i := int64(0); i < 5; i++ {
 		p := netip.MustParseAddr("2003:1000::").As16()
 		p[6] = byte(i + 1)
 		addr := netutil.AddrFrom128(netutil.Key64(netip.AddrFrom16(p)), iid)
-		ser.V6 = append(ser.V6, atlas.Span{Start: i * 100, End: i*100 + 99, Echo: addr, Src: addr})
+		ser.V6 = append(ser.V6, echo.Span{Start: i * 100, End: i*100 + 99, Echo: addr, Src: addr})
 	}
-	rep := MeasureTracking([]atlas.Series{ser})
+	rep := MeasureTracking([]echo.Series{ser})
 	if rep.Devices != 1 || rep.Changes != 4 || rep.Linkable != 4 {
 		t.Fatalf("report = %+v", rep)
 	}
@@ -49,26 +50,26 @@ func TestMeasureTrackingStableIID(t *testing.T) {
 func TestMeasureTrackingPrivacyAddresses(t *testing.T) {
 	// A device that rotates its IID on every renumbering (privacy
 	// addresses, RFC 4941) is not linkable.
-	ser := atlas.Series{Probe: atlas.Probe{ID: 1, ASN: 3320}}
+	ser := echo.Series{Probe: echo.Probe{ID: 1, ASN: 3320}}
 	for i := int64(0); i < 5; i++ {
 		p := netip.MustParseAddr("2003:1000::").As16()
 		p[6] = byte(i + 1)
 		addr := netutil.AddrFrom128(netutil.Key64(netip.AddrFrom16(p)), uint64(0x1000+i))
-		ser.V6 = append(ser.V6, atlas.Span{Start: i * 100, End: i*100 + 99, Echo: addr, Src: addr})
+		ser.V6 = append(ser.V6, echo.Span{Start: i * 100, End: i*100 + 99, Echo: addr, Src: addr})
 	}
-	rep := MeasureTracking([]atlas.Series{ser})
+	rep := MeasureTracking([]echo.Series{ser})
 	if rep.Changes != 4 || rep.Linkable != 0 {
 		t.Fatalf("report = %+v", rep)
 	}
 }
 
 func TestMeasureTrackingCollisions(t *testing.T) {
-	mk := func(id int, iid uint64) atlas.Series {
+	mk := func(id int, iid uint64) echo.Series {
 		addr := v6WithIID("2003:1000:0:100::/64", iid)
-		return atlas.Series{Probe: atlas.Probe{ID: id, ASN: 3320},
-			V6: []atlas.Span{{Start: 0, End: 9, Echo: addr, Src: addr}}}
+		return echo.Series{Probe: echo.Probe{ID: id, ASN: 3320},
+			V6: []echo.Span{{Start: 0, End: 9, Echo: addr, Src: addr}}}
 	}
-	rep := MeasureTracking([]atlas.Series{mk(1, 7), mk(2, 7), mk(3, 8)})
+	rep := MeasureTracking([]echo.Series{mk(1, 7), mk(2, 7), mk(3, 8)})
 	if rep.Collisions != 1 {
 		t.Errorf("Collisions = %d, want 1", rep.Collisions)
 	}
@@ -76,13 +77,13 @@ func TestMeasureTrackingCollisions(t *testing.T) {
 
 func TestLinkByIID(t *testing.T) {
 	const iid = 0x0200_0000_0000_0099
-	ser := atlas.Series{Probe: atlas.Probe{ID: 1, ASN: 3320}}
+	ser := echo.Series{Probe: echo.Probe{ID: 1, ASN: 3320}}
 	prefixes := []string{"2003:1000:0:100::/64", "2003:1000:0:200::/64", "2003:1000:0:100::/64"}
 	for i, ps := range prefixes {
 		addr := v6WithIID(ps, iid)
-		ser.V6 = append(ser.V6, atlas.Span{Start: int64(i) * 50, End: int64(i)*50 + 49, Echo: addr, Src: addr})
+		ser.V6 = append(ser.V6, echo.Span{Start: int64(i) * 50, End: int64(i)*50 + 49, Echo: addr, Src: addr})
 	}
-	devices := LinkByIID([]atlas.Series{ser})
+	devices := LinkByIID([]echo.Series{ser})
 	if len(devices) != 1 {
 		t.Fatalf("devices = %+v", devices)
 	}

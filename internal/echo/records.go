@@ -1,27 +1,24 @@
-// Package atlas models the RIPE Atlas "IP echo" dataset (§3.1): probes in
-// home networks perform hourly HTTP GETs against an echo server that
-// returns the publicly visible client address in an X-Client-IP header.
-//
-// The package provides the record schema and JSONL codec, run-length
-// encoded observation series, a real net/http echo server and probe
-// client, a fleet generator that derives probe observations from
-// internal/isp ground truth (with the anomaly types Appendix A.1
-// describes), and the full sanitization pipeline from that appendix.
-package atlas
+// Package echo is the IP-echo observation schema (§3.1): what a RIPE
+// Atlas probe's hourly HTTP GETs against an echo server record, as
+// hourly Records, their run-length encoding as Spans and Series, and
+// the JSONL codecs of both. It is the leaf the analysis plane reads:
+// core, hitlist, reputation and anonymize see probes only through
+// these types, and the package imports nothing but netutil and the
+// standard library, so no analysis package links the simulators that
+// internal/atlas builds its fleets from.
+package echo
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 
 	"dynamips/internal/netutil"
 )
-
-// TestAddr is the RIPE NCC address probes echoed while being tested before
-// distribution; Appendix A.1 filters all entries carrying it.
-var TestAddr = netip.MustParseAddr("193.0.0.78")
 
 // Probe is one Atlas probe's metadata.
 type Probe struct {
@@ -38,6 +35,21 @@ type Record struct {
 	Family  int        `json:"af"` // 4 or 6
 	Echo    netip.Addr `json:"x_client_ip"`
 	Src     netip.Addr `json:"src_addr"`
+}
+
+// Validate reports whether the record can enter a series: its family is
+// 4 or 6 and it carries an echoed address of that family. ReadRecords
+// rejects, and atlas.ReadRIPEResults skips, a record that fails it.
+func (r *Record) Validate() error {
+	switch {
+	case r.Family != 4 && r.Family != 6:
+		return fmt.Errorf("probe %d hour %d: family %d is neither 4 nor 6", r.ProbeID, r.Hour, r.Family)
+	case !r.Echo.IsValid():
+		return fmt.Errorf("probe %d hour %d has no echoed address", r.ProbeID, r.Hour)
+	case r.Echo.Unmap().Is4() != (r.Family == 4):
+		return fmt.Errorf("probe %d hour %d: echoed address %v is not of family %d", r.ProbeID, r.Hour, r.Echo, r.Family)
+	}
+	return nil
 }
 
 // Span is a run-length encoded stretch of identical hourly observations:
@@ -64,33 +76,27 @@ type Series struct {
 
 // ObservedHours returns the total hours with at least one family observed,
 // approximated as the max of the two families' coverage.
-func (s *Series) ObservedHours() int64 {
-	var h4, h6 int64
-	for _, sp := range s.V4 {
-		h4 += sp.Hours()
-	}
-	for _, sp := range s.V6 {
-		h6 += sp.Hours()
-	}
-	return max(h4, h6)
-}
+func (s *Series) ObservedHours() int64 { return max(hours(s.V4), hours(s.V6)) }
 
 // DualStack reports whether the probe yielded more than a month of both
 // IPv4 and IPv6 measurements, the paper's dual-stack probe criterion
 // (Table 1, fn. 3).
 func (s *Series) DualStack(minHours int64) bool {
-	var h4, h6 int64
-	for _, sp := range s.V4 {
-		h4 += sp.Hours()
-	}
-	for _, sp := range s.V6 {
-		h6 += sp.Hours()
-	}
-	return h4 >= minHours && h6 >= minHours
+	return hours(s.V4) >= minHours && hours(s.V6) >= minHours
 }
 
-// Expand converts a series to hourly records (both families interleaved by
-// hour then family), the raw form of the public dataset.
+// hours sums the hourly observations the spans cover.
+func hours(spans []Span) int64 {
+	var n int64
+	for _, sp := range spans {
+		n += sp.Hours()
+	}
+	return n
+}
+
+// Expand converts a series to hourly records, the raw form of the public
+// dataset: the probe's IPv4 records in hour order, then its IPv6 records
+// in hour order.
 func (s *Series) Expand() []Record {
 	var recs []Record
 	for _, sp := range s.V4 {
@@ -106,73 +112,40 @@ func (s *Series) Expand() []Record {
 	return recs
 }
 
-// Compress rebuilds RLE series from hourly records. Records may arrive in
-// any order; output spans are maximal runs of identical (Echo, Src) at
-// contiguous hours. Probe metadata beyond the ID is left zero — callers
-// re-attach it from their probe table.
+// Compress rebuilds RLE series from hourly records that pass Validate.
+// Records may arrive in any order; output spans are maximal runs of
+// identical (Echo, Src) at contiguous hours, and of two records at one
+// hour the first in the input wins. Series come out in probe ID order.
+// Probe metadata beyond the ID is left zero — callers re-attach it from
+// their probe table.
 func Compress(recs []Record) []Series {
-	type key struct {
-		probe  int
-		family int
-	}
-	byKey := make(map[key][]Record)
-	for _, r := range recs {
-		k := key{r.ProbeID, r.Family}
-		byKey[k] = append(byKey[k], r)
-	}
-	byProbe := make(map[int]*Series)
-	var order []int
-	for k, rs := range byKey {
-		// Insertion sort is avoided: sort by hour.
-		sortRecords(rs)
-		ser, ok := byProbe[k.probe]
-		if !ok {
-			ser = &Series{Probe: Probe{ID: k.probe}}
-			byProbe[k.probe] = ser
-			order = append(order, k.probe)
+	sorted := slices.Clone(recs)
+	slices.SortStableFunc(sorted, func(a, b Record) int {
+		return cmp.Or(cmp.Compare(a.ProbeID, b.ProbeID), cmp.Compare(a.Family, b.Family), cmp.Compare(a.Hour, b.Hour))
+	})
+	var out []Series
+	for _, r := range sorted {
+		if len(out) == 0 || out[len(out)-1].Probe.ID != r.ProbeID {
+			out = append(out, Series{Probe: Probe{ID: r.ProbeID}})
 		}
-		var spans []Span
-		for _, r := range rs {
-			n := len(spans)
-			if n > 0 && spans[n-1].End+1 == r.Hour && spans[n-1].Echo == r.Echo && spans[n-1].Src == r.Src {
-				spans[n-1].End = r.Hour
-				continue
-			}
-			if n > 0 && spans[n-1].End >= r.Hour {
+		spans := &out[len(out)-1].V6
+		if r.Family == 4 {
+			spans = &out[len(out)-1].V4
+		}
+		n := len(*spans)
+		if n > 0 {
+			last := &(*spans)[n-1]
+			if last.End >= r.Hour {
 				continue // duplicate hour
 			}
-			spans = append(spans, Span{Start: r.Hour, End: r.Hour, Echo: r.Echo, Src: r.Src})
+			if last.End+1 == r.Hour && last.Echo == r.Echo && last.Src == r.Src {
+				last.End = r.Hour
+				continue
+			}
 		}
-		if k.family == 4 {
-			ser.V4 = spans
-		} else {
-			ser.V6 = spans
-		}
-	}
-	sortInts(order)
-	out := make([]Series, 0, len(order))
-	for _, id := range order {
-		out = append(out, *byProbe[id])
+		*spans = append(*spans, Span{Start: r.Hour, End: r.Hour, Echo: r.Echo, Src: r.Src})
 	}
 	return out
-}
-
-func sortRecords(rs []Record) {
-	// Small helper kept allocation-free; hours are nearly sorted in
-	// generated data, so insertion-style sort.Slice is fine.
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j].Hour < rs[j-1].Hour; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // WriteRecords writes records as JSON lines.
@@ -181,13 +154,13 @@ func WriteRecords(w io.Writer, recs []Record) error {
 	enc := json.NewEncoder(bw)
 	for i := range recs {
 		if err := enc.Encode(&recs[i]); err != nil {
-			return fmt.Errorf("atlas: encoding record %d: %w", i, err)
+			return fmt.Errorf("echo: encoding record %d: %w", i, err)
 		}
 	}
 	return bw.Flush()
 }
 
-// ReadRecords parses JSON lines into records.
+// ReadRecords parses JSON lines into records, each checked by Validate.
 func ReadRecords(r io.Reader) ([]Record, error) {
 	var recs []Record
 	sc := bufio.NewScanner(r)
@@ -200,12 +173,15 @@ func ReadRecords(r io.Reader) ([]Record, error) {
 		}
 		var rec Record
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return nil, fmt.Errorf("atlas: line %d: %w", line, err)
+			return nil, fmt.Errorf("echo: line %d: %w", line, err)
+		}
+		if err := rec.Validate(); err != nil {
+			return nil, fmt.Errorf("echo: line %d: %w", line, err)
 		}
 		recs = append(recs, rec)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("atlas: reading records: %w", err)
+		return nil, fmt.Errorf("echo: reading records: %w", err)
 	}
 	return recs, nil
 }
@@ -216,7 +192,7 @@ func WriteSeries(w io.Writer, series []Series) error {
 	enc := json.NewEncoder(bw)
 	for i := range series {
 		if err := enc.Encode(&series[i]); err != nil {
-			return fmt.Errorf("atlas: encoding series %d: %w", i, err)
+			return fmt.Errorf("echo: encoding series %d: %w", i, err)
 		}
 	}
 	return bw.Flush()
@@ -235,15 +211,15 @@ func ReadSeries(r io.Reader) ([]Series, error) {
 		}
 		var ser Series
 		if err := json.Unmarshal(sc.Bytes(), &ser); err != nil {
-			return nil, fmt.Errorf("atlas: line %d: %w", line, err)
+			return nil, fmt.Errorf("echo: line %d: %w", line, err)
 		}
 		if err := ValidateSeries(&ser); err != nil {
-			return nil, fmt.Errorf("atlas: line %d: %w", line, err)
+			return nil, fmt.Errorf("echo: line %d: %w", line, err)
 		}
 		out = append(out, ser)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("atlas: reading series: %w", err)
+		return nil, fmt.Errorf("echo: reading series: %w", err)
 	}
 	return out, nil
 }

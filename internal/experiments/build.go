@@ -12,6 +12,7 @@ import (
 	"dynamips/internal/cdn"
 	"dynamips/internal/checkpoint"
 	"dynamips/internal/core"
+	"dynamips/internal/echo"
 	"dynamips/internal/faultnet"
 	"dynamips/internal/isp"
 	"dynamips/internal/obs"
@@ -166,7 +167,7 @@ func BuildAtlas(cfg Config) (*AtlasData, error) {
 	// span reads the same under any worker count.
 	cfg.Obs.Advance(int64(len(profiles)))
 	fleetSpan.End()
-	var all []atlas.Series
+	var all []echo.Series
 	for i, fleet := range fleets {
 		prof := profiles[i]
 		all = append(all, fleet.Series...)
@@ -202,7 +203,7 @@ func BuildAtlas(cfg Config) (*AtlasData, error) {
 // probe series and the AS's route announcements, exactly the parts
 // BuildAtlas's merge consumes.
 type fleetUnit struct {
-	Series []atlas.Series
+	Series []echo.Series
 	Routes []bgp.Entry
 	// Net and EchoesDropped carry the simulation's protocol/fault
 	// accounting so resumed runs replay the same metrics the original

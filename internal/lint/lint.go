@@ -42,6 +42,7 @@ func DefaultConfig() Config {
 			"internal/evq",
 			"internal/isp",
 			"internal/atlas",
+			"internal/echo",
 			"internal/cdn",
 			"internal/cdn/stream",
 			"internal/core",

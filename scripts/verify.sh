@@ -16,7 +16,7 @@
 #   split brain), a coverage floor over
 #   the assignment-plane protocol packages and their address pool, the
 #   simulators' event queue, the bng session store, the CGN substrate,
-#   the checkpoint layer, and the observability layer
+#   the checkpoint layer, the observability layer, and the IP-echo schema
 #   (plus a stricter floor over the sketch plane), the non-race
 #   million-session BNG soak (>=10^6 concurrent sessions at >=10^6
 #   events/sec with worker-count hash identity), one iteration of the
@@ -24,8 +24,8 @@
 #   bench regression smoke against the checked-in baseline, and a
 #   bounded fuzz smoke over every wire-codec,
 #   fault-profile-parsing, journal-decoding, sketch-codec,
-#   sketch-query-parsing, session-snapshot codec, address-pool and
-#   event-queue Fuzz* target.
+#   sketch-query-parsing, session-snapshot codec, address-pool,
+#   event-queue and IP-echo-records Fuzz* target.
 #   FUZZTIME bounds each fuzz run (default 10s); BENCH_THRESHOLD bounds
 #   the allowed ns/op slowdown factor (default 2.0).
 set -eu
@@ -165,7 +165,7 @@ if [ "$rc" -ne 0 ] || grep -q "split brain" "$smokedir/standby.log"; then
 fi
 
 echo "==> coverage floor (>=${COVERAGE_FLOOR}% of statements)"
-for pkg in internal/addrpool internal/evq internal/dhcp4 internal/dhcp6 internal/radius internal/faultnet internal/checkpoint internal/obs internal/cgnat internal/bng internal/bng/stripe; do
+for pkg in internal/addrpool internal/evq internal/dhcp4 internal/dhcp6 internal/radius internal/faultnet internal/checkpoint internal/obs internal/cgnat internal/bng internal/bng/stripe internal/echo; do
 	line=$(go test -cover "./$pkg" | tail -n 1)
 	echo "$line"
 	pct=$(echo "$line" | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')
@@ -219,5 +219,6 @@ go test ./internal/bng -run '^$' -fuzz '^FuzzSketchQuery$' -fuzztime "$FUZZTIME"
 go test ./internal/bng/stripe -run '^$' -fuzz '^FuzzDecodeSnapshot$' -fuzztime "$FUZZTIME"
 go test ./internal/addrpool -run '^$' -fuzz '^FuzzPool$' -fuzztime "$FUZZTIME"
 go test ./internal/evq -run '^$' -fuzz '^FuzzHeap$' -fuzztime "$FUZZTIME"
+go test ./internal/echo -run '^$' -fuzz '^FuzzRecordsToSeries$' -fuzztime "$FUZZTIME"
 
 echo "==> verify OK"
