@@ -339,7 +339,7 @@ func cmdAnalyze(args []string) error {
 	fs := newFlagSet("analyze")
 	pfx2as := fs.String("pfx2as", "", "pfx2as file for BGP classification (optional)")
 	format := fs.String("format", "series", "input format: series (RLE JSONL), records (hourly JSONL), or ripe (RIPE Atlas results)")
-	epoch := fs.Int64("epoch", 1409529600, "unix time of hour 0 for -format ripe (default: 2014-09-01, the paper's window start)")
+	epoch := fs.Int64("epoch", 1409529600, "unix time of hour 0 for -format ripe; earlier results are skipped (default: 2014-09-01, the paper's window start)")
 	out := fs.String("o", "-", "report output file (default stdout; written atomically)")
 	metrics := fs.String("metrics", "", "dump pipeline metrics (JSON) to this file")
 	if err := fs.Parse(args); err != nil {

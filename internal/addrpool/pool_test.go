@@ -140,6 +140,7 @@ func TestPoolConfigErrors(t *testing.T) {
 		"zero stride":  second(Prefixes[int](v6, 56, 0, errDone)),
 		"no v6 pools":  second(Prefixes[int](nil, 56, 1, errDone)),
 		"mixed family": second(Addrs[int](append(v4, v6...), 1, errDone)),
+		"overlap":      second(Addrs[int](append(v4, netip.MustParsePrefix("10.0.0.128/25")), 1, errDone)),
 	} {
 		if err == nil {
 			t.Errorf("%s: no error", name)
@@ -148,6 +149,183 @@ func TestPoolConfigErrors(t *testing.T) {
 }
 
 func second[T any](_ T, err error) error { return err }
+
+// TestWalkPositions checks the position inverse on the shapes bng
+// shards carve, where a stride's inverse is not trivial: the walk order
+// is (k*stride) mod size, a unit deep in the walk is found at its
+// position, a foreign, unmasked or wrong-length unit is never held, and
+// the holder table grows with the units walked, not the pool size.
+func TestWalkPositions(t *testing.T) {
+	const walk = 3000
+	v4 := func(pool string, stride uint64) func(t *testing.T) {
+		return func(t *testing.T) {
+			pfx := netip.MustParsePrefix(pool)
+			p, err := Addrs[int]([]netip.Prefix{pfx}, stride, errDone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			size := uint64(1) << (32 - pfx.Bits())
+			last := netutil.AddrFromU32(netutil.U32(pfx.Addr()) + uint32(size-1))
+			checkWalk(t, p, walk, func(k uint64) netip.Addr {
+				a, err := netutil.HostAddr(pfx, k*stride%size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return a
+			}, func(a netip.Addr) []netip.Addr {
+				return []netip.Addr{
+					netip.AddrFrom16(a.As16()), // a as 4-in-6
+					pfx.Addr().Prev(),
+					last.Next(),
+					netip.MustParseAddr("2001:db8::1"),
+					{},
+				}
+			})
+		}
+	}
+	v6 := func(pool string, bits int, stride uint64) func(t *testing.T) {
+		return func(t *testing.T) {
+			pfx := netip.MustParsePrefix(pool)
+			p, err := Prefixes[int]([]netip.Prefix{pfx}, bits, stride, errDone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			size := uint64(1) << (bits - pfx.Bits())
+			checkWalk(t, p, walk, func(k uint64) netip.Prefix {
+				u, err := netutil.SubPrefix(pfx, bits, k*stride%size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return u
+			}, func(u netip.Prefix) []netip.Prefix {
+				hi, lo := netutil.U128(u.Addr())
+				first, _ := netutil.U128(pfx.Addr())
+				fs := []netip.Prefix{
+					netip.PrefixFrom(netutil.AddrFrom128(hi, lo|1), bits), // unmasked
+					netip.PrefixFrom(u.Addr(), bits-1),
+					netip.PrefixFrom(u.Addr(), bits+1),
+					netip.PrefixFrom(netutil.AddrFrom128(first-1<<(64-bits), 0), bits),       // just below the pool
+					netip.PrefixFrom(netutil.AddrFrom128(first+1<<(64-pfx.Bits()), 0), bits), // just above it
+					netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 0, 0, 0}), 24),
+					netip.PrefixFrom(netip.MustParseAddr("::ffff:10.0.0.0"), bits),
+					{},
+				}
+				if bits < 64 {
+					fs = append(fs, netip.PrefixFrom(netutil.AddrFrom128(hi|1, lo), bits)) // unmasked in the first half
+				}
+				return fs
+			})
+		}
+	}
+	t.Run("v4 /17 stride 257", v4("10.0.128.0/17", 257))
+	t.Run("v4 /12 stride 1", v4("10.128.0.0/12", 1))
+	t.Run("v6 /42 of /56 stride 2557", v6("2001:db8:40::/42", 56, 2557))
+	t.Run("v6 /42 of /64 stride 2557", v6("2001:db8:40::/42", 64, 2557))
+	t.Run("v6 /42 of /64 stride 257", v6("2001:db8:4000::/42", 64, 257))
+}
+
+// checkWalk walks n units of p, each of which must be want(k) and sit
+// at position k, holds each by its k, and checks the holder table and
+// the units foreign(u) of a walked unit u, none of which is a unit of
+// the pools.
+func checkWalk[U comparable](t *testing.T, p *Pool[U, int], n int, want func(k uint64) U, foreign func(U) []U) {
+	t.Helper()
+	units := make([]U, n)
+	for k := range units {
+		u, err := p.Next()
+		if err != nil {
+			t.Fatalf("Next %d: %v", k, err)
+		}
+		if w := want(uint64(k)); u != w {
+			t.Fatalf("unit %d of the walk = %v, want %v", k, u, w)
+		}
+		if pos, ok := p.position(u); !ok || pos != k {
+			t.Fatalf("position(%v) = %d, %v; want %d", u, pos, ok, k)
+		}
+		p.Hold(u, k)
+		units[k] = u
+	}
+	if len(p.held) != n || uint64(n) >= p.Size() {
+		t.Fatalf("holder table of %d after walking %d of %d units", len(p.held), n, p.Size())
+	}
+	for _, k := range []int{n - 1, n - 2, n / 2, 1} {
+		u := units[k]
+		if h, ok := p.Holder(u); !ok || h != k {
+			t.Fatalf("Holder(%v) = %d, %v; want %d", u, h, ok, k)
+		}
+		for _, f := range foreign(u) {
+			p.Hold(f, -1)
+			if h, ok := p.Holder(f); ok {
+				t.Fatalf("foreign unit %v of walked %v is held by %d", f, u, h)
+			}
+			if p.Free(f, -1) {
+				t.Fatalf("foreign unit %v freed", f)
+			}
+		}
+		if p.Free(u, k+1) {
+			t.Fatalf("Free(%v) by a non-holder", u)
+		}
+		if !p.Free(u, k) {
+			t.Fatalf("Free(%v) by its holder failed", u)
+		}
+		if _, ok := p.Holder(u); ok {
+			t.Fatalf("%v still held after Free", u)
+		}
+		if got, err := p.Next(); err != nil || got != u {
+			t.Fatalf("Next after freeing %v = %v, %v", u, got, err)
+		}
+		p.Hold(u, k)
+	}
+	if len(p.held) != n {
+		t.Fatalf("holder table of %d after holding foreign units; %d walked", len(p.held), n)
+	}
+}
+
+// TestCycleAllocs pins the pool's hot cycle, Next then Hold then Free,
+// at zero allocations once the pool is warm.
+func TestCycleAllocs(t *testing.T) {
+	addrs, err := Addrs[int32]([]netip.Prefix{netip.MustParsePrefix("10.0.0.0/17")}, 257, errDone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefixes, err := Prefixes[int32]([]netip.Prefix{netip.MustParsePrefix("2001:db8:40::/42")}, 64, 2557, errDone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, cycle := range map[string]func(){
+		"addrs":    cycleOf(t, addrs),
+		"prefixes": cycleOf(t, prefixes),
+	} {
+		if n := testing.AllocsPerRun(200, cycle); n != 0 {
+			t.Errorf("%s: %v allocations per Next, Hold and Free, want 0", name, n)
+		}
+	}
+}
+
+// cycleOf warms p with a few held units and one freed, and returns one
+// Next, Hold and Free cycle on it.
+func cycleOf[U comparable](t *testing.T, p *Pool[U, int32]) func() {
+	for h := int32(0); h < 100; h++ {
+		u, err := p.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Hold(u, h)
+		if h == 50 {
+			p.Free(u, h)
+		}
+	}
+	return func() {
+		u, err := p.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Hold(u, 7)
+		if !p.Free(u, 7) {
+			t.Fatal("Free by the holder failed")
+		}
+	}
+}
 
 // FuzzPool decodes a byte string into a pool and a sequence of Next,
 // Hold, Free, Drop and ForgetFreed operations and checks each against a

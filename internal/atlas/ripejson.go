@@ -37,9 +37,9 @@ type ripeHTTPPart struct {
 // (one JSON object per line, as served by the Atlas API with
 // format=txt) into Records. epoch is the Unix time mapped to hour 0;
 // timestamps are floored to the hourly grid the paper's analysis uses.
-// Results without a recoverable X-Client-IP, or whose af disagrees with
-// the echoed address's family, are skipped; malformed JSON lines are an
-// error.
+// Results stamped before epoch, results without a recoverable
+// X-Client-IP, and results whose af disagrees with the echoed address's
+// family are skipped; malformed JSON lines are an error.
 func ReadRIPEResults(r io.Reader, epoch int64) ([]echo.Record, error) {
 	var out []echo.Record
 	sc := bufio.NewScanner(r)
@@ -68,7 +68,7 @@ func ReadRIPEResults(r io.Reader, epoch int64) ([]echo.Record, error) {
 
 func (res *ripeResult) toRecord(epoch int64) (echo.Record, bool) {
 	echoed, af, ok := res.clientIP()
-	if !ok {
+	if !ok || res.Timestamp < epoch {
 		return echo.Record{}, false
 	}
 	rec := echo.Record{

@@ -1,6 +1,7 @@
 package atlas
 
 import (
+	"fmt"
 	"net/netip"
 	"strings"
 	"testing"
@@ -36,6 +37,29 @@ func TestReadRIPEResults(t *testing.T) {
 	r2 := recs[2]
 	if r2.ProbeID != 103 || r2.Family != 4 || r2.Echo != netip.MustParseAddr("93.184.216.34") {
 		t.Errorf("record 2 = %+v", r2)
+	}
+}
+
+// TestReadRIPEResultsSkipsBeforeEpoch: a result stamped before the
+// epoch has no hour on the grid. Half an hour early must not land on
+// hour 0 and win Compress's first-wins rule over the real hour-0
+// result, and two hours early must not become hour -2.
+func TestReadRIPEResultsSkipsBeforeEpoch(t *testing.T) {
+	const epoch = 1409529600
+	in := fmt.Sprintf(`{"prb_id":7,"timestamp":%d,"result":[{"af":4,"x_client_ip":"81.10.0.1"}]}
+{"prb_id":7,"timestamp":%d,"result":[{"af":4,"x_client_ip":"81.10.0.2"}]}
+{"prb_id":7,"timestamp":%d,"result":[{"af":4,"x_client_ip":"81.10.0.3"}]}
+`, epoch-1800, epoch, epoch-7200)
+	recs, err := ReadRIPEResults(strings.NewReader(in), epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := echo.Record{ProbeID: 7, Hour: 0, Family: 4, Echo: netip.MustParseAddr("81.10.0.2")}
+	if len(recs) != 1 || recs[0] != want {
+		t.Fatalf("records = %+v, want only %+v", recs, want)
+	}
+	if s := echo.Compress(recs); len(s) != 1 || len(s[0].V4) != 1 || s[0].V4[0].Echo != want.Echo {
+		t.Fatalf("series = %+v", s)
 	}
 }
 

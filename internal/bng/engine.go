@@ -256,9 +256,10 @@ func (c *engClock) Now() int64 { return c.sec }
 // subState is one subscriber's immutable identity within its shard.
 type subState struct {
 	key   uint64
-	user  string     // RADIUS user (BackendRADIUS groups)
+	user  string     // RADIUS User-Name, for CoA and Disconnect packets (BackendRADIUS groups)
 	duid  dhcp6.DUID // DHCPv6 client id (BackendDHCP groups with V6)
 	group int32
+	rid   int32 // the user's id in its group's RADIUS server
 }
 
 // groupSrv is one group's server set within one shard, plus the
@@ -386,6 +387,7 @@ func buildEngines(cfg *Config, table *stripe.Table) ([]*shardEngine, error) {
 				userBuf = append(userBuf[:0], 's')
 				userBuf = strconv.AppendUint(userBuf, uint64(uint32(i)), 10)
 				st.user = string(userBuf)
+				st.rid = e.srvs[gi].rad.User(st.user)
 			case BackendDHCP:
 				if g.V6 != nil {
 					hw := hwOf(key)
@@ -624,7 +626,7 @@ func (e *shardEngine) update(s stripe.Session, had bool, a assignment) {
 // txn is the DHCP exchanges' transaction id.
 func (e *shardEngine) acquire(g *groupSrv, sub *subState, renum bool, txn uint32) (assignment, error) {
 	if g.rad != nil {
-		sess, err := g.rad.StartSession(sub.user)
+		sess, err := g.rad.StartSession(sub.rid)
 		if err != nil {
 			return assignment{}, fmt.Errorf("bng: shard %d key %#x: radius: %w", e.id, sub.key, err)
 		}
@@ -663,7 +665,7 @@ func (e *shardEngine) acquire(g *groupSrv, sub *subState, renum bool, txn uint32
 // server then frees nothing.
 func (e *shardEngine) release(ev *event, sub *subState, g *groupSrv) {
 	if g.rad != nil {
-		g.rad.StopSession(sub.user)
+		g.rad.StopSession(sub.rid)
 		return
 	}
 	_, _ = g.d4.Handle(dhcp4.NewMessage(dhcp4.Release, uint32(next(&ev.P.rng)), hwOf(ev.Tie)))
@@ -912,7 +914,7 @@ func (e *shardEngine) failoverRenumber(atSec int64, seed uint64) error {
 		_, had := e.table.Get(sub.key)
 		if g.rad != nil {
 			if had {
-				g.rad.StopSession(sub.user)
+				g.rad.StopSession(sub.rid)
 			}
 		} else {
 			// Forget drops the sticky memory too, so no DHCP

@@ -476,14 +476,14 @@ func (s *sim) changeV4(t int64, sub *Subscriber) {
 		}
 		addr = a
 	} else {
-		sess, err := srv.StartSession(sub.user)
+		sess, err := srv.StartSession(srv.User(sub.user))
 		if err != nil {
 			return // pool exhausted: keep the old address
 		}
 		addr = sess.Addr4
 	}
 	if sub.v4Srv != nil && sub.v4Srv != srv {
-		sub.v4Srv.StopSession(sub.user)
+		sub.v4Srv.StopSession(sub.v4Srv.User(sub.user))
 	}
 	sub.v4Srv = srv
 	sub.pushV4(V4Step{Start: t, Addr: addr})

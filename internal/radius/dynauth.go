@@ -93,11 +93,12 @@ func (s *Server) handleDisconnect(req *Packet) *Packet {
 		s.stats.DynauthNAKs++
 		return nakWithCause(DisconnectNAK, req.Identifier, ErrCauseMissingAttribute)
 	}
-	if _, ok := s.sessions[user]; !ok {
+	id, ok := s.live(user)
+	if !ok {
 		s.stats.DynauthNAKs++
 		return nakWithCause(DisconnectNAK, req.Identifier, ErrCauseSessionNotFound)
 	}
-	s.StopSession(user)
+	s.StopSession(id)
 	return New(DisconnectACK, req.Identifier)
 }
 
@@ -112,11 +113,12 @@ func (s *Server) handleCoA(req *Packet) *Packet {
 		s.stats.DynauthNAKs++
 		return nakWithCause(CoANAK, req.Identifier, ErrCauseMissingAttribute)
 	}
-	if _, ok := s.sessions[user]; !ok {
+	id, ok := s.live(user)
+	if !ok {
 		s.stats.DynauthNAKs++
 		return nakWithCause(CoANAK, req.Identifier, ErrCauseSessionNotFound)
 	}
-	sess, err := s.StartSession(user)
+	sess, err := s.StartSession(id)
 	if err != nil {
 		s.stats.DynauthNAKs++
 		return nakWithCause(CoANAK, req.Identifier, ErrCauseResourceUnavailable)

@@ -92,7 +92,7 @@ func dynauthServer(t *testing.T) *Server {
 		DelegatedLen6:  56,
 		SessionTimeout: 3600,
 	})
-	if _, err := s.StartSession("sub"); err != nil {
+	if _, err := s.StartSession(s.User("sub")); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -103,7 +103,7 @@ func dynauthServer(t *testing.T) *Server {
 // right Error-Cause.
 func TestCoADispatch(t *testing.T) {
 	s := dynauthServer(t)
-	before := s.sessions["sub"].Addr4
+	before := s.session(s.users["sub"]).Addr4
 
 	req := New(CoARequest, 21)
 	req.AddString(AttrUserName, "sub")
@@ -125,7 +125,7 @@ func TestCoADispatch(t *testing.T) {
 	if after == before {
 		t.Error("CoA did not renumber the session")
 	}
-	if sess := s.sessions["sub"]; sess.Addr4 != after {
+	if sess := s.session(s.users["sub"]); sess.Addr4 != after {
 		t.Errorf("session holds %v, CoA-ACK names %v", sess.Addr4, after)
 	}
 	if v, _ := rep.GetU32(AttrSessionTimeout); v != 3600 {
@@ -246,7 +246,7 @@ func FuzzDynauth(f *testing.F) {
 			Pools4:         []netip.Prefix{netip.MustParsePrefix("10.9.0.0/24")},
 			SessionTimeout: 3600,
 		})
-		if _, err := s.StartSession("sub"); err != nil {
+		if _, err := s.StartSession(s.User("sub")); err != nil {
 			t.Fatal(err)
 		}
 		for _, code := range []Code{CoARequest, DisconnectRequest} {

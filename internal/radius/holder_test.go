@@ -11,15 +11,31 @@ import (
 )
 
 // checkHolders walks every address of pool4 and every /bits delegation
-// of pool6: each held unit's holder must be the session its user's
-// entry names, holding that unit, and each family must hold exactly one
-// unit per session. So no session holds two units of a family, and no
-// unit is held by a session that has ended.
+// of pool6: each held unit's holder must be the id of a user whose live
+// session holds that unit, and each family must hold exactly one unit
+// per live session. So no session holds two units of a family, and no
+// unit is held by a session that has ended. The user table must give
+// each user its own slot, and ActiveSessions must count the live ones.
 func checkHolders(t *testing.T, s *Server, pool4, pool6 netip.Prefix, bits int, step string) {
 	t.Helper()
-	user := make(map[*Session]string, len(s.sessions))
-	for u, sess := range s.sessions {
-		user[sess] = u
+	if len(s.users) != len(s.sessions) {
+		t.Fatalf("after %s: %d users in %d slots", step, len(s.users), len(s.sessions))
+	}
+	slot := make(map[int32]string, len(s.users))
+	for name, id := range s.users {
+		if other, dup := slot[id]; dup || id < 0 || int(id) >= len(s.sessions) {
+			t.Fatalf("after %s: user %q has id %d (also %q's), of %d slots", step, name, id, other, len(s.sessions))
+		}
+		slot[id] = name
+	}
+	live := 0
+	for _, sl := range s.sessions {
+		if sl.live {
+			live++
+		}
+	}
+	if s.ActiveSessions() != live {
+		t.Fatalf("after %s: ActiveSessions = %d, %d live slots", step, s.ActiveSessions(), live)
 	}
 	held4 := 0
 	for i := uint64(0); i < 1<<(32-pool4.Bits()); i++ {
@@ -27,13 +43,13 @@ func checkHolders(t *testing.T, s *Server, pool4, pool6 netip.Prefix, bits int, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess, ok := s.pool4.Holder(a)
+		id, ok := s.pool4.Holder(a)
 		if !ok {
 			continue
 		}
 		held4++
-		if u, live := user[sess]; !live || sess.Addr4 != a {
-			t.Fatalf("after %s: %v is held by a session holding %v (user %q, live %v)", step, a, sess.Addr4, u, live)
+		if sess := s.session(id); sess.Addr4 != a {
+			t.Fatalf("after %s: %v is held by user %d (%q), whose session holds %v", step, a, id, slot[id], sess.Addr4)
 		}
 	}
 	held6 := 0
@@ -42,17 +58,17 @@ func checkHolders(t *testing.T, s *Server, pool4, pool6 netip.Prefix, bits int, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess, ok := s.pool6.Holder(p)
+		id, ok := s.pool6.Holder(p)
 		if !ok {
 			continue
 		}
 		held6++
-		if u, live := user[sess]; !live || sess.Prefix6 != p {
-			t.Fatalf("after %s: %v is held by a session holding %v (user %q, live %v)", step, p, sess.Prefix6, u, live)
+		if sess := s.session(id); sess.Prefix6 != p {
+			t.Fatalf("after %s: %v is held by user %d (%q), whose session holds %v", step, p, id, slot[id], sess.Prefix6)
 		}
 	}
-	if held4 != len(s.sessions) || held6 != len(s.sessions) {
-		t.Fatalf("after %s: %d addresses and %d prefixes held by %d sessions", step, held4, held6, len(s.sessions))
+	if held4 != live || held6 != live {
+		t.Fatalf("after %s: %d addresses and %d prefixes held by %d sessions", step, held4, held6, live)
 	}
 }
 
@@ -106,31 +122,32 @@ func TestServerHolderInvariant(t *testing.T) {
 			switch r := rng.Intn(100); {
 			case r < 20:
 				op = "StartSession"
-				sess, err := srv.StartSession(user)
+				id := srv.User(user)
+				sess, err := srv.StartSession(id)
 				if err != nil && !errors.Is(err, ErrPoolExhausted) {
 					t.Fatalf("trial %d step %d: StartSession: %v", trial, step, err)
 				}
-				if err == nil && srv.sessions[user] != sess {
-					t.Fatalf("trial %d step %d: StartSession returned %+v, server holds %+v", trial, step, sess, srv.sessions[user])
+				if err == nil && srv.session(id) != sess {
+					t.Fatalf("trial %d step %d: StartSession returned %+v, server holds %+v", trial, step, sess, srv.session(id))
 				}
 			case r < 35:
 				op = "StopSession"
-				srv.StopSession(user)
+				srv.StopSession(srv.User(user))
 			case r < 60:
 				op = "Access-Request"
 				rep := handle(request(AccessRequest))
-				if a, _ := rep.GetAddr4(AttrFramedIPAddress); rep.Code == AccessAccept && srv.sessions[user].Addr4 != a {
-					t.Fatalf("trial %d step %d: Access-Accept names %v, session holds %v", trial, step, a, srv.sessions[user].Addr4)
+				if a, _ := rep.GetAddr4(AttrFramedIPAddress); rep.Code == AccessAccept && srv.session(srv.users[user]).Addr4 != a {
+					t.Fatalf("trial %d step %d: Access-Accept names %v, session holds %v", trial, step, a, srv.session(srv.users[user]).Addr4)
 				}
 			case r < 80:
 				op = "CoA-Request"
 				rep := handle(request(CoARequest))
-				if a, _ := rep.GetAddr4(AttrFramedIPAddress); rep.Code == CoAACK && srv.sessions[user].Addr4 != a {
-					t.Fatalf("trial %d step %d: CoA-ACK names %v, session holds %v", trial, step, a, srv.sessions[user].Addr4)
+				if a, _ := rep.GetAddr4(AttrFramedIPAddress); rep.Code == CoAACK && srv.session(srv.users[user]).Addr4 != a {
+					t.Fatalf("trial %d step %d: CoA-ACK names %v, session holds %v", trial, step, a, srv.session(srv.users[user]).Addr4)
 				}
 			case r < 92:
 				op = "Disconnect-Request"
-				if rep := handle(request(DisconnectRequest)); rep.Code == DisconnectACK && srv.sessions[user] != nil {
+				if rep := handle(request(DisconnectRequest)); rep.Code == DisconnectACK && srv.sessions[srv.users[user]].live {
 					t.Fatalf("trial %d step %d: Disconnect-ACK left %q a session", trial, step, user)
 				}
 			default:
@@ -142,14 +159,14 @@ func TestServerHolderInvariant(t *testing.T) {
 			checkHolders(t, srv, pool4, pool6, bits, op)
 		}
 		for u := 0; u < users; u++ {
-			srv.StopSession(fmt.Sprintf("u%d", u))
+			srv.StopSession(srv.User(fmt.Sprintf("u%d", u)))
 		}
 		checkHolders(t, srv, pool4, pool6, bits, "stopping every user")
 		// Every unit is free again: as many sessions start as the
 		// smaller pool holds, and the larger pool's rest can be drawn.
 		n := min(srv.pool4.Size(), srv.pool6.Size())
 		for u := uint64(0); u < n; u++ {
-			if _, err := srv.StartSession(fmt.Sprintf("v%d", u)); err != nil {
+			if _, err := srv.StartSession(srv.User(fmt.Sprintf("v%d", u))); err != nil {
 				t.Fatalf("trial %d: session %d of %d after stopping every user: %v", trial, u+1, n, err)
 			}
 		}

@@ -133,7 +133,7 @@ func TestAttributeTooLongPanics(t *testing.T) {
 
 func TestSessionLifecycle(t *testing.T) {
 	s := newTestServer(86400, true)
-	sess, err := s.StartSession("u1")
+	sess, err := s.StartSession(s.User("u1"))
 	if err != nil {
 		t.Fatalf("StartSession: %v", err)
 	}
@@ -144,7 +144,7 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Errorf("prefix6 = %v", sess.Prefix6)
 	}
 	// Reconnect draws a fresh address (RADIUS keeps no binding).
-	sess2, err := s.StartSession("u1")
+	sess2, err := s.StartSession(s.User("u1"))
 	if err != nil {
 		t.Fatalf("StartSession: %v", err)
 	}
@@ -154,7 +154,7 @@ func TestSessionLifecycle(t *testing.T) {
 	if s.ActiveSessions() != 1 {
 		t.Errorf("ActiveSessions = %d", s.ActiveSessions())
 	}
-	s.StopSession("u1")
+	s.StopSession(s.User("u1"))
 	if s.ActiveSessions() != 0 {
 		t.Errorf("ActiveSessions after stop = %d", s.ActiveSessions())
 	}
@@ -164,7 +164,7 @@ func TestDistinctAddressesAcrossUsers(t *testing.T) {
 	s := newTestServer(3600, false)
 	seen4 := map[netip.Addr]bool{}
 	for i := 0; i < 50; i++ {
-		sess, err := s.StartSession(string(rune('a'+i%26)) + string(rune('0'+i/26)))
+		sess, err := s.StartSession(s.User(string(rune('a'+i%26)) + string(rune('0'+i/26))))
 		if err != nil {
 			t.Fatalf("StartSession %d: %v", i, err)
 		}
@@ -181,15 +181,15 @@ func TestPoolExhaustion(t *testing.T) {
 		SessionTimeout: 60,
 	})
 	for i := 0; i < 4; i++ {
-		if _, err := s.StartSession(string(rune('a' + i))); err != nil {
+		if _, err := s.StartSession(s.User(string(rune('a' + i)))); err != nil {
 			t.Fatalf("StartSession %d: %v", i, err)
 		}
 	}
-	if _, err := s.StartSession("e"); err == nil {
+	if _, err := s.StartSession(s.User("e")); err == nil {
 		t.Fatal("5th session on /30 succeeded")
 	}
-	s.StopSession("a")
-	if _, err := s.StartSession("e"); err != nil {
+	s.StopSession(s.User("a"))
+	if _, err := s.StartSession(s.User("e")); err != nil {
 		t.Errorf("session after free failed: %v", err)
 	}
 }
@@ -229,7 +229,7 @@ func TestHandleRejectsAnonymous(t *testing.T) {
 
 func TestHandleAccountingStop(t *testing.T) {
 	s := newTestServer(60, false)
-	s.StartSession("u9")
+	s.StartSession(s.User("u9"))
 	req := New(AccountingRequest, 2)
 	req.AddString(AttrUserName, "u9")
 	req.AddU32(AttrAcctStatusType, AcctStop)

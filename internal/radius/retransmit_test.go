@@ -67,7 +67,7 @@ func TestDuplicateAccessRequestIsIdempotent(t *testing.T) {
 	}
 	// The original session must not have been replaced by the
 	// duplicate: a fresh allocation would hold another address.
-	if sess := s.sessions["dup-user"]; sess.Addr4 != addr1 {
+	if sess := s.session(s.users["dup-user"]); sess.Addr4 != addr1 {
 		t.Fatalf("duplicate moved the session from %v to %v", addr1, sess.Addr4)
 	}
 }

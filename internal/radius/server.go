@@ -6,6 +6,7 @@ import (
 	"net/netip"
 
 	"dynamips/internal/addrpool"
+	"dynamips/internal/netutil"
 )
 
 // ErrPoolExhausted is returned when no address is available for a session.
@@ -34,12 +35,22 @@ type ServerConfig struct {
 	Secret []byte
 }
 
-// Session is one active subscriber session: the addresses it holds. Its
-// user is its key in the server's sessions, and its timeout is the
-// server's SessionTimeout.
+// Session is one subscriber session: the addresses it holds. The server
+// records it in its user's slot, and its timeout is the server's
+// SessionTimeout.
 type Session struct {
 	Addr4   netip.Addr
 	Prefix6 netip.Prefix
+}
+
+// slot is a user's entry in the session table: its session's address
+// and the first 64 bits of its delegation (a delegation is at most /64
+// long), as plain values. So the table is under a third the size of a
+// []Session, and the collector does not scan it.
+type slot struct {
+	p6   uint64
+	a4   [4]byte
+	live bool
 }
 
 // replayWindowSec is how long a duplicate Access-Request — same
@@ -91,18 +102,25 @@ func (s *ServerStats) Add(o ServerStats) {
 // Server allocates per-session addresses RADIUS-style: every new session
 // draws the next free address; nothing is remembered once a session stops.
 // It is not safe for concurrent use.
+//
+// Each user the server has seen has an id, handed out on first sight and
+// never reused: the index of its slot in sessions. The User-Name map is
+// the wire edge; programmatic callers resolve a user once (User) and
+// pass the id.
 type Server struct {
 	cfg      ServerConfig
 	stats    ServerStats
-	sessions map[string]*Session
+	users    map[string]int32
+	sessions []slot // by user id
+	active   int    // live sessions
 
 	replay  map[replayKey]*replayEntry
 	replayQ []*replayEntry // insertion order, for window pruning
 
-	// Each held unit's holder is the session it is assigned to; pool6
-	// is nil when the server delegates no IPv6.
-	pool4 *addrpool.Pool[netip.Addr, *Session]
-	pool6 *addrpool.Pool[netip.Prefix, *Session]
+	// Each held unit's holder is the id of the user whose session it is
+	// assigned to; pool6 is nil when the server delegates no IPv6.
+	pool4 *addrpool.Pool[netip.Addr, int32]
+	pool6 *addrpool.Pool[netip.Prefix, int32]
 }
 
 // NewServer builds a Server, panicking on configuration bugs.
@@ -110,13 +128,13 @@ func NewServer(cfg ServerConfig) *Server {
 	if cfg.SessionTimeout == 0 {
 		panic("radius: zero session timeout")
 	}
-	pool4, err := addrpool.Addrs[*Session](cfg.Pools4, stride, ErrPoolExhausted)
+	pool4, err := addrpool.Addrs[int32](cfg.Pools4, stride, ErrPoolExhausted)
 	if err != nil {
 		panic("radius: " + err.Error())
 	}
-	var pool6 *addrpool.Pool[netip.Prefix, *Session]
+	var pool6 *addrpool.Pool[netip.Prefix, int32]
 	if len(cfg.Pools6) > 0 {
-		if pool6, err = addrpool.Prefixes[*Session](cfg.Pools6, cfg.DelegatedLen6, stride, ErrPoolExhausted); err != nil {
+		if pool6, err = addrpool.Prefixes[int32](cfg.Pools6, cfg.DelegatedLen6, stride, ErrPoolExhausted); err != nil {
 			panic("radius: " + err.Error())
 		}
 	}
@@ -124,16 +142,47 @@ func NewServer(cfg ServerConfig) *Server {
 		cfg.Secret = []byte("dynamips")
 	}
 	return &Server{
-		cfg:      cfg,
-		sessions: make(map[string]*Session),
-		replay:   make(map[replayKey]*replayEntry),
-		pool4:    pool4,
-		pool6:    pool6,
+		cfg:    cfg,
+		users:  make(map[string]int32),
+		replay: make(map[replayKey]*replayEntry),
+		pool4:  pool4,
+		pool6:  pool6,
 	}
 }
 
+// User returns the named user's id, registering the user on first
+// sight.
+func (s *Server) User(name string) int32 {
+	id, ok := s.users[name]
+	if !ok {
+		id = int32(len(s.sessions))
+		s.users[name] = id
+		s.sessions = append(s.sessions, slot{})
+	}
+	return id
+}
+
+// live returns the id of the named user, if it has a live session.
+func (s *Server) live(name string) (int32, bool) {
+	id, ok := s.users[name]
+	return id, ok && s.sessions[id].live
+}
+
+// session returns user id's session, the zero Session if it has none.
+func (s *Server) session(id int32) Session {
+	sl := s.sessions[id]
+	if !sl.live {
+		return Session{}
+	}
+	sess := Session{Addr4: netip.AddrFrom4(sl.a4)}
+	if s.pool6 != nil {
+		sess.Prefix6 = netip.PrefixFrom(netutil.AddrFrom128(sl.p6, 0), s.cfg.DelegatedLen6)
+	}
+	return sess
+}
+
 // ActiveSessions returns the number of live sessions.
-func (s *Server) ActiveSessions() int { return len(s.sessions) }
+func (s *Server) ActiveSessions() int { return s.active }
 
 // Stats returns the server's accumulated request totals.
 func (s *Server) Stats() ServerStats { return s.stats }
@@ -141,46 +190,54 @@ func (s *Server) Stats() ServerStats { return s.stats }
 // Secret returns the shared secret replies are authenticated with.
 func (s *Server) Secret() []byte { return s.cfg.Secret }
 
-// StartSession authenticates user and allocates session addresses. An
-// existing session for the user is torn down, but only after the new
+// StartSession authenticates user id and allocates session addresses.
+// An existing session for the user is torn down, but only after the new
 // allocation: a reconnecting subscriber therefore draws fresh addresses
 // rather than instantly recycling its own (the RADIUS behavior behind
 // §2.2's "even very short CPE outages or reboots can result in
 // assignment changes").
-func (s *Server) StartSession(user string) (*Session, error) {
+//
+//lint:hotpath every renumber, reattach, flap and CoA of a RADIUS subscriber
+func (s *Server) StartSession(id int32) (Session, error) {
 	a4, err := s.pool4.Next()
 	if err != nil {
-		return nil, err
+		return Session{}, err
 	}
-	sess := &Session{Addr4: a4}
+	sess := Session{Addr4: a4}
 	// Next has consumed a4, so it is held even when the delegation
 	// below fails: only its holder can free it back to the pool.
-	s.pool4.Hold(a4, sess)
+	s.pool4.Hold(a4, id)
 	if s.pool6 != nil {
 		p6, err := s.pool6.Next()
 		if err != nil {
-			s.pool4.Free(a4, sess)
-			return nil, err
+			s.pool4.Free(a4, id)
+			return Session{}, err
 		}
 		sess.Prefix6 = p6
-		s.pool6.Hold(p6, sess)
+		s.pool6.Hold(p6, id)
 	}
-	s.StopSession(user)
-	s.sessions[user] = sess
+	s.StopSession(id)
+	hi6, _ := netutil.U128(sess.Prefix6.Addr())
+	s.sessions[id] = slot{p6: hi6, a4: a4.As4(), live: true}
+	s.active++
 	return sess, nil
 }
 
-// StopSession ends a user's session, freeing its addresses.
-func (s *Server) StopSession(user string) {
-	sess, ok := s.sessions[user]
-	if !ok {
+// StopSession ends user id's session, if it has one, freeing its
+// addresses.
+//
+//lint:hotpath every session end of a RADIUS subscriber
+func (s *Server) StopSession(id int32) {
+	if !s.sessions[id].live {
 		return
 	}
-	delete(s.sessions, user)
-	s.pool4.Free(sess.Addr4, sess)
+	sess := s.session(id)
+	s.pool4.Free(sess.Addr4, id)
 	if s.pool6 != nil {
-		s.pool6.Free(sess.Prefix6, sess)
+		s.pool6.Free(sess.Prefix6, id)
 	}
+	s.sessions[id] = slot{}
+	s.active--
 }
 
 // handleAccess authenticates and allocates for one first-seen
@@ -190,7 +247,7 @@ func (s *Server) handleAccess(req *Packet) *Packet {
 	if !ok || user == "" {
 		return New(AccessReject, req.Identifier)
 	}
-	sess, err := s.StartSession(user)
+	sess, err := s.StartSession(s.User(user))
 	if err != nil {
 		return New(AccessReject, req.Identifier)
 	}
@@ -199,7 +256,7 @@ func (s *Server) handleAccess(req *Packet) *Packet {
 
 // grant builds an Access-Accept or CoA-ACK carrying sess's addresses and
 // the configured Session-Timeout.
-func (s *Server) grant(code Code, id byte, sess *Session) *Packet {
+func (s *Server) grant(code Code, id byte, sess Session) *Packet {
 	rep := New(code, id)
 	rep.AddAddr4(AttrFramedIPAddress, sess.Addr4)
 	rep.AddU32(AttrSessionTimeout, s.cfg.SessionTimeout)
@@ -264,7 +321,9 @@ func (s *Server) Handle(req *Packet, now int64) (*Packet, error) {
 	case AccountingRequest:
 		if st, ok := req.GetU32(AttrAcctStatusType); ok && st == AcctStop {
 			if user, ok := req.GetString(AttrUserName); ok {
-				s.StopSession(user)
+				if id, ok := s.users[user]; ok {
+					s.StopSession(id)
+				}
 			}
 		}
 		return New(AccountingResponse, req.Identifier), nil
