@@ -344,6 +344,19 @@ type shardEngine struct {
 	// in stripe order at the round barrier, so the merged set is
 	// worker-count invariant byte for byte.
 	sk *sketch.Set
+
+	// Scratch for the wire exchanges, one set per protocol: the request
+	// as built, its wire bytes, and the copy the server decodes. The
+	// DHCPv6 server decodes a relayed request into its own storage, so
+	// that set holds the reply unwrapped from the chain instead. Servers
+	// own their replies until their next call; nothing here is shared
+	// with another engine.
+	req4, in4     dhcp4.Message
+	wire4         []byte
+	sol6, rep6    dhcp6.Message
+	wire6         []byte
+	radReq, radIn radius.Packet
+	radWire       []byte
 }
 
 // hwOf derives a subscriber's MAC from its in-group index: locally
@@ -634,7 +647,8 @@ func (e *shardEngine) acquire(g *groupSrv, sub *subState, renum bool, txn uint32
 	}
 	hw := hwOf(sub.key)
 	if renum {
-		if _, err := g.d4.Handle(dhcp4.NewMessage(dhcp4.Release, txn, hw)); err != nil {
+		e.req4.Reset(dhcp4.Release, txn, hw)
+		if _, err := g.d4.Handle(&e.req4); err != nil {
 			return assignment{}, fmt.Errorf("bng: shard %d key %#x: dhcp4 release: %w", e.id, sub.key, err)
 		}
 	}
@@ -663,12 +677,15 @@ func (e *shardEngine) acquire(g *groupSrv, sub *subState, renum bool, txn uint32
 // drawn from the subscriber's cursor) and the delegation's release. A
 // Release may name an address the subscriber no longer holds; the
 // server then frees nothing.
+//
+//lint:hotpath every flap of a subscriber and every abandoned relayed attach
 func (e *shardEngine) release(ev *event, sub *subState, g *groupSrv) {
 	if g.rad != nil {
 		g.rad.StopSession(sub.rid)
 		return
 	}
-	_, _ = g.d4.Handle(dhcp4.NewMessage(dhcp4.Release, uint32(next(&ev.P.rng)), hwOf(ev.Tie)))
+	e.req4.Reset(dhcp4.Release, uint32(next(&ev.P.rng)), hwOf(ev.Tie))
+	_, _ = g.d4.Handle(&e.req4)
 	if g.d6 != nil {
 		g.d6.ReleaseBinding(sub.duid)
 	}
@@ -704,7 +721,7 @@ func (e *shardEngine) crossRelays(g *groupSrv, rng *uint64) bool {
 // relayX4 pushes one DHCPv4 message up the relay chain, which stamps it
 // in place, through the wire codec into the shard's server, and the
 // reply back down. ok=false means the request or its reply was lost on
-// a hop.
+// a hop. The reply is the server's, valid until its next call.
 func (e *shardEngine) relayX4(g *groupSrv, msg *dhcp4.Message, rng *uint64) (*dhcp4.Message, bool, error) {
 	if err := g.relay4.Forward(msg); err != nil {
 		return nil, false, fmt.Errorf("bng: shard %d: relay forward: %w", e.id, err)
@@ -712,11 +729,11 @@ func (e *shardEngine) relayX4(g *groupSrv, msg *dhcp4.Message, rng *uint64) (*dh
 	if !e.crossRelays(g, rng) {
 		return nil, false, nil
 	}
-	wire, err := dhcp4.Unmarshal(msg.Marshal())
-	if err != nil {
+	e.wire4 = msg.Append(e.wire4[:0])
+	if err := e.in4.Decode(e.wire4); err != nil {
 		return nil, false, fmt.Errorf("bng: shard %d: relay codec: %w", e.id, err)
 	}
-	rep, err := g.d4.Handle(wire)
+	rep, err := g.d4.Handle(&e.in4)
 	if err != nil {
 		return nil, false, fmt.Errorf("bng: shard %d: relayed dhcp4: %w", e.id, err)
 	}
@@ -737,16 +754,17 @@ func (e *shardEngine) relayX4(g *groupSrv, msg *dhcp4.Message, rng *uint64) (*dh
 func (e *shardEngine) relayAcquire4(g *groupSrv, hw dhcp4.HWAddr, rng *uint64) (netip.Addr, bool, error) {
 	for attempt := 0; attempt < relayAttemptCap; attempt++ {
 		xid := uint32(next(rng))
-		offer, ok, err := e.relayX4(g, dhcp4.NewMessage(dhcp4.Discover, xid, hw), rng)
+		e.req4.Reset(dhcp4.Discover, xid, hw)
+		offer, ok, err := e.relayX4(g, &e.req4, rng)
 		if err != nil {
 			return netip.Addr{}, false, err
 		}
 		if !ok {
 			continue
 		}
-		req := dhcp4.NewMessage(dhcp4.Request, xid, hw)
-		req.SetAddrOption(dhcp4.OptRequestedIP, offer.YIAddr)
-		ack, ok, err := e.relayX4(g, req, rng)
+		e.req4.Reset(dhcp4.Request, xid, hw)
+		e.req4.SetAddrOption(dhcp4.OptRequestedIP, offer.YIAddr)
+		ack, ok, err := e.relayX4(g, &e.req4, rng)
 		if err != nil {
 			return netip.Addr{}, false, err
 		}
@@ -762,28 +780,25 @@ func (e *shardEngine) relayAcquire4(g *groupSrv, hw dhcp4.HWAddr, rng *uint64) (
 // encapsulated on the way up, the Relay-reply peeled on the way down.
 func (e *shardEngine) relayAcquire6(g *groupSrv, duid dhcp6.DUID, rng *uint64) (netip.Prefix, bool, error) {
 	for attempt := 0; attempt < relayAttemptCap; attempt++ {
-		sol := dhcp6.NewMessage(dhcp6.Solicit, uint32(next(rng)), duid)
-		sol.RapidCommit = true
-		rm, err := g.ldra.Wrap(sol, netip.IPv6Unspecified())
+		e.sol6.Reset(dhcp6.Solicit, uint32(next(rng)), duid)
+		e.sol6.RapidCommit = true
+		wire, err := g.ldra.Wrap(e.wire6[:0], &e.sol6, netip.IPv6Unspecified())
 		if err != nil {
 			return netip.Prefix{}, false, fmt.Errorf("bng: shard %d: ldra wrap: %w", e.id, err)
 		}
+		e.wire6 = wire
 		if !e.crossRelays(g, rng) {
 			continue
 		}
-		parsed, err := dhcp6.UnmarshalRelay(rm.Marshal())
-		if err != nil {
-			return netip.Prefix{}, false, fmt.Errorf("bng: shard %d: ldra codec: %w", e.id, err)
-		}
-		repRM, err := g.d6.HandleRelay(parsed)
+		repWire, err := g.d6.HandleRelay(wire)
 		if err != nil {
 			return netip.Prefix{}, false, fmt.Errorf("bng: shard %d: relayed dhcp6: %w", e.id, err)
 		}
 		if !e.crossRelays(g, rng) {
 			continue
 		}
-		rep, err := g.ldra.Unwrap(repRM)
-		if err != nil {
+		rep := &e.rep6
+		if err := g.ldra.Unwrap(rep, repWire); err != nil {
 			return netip.Prefix{}, false, fmt.Errorf("bng: shard %d: ldra unwrap: %w", e.id, err)
 		}
 		if len(rep.IAPDs) == 0 || len(rep.IAPDs[0].Prefixes) == 0 {
@@ -801,7 +816,8 @@ func (e *shardEngine) relayAssign(ev *event, sub *subState, g *groupSrv, renum b
 	if renum {
 		// The release may itself be lost on a hop; the sticky server
 		// then still holds the old binding and simply re-offers it.
-		if _, _, err := e.relayX4(g, dhcp4.NewMessage(dhcp4.Release, uint32(next(&ev.P.rng)), hw), &ev.P.rng); err != nil {
+		e.req4.Reset(dhcp4.Release, uint32(next(&ev.P.rng)), hw)
+		if _, _, err := e.relayX4(g, &e.req4, &ev.P.rng); err != nil {
 			return assignment{}, false, err
 		}
 	}
@@ -851,17 +867,7 @@ func (e *shardEngine) relayFail(ev *event, sub *subState, g *groupSrv) {
 // group's RADIUS server, then applies the ACK's fresh addresses to the
 // session record: operator-forced renumbering without a disconnect.
 func (e *shardEngine) coa(ev *event, sub *subState, g *groupSrv) error {
-	req := radius.New(radius.CoARequest, byte(next(&ev.P.rng)))
-	req.AddString(radius.AttrUserName, sub.user)
-	wire := req.EncodeRequest(g.rad.Secret())
-	if err := radius.VerifyRequest(wire, g.rad.Secret()); err != nil {
-		return fmt.Errorf("bng: shard %d key %#x: coa auth: %w", e.id, ev.Tie, err)
-	}
-	parsed, err := radius.Parse(wire)
-	if err != nil {
-		return fmt.Errorf("bng: shard %d key %#x: coa parse: %w", e.id, ev.Tie, err)
-	}
-	rep, err := g.rad.Handle(parsed, ev.At)
+	rep, err := e.dynauth(radius.CoARequest, ev, sub, g)
 	if err != nil {
 		return fmt.Errorf("bng: shard %d key %#x: coa: %w", e.id, ev.Tie, err)
 	}
@@ -880,18 +886,32 @@ func (e *shardEngine) coa(ev *event, sub *subState, g *groupSrv) error {
 // disconnect tears the session down with an RFC 5176 Disconnect-Request
 // through the wire codec; the caller schedules the reattach.
 func (e *shardEngine) disconnect(ev *event, sub *subState, g *groupSrv) error {
-	req := radius.New(radius.DisconnectRequest, byte(next(&ev.P.rng)))
-	req.AddString(radius.AttrUserName, sub.user)
-	parsed, err := radius.Parse(req.EncodeRequest(g.rad.Secret()))
-	if err != nil {
-		return fmt.Errorf("bng: shard %d key %#x: disconnect parse: %w", e.id, ev.Tie, err)
-	}
-	if _, err := g.rad.Handle(parsed, ev.At); err != nil {
+	if _, err := e.dynauth(radius.DisconnectRequest, ev, sub, g); err != nil {
 		return fmt.Errorf("bng: shard %d key %#x: disconnect: %w", e.id, ev.Tie, err)
 	}
 	e.stats.Disconnects++
 	e.endSession(ev)
 	return nil
+}
+
+// dynauth sends the subscriber's group server an RFC 5176 request of the
+// given code, its identifier drawn from the subscriber's cursor: built,
+// encoded with its Request Authenticator, verified and decoded in the
+// engine's scratch packets. The reply is the server's, valid until its
+// next call.
+//
+//lint:hotpath every CoA and Disconnect of a RADIUS subscriber
+func (e *shardEngine) dynauth(code radius.Code, ev *event, sub *subState, g *groupSrv) (*radius.Packet, error) {
+	e.radReq.Reset(code, byte(next(&ev.P.rng)))
+	e.radReq.AddString(radius.AttrUserName, sub.user)
+	e.radWire = e.radReq.AppendRequest(e.radWire[:0], g.rad.Secret())
+	if err := radius.VerifyRequest(e.radWire, g.rad.Secret()); err != nil {
+		return nil, err
+	}
+	if err := e.radIn.Decode(e.radWire); err != nil {
+		return nil, err
+	}
+	return g.rad.Handle(&e.radIn, ev.At)
 }
 
 // failoverRenumber applies a renumbering takeover at atSec: the standby

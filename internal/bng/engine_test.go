@@ -170,3 +170,92 @@ func raceMismatch(c *cadence, raw uint64, renewSec int64) string {
 	}
 	return ""
 }
+
+// TestWireRoundTripAllocs pins the engines' wire exchanges on a warmed
+// shard: a CoA, a Disconnect, and a relayed DHCPv4 DORA allocate
+// nothing, and a relayed flap then reattach of a business subscriber
+// allocates at most one object, the DHCPv6 server's string(DUID)
+// binding key. Each engine builds, encodes and decodes in its own
+// scratch and each server replies in its own storage. Every run is 30
+// virtual seconds after the last, so the RADIUS replay entries expire
+// and the ring need not grow.
+func TestWireRoundTripAllocs(t *testing.T) {
+	cfg := DefaultConfig(2000, 20201201)
+	sc, err := ParseScenario("coa-mean=72,relay-hops=2,relay-drop=0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Scenario = sc
+	d, err := New(cfg, Options{Workers: 1, RoundHours: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Churn(1); err != nil {
+		t.Fatal(err)
+	}
+	e := d.engines[0]
+	pick := func(want func(*groupSrv) bool) (*subState, *groupSrv, event) {
+		for i := range e.subs {
+			sub := &e.subs[i]
+			g := &e.srvs[sub.group]
+			if _, live := e.table.Get(sub.key); live && want(g) {
+				return sub, g, event{At: e.clock.sec, Tie: sub.key, P: action{rng: sub.key * gamma, idx: int32(i)}}
+			}
+		}
+		t.Fatal("no live subscriber of the wanted kind")
+		return nil, nil, event{}
+	}
+	step := func(ev *event, kind uint8) {
+		ev.At += 30
+		ev.P.kind = kind
+		e.clock.sec = ev.At
+	}
+
+	sub, g, ev := pick(func(g *groupSrv) bool { return g.rad != nil && g.coa.mean > 0 })
+	if n := testing.AllocsPerRun(100, func() {
+		step(&ev, evCoA)
+		if err := e.coa(&ev, sub, g); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("CoA: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		step(&ev, evDisconnect)
+		if err := e.disconnect(&ev, sub, g); err != nil {
+			t.Fatal(err)
+		}
+		step(&ev, evReattach)
+		if ok, err := e.assign(&ev, sub, g); !ok || err != nil {
+			t.Fatalf("reattach: %v, %v", ok, err)
+		}
+	}); n != 0 {
+		t.Errorf("Disconnect then reattach: %v allocations, want 0", n)
+	}
+
+	sub, g, ev = pick(func(g *groupSrv) bool { return g.d6 != nil && len(g.relay4) > 0 })
+	if n := testing.AllocsPerRun(100, func() {
+		step(&ev, evRenew)
+		if _, _, err := e.relayAcquire4(g, hwOf(sub.key), &ev.P.rng); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("relayed DHCPv4 DORA: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		step(&ev, evFlap)
+		e.flap(&ev, sub, g)
+		for {
+			step(&ev, evReattach)
+			ok, err := e.assign(&ev, sub, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok {
+				break
+			}
+		}
+	}); n > 1 {
+		t.Errorf("relayed flap then reattach: %v allocations, want at most 1", n)
+	}
+}

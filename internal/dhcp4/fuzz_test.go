@@ -1,7 +1,9 @@
 package dhcp4
 
 import (
+	"bytes"
 	"math/rand"
+	"net/netip"
 	"testing"
 )
 
@@ -41,7 +43,7 @@ func TestUnmarshalNeverPanics(t *testing.T) {
 func TestHandleMalformedOptions(t *testing.T) {
 	srv, _ := newTestServer(3600, true)
 	req := NewMessage(Request, 1, hw(1))
-	req.Options[OptRequestedIP] = []byte{1, 2} // wrong length
+	req.SetOption(OptRequestedIP, []byte{1, 2}) // wrong length
 	rep, err := srv.Handle(req)
 	if err != nil {
 		t.Fatalf("Handle: %v", err)
@@ -50,7 +52,7 @@ func TestHandleMalformedOptions(t *testing.T) {
 		t.Errorf("malformed requested IP got %v", rep.Type())
 	}
 	// No message type option at all.
-	anon := &Message{Options: map[byte][]byte{}}
+	anon := &Message{}
 	if _, err := srv.Handle(anon); err == nil {
 		t.Error("typeless message accepted")
 	}
@@ -59,21 +61,46 @@ func TestHandleMalformedOptions(t *testing.T) {
 // FuzzUnmarshal is the native fuzz target for the DHCPv4 codec, run with a
 // bounded -fuzztime as a smoke gate in CI (scripts/verify.sh). The decoder
 // parses attacker-controlled datagrams: it may reject input, but must never
-// panic, and anything it accepts must survive a re-marshal round trip.
+// panic, and anything it accepts must survive a re-marshal round trip
+// (decoding the marshalled bytes and marshalling again gives the same
+// bytes). Decoding into a message that held another one must leave
+// nothing of it: the same error as a fresh decode, or the same bytes from
+// Append, which keeps whatever dst already held.
 func FuzzUnmarshal(f *testing.F) {
 	valid := NewMessage(Request, 7, hw(1))
 	valid.SetU32Option(OptLeaseTime, 3600)
-	f.Add(valid.Marshal())
+	valid.SetAddrOption(OptRequestedIP, netip.MustParseAddr("100.64.10.9"))
+	valid.Hops, valid.GIAddr = 2, netip.MustParseAddr("198.51.100.1")
+	seed := valid.Marshal()
+	f.Add(seed)
 	f.Add([]byte{})
 	f.Add([]byte{1, 1, 6, 0})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := Unmarshal(b)
+		var reused Message
+		if err := reused.Decode(seed); err != nil {
+			t.Fatal(err)
+		}
+		errReused := reused.Decode(b)
+		if (err == nil) != (errReused == nil) || (err != nil && err.Error() != errReused.Error()) {
+			t.Fatalf("fresh decode: %v; decode into a used message: %v", err, errReused)
+		}
 		if err != nil {
 			return
 		}
 		if m == nil {
 			t.Fatal("nil message without error")
 		}
-		m.Marshal() // round trip of accepted input must not panic
+		wire := m.Marshal()
+		if got := reused.Append([]byte("pre")); string(got) != "pre"+string(wire) {
+			t.Fatalf("reused message appends %x, fresh one marshals %x", got, wire)
+		}
+		again, err := Unmarshal(wire)
+		if err != nil {
+			t.Fatalf("marshalled bytes do not decode: %v", err)
+		}
+		if b2 := again.Marshal(); !bytes.Equal(b2, wire) {
+			t.Fatalf("round trip changed the bytes:\n%x\n%x", wire, b2)
+		}
 	})
 }

@@ -14,7 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 )
 
 // MessageType is the DHCP message type (option 53).
@@ -65,7 +65,7 @@ const (
 
 var magicCookie = [4]byte{99, 130, 83, 99}
 
-// Errors returned by Unmarshal.
+// Errors returned by Decode and Unmarshal.
 var (
 	ErrShortMessage = errors.New("dhcp4: message too short")
 	ErrBadCookie    = errors.New("dhcp4: bad magic cookie")
@@ -81,7 +81,10 @@ func (h HWAddr) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", h[0], h[1], h[2], h[3], h[4], h[5])
 }
 
-// Message is a DHCPv4 message: the fixed BOOTP fields plus options.
+// Message is a DHCPv4 message: the fixed BOOTP fields plus options. It
+// owns its option values, in one buffer that Reset and Decode empty for
+// reuse, so a message built or decoded into again allocates nothing
+// once its buffers have grown.
 type Message struct {
 	Op     byte
 	Hops   byte
@@ -94,36 +97,56 @@ type Message struct {
 	GIAddr netip.Addr
 	CHAddr HWAddr
 
-	Options map[byte][]byte
+	// opts lists the options in ascending code order, one per code:
+	// setting a code again replaces its value (the last value wins).
+	opts []option
+	buf  []byte // the option values
+}
+
+// option is one option of a message, its value at buf[off:end].
+type option struct {
+	code     byte
+	off, end int
 }
 
 const headerLen = 236 // through the file field, before the cookie
 
-// NewMessage returns a message of the given type with empty but non-nil
-// options and zeroed addresses.
+// NewMessage returns a new message, as Reset leaves it.
 func NewMessage(mt MessageType, xid uint32, hw HWAddr) *Message {
+	m := new(Message)
+	m.Reset(mt, xid, hw)
+	return m
+}
+
+// Reset empties the message for reuse as a message of type mt from (or
+// to) hw: every field is cleared, the hop count and giaddr included, the
+// addresses are set to 0.0.0.0, and the only option is the message type.
+// The message keeps its buffers.
+//
+//lint:hotpath
+func (m *Message) Reset(mt MessageType, xid uint32, hw HWAddr) {
 	op := OpRequest
 	if mt == Offer || mt == ACK || mt == NAK {
 		op = OpReply
 	}
-	m := &Message{
+	unspec := netip.IPv4Unspecified()
+	*m = Message{
 		Op:     op,
 		XID:    xid,
 		CHAddr: hw,
-		CIAddr: netip.IPv4Unspecified(),
-		YIAddr: netip.IPv4Unspecified(),
-		SIAddr: netip.IPv4Unspecified(),
-		GIAddr: netip.IPv4Unspecified(),
-		Options: map[byte][]byte{
-			OptMessageType: {byte(mt)},
-		},
+		CIAddr: unspec,
+		YIAddr: unspec,
+		SIAddr: unspec,
+		GIAddr: unspec,
+		opts:   m.opts[:0],
+		buf:    m.buf[:0],
 	}
-	return m
+	m.set(OptMessageType, 1)[0] = byte(mt)
 }
 
 // Type returns the message type from option 53, or 0 if absent.
 func (m *Message) Type() MessageType {
-	if v, ok := m.Options[OptMessageType]; ok && len(v) == 1 {
+	if v, ok := m.lookup(OptMessageType); ok && len(v) == 1 {
 		return MessageType(v[0])
 	}
 	return 0
@@ -140,15 +163,62 @@ func get4(b []byte) netip.Addr {
 	return netip.AddrFrom4([4]byte(b[:4]))
 }
 
+// set gives option code an n-byte zero value, replacing any value it
+// had, and returns the value for the caller to fill.
+//
+//lint:hotpath
+func (m *Message) set(code byte, n int) []byte {
+	i := 0
+	for i < len(m.opts) && m.opts[i].code < code {
+		i++
+	}
+	if i == len(m.opts) || m.opts[i].code != code {
+		m.opts = slices.Insert(m.opts, i, option{code: code})
+	}
+	off := len(m.buf)
+	m.buf = zeroExtend(m.buf, n)
+	m.opts[i].off, m.opts[i].end = off, len(m.buf)
+	return m.buf[off:]
+}
+
+// zeroExtend appends n zero bytes to b in place, growing it only when
+// its capacity is short: appending a make'd slice instead allocates
+// under the race detector.
+//
+//lint:hotpath
+func zeroExtend(b []byte, n int) []byte {
+	b = slices.Grow(b, n)[:len(b)+n]
+	clear(b[len(b)-n:])
+	return b
+}
+
+// lookup returns option code's value. The value is the message's own,
+// valid until the message is next reset or decoded into.
+func (m *Message) lookup(code byte) ([]byte, bool) {
+	for _, o := range m.opts {
+		if o.code == code {
+			return m.buf[o.off:o.end:o.end], true
+		}
+	}
+	return nil, false
+}
+
+// SetOption stores option code's value, copying v.
+//
+//lint:hotpath
+func (m *Message) SetOption(code byte, v []byte) { copy(m.set(code, len(v)), v) }
+
 // SetAddrOption stores an IPv4 address option (e.g. server ID, requested IP).
+//
+//lint:hotpath
 func (m *Message) SetAddrOption(code byte, a netip.Addr) {
 	v4 := a.Unmap().As4()
-	m.Options[code] = v4[:]
+	copy(m.set(code, 4), v4[:])
 }
 
 // AddrOption fetches an IPv4 address option.
 func (m *Message) AddrOption(code byte) (netip.Addr, bool) {
-	v, ok := m.Options[code]
+	v, ok := m.lookup(code)
 	if !ok || len(v) != 4 {
 		return netip.Addr{}, false
 	}
@@ -156,73 +226,76 @@ func (m *Message) AddrOption(code byte) (netip.Addr, bool) {
 }
 
 // SetU32Option stores a 32-bit option (e.g. lease time in seconds).
+//
+//lint:hotpath
 func (m *Message) SetU32Option(code byte, v uint32) {
-	b := make([]byte, 4)
-	binary.BigEndian.PutUint32(b, v)
-	m.Options[code] = b
+	binary.BigEndian.PutUint32(m.set(code, 4), v)
 }
 
 // U32Option fetches a 32-bit option.
 func (m *Message) U32Option(code byte) (uint32, bool) {
-	v, ok := m.Options[code]
+	v, ok := m.lookup(code)
 	if !ok || len(v) != 4 {
 		return 0, false
 	}
 	return binary.BigEndian.Uint32(v), true
 }
 
-// Marshal encodes the message to wire format.
-func (m *Message) Marshal() []byte {
-	buf := make([]byte, headerLen, headerLen+4+64)
-	buf[0] = m.Op
-	buf[1] = 1 // htype: ethernet
-	buf[2] = 6 // hlen
-	buf[3] = m.Hops
-	binary.BigEndian.PutUint32(buf[4:], m.XID)
-	binary.BigEndian.PutUint16(buf[8:], m.Secs)
-	binary.BigEndian.PutUint16(buf[10:], m.Flags)
-	put4(buf[12:], m.CIAddr)
-	put4(buf[16:], m.YIAddr)
-	put4(buf[20:], m.SIAddr)
-	put4(buf[24:], m.GIAddr)
-	copy(buf[28:], m.CHAddr[:])
+// Append appends the message's wire form to dst, its options in
+// ascending code order.
+//
+//lint:hotpath
+func (m *Message) Append(dst []byte) []byte {
+	start := len(dst)
+	dst = zeroExtend(dst, headerLen)
+	b := dst[start:]
+	b[0] = m.Op
+	b[1] = 1 // htype: ethernet
+	b[2] = 6 // hlen
+	b[3] = m.Hops
+	binary.BigEndian.PutUint32(b[4:], m.XID)
+	binary.BigEndian.PutUint16(b[8:], m.Secs)
+	binary.BigEndian.PutUint16(b[10:], m.Flags)
+	put4(b[12:], m.CIAddr)
+	put4(b[16:], m.YIAddr)
+	put4(b[20:], m.SIAddr)
+	put4(b[24:], m.GIAddr)
+	copy(b[28:], m.CHAddr[:])
 	// sname (64) and file (128) stay zero.
-	buf = append(buf, magicCookie[:]...)
-	codes := make([]byte, 0, len(m.Options))
-	for c := range m.Options {
-		codes = append(codes, c)
+	dst = append(dst, magicCookie[:]...)
+	for _, o := range m.opts {
+		dst = append(dst, o.code, byte(o.end-o.off))
+		dst = append(dst, m.buf[o.off:o.end]...)
 	}
-	sort.Slice(codes, func(i, j int) bool { return codes[i] < codes[j] })
-	for _, c := range codes {
-		v := m.Options[c]
-		buf = append(buf, c, byte(len(v)))
-		buf = append(buf, v...)
-	}
-	buf = append(buf, optEnd)
-	return buf
+	return append(dst, optEnd)
 }
 
-// Unmarshal decodes a wire-format message.
-func Unmarshal(b []byte) (*Message, error) {
+// Marshal encodes the message to wire format (Append to nil).
+func (m *Message) Marshal() []byte { return m.Append(nil) }
+
+// Decode fills m from a wire-format message, copying the option values
+// into m's own buffer. On error m's contents are unspecified.
+func (m *Message) Decode(b []byte) error {
 	if len(b) < headerLen+4 {
-		return nil, fmt.Errorf("%w: %d bytes", ErrShortMessage, len(b))
+		return fmt.Errorf("%w: %d bytes", ErrShortMessage, len(b))
 	}
 	if [4]byte(b[headerLen:headerLen+4]) != magicCookie {
-		return nil, ErrBadCookie
+		return ErrBadCookie
 	}
-	m := &Message{
-		Op:      b[0],
-		Hops:    b[3],
-		XID:     binary.BigEndian.Uint32(b[4:]),
-		Secs:    binary.BigEndian.Uint16(b[8:]),
-		Flags:   binary.BigEndian.Uint16(b[10:]),
-		CIAddr:  get4(b[12:]),
-		YIAddr:  get4(b[16:]),
-		SIAddr:  get4(b[20:]),
-		GIAddr:  get4(b[24:]),
-		Options: make(map[byte][]byte),
+	*m = Message{
+		Op:     b[0],
+		Hops:   b[3],
+		XID:    binary.BigEndian.Uint32(b[4:]),
+		Secs:   binary.BigEndian.Uint16(b[8:]),
+		Flags:  binary.BigEndian.Uint16(b[10:]),
+		CIAddr: get4(b[12:]),
+		YIAddr: get4(b[16:]),
+		SIAddr: get4(b[20:]),
+		GIAddr: get4(b[24:]),
+		CHAddr: HWAddr(b[28:34]),
+		opts:   m.opts[:0],
+		buf:    m.buf[:0],
 	}
-	copy(m.CHAddr[:], b[28:34])
 	opts := b[headerLen+4:]
 	for i := 0; i < len(opts); {
 		code := opts[i]
@@ -231,17 +304,26 @@ func Unmarshal(b []byte) (*Message, error) {
 			i++
 			continue
 		case optEnd:
-			return m, nil
+			return nil
 		}
 		if i+1 >= len(opts) {
-			return nil, fmt.Errorf("%w: truncated option %d", ErrBadOptions, code)
+			return fmt.Errorf("%w: truncated option %d", ErrBadOptions, code)
 		}
 		l := int(opts[i+1])
 		if i+2+l > len(opts) {
-			return nil, fmt.Errorf("%w: option %d overruns message", ErrBadOptions, code)
+			return fmt.Errorf("%w: option %d overruns message", ErrBadOptions, code)
 		}
-		m.Options[code] = append([]byte(nil), opts[i+2:i+2+l]...)
+		m.SetOption(code, opts[i+2:i+2+l])
 		i += 2 + l
 	}
-	return nil, fmt.Errorf("%w: missing end option", ErrBadOptions)
+	return fmt.Errorf("%w: missing end option", ErrBadOptions)
+}
+
+// Unmarshal decodes a wire-format message into a new Message.
+func Unmarshal(b []byte) (*Message, error) {
+	m := new(Message)
+	if err := m.Decode(b); err != nil {
+		return nil, err
+	}
+	return m, nil
 }

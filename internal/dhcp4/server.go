@@ -60,6 +60,9 @@ type Server struct {
 	pool   *addrpool.Pool[netip.Addr, HWAddr]
 	byHW   map[HWAddr]Lease
 	offers map[HWAddr]netip.Addr
+
+	rep Message // the reply Handle builds and returns
+	acq Message // Acquire's request
 }
 
 // NewServer builds a Server. It panics on an empty pool set, zero lease, or
@@ -108,7 +111,9 @@ func (s *Server) candidate(hw HWAddr) (netip.Addr, error) {
 }
 
 // Handle runs one request through the server state machine and returns the
-// reply, or nil for messages that elicit none (e.g. RELEASE).
+// reply, or nil for messages that elicit none (e.g. RELEASE). The reply
+// belongs to the server until its next call: read it, or copy it,
+// before handling another message.
 func (s *Server) Handle(req *Message) (*Message, error) {
 	switch req.Type() {
 	case Discover:
@@ -117,10 +122,8 @@ func (s *Server) Handle(req *Message) (*Message, error) {
 			return nil, err
 		}
 		s.offers[req.CHAddr] = a
-		rep := NewMessage(Offer, req.XID, req.CHAddr)
+		rep := s.reply(Offer, req)
 		rep.YIAddr = a
-		rep.GIAddr = req.GIAddr // echoed so relays can route the reply (RFC 2131 §4.1)
-		rep.SetAddrOption(OptServerID, s.cfg.ServerID)
 		s.setTimes(rep)
 		return rep, nil
 
@@ -130,7 +133,7 @@ func (s *Server) Handle(req *Message) (*Message, error) {
 			want = req.CIAddr // renewal: client puts its address in ciaddr
 		}
 		if !want.IsValid() || want == netip.IPv4Unspecified() {
-			return s.nak(req), nil
+			return s.reply(NAK, req), nil
 		}
 		// The server is authoritative: it only ACKs addresses it offered
 		// to this client or currently has bound to it; anything else NAKs,
@@ -140,17 +143,15 @@ func (s *Server) Handle(req *Message) (*Message, error) {
 			offered = true
 		}
 		if !offered {
-			return s.nak(req), nil
+			return s.reply(NAK, req), nil
 		}
 		if cur, held := s.pool.Holder(want); held && cur != req.CHAddr {
-			return s.nak(req), nil
+			return s.reply(NAK, req), nil
 		}
 		delete(s.offers, req.CHAddr)
 		l := s.bind(req.CHAddr, want)
-		rep := NewMessage(ACK, req.XID, req.CHAddr)
+		rep := s.reply(ACK, req)
 		rep.YIAddr = l.Addr
-		rep.GIAddr = req.GIAddr
-		rep.SetAddrOption(OptServerID, s.cfg.ServerID)
 		s.setTimes(rep)
 		return rep, nil
 
@@ -171,20 +172,28 @@ func (s *Server) Handle(req *Message) (*Message, error) {
 	}
 }
 
+// reply builds a reply of type mt to req in the server's reply message:
+// giaddr is echoed so relays can route it (RFC 2131 §4.1), and it
+// carries the server ID.
+//
+//lint:hotpath
+func (s *Server) reply(mt MessageType, req *Message) *Message {
+	rep := &s.rep
+	rep.Reset(mt, req.XID, req.CHAddr)
+	rep.GIAddr = req.GIAddr
+	rep.SetAddrOption(OptServerID, s.cfg.ServerID)
+	return rep
+}
+
 // setTimes attaches the lease time plus the RFC 2131 renewal (T1) and
 // rebinding (T2) timers at their default positions: 50% and 87.5% of the
 // lease.
+//
+//lint:hotpath
 func (s *Server) setTimes(rep *Message) {
 	rep.SetU32Option(OptLeaseTime, s.cfg.LeaseSeconds)
 	rep.SetU32Option(OptRenewalTime, s.cfg.LeaseSeconds/2)
 	rep.SetU32Option(OptRebindingTime, s.cfg.LeaseSeconds*7/8)
-}
-
-func (s *Server) nak(req *Message) *Message {
-	rep := NewMessage(NAK, req.XID, req.CHAddr)
-	rep.GIAddr = req.GIAddr
-	rep.SetAddrOption(OptServerID, s.cfg.ServerID)
-	return rep
 }
 
 // Forget releases hw's binding and drops the sticky memory of it, so
@@ -202,13 +211,16 @@ func (s *Server) Forget(hw HWAddr) {
 }
 
 // Acquire performs the full DORA exchange for hw and returns the resulting
-// lease. It is the programmatic entry point serve-bng's engines use.
+// lease. It is the programmatic entry point serve-bng's engines use; it
+// builds both requests in one message the server keeps.
 func (s *Server) Acquire(hw HWAddr, xid uint32) (Lease, error) {
-	offer, err := s.Handle(NewMessage(Discover, xid, hw))
+	req := &s.acq
+	req.Reset(Discover, xid, hw)
+	offer, err := s.Handle(req)
 	if err != nil {
 		return Lease{}, err
 	}
-	req := NewMessage(Request, xid, hw)
+	req.Reset(Request, xid, hw)
 	req.SetAddrOption(OptRequestedIP, offer.YIAddr)
 	ack, err := s.Handle(req)
 	if err != nil {

@@ -60,7 +60,7 @@ const (
 	StatusNoPrefixAvail uint16 = 6
 )
 
-// Errors returned by Unmarshal.
+// Errors returned by Decode and Unmarshal.
 var (
 	ErrShortMessage = errors.New("dhcp6: message too short")
 	ErrBadOption    = errors.New("dhcp6: malformed option")
@@ -98,7 +98,12 @@ type IAPD struct {
 	StatusOK bool   // whether a status-code option was present
 }
 
-// Message is a DHCPv6 message.
+// Message is a DHCPv6 message. It owns the identifiers Reset and Decode
+// put in it, in one buffer they empty for reuse, and they reuse the
+// arrays behind IAPDs and each IA's Prefixes: a message that is reset or
+// decoded into again allocates nothing once those have grown. A caller
+// that points IAPDs at an array of its own must not reset or decode into
+// the message.
 type Message struct {
 	Type MessageType
 	// TxnID uses 24 bits on the wire.
@@ -112,75 +117,120 @@ type Message struct {
 	// Solicit with it set asks the server to commit immediately with a
 	// Reply instead of an Advertise.
 	RapidCommit bool
+
+	ids []byte // the bytes of ClientID, then ServerID, when the message owns them
 }
 
-// NewMessage builds a message with the given type, transaction and client
-// identity.
+// NewMessage returns a new message, as Reset leaves it.
 func NewMessage(mt MessageType, txn uint32, client DUID) *Message {
-	return &Message{Type: mt, TxnID: txn & 0xffffff, ClientID: client}
+	m := new(Message)
+	m.Reset(mt, txn, client)
+	return m
+}
+
+// Reset empties the message for reuse as a message of type mt in
+// transaction txn (24 bits) from (or to) client, whose bytes it copies.
+//
+//lint:hotpath
+func (m *Message) Reset(mt MessageType, txn uint32, client DUID) {
+	*m = Message{Type: mt, TxnID: txn & 0xffffff, IAPDs: m.IAPDs[:0], ids: m.ids}
+	m.setIDs(client, nil)
+}
+
+// setIDs copies client and server into the message's buffer and points
+// ClientID and ServerID at the copies; an empty identifier is nil.
+//
+//lint:hotpath
+func (m *Message) setIDs(client, server []byte) {
+	m.ids = append(append(m.ids[:0], client...), server...)
+	m.ClientID, m.ServerID = nil, nil
+	if n := len(client); n > 0 {
+		m.ClientID = m.ids[:n:n]
+	}
+	if len(server) > 0 {
+		m.ServerID = m.ids[len(client):len(m.ids):len(m.ids)]
+	}
+}
+
+// addIAPD appends an empty IA_PD and returns it, reusing the array
+// behind IAPDs and, when it reuses an element, that element's Prefixes.
+//
+//lint:hotpath
+func (m *Message) addIAPD() *IAPD {
+	n := len(m.IAPDs)
+	if n == cap(m.IAPDs) {
+		m.IAPDs = append(m.IAPDs, IAPD{})
+	} else {
+		m.IAPDs = m.IAPDs[:n+1]
+		m.IAPDs[n] = IAPD{Prefixes: m.IAPDs[n].Prefixes[:0]}
+	}
+	return &m.IAPDs[n]
 }
 
 func appendOption(b []byte, code uint16, data []byte) []byte {
-	var hdr [4]byte
-	binary.BigEndian.PutUint16(hdr[:], code)
-	binary.BigEndian.PutUint16(hdr[2:], uint16(len(data)))
-	b = append(b, hdr[:]...)
+	b = append(b, byte(code>>8), byte(code), byte(len(data)>>8), byte(len(data)))
 	return append(b, data...)
 }
 
-func marshalIAPD(ia IAPD) []byte {
-	b := make([]byte, 12)
-	binary.BigEndian.PutUint32(b, ia.IAID)
-	binary.BigEndian.PutUint32(b[4:], ia.T1)
-	binary.BigEndian.PutUint32(b[8:], ia.T2)
+func appendStatus(b []byte, status uint16) []byte {
+	return append(b, byte(OptStatusCode>>8), byte(OptStatusCode), 0, 2, byte(status>>8), byte(status))
+}
+
+// appendIAPD appends ia as an IA_PD option, filling in its length once
+// the body is written.
+//
+//lint:hotpath
+func appendIAPD(b []byte, ia *IAPD) []byte {
+	start := len(b)
+	b = append(b, byte(OptIAPD>>8), byte(OptIAPD), 0, 0)
+	b = binary.BigEndian.AppendUint32(b, ia.IAID)
+	b = binary.BigEndian.AppendUint32(b, ia.T1)
+	b = binary.BigEndian.AppendUint32(b, ia.T2)
 	for _, p := range ia.Prefixes {
-		pp := make([]byte, 25)
-		binary.BigEndian.PutUint32(pp, p.Preferred)
-		binary.BigEndian.PutUint32(pp[4:], p.Valid)
-		pp[8] = byte(p.Prefix.Bits())
+		b = append(b, byte(OptIAPrefix>>8), byte(OptIAPrefix), 0, 25)
+		b = binary.BigEndian.AppendUint32(b, p.Preferred)
+		b = binary.BigEndian.AppendUint32(b, p.Valid)
 		a16 := p.Prefix.Addr().As16()
-		copy(pp[9:], a16[:])
-		b = appendOption(b, OptIAPrefix, pp)
+		b = append(append(b, byte(p.Prefix.Bits())), a16[:]...)
 	}
 	if ia.StatusOK {
-		sc := make([]byte, 2)
-		binary.BigEndian.PutUint16(sc, ia.Status)
-		b = appendOption(b, OptStatusCode, sc)
+		b = appendStatus(b, ia.Status)
 	}
+	binary.BigEndian.PutUint16(b[start+2:], uint16(len(b)-start-4))
 	return b
 }
 
-// Marshal encodes the message to wire format.
-func (m *Message) Marshal() []byte {
-	b := make([]byte, 4, 128)
-	b[0] = byte(m.Type)
-	b[1] = byte(m.TxnID >> 16)
-	b[2] = byte(m.TxnID >> 8)
-	b[3] = byte(m.TxnID)
+// Append appends the message's wire form to dst.
+//
+//lint:hotpath
+func (m *Message) Append(dst []byte) []byte {
+	dst = append(dst, byte(m.Type), byte(m.TxnID>>16), byte(m.TxnID>>8), byte(m.TxnID))
 	if len(m.ClientID) > 0 {
-		b = appendOption(b, OptClientID, m.ClientID)
+		dst = appendOption(dst, OptClientID, m.ClientID)
 	}
 	if len(m.ServerID) > 0 {
-		b = appendOption(b, OptServerID, m.ServerID)
+		dst = appendOption(dst, OptServerID, m.ServerID)
 	}
-	for _, ia := range m.IAPDs {
-		b = appendOption(b, OptIAPD, marshalIAPD(ia))
+	for i := range m.IAPDs {
+		dst = appendIAPD(dst, &m.IAPDs[i])
 	}
 	if m.RapidCommit {
-		b = appendOption(b, OptRapidCommit, nil)
+		dst = appendOption(dst, OptRapidCommit, nil)
 	}
 	if m.StatusOK {
-		sc := make([]byte, 2)
-		binary.BigEndian.PutUint16(sc, m.Status)
-		b = appendOption(b, OptStatusCode, sc)
+		dst = appendStatus(dst, m.Status)
 	}
-	return b
+	return dst
 }
 
-func parseIAPD(data []byte) (IAPD, error) {
-	var ia IAPD
+// Marshal encodes the message to wire format (Append to nil).
+func (m *Message) Marshal() []byte { return m.Append(nil) }
+
+// decode fills ia, whose Prefixes the caller has emptied, from an IA_PD
+// option's body.
+func (ia *IAPD) decode(data []byte) error {
 	if len(data) < 12 {
-		return ia, fmt.Errorf("%w: IA_PD body %d bytes", ErrBadOption, len(data))
+		return fmt.Errorf("%w: IA_PD body %d bytes", ErrBadOption, len(data))
 	}
 	ia.IAID = binary.BigEndian.Uint32(data)
 	ia.T1 = binary.BigEndian.Uint32(data[4:])
@@ -188,24 +238,24 @@ func parseIAPD(data []byte) (IAPD, error) {
 	rest := data[12:]
 	for len(rest) > 0 {
 		if len(rest) < 4 {
-			return ia, fmt.Errorf("%w: truncated IA_PD sub-option", ErrBadOption)
+			return fmt.Errorf("%w: truncated IA_PD sub-option", ErrBadOption)
 		}
 		code := binary.BigEndian.Uint16(rest)
 		l := int(binary.BigEndian.Uint16(rest[2:]))
 		if 4+l > len(rest) {
-			return ia, fmt.Errorf("%w: IA_PD sub-option overrun", ErrBadOption)
+			return fmt.Errorf("%w: IA_PD sub-option overrun", ErrBadOption)
 		}
 		body := rest[4 : 4+l]
 		switch code {
 		case OptIAPrefix:
 			if l < 25 {
-				return ia, fmt.Errorf("%w: IAPREFIX body %d bytes", ErrBadOption, l)
+				return fmt.Errorf("%w: IAPREFIX body %d bytes", ErrBadOption, l)
 			}
 			plen := int(body[8])
 			addr := netip.AddrFrom16([16]byte(body[9:25]))
 			p, err := addr.Prefix(plen)
 			if err != nil {
-				return ia, fmt.Errorf("%w: IAPREFIX %v/%d", ErrBadOption, addr, plen)
+				return fmt.Errorf("%w: IAPREFIX %v/%d", ErrBadOption, addr, plen)
 			}
 			ia.Prefixes = append(ia.Prefixes, IAPrefix{
 				Preferred: binary.BigEndian.Uint32(body),
@@ -214,50 +264,53 @@ func parseIAPD(data []byte) (IAPD, error) {
 			})
 		case OptStatusCode:
 			if l < 2 {
-				return ia, fmt.Errorf("%w: status code body %d bytes", ErrBadOption, l)
+				return fmt.Errorf("%w: status code body %d bytes", ErrBadOption, l)
 			}
 			ia.Status = binary.BigEndian.Uint16(body)
 			ia.StatusOK = true
 		}
 		rest = rest[4+l:]
 	}
-	return ia, nil
+	return nil
 }
 
-// Unmarshal decodes a wire-format DHCPv6 message.
-func Unmarshal(b []byte) (*Message, error) {
+// Decode fills m from a wire-format DHCPv6 message, copying the
+// identifiers into m's own buffer. On error m's contents are
+// unspecified.
+func (m *Message) Decode(b []byte) error {
 	if len(b) < 4 {
-		return nil, fmt.Errorf("%w: %d bytes", ErrShortMessage, len(b))
+		return fmt.Errorf("%w: %d bytes", ErrShortMessage, len(b))
 	}
-	m := &Message{
+	*m = Message{
 		Type:  MessageType(b[0]),
 		TxnID: uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3]),
+		IAPDs: m.IAPDs[:0],
+		ids:   m.ids,
 	}
+	var client, server []byte
 	rest := b[4:]
 	for len(rest) > 0 {
 		if len(rest) < 4 {
-			return nil, fmt.Errorf("%w: truncated option header", ErrBadOption)
+			return fmt.Errorf("%w: truncated option header", ErrBadOption)
 		}
 		code := binary.BigEndian.Uint16(rest)
 		l := int(binary.BigEndian.Uint16(rest[2:]))
 		if 4+l > len(rest) {
-			return nil, fmt.Errorf("%w: option %d overruns message", ErrBadOption, code)
+			return fmt.Errorf("%w: option %d overruns message", ErrBadOption, code)
 		}
 		body := rest[4 : 4+l]
 		switch code {
 		case OptClientID:
-			m.ClientID = append(DUID(nil), body...)
+			client = body
 		case OptServerID:
-			m.ServerID = append(DUID(nil), body...)
+			server = body
 		case OptIAPD:
-			ia, err := parseIAPD(body)
-			if err != nil {
-				return nil, err
+			if err := m.addIAPD().decode(body); err != nil {
+				return err
 			}
-			m.IAPDs = append(m.IAPDs, ia)
 		case OptStatusCode:
 			if l < 2 {
-				return nil, fmt.Errorf("%w: status code body %d bytes", ErrBadOption, l)
+				return fmt.Errorf("%w: status code body %d bytes", ErrBadOption, l)
 			}
 			m.Status = binary.BigEndian.Uint16(body)
 			m.StatusOK = true
@@ -265,6 +318,16 @@ func Unmarshal(b []byte) (*Message, error) {
 			m.RapidCommit = true
 		}
 		rest = rest[4+l:]
+	}
+	m.setIDs(client, server)
+	return nil
+}
+
+// Unmarshal decodes a wire-format DHCPv6 message into a new Message.
+func Unmarshal(b []byte) (*Message, error) {
+	m := new(Message)
+	if err := m.Decode(b); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

@@ -29,90 +29,98 @@ var ErrHopLimit = errors.New("dhcp6: relay hop count limit exceeded")
 
 const relayHeaderLen = 34 // type + hop-count + link-address + peer-address
 
-// RelayMessage is a Relay-forward or Relay-reply (RFC 8415 §9): a
-// different wire layout from client/server messages, carrying the
-// encapsulated message as the Relay Message option. Aggregation
-// topologies nest these — each LDRA or relay on the path adds a layer.
-type RelayMessage struct {
-	Type     MessageType // RelayForw or RelayRepl
-	HopCount byte
-	// LinkAddr identifies the link the client sits on (an LDRA uses ::
-	// and relies on Interface-ID instead, RFC 6221 §5.3.1).
-	LinkAddr netip.Addr
-	// PeerAddr is the address the relay received the inner message from.
-	PeerAddr netip.Addr
-	// InterfaceID is the opaque RFC 6221 access-loop identifier, nil
-	// when absent.
-	InterfaceID []byte
-	// Inner is the encapsulated message in wire format: a client/server
-	// Message at the innermost layer, another RelayMessage otherwise.
-	Inner []byte
-}
+// A relay agent message — a Relay-forward or Relay-reply (RFC 8415 §9) —
+// has a different wire layout from client/server messages: a header,
+// then options, one of which, the Relay Message option, carries the
+// encapsulated message. Aggregation topologies nest these: each LDRA or
+// relay on the path adds a layer.
 
 // IsRelay reports whether wire bytes carry a relay agent message.
 func IsRelay(b []byte) bool {
 	return len(b) > 0 && (MessageType(b[0]) == RelayForw || MessageType(b[0]) == RelayRepl)
 }
 
-func put16(b []byte, a netip.Addr) {
-	if a.IsValid() {
-		a16 := a.As16()
-		copy(b, a16[:])
-	}
+// relayLayer is one decoded relay agent message layer. Its fields alias
+// the bytes it was decoded from.
+type relayLayer struct {
+	// hdr is the header: type, hop count, link-address (an LDRA uses ::
+	// and relies on Interface-ID instead, RFC 6221 §5.3.1) and
+	// peer-address, the address the relay received the inner message
+	// from.
+	hdr []byte
+	// iid is the opaque RFC 6221 access-loop identifier, empty when
+	// absent.
+	iid []byte
 }
 
-// Marshal encodes the relay message to wire format.
-func (m *RelayMessage) Marshal() []byte {
-	b := make([]byte, relayHeaderLen, relayHeaderLen+8+len(m.Inner)+len(m.InterfaceID))
-	b[0] = byte(m.Type)
-	b[1] = m.HopCount
-	put16(b[2:], m.LinkAddr)
-	put16(b[18:], m.PeerAddr)
-	if len(m.InterfaceID) > 0 {
-		b = appendOption(b, OptInterfaceID, m.InterfaceID)
-	}
-	b = appendOption(b, OptRelayMsg, m.Inner)
-	return b
-}
+func (l relayLayer) typ() MessageType { return MessageType(l.hdr[0]) }
 
-// UnmarshalRelay decodes a wire-format relay agent message.
-func UnmarshalRelay(b []byte) (*RelayMessage, error) {
+// decodeRelay decodes the relay agent message in b, returning its layer
+// and the message its Relay Message option encapsulates. When an option
+// repeats, its last instance counts.
+func decodeRelay(b []byte) (relayLayer, []byte, error) {
 	if len(b) < relayHeaderLen {
-		return nil, fmt.Errorf("%w: relay message %d bytes", ErrShortMessage, len(b))
+		return relayLayer{}, nil, fmt.Errorf("%w: relay message %d bytes", ErrShortMessage, len(b))
 	}
-	mt := MessageType(b[0])
-	if mt != RelayForw && mt != RelayRepl {
-		return nil, fmt.Errorf("%w: type %v is not a relay message", ErrBadOption, mt)
+	if !IsRelay(b) {
+		return relayLayer{}, nil, fmt.Errorf("%w: type %v is not a relay message", ErrBadOption, MessageType(b[0]))
 	}
-	m := &RelayMessage{
-		Type:     mt,
-		HopCount: b[1],
-		LinkAddr: netip.AddrFrom16([16]byte(b[2:18])),
-		PeerAddr: netip.AddrFrom16([16]byte(b[18:34])),
-	}
+	l := relayLayer{hdr: b[:relayHeaderLen]}
+	var inner []byte
 	rest := b[relayHeaderLen:]
 	for len(rest) > 0 {
 		if len(rest) < 4 {
-			return nil, fmt.Errorf("%w: truncated relay option header", ErrBadOption)
+			return relayLayer{}, nil, fmt.Errorf("%w: truncated relay option header", ErrBadOption)
 		}
 		code := binary.BigEndian.Uint16(rest)
-		l := int(binary.BigEndian.Uint16(rest[2:]))
-		if 4+l > len(rest) {
-			return nil, fmt.Errorf("%w: relay option %d overruns message", ErrBadOption, code)
+		n := int(binary.BigEndian.Uint16(rest[2:]))
+		if 4+n > len(rest) {
+			return relayLayer{}, nil, fmt.Errorf("%w: relay option %d overruns message", ErrBadOption, code)
 		}
-		body := rest[4 : 4+l]
+		body := rest[4 : 4+n]
 		switch code {
 		case OptRelayMsg:
-			m.Inner = append([]byte(nil), body...)
+			inner = body
 		case OptInterfaceID:
-			m.InterfaceID = append([]byte(nil), body...)
+			l.iid = body
 		}
-		rest = rest[4+l:]
+		rest = rest[4+n:]
 	}
-	if m.Inner == nil {
-		return nil, fmt.Errorf("%w: relay message without Relay Message option", ErrBadOption)
+	if len(inner) == 0 {
+		return relayLayer{}, nil, fmt.Errorf("%w: relay message without Relay Message option", ErrBadOption)
 	}
-	return m, nil
+	return l, inner, nil
+}
+
+// appendLayer appends a relay layer's header hdr, its Interface-ID
+// option when iid is not empty, and the header of its Relay Message
+// option, whose length fillLengths sets once the encapsulated message
+// is written.
+//
+//lint:hotpath
+func appendLayer(dst []byte, hdr *[relayHeaderLen]byte, iid []byte) []byte {
+	dst = append(dst, hdr[:]...)
+	if len(iid) > 0 {
+		dst = appendOption(dst, OptInterfaceID, iid)
+	}
+	return append(dst, byte(OptRelayMsg>>8), byte(OptRelayMsg), 0, 0)
+}
+
+// fillLengths sets the Relay Message option length of each of the
+// levels layers appendLayer wrote, outermost first, at the front of b:
+// each encapsulates the rest of b.
+//
+//lint:hotpath
+func fillLengths(b []byte, levels int) {
+	off := 0
+	for ; levels > 0; levels-- {
+		off += relayHeaderLen
+		if binary.BigEndian.Uint16(b[off:]) == OptInterfaceID {
+			off += 4 + int(binary.BigEndian.Uint16(b[off+2:]))
+		}
+		binary.BigEndian.PutUint16(b[off+2:], uint16(len(b)-off-4))
+		off += 4
+	}
 }
 
 // LDRA is a Lightweight DHCPv6 Relay Agent (RFC 6221): an access node —
@@ -124,47 +132,6 @@ type LDRA struct {
 	// InterfaceID is the access-loop identifier stamped into
 	// Relay-forward messages this LDRA builds.
 	InterfaceID []byte
-}
-
-// Encapsulate wraps wire bytes — a client message or a previous relay's
-// Relay-forward — in a new Relay-forward layer. peer is the address the
-// message arrived from. Messages already at HOP_COUNT_LIMIT are refused.
-func (l *LDRA) Encapsulate(inner []byte, peer netip.Addr) (*RelayMessage, error) {
-	var hop byte
-	if IsRelay(inner) {
-		if MessageType(inner[0]) != RelayForw {
-			return nil, fmt.Errorf("%w: encapsulating %v", ErrBadOption, MessageType(inner[0]))
-		}
-		if len(inner) < 2 {
-			return nil, ErrShortMessage
-		}
-		if inner[1] >= HopCountLimit-1 {
-			return nil, fmt.Errorf("%w: %d hops", ErrHopLimit, inner[1])
-		}
-		hop = inner[1] + 1
-	}
-	return &RelayMessage{
-		Type:        RelayForw,
-		HopCount:    hop,
-		LinkAddr:    netip.IPv6Unspecified(),
-		PeerAddr:    peer,
-		InterfaceID: append([]byte(nil), l.InterfaceID...),
-		Inner:       append([]byte(nil), inner...),
-	}, nil
-}
-
-// Decapsulate peels one Relay-reply layer, verifying it mirrors this
-// LDRA's Interface-ID (RFC 6221 §5.3.2: the reply is routed back down
-// the access loop the Interface-ID names).
-func (l *LDRA) Decapsulate(rm *RelayMessage) ([]byte, error) {
-	if rm.Type != RelayRepl {
-		return nil, fmt.Errorf("%w: decapsulating %v", ErrBadOption, rm.Type)
-	}
-	if string(rm.InterfaceID) != string(l.InterfaceID) {
-		return nil, fmt.Errorf("%w: interface-id %q does not match LDRA %q",
-			ErrBadOption, rm.InterfaceID, l.InterfaceID)
-	}
-	return rm.Inner, nil
 }
 
 // LDRAChain is an ordered aggregation path from the subscriber to the
@@ -181,76 +148,99 @@ func NewLDRAChain(base string, n int) LDRAChain {
 	return chain
 }
 
-// Wrap encapsulates a client message through every aggregation level,
-// innermost LDRA first.
-func (c LDRAChain) Wrap(req *Message, peer netip.Addr) (*RelayMessage, error) {
-	b := req.Marshal()
-	var rm *RelayMessage
-	for _, l := range c {
-		var err error
-		if rm, err = l.Encapsulate(b, peer); err != nil {
-			return nil, err
-		}
-		b = rm.Marshal()
-		peer = netip.IPv6Unspecified() // upper levels see the relay, not the client
+// Wrap appends to dst the client message req as it leaves the chain:
+// encapsulated in one Relay-forward layer per aggregation level,
+// innermost LDRA innermost. It writes every layer in one pass, the
+// outermost first. The innermost layer's peer-address is peer, the
+// address the client message came from; upper levels see the relay,
+// not the client, and carry ::. Layer i's hop count is i, so a chain
+// deeper than HOP_COUNT_LIMIT is refused.
+func (c LDRAChain) Wrap(dst []byte, req *Message, peer netip.Addr) ([]byte, error) {
+	if len(c) == 0 {
+		return dst, fmt.Errorf("%w: empty LDRA chain", ErrBadOption)
 	}
-	return rm, nil
-}
-
-// Unwrap peels every Relay-reply layer, outermost LDRA last, returning
-// the server's message to the client.
-func (c LDRAChain) Unwrap(rm *RelayMessage) (*Message, error) {
+	if len(c) > HopCountLimit {
+		return dst, fmt.Errorf("%w: %d levels", ErrHopLimit, len(c))
+	}
+	start := len(dst)
 	for i := len(c) - 1; i >= 0; i-- {
-		inner, err := c[i].Decapsulate(rm)
-		if err != nil {
-			return nil, err
+		hdr := [relayHeaderLen]byte{byte(RelayForw), byte(i)}
+		if i == 0 && peer.IsValid() {
+			a16 := peer.As16()
+			copy(hdr[18:], a16[:])
 		}
-		if i == 0 {
-			return Unmarshal(inner)
-		}
-		if rm, err = UnmarshalRelay(inner); err != nil {
-			return nil, err
-		}
+		dst = appendLayer(dst, &hdr, c[i].InterfaceID)
 	}
-	return nil, fmt.Errorf("%w: empty LDRA chain", ErrBadOption)
+	dst = req.Append(dst)
+	fillLengths(dst[start:], len(c))
+	return dst, nil
 }
 
-// HandleRelay processes a Relay-forward carrying a possibly nested
-// client message and returns the mirrored Relay-reply: hop count,
-// addresses, and Interface-ID are copied back at every layer so each
-// relay can route the reply down its access loop (RFC 8415 §19.2).
-func (s *Server) HandleRelay(rm *RelayMessage) (*RelayMessage, error) {
-	if rm.Type != RelayForw {
-		return nil, fmt.Errorf("dhcp6: HandleRelay on %v", rm.Type)
+// Unwrap decodes b, a Relay-reply on its way down the chain, into m:
+// it peels every layer, outermost LDRA first, checking that each is a
+// Relay-reply carrying its LDRA's Interface-ID (RFC 6221 §5.3.2: the
+// reply is routed back down the access loop the Interface-ID names),
+// and decodes the server's message to the client into m.
+func (c LDRAChain) Unwrap(m *Message, b []byte) error {
+	if len(c) == 0 {
+		return fmt.Errorf("%w: empty LDRA chain", ErrBadOption)
 	}
-	var payload []byte
-	if IsRelay(rm.Inner) {
-		nested, err := UnmarshalRelay(rm.Inner)
+	for i := len(c) - 1; i >= 0; i-- {
+		l, inner, err := decodeRelay(b)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		nrep, err := s.HandleRelay(nested)
-		if err != nil {
-			return nil, err
+		if l.typ() != RelayRepl {
+			return fmt.Errorf("%w: decapsulating %v", ErrBadOption, l.typ())
 		}
-		payload = nrep.Marshal()
-	} else {
-		req, err := Unmarshal(rm.Inner)
-		if err != nil {
-			return nil, err
+		if string(l.iid) != string(c[i].InterfaceID) {
+			return fmt.Errorf("%w: interface-id %q does not match LDRA %q",
+				ErrBadOption, l.iid, c[i].InterfaceID)
 		}
-		rep, err := s.Handle(req)
-		if err != nil {
-			return nil, err
-		}
-		payload = rep.Marshal()
+		b = inner
 	}
-	return &RelayMessage{
-		Type:        RelayRepl,
-		HopCount:    rm.HopCount,
-		LinkAddr:    rm.LinkAddr,
-		PeerAddr:    rm.PeerAddr,
-		InterfaceID: append([]byte(nil), rm.InterfaceID...),
-		Inner:       payload,
-	}, nil
+	return m.Decode(b)
+}
+
+// HandleRelay processes the wire bytes of a Relay-forward carrying a
+// possibly nested client message and returns the wire bytes of the
+// mirrored Relay-reply: hop count, addresses, and Interface-ID are
+// copied back at every layer so each relay can route the reply down its
+// access loop (RFC 8415 §19.2). It decodes the layers and the client
+// message into storage the server owns, and writes the reply, every
+// layer in one pass, into a buffer the server owns: the reply belongs
+// to the server until its next call.
+func (s *Server) HandleRelay(b []byte) ([]byte, error) {
+	s.layers = s.layers[:0]
+	for {
+		l, inner, err := decodeRelay(b)
+		if err != nil {
+			return nil, err
+		}
+		if l.typ() != RelayForw {
+			return nil, fmt.Errorf("dhcp6: HandleRelay on %v", l.typ())
+		}
+		s.layers = append(s.layers, l)
+		b = inner
+		if !IsRelay(b) {
+			break
+		}
+	}
+	if err := s.relayed.Decode(b); err != nil {
+		return nil, err
+	}
+	rep, err := s.Handle(&s.relayed)
+	if err != nil {
+		return nil, err
+	}
+	out := s.relayOut[:0]
+	for _, l := range s.layers {
+		hdr := [relayHeaderLen]byte(l.hdr)
+		hdr[0] = byte(RelayRepl)
+		out = appendLayer(out, &hdr, l.iid)
+	}
+	out = rep.Append(out)
+	fillLengths(out, len(s.layers))
+	s.relayOut = out
+	return out, nil
 }

@@ -91,6 +91,15 @@ type Server struct {
 	pool     *addrpool.Pool[netip.Prefix, string]
 	byClient map[string]Binding
 	offers   map[string]netip.Prefix
+
+	rep Message // the reply Handle builds and returns
+	acq Message // Acquire's request
+
+	// HandleRelay's storage: the layers of the Relay-forward, the
+	// client message they carry, and the Relay-reply's wire bytes.
+	layers   []relayLayer
+	relayed  Message
+	relayOut []byte
 }
 
 // NewServer builds a Server. It panics on configuration bugs: no pools,
@@ -160,32 +169,49 @@ func (s *Server) bind(client string, p netip.Prefix) Binding {
 	return b
 }
 
-func (s *Server) reply(req *Message, mt MessageType, ia IAPD) *Message {
-	rep := NewMessage(mt, req.TxnID, req.ClientID)
+// reply builds a reply of type mt to req in the server's reply message,
+// carrying the server ID and one IA_PD for iaid, which it returns for
+// the caller to fill.
+//
+//lint:hotpath
+func (s *Server) reply(req *Message, mt MessageType, iaid uint32) (*Message, *IAPD) {
+	rep := &s.rep
+	rep.Reset(mt, req.TxnID, req.ClientID)
 	rep.ServerID = s.cfg.ServerDUID
-	rep.IAPDs = []IAPD{ia}
+	ia := rep.addIAPD()
+	ia.IAID = iaid
+	return rep, ia
+}
+
+// success builds a reply delegating p, with T1 and T2 at 50% and 80% of
+// the valid lifetime.
+//
+//lint:hotpath
+func (s *Server) success(req *Message, mt MessageType, iaid uint32, p netip.Prefix) *Message {
+	rep, ia := s.reply(req, mt, iaid)
+	ia.T1 = s.cfg.ValidSeconds / 2
+	ia.T2 = s.cfg.ValidSeconds * 4 / 5
+	ia.Prefixes = append(ia.Prefixes, IAPrefix{
+		Preferred: s.cfg.ValidSeconds,
+		Valid:     s.cfg.ValidSeconds,
+		Prefix:    p,
+	})
 	return rep
 }
 
-func (s *Server) iaSuccess(p netip.Prefix, iaid uint32) IAPD {
-	return IAPD{
-		IAID: iaid,
-		T1:   s.cfg.ValidSeconds / 2,
-		T2:   s.cfg.ValidSeconds * 4 / 5,
-		Prefixes: []IAPrefix{{
-			Preferred: s.cfg.ValidSeconds,
-			Valid:     s.cfg.ValidSeconds,
-			Prefix:    p,
-		}},
-	}
-}
-
-func (s *Server) iaStatus(iaid uint32, status uint16) IAPD {
-	return IAPD{IAID: iaid, Status: status, StatusOK: true}
+// status builds a reply whose IA_PD carries only a status code.
+//
+//lint:hotpath
+func (s *Server) status(req *Message, mt MessageType, iaid uint32, status uint16) *Message {
+	rep, ia := s.reply(req, mt, iaid)
+	ia.Status, ia.StatusOK = status, true
+	return rep
 }
 
 // Handle runs one request through the delegation state machine.
-// Release elicits a plain success Reply.
+// Release elicits a plain success Reply. The reply belongs to the
+// server until its next call: read it, or copy it, before handling
+// another message.
 func (s *Server) Handle(req *Message) (*Message, error) {
 	if len(req.ClientID) == 0 {
 		return nil, errors.New("dhcp6: request missing client ID")
@@ -200,17 +226,17 @@ func (s *Server) Handle(req *Message) (*Message, error) {
 		s.stats.Solicits++
 		p, err := s.candidate(client)
 		if err != nil {
-			return s.reply(req, Advertise, s.iaStatus(iaid, StatusNoPrefixAvail)), nil
+			return s.status(req, Advertise, iaid, StatusNoPrefixAvail), nil
 		}
 		if req.RapidCommit {
 			// Two-message exchange: commit immediately (§18.2.1).
 			b := s.bind(client, p)
-			rep := s.reply(req, Reply, s.iaSuccess(b.Prefix, iaid))
+			rep := s.success(req, Reply, iaid, b.Prefix)
 			rep.RapidCommit = true
 			return rep, nil
 		}
 		s.offers[client] = p
-		return s.reply(req, Advertise, s.iaSuccess(p, iaid)), nil
+		return s.success(req, Advertise, iaid, p), nil
 
 	case Confirm:
 		// The CPE rebooted and asks whether its delegation is still
@@ -220,9 +246,9 @@ func (s *Server) Handle(req *Message) (*Message, error) {
 			have = req.IAPDs[0].Prefixes[0].Prefix
 		}
 		if b, ok := s.byClient[client]; ok && have.IsValid() && b.Prefix == have {
-			return s.reply(req, Reply, s.iaStatus(iaid, StatusSuccess)), nil
+			return s.status(req, Reply, iaid, StatusSuccess), nil
 		}
-		return s.reply(req, Reply, s.iaStatus(iaid, StatusNotOnLink)), nil
+		return s.status(req, Reply, iaid, StatusNotOnLink), nil
 
 	case Request:
 		s.stats.Requests++
@@ -236,27 +262,27 @@ func (s *Server) Handle(req *Message) (*Message, error) {
 		}
 		if !offered {
 			s.stats.NoBindings++
-			return s.reply(req, Reply, s.iaStatus(iaid, StatusNoBinding)), nil
+			return s.status(req, Reply, iaid, StatusNoBinding), nil
 		}
 		if cur, held := s.pool.Holder(want); held && cur != client {
-			return s.reply(req, Reply, s.iaStatus(iaid, StatusNoPrefixAvail)), nil
+			return s.status(req, Reply, iaid, StatusNoPrefixAvail), nil
 		}
 		b := s.bind(client, want)
-		return s.reply(req, Reply, s.iaSuccess(b.Prefix, iaid)), nil
+		return s.success(req, Reply, iaid, b.Prefix), nil
 
 	case Renew, Rebind:
 		s.stats.Renews++
 		b, ok := s.byClient[client]
 		if !ok {
 			s.stats.NoBindings++
-			return s.reply(req, Reply, s.iaStatus(iaid, StatusNoBinding)), nil
+			return s.status(req, Reply, iaid, StatusNoBinding), nil
 		}
 		b = s.bind(client, b.Prefix)
-		return s.reply(req, Reply, s.iaSuccess(b.Prefix, iaid)), nil
+		return s.success(req, Reply, iaid, b.Prefix), nil
 
 	case Release:
 		s.release(client)
-		return s.reply(req, Reply, s.iaStatus(iaid, StatusSuccess)), nil
+		return s.status(req, Reply, iaid, StatusSuccess), nil
 
 	default:
 		return nil, fmt.Errorf("dhcp6: unhandled message type %v", req.Type)
@@ -264,18 +290,23 @@ func (s *Server) Handle(req *Message) (*Message, error) {
 }
 
 // Acquire runs the Solicit/Advertise/Request/Reply exchange and returns the
-// delegated prefix. It is the ISP simulator's programmatic entry point.
+// delegated prefix. It is the ISP simulator's programmatic entry point; it
+// builds both requests in one message the server keeps.
 func (s *Server) Acquire(client DUID, txn uint32) (Binding, error) {
-	adv, err := s.Handle(NewMessage(Solicit, txn, client))
+	req := &s.acq
+	req.Reset(Solicit, txn, client)
+	adv, err := s.Handle(req)
 	if err != nil {
 		return Binding{}, err
 	}
 	if len(adv.IAPDs) == 0 || len(adv.IAPDs[0].Prefixes) == 0 {
 		return Binding{}, ErrPoolExhausted
 	}
-	req := NewMessage(Request, txn, client)
+	req.Reset(Request, txn, client)
 	req.ServerID = adv.ServerID
-	req.IAPDs = []IAPD{{IAID: adv.IAPDs[0].IAID, Prefixes: adv.IAPDs[0].Prefixes}}
+	ia := req.addIAPD()
+	ia.IAID = adv.IAPDs[0].IAID
+	ia.Prefixes = append(ia.Prefixes, adv.IAPDs[0].Prefixes...)
 	rep, err := s.Handle(req)
 	if err != nil {
 		return Binding{}, err

@@ -512,6 +512,7 @@ func (s *sim) accessOverLink(sub *Subscriber, srv *radius.Server) (netip.Addr, b
 		binary.BigEndian.PutUint64(req.Authenticator[0:8], cs.Uint64())
 		binary.BigEndian.PutUint64(req.Authenticator[8:16], cs.Uint64())
 		req.AddString(radius.AttrUserName, sub.user)
+		// Holding rep is safe: every copy lands at one second, a duplicate served from rep's entry.
 		var rep *radius.Packet
 		v := link.Exchange(nowMS, radius.NewRetransmitter(cs), func(int) {
 			if r, err := srv.Handle(req, s.clock.sec); err == nil && rep == nil {

@@ -7,11 +7,6 @@
 // scenario-scheduled operator events.
 package radius
 
-import (
-	"crypto/md5"
-	"encoding/binary"
-)
-
 // RFC 5176 §3 packet codes.
 const (
 	DisconnectRequest Code = 40
@@ -33,95 +28,85 @@ const (
 	ErrCauseResourceUnavailable uint32 = 506
 )
 
-// EncodeRequest serializes a server-originated request (CoA-Request,
-// Disconnect-Request, or Accounting-Request) and fills in its Request
-// Authenticator: MD5 over the packet with a zeroed authenticator field
-// followed by the shared secret (RFC 5176 §3, same construction as
+// AppendRequest appends a server-originated request (CoA-Request,
+// Disconnect-Request, or Accounting-Request) to dst and fills in its
+// Request Authenticator: MD5 over the packet with a zeroed authenticator
+// field followed by the shared secret (RFC 5176 §3, same construction as
 // RFC 2866 §3). The computed authenticator is stored on p so a
 // retransmission reuses it byte-identically.
-func (p *Packet) EncodeRequest(secret []byte) []byte {
-	attrs := p.attrBytes()
-	b := make([]byte, 20+len(attrs))
-	b[0] = byte(p.Code)
-	b[1] = p.Identifier
-	binary.BigEndian.PutUint16(b[2:], uint16(len(b)))
-	// bytes 4..20 stay zero for the digest
-	copy(b[20:], attrs)
-	h := md5.New()
-	h.Write(b)
-	h.Write(secret)
-	sum := h.Sum(nil)
-	copy(b[4:20], sum)
-	copy(p.Authenticator[:], sum)
-	return b
+//
+//lint:hotpath
+func (p *Packet) AppendRequest(dst []byte, secret []byte) []byte {
+	return p.appendSigned(dst, &[16]byte{}, secret)
 }
+
+// EncodeRequest serializes a server-originated request (AppendRequest to
+// nil).
+func (p *Packet) EncodeRequest(secret []byte) []byte { return p.AppendRequest(nil, secret) }
 
 // VerifyRequest checks a server-originated request's Request
 // Authenticator against the shared secret.
 func VerifyRequest(req []byte, secret []byte) error {
-	if len(req) < 20 {
-		return ErrShortPacket
-	}
-	var got [16]byte
-	copy(got[:], req[4:20])
-	scratch := append([]byte(nil), req...)
-	for i := 4; i < 20; i++ {
-		scratch[i] = 0
-	}
-	h := md5.New()
-	h.Write(scratch)
-	h.Write(secret)
-	if [16]byte(h.Sum(nil)) != got {
-		return ErrBadAuth
-	}
-	return nil
+	return verify(req, &[16]byte{}, secret)
 }
 
-// nakWithCause builds a NAK reply carrying an Error-Cause.
-func nakWithCause(code Code, id byte, cause uint32) *Packet {
-	rep := New(code, id)
+// nakWithCause fills rep with a NAK reply carrying an Error-Cause.
+//
+//lint:hotpath
+func nakWithCause(rep *Packet, code Code, id byte, cause uint32) {
+	rep.Reset(code, id)
 	rep.AddU32(AttrErrorCause, cause)
-	return rep
 }
 
-// handleDisconnect processes one first-seen Disconnect-Request: the
-// named user's session is torn down and its addresses freed, forcing the
-// subscriber through a full reattach (§2.2's operator-driven changes).
-func (s *Server) handleDisconnect(req *Packet) *Packet {
-	user, ok := req.GetString(AttrUserName)
-	if !ok || user == "" {
+// handleDisconnect processes one first-seen Disconnect-Request into rep:
+// the named user's session is torn down and its addresses freed, forcing
+// the subscriber through a full reattach (§2.2's operator-driven
+// changes).
+//
+//lint:hotpath
+func (s *Server) handleDisconnect(req, rep *Packet) {
+	user, ok := req.Get(AttrUserName)
+	if !ok || len(user) == 0 {
 		s.stats.DynauthNAKs++
-		return nakWithCause(DisconnectNAK, req.Identifier, ErrCauseMissingAttribute)
+		nakWithCause(rep, DisconnectNAK, req.Identifier, ErrCauseMissingAttribute)
+		return
 	}
 	id, ok := s.live(user)
 	if !ok {
 		s.stats.DynauthNAKs++
-		return nakWithCause(DisconnectNAK, req.Identifier, ErrCauseSessionNotFound)
+		nakWithCause(rep, DisconnectNAK, req.Identifier, ErrCauseSessionNotFound)
+		return
 	}
 	s.StopSession(id)
-	return New(DisconnectACK, req.Identifier)
+	rep.Reset(DisconnectACK, req.Identifier)
 }
 
-// handleCoA processes one first-seen CoA-Request: the named user's live
-// session is re-authorized with freshly allocated addresses — the
-// mid-lease renumbering a RADIUS operator forces without disconnecting
-// the subscriber. The ACK carries the new Framed-IP-Address and, when
-// the server delegates IPv6, the new Delegated-IPv6-Prefix.
-func (s *Server) handleCoA(req *Packet) *Packet {
-	user, ok := req.GetString(AttrUserName)
-	if !ok || user == "" {
+// handleCoA processes one first-seen CoA-Request into rep: the named
+// user's live session is re-authorized with freshly allocated addresses
+// — the mid-lease renumbering a RADIUS operator forces without
+// disconnecting the subscriber. The ACK carries the new
+// Framed-IP-Address and, when the server delegates IPv6, the new
+// Delegated-IPv6-Prefix.
+//
+//lint:hotpath
+func (s *Server) handleCoA(req, rep *Packet) {
+	user, ok := req.Get(AttrUserName)
+	if !ok || len(user) == 0 {
 		s.stats.DynauthNAKs++
-		return nakWithCause(CoANAK, req.Identifier, ErrCauseMissingAttribute)
+		nakWithCause(rep, CoANAK, req.Identifier, ErrCauseMissingAttribute)
+		return
 	}
 	id, ok := s.live(user)
 	if !ok {
 		s.stats.DynauthNAKs++
-		return nakWithCause(CoANAK, req.Identifier, ErrCauseSessionNotFound)
+		nakWithCause(rep, CoANAK, req.Identifier, ErrCauseSessionNotFound)
+		return
 	}
 	sess, err := s.StartSession(id)
 	if err != nil {
 		s.stats.DynauthNAKs++
-		return nakWithCause(CoANAK, req.Identifier, ErrCauseResourceUnavailable)
+		nakWithCause(rep, CoANAK, req.Identifier, ErrCauseResourceUnavailable)
+		return
 	}
-	return s.grant(CoAACK, req.Identifier, sess)
+	s.grant(rep, CoAACK, req.Identifier, sess)
 }

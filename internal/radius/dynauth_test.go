@@ -53,7 +53,7 @@ func TestDynauthWireRoundTrip(t *testing.T) {
 			if got.Code != req.Code || got.Identifier != req.Identifier {
 				t.Fatalf("header mismatch: %v/%d vs %v/%d", got.Code, got.Identifier, req.Code, req.Identifier)
 			}
-			if u, _ := got.GetString(AttrUserName); u == "" {
+			if u, _ := got.Get(AttrUserName); len(u) == 0 {
 				t.Fatal("User-Name lost in transit")
 			}
 			// Retransmission must re-encode byte-identically (the
@@ -226,11 +226,13 @@ func TestDynauthReplayCache(t *testing.T) {
 
 // FuzzDynauth is the native fuzz target for the RFC 5176 paths: parsed
 // packets of any shape dispatched as CoA/Disconnect must never panic,
-// and VerifyRequest must reject arbitrary mutations.
+// and VerifyRequest must reject arbitrary mutations. A request decoded
+// into a packet that held another one must match a fresh decode.
 func FuzzDynauth(f *testing.F) {
 	seedReq := New(CoARequest, 5)
 	seedReq.AddString(AttrUserName, "sub")
-	f.Add(seedReq.EncodeRequest([]byte("s3cret")))
+	seed := seedReq.EncodeRequest([]byte("s3cret"))
+	f.Add(seed)
 	d := New(DisconnectRequest, 6)
 	d.AddString(AttrUserName, "nobody")
 	f.Add(d.EncodeRequest([]byte("s3cret")))
@@ -238,7 +240,10 @@ func FuzzDynauth(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		VerifyRequest(b, []byte("s3cret")) //nolint:errcheck // errors are expected
 		p, err := Parse(b)
-		if err != nil {
+		if err := sameDecode(seed, b, err, p); err != nil {
+			t.Fatal(err)
+		}
+		if p == nil {
 			return
 		}
 		s := NewServer(ServerConfig{

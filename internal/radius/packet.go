@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 )
 
 // Code is the RADIUS packet code.
@@ -60,7 +61,7 @@ const (
 // AcctStop is the RFC 2866 Acct-Status-Type value that ends a session.
 const AcctStop uint32 = 2
 
-// Errors returned by Parse.
+// Errors returned by Decode and Parse.
 var (
 	ErrShortPacket  = errors.New("radius: packet too short")
 	ErrBadLength    = errors.New("radius: bad length field")
@@ -68,69 +69,98 @@ var (
 	ErrBadAuth      = errors.New("radius: response authenticator mismatch")
 )
 
-// Attribute is one TLV.
-type Attribute struct {
-	Type  byte
-	Value []byte
-}
-
-// Packet is a RADIUS packet.
+// Packet is a RADIUS packet. It owns its attributes: they are kept in
+// their wire form (type, length, value) in one buffer that Reset empties
+// for reuse, so a packet that is reset or decoded into again allocates
+// nothing once that buffer has grown.
 type Packet struct {
 	Code          Code
 	Identifier    byte
 	Authenticator [16]byte
-	Attributes    []Attribute
+	attrs         []byte
 }
+
+// maxAttrLen is the longest attribute value: an attribute's length octet
+// counts its two header octets too (RFC 2865 §5).
+const maxAttrLen = 253
+
+// maxPacketLen is RFC 2865 §3's maximum packet length.
+const maxPacketLen = 4096
 
 // New builds a packet with the given code and identifier.
 func New(code Code, id byte) *Packet {
 	return &Packet{Code: code, Identifier: id}
 }
 
-// Add appends a raw attribute.
-func (p *Packet) Add(t byte, v []byte) { p.Attributes = append(p.Attributes, Attribute{t, v}) }
-
-// AddString appends a text attribute (e.g. User-Name).
-func (p *Packet) AddString(t byte, s string) { p.Add(t, []byte(s)) }
-
-// AddU32 appends a 32-bit integer attribute (e.g. Session-Timeout).
-func (p *Packet) AddU32(t byte, v uint32) {
-	b := make([]byte, 4)
-	binary.BigEndian.PutUint32(b, v)
-	p.Add(t, b)
+// Reset empties the packet for reuse with the given code and identifier,
+// keeping its attribute buffer.
+//
+//lint:hotpath
+func (p *Packet) Reset(code Code, id byte) {
+	*p = Packet{Code: code, Identifier: id, attrs: p.attrs[:0]}
 }
 
+// grow appends attribute t with an n-byte zero value and returns the
+// value for the caller to fill. It extends the buffer in place rather
+// than appending a make'd slice, which allocates under the race
+// detector.
+//
+//lint:hotpath
+func (p *Packet) grow(t byte, n int) []byte {
+	if n > maxAttrLen {
+		panic(fmt.Sprintf("radius: attribute %d value too long (%d bytes)", t, n))
+	}
+	p.attrs = append(p.attrs, t, byte(n+2))
+	p.attrs = slices.Grow(p.attrs, n)[:len(p.attrs)+n]
+	v := p.attrs[len(p.attrs)-n:]
+	clear(v)
+	return v
+}
+
+// Add appends a raw attribute, copying v.
+//
+//lint:hotpath
+func (p *Packet) Add(t byte, v []byte) { copy(p.grow(t, len(v)), v) }
+
+// AddString appends a text attribute (e.g. User-Name).
+//
+//lint:hotpath
+func (p *Packet) AddString(t byte, s string) { copy(p.grow(t, len(s)), s) }
+
+// AddU32 appends a 32-bit integer attribute (e.g. Session-Timeout).
+//
+//lint:hotpath
+func (p *Packet) AddU32(t byte, v uint32) { binary.BigEndian.PutUint32(p.grow(t, 4), v) }
+
 // AddAddr4 appends an IPv4 address attribute (e.g. Framed-IP-Address).
+//
+//lint:hotpath
 func (p *Packet) AddAddr4(t byte, a netip.Addr) {
 	v4 := a.Unmap().As4()
-	p.Add(t, v4[:])
+	copy(p.grow(t, 4), v4[:])
 }
 
 // AddPrefix6 appends an IPv6 prefix attribute in RFC 3162 §2.3 format
 // (reserved byte, prefix length, prefix bytes).
+//
+//lint:hotpath
 func (p *Packet) AddPrefix6(t byte, pre netip.Prefix) {
 	nBytes := (pre.Bits() + 7) / 8
-	v := make([]byte, 2+nBytes)
+	v := p.grow(t, 2+nBytes)
 	v[1] = byte(pre.Bits())
 	a16 := pre.Addr().As16()
 	copy(v[2:], a16[:nBytes])
-	p.Add(t, v)
 }
 
-// Get returns the first attribute of the given type.
+// Get returns the first attribute of the given type. The value is the
+// packet's own, valid until the packet is next reset or decoded into.
 func (p *Packet) Get(t byte) ([]byte, bool) {
-	for _, a := range p.Attributes {
-		if a.Type == t {
-			return a.Value, true
+	for b := p.attrs; len(b) >= 2; b = b[b[1]:] {
+		if b[0] == t {
+			return b[2:b[1]:b[1]], true
 		}
 	}
 	return nil, false
-}
-
-// GetString fetches a text attribute.
-func (p *Packet) GetString(t byte) (string, bool) {
-	v, ok := p.Get(t)
-	return string(v), ok
 }
 
 // GetU32 fetches a 32-bit integer attribute.
@@ -170,90 +200,108 @@ func (p *Packet) GetPrefix6(t byte) (netip.Prefix, bool) {
 	return pre, true
 }
 
-func (p *Packet) attrBytes() []byte {
-	var b []byte
-	for _, a := range p.Attributes {
-		if len(a.Value) > 253 {
-			panic(fmt.Sprintf("radius: attribute %d value too long (%d bytes)", a.Type, len(a.Value)))
-		}
-		b = append(b, a.Type, byte(len(a.Value)+2))
-		b = append(b, a.Value...)
-	}
-	return b
+// appendWire appends the packet's wire form with auth in its
+// authenticator field.
+//
+//lint:hotpath
+func (p *Packet) appendWire(dst []byte, auth *[16]byte) []byte {
+	n := 20 + len(p.attrs)
+	dst = append(dst, byte(p.Code), p.Identifier, byte(n>>8), byte(n))
+	dst = append(dst, auth[:]...)
+	return append(dst, p.attrs...)
 }
+
+// Append appends the packet's wire form, with its current
+// authenticator, to dst.
+//
+//lint:hotpath
+func (p *Packet) Append(dst []byte) []byte { return p.appendWire(dst, &p.Authenticator) }
 
 // Encode serializes the packet with its current authenticator.
-func (p *Packet) Encode() []byte {
-	attrs := p.attrBytes()
-	b := make([]byte, 20+len(attrs))
-	b[0] = byte(p.Code)
-	b[1] = p.Identifier
-	binary.BigEndian.PutUint16(b[2:], uint16(len(b)))
-	copy(b[4:20], p.Authenticator[:])
-	copy(b[20:], attrs)
-	return b
+func (p *Packet) Encode() []byte { return p.Append(nil) }
+
+// appendSigned appends the packet's wire form with auth in its
+// authenticator field, then replaces that field, and p's Authenticator,
+// with MD5 over the packet followed by secret. The secret is appended in
+// dst's spare capacity, which is grown first, so hashing copies nothing
+// and a reused dst is not reallocated.
+//
+//lint:hotpath
+func (p *Packet) appendSigned(dst []byte, auth *[16]byte, secret []byte) []byte {
+	start := len(dst)
+	dst = p.appendWire(slices.Grow(dst, 20+len(p.attrs)+len(secret)), auth)
+	p.Authenticator = md5.Sum(append(dst, secret...)[start:])
+	copy(dst[start+4:start+20], p.Authenticator[:])
+	return dst
 }
 
-// EncodeResponse serializes a reply to request, computing the RFC 2865 §3
-// response authenticator MD5(Code+ID+Length+RequestAuth+Attributes+Secret).
+// AppendResponse appends a reply to request to dst, computing the RFC
+// 2865 §3 response authenticator
+// MD5(Code+ID+Length+RequestAuth+Attributes+Secret).
+//
+//lint:hotpath
+func (p *Packet) AppendResponse(dst []byte, request *Packet, secret []byte) []byte {
+	return p.appendSigned(dst, &request.Authenticator, secret)
+}
+
+// EncodeResponse serializes a reply to request (AppendResponse to nil).
 func (p *Packet) EncodeResponse(request *Packet, secret []byte) []byte {
-	attrs := p.attrBytes()
-	b := make([]byte, 20+len(attrs))
-	b[0] = byte(p.Code)
-	b[1] = p.Identifier
-	binary.BigEndian.PutUint16(b[2:], uint16(len(b)))
-	copy(b[4:20], request.Authenticator[:])
-	copy(b[20:], attrs)
-	h := md5.New()
-	h.Write(b)
-	h.Write(secret)
-	sum := h.Sum(nil)
-	copy(b[4:20], sum)
-	copy(p.Authenticator[:], sum)
-	return b
+	return p.AppendResponse(nil, request, secret)
 }
 
-// VerifyResponse checks a reply's response authenticator against the
-// originating request and shared secret.
-func VerifyResponse(reply []byte, request *Packet, secret []byte) error {
-	if len(reply) < 20 {
+// verify checks wire's authenticator field against MD5 over wire, with
+// auth in place of that field, followed by secret. It hashes a copy on
+// the stack, unless the packet and secret outgrow RFC 2865's largest
+// packet.
+func verify(wire []byte, auth *[16]byte, secret []byte) error {
+	if len(wire) < 20 {
 		return ErrShortPacket
 	}
-	var got [16]byte
-	copy(got[:], reply[4:20])
-	scratch := append([]byte(nil), reply...)
-	copy(scratch[4:20], request.Authenticator[:])
-	h := md5.New()
-	h.Write(scratch)
-	h.Write(secret)
-	if [16]byte(h.Sum(nil)) != got {
+	var stack [maxPacketLen]byte
+	b := append(append(stack[:0], wire[:4]...), auth[:]...)
+	b = append(append(b, wire[20:]...), secret...)
+	if md5.Sum(b) != [16]byte(wire[4:20]) {
 		return ErrBadAuth
 	}
 	return nil
 }
 
-// Parse decodes a wire-format packet.
-func Parse(b []byte) (*Packet, error) {
+// VerifyResponse checks a reply's response authenticator against the
+// originating request and shared secret.
+func VerifyResponse(reply []byte, request *Packet, secret []byte) error {
+	return verify(reply, &request.Authenticator, secret)
+}
+
+// Decode fills p from a wire-format packet, copying its attributes into
+// p's own buffer. On error p is left unchanged.
+func (p *Packet) Decode(b []byte) error {
 	if len(b) < 20 {
-		return nil, fmt.Errorf("%w: %d bytes", ErrShortPacket, len(b))
+		return fmt.Errorf("%w: %d bytes", ErrShortPacket, len(b))
 	}
 	length := int(binary.BigEndian.Uint16(b[2:]))
 	if length < 20 || length > len(b) {
-		return nil, fmt.Errorf("%w: claims %d of %d bytes", ErrBadLength, length, len(b))
+		return fmt.Errorf("%w: claims %d of %d bytes", ErrBadLength, length, len(b))
 	}
-	p := &Packet{Code: Code(b[0]), Identifier: b[1]}
-	copy(p.Authenticator[:], b[4:20])
-	rest := b[20:length]
-	for len(rest) > 0 {
+	attrs := b[20:length]
+	for rest := attrs; len(rest) > 0; rest = rest[rest[1]:] {
 		if len(rest) < 2 {
-			return nil, fmt.Errorf("%w: truncated header", ErrBadAttribute)
+			return fmt.Errorf("%w: truncated header", ErrBadAttribute)
 		}
-		l := int(rest[1])
-		if l < 2 || l > len(rest) {
-			return nil, fmt.Errorf("%w: type %d length %d", ErrBadAttribute, rest[0], l)
+		if l := int(rest[1]); l < 2 || l > len(rest) {
+			return fmt.Errorf("%w: type %d length %d", ErrBadAttribute, rest[0], l)
 		}
-		p.Add(rest[0], append([]byte(nil), rest[2:l]...))
-		rest = rest[l:]
+	}
+	p.Code, p.Identifier = Code(b[0]), b[1]
+	p.Authenticator = [16]byte(b[4:20])
+	p.attrs = append(p.attrs[:0], attrs...)
+	return nil
+}
+
+// Parse decodes a wire-format packet into a new Packet.
+func Parse(b []byte) (*Packet, error) {
+	p := new(Packet)
+	if err := p.Decode(b); err != nil {
+		return nil, err
 	}
 	return p, nil
 }

@@ -33,7 +33,7 @@ func TestPacketRoundTrip(t *testing.T) {
 	if got.Code != AccessAccept || got.Identifier != 42 {
 		t.Errorf("header: %+v", got)
 	}
-	if u, _ := got.GetString(AttrUserName); u != "cpe-0001" {
+	if u, _ := got.Get(AttrUserName); string(u) != "cpe-0001" {
 		t.Errorf("user = %q", u)
 	}
 	if a, _ := got.GetAddr4(AttrFramedIPAddress); a != netip.MustParseAddr("81.10.0.7") {
@@ -59,9 +59,9 @@ func TestPacketRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		gu, _ := got.GetString(AttrUserName)
+		gu, _ := got.Get(AttrUserName)
 		gv, _ := got.GetU32(AttrSessionTimeout)
-		return got.Identifier == id && gu == user && gv == v
+		return got.Identifier == id && string(gu) == user && gv == v
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

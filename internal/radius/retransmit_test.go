@@ -2,6 +2,7 @@ package radius
 
 import (
 	"bytes"
+	"fmt"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -93,15 +94,50 @@ func TestDuplicateWindowExpiry(t *testing.T) {
 	s := newTestServer(86400, false)
 	req := accessReq(7, 0xaa, "slow-user")
 	a, _ := s.Handle(req, 100)
+	// The reply is the server's until its next call: read it now.
+	addrA, _ := a.GetAddr4(AttrFramedIPAddress)
 	// Past the 30 s window the same bytes are a new request again.
 	b, _ := s.Handle(req, 100+replayWindowSec)
-	addrA, _ := a.GetAddr4(AttrFramedIPAddress)
 	addrB, _ := b.GetAddr4(AttrFramedIPAddress)
 	if addrA == addrB {
 		t.Fatalf("expired duplicate still served cached address %v", addrA)
 	}
-	if len(s.replay) != 1 || len(s.replayQ) != 1 {
-		t.Fatalf("expired entries not pruned: map %d queue %d", len(s.replay), len(s.replayQ))
+	if len(s.replay) != 1 || s.tail-s.head != 1 {
+		t.Fatalf("expired entries not pruned: map %d ring %d", len(s.replay), s.tail-s.head)
+	}
+}
+
+// TestDuplicateAfterRingGrowth: a retransmission inside the window that
+// arrives after enough first-seen requests at the same second to make
+// the ring grow still gets the first reply's bytes and starts no
+// session; 30 s later the same request is handled afresh.
+func TestDuplicateAfterRingGrowth(t *testing.T) {
+	s := newTestServer(86400, true)
+	req := accessReq(7, 0xaa, "first")
+	rep, _ := s.Handle(req, 100)
+	first := rep.EncodeResponse(req, s.Secret())
+	addr, _ := rep.GetAddr4(AttrFramedIPAddress)
+	const others = 24
+	for i := 0; i < others; i++ {
+		s.Handle(accessReq(byte(i), byte(i), fmt.Sprintf("other%d", i)), 100)
+	}
+	if len(s.ring) <= others {
+		t.Fatalf("ring of %d entries holds %d live requests without growing", len(s.ring), others+1)
+	}
+	active := s.ActiveSessions()
+	again, _ := s.Handle(req, 129)
+	if got := again.EncodeResponse(req, s.Secret()); !bytes.Equal(got, first) {
+		t.Fatalf("retransmission after growth got %x, want the first reply %x", got, first)
+	}
+	if s.ActiveSessions() != active || s.Stats().ReplayHits != 1 {
+		t.Fatalf("retransmission: %d sessions (want %d), %d replay hits", s.ActiveSessions(), active, s.Stats().ReplayHits)
+	}
+	fresh, _ := s.Handle(req, 130)
+	if a, _ := fresh.GetAddr4(AttrFramedIPAddress); a == addr {
+		t.Fatalf("request 30 s later served the cached address %v", a)
+	}
+	if s.Stats().ReplayHits != 1 || s.Stats().AccessRequests != others+2 {
+		t.Fatalf("request 30 s later: %+v, want it handled afresh", s.Stats())
 	}
 }
 

@@ -67,10 +67,12 @@ type replayKey struct {
 	auth [16]byte
 }
 
+// replayEntry is one cached first-seen request: its key, the second it
+// arrived, and the reply, which the entry owns.
 type replayEntry struct {
 	key   replayKey
-	reply *Packet
 	at    int64
+	reply Packet
 }
 
 // ServerStats are a server's lifetime request totals. Plain sums: they
@@ -114,8 +116,14 @@ type Server struct {
 	sessions []slot // by user id
 	active   int    // live sessions
 
-	replay  map[replayKey]*replayEntry
-	replayQ []*replayEntry // insertion order, for window pruning
+	// The duplicate cache is a ring of entries held by value, in
+	// insertion order: entry number q, for head <= q < tail, is
+	// ring[q&(len(ring)-1)], and replay maps each cached request to its
+	// entry's number.
+	replay     map[replayKey]uint64
+	ring       []replayEntry
+	head, tail uint64
+	acct       Packet // the Accounting-Response
 
 	// Each held unit's holder is the id of the user whose session it is
 	// assigned to; pool6 is nil when the server delegates no IPv6.
@@ -144,7 +152,7 @@ func NewServer(cfg ServerConfig) *Server {
 	return &Server{
 		cfg:    cfg,
 		users:  make(map[string]int32),
-		replay: make(map[replayKey]*replayEntry),
+		replay: make(map[replayKey]uint64),
 		pool4:  pool4,
 		pool6:  pool6,
 	}
@@ -163,8 +171,10 @@ func (s *Server) User(name string) int32 {
 }
 
 // live returns the id of the named user, if it has a live session.
-func (s *Server) live(name string) (int32, bool) {
-	id, ok := s.users[name]
+//
+//lint:hotpath
+func (s *Server) live(name []byte) (int32, bool) {
+	id, ok := s.users[string(name)]
 	return id, ok && s.sessions[id].live
 }
 
@@ -241,50 +251,80 @@ func (s *Server) StopSession(id int32) {
 }
 
 // handleAccess authenticates and allocates for one first-seen
-// Access-Request, returning Access-Accept or Access-Reject.
-func (s *Server) handleAccess(req *Packet) *Packet {
-	user, ok := req.GetString(AttrUserName)
-	if !ok || user == "" {
-		return New(AccessReject, req.Identifier)
+// Access-Request, filling rep with Access-Accept or Access-Reject.
+func (s *Server) handleAccess(req, rep *Packet) {
+	user, ok := req.Get(AttrUserName)
+	if !ok || len(user) == 0 {
+		rep.Reset(AccessReject, req.Identifier)
+		return
 	}
-	sess, err := s.StartSession(s.User(user))
+	id, ok := s.users[string(user)]
+	if !ok {
+		id = s.User(string(user))
+	}
+	sess, err := s.StartSession(id)
 	if err != nil {
-		return New(AccessReject, req.Identifier)
+		rep.Reset(AccessReject, req.Identifier)
+		return
 	}
-	return s.grant(AccessAccept, req.Identifier, sess)
+	s.grant(rep, AccessAccept, req.Identifier, sess)
 }
 
-// grant builds an Access-Accept or CoA-ACK carrying sess's addresses and
-// the configured Session-Timeout.
-func (s *Server) grant(code Code, id byte, sess Session) *Packet {
-	rep := New(code, id)
+// grant fills rep with an Access-Accept or CoA-ACK carrying sess's
+// addresses and the configured Session-Timeout.
+//
+//lint:hotpath
+func (s *Server) grant(rep *Packet, code Code, id byte, sess Session) {
+	rep.Reset(code, id)
 	rep.AddAddr4(AttrFramedIPAddress, sess.Addr4)
 	rep.AddU32(AttrSessionTimeout, s.cfg.SessionTimeout)
 	if sess.Prefix6.IsValid() {
 		rep.AddPrefix6(AttrDelegatedIPv6Prefix, sess.Prefix6)
 	}
-	return rep
 }
 
-// cacheReply records a first-seen request's reply for RFC 5080 §2.2.2
-// duplicate detection and prunes entries past the window.
-func (s *Server) cacheReply(key replayKey, rep *Packet, now int64) {
-	e := &replayEntry{key: key, reply: rep, at: now}
-	s.replay[key] = e
-	s.replayQ = append(s.replayQ, e)
-	for len(s.replayQ) > 0 && now-s.replayQ[0].at >= replayWindowSec {
-		old := s.replayQ[0]
-		s.replayQ = s.replayQ[1:]
+// entry returns ring entry number q.
+//
+//lint:hotpath
+func (s *Server) entry(q uint64) *replayEntry { return &s.ring[q&uint64(len(s.ring)-1)] }
+
+// remember takes a ring entry for a first-seen request arriving at now,
+// for RFC 5080 §2.2.2 duplicate detection, and returns its reply for the
+// caller to fill. Entries past the window expire first, oldest first;
+// the ring grows only when every entry is still inside the window.
+//
+//lint:hotpath
+func (s *Server) remember(key replayKey, now int64) *Packet {
+	for s.head < s.tail {
+		old := s.entry(s.head)
+		if now-old.at < replayWindowSec {
+			break
+		}
 		// A key re-inserted after expiry owns a newer entry; only
-		// drop the mapping the stale queue slot still owns.
-		if s.replay[old.key] == old {
+		// drop the mapping the expiring entry still owns.
+		if q, ok := s.replay[old.key]; ok && q == s.head {
 			delete(s.replay, old.key)
 		}
+		s.head++
 	}
+	if s.tail-s.head == uint64(len(s.ring)) {
+		ring := make([]replayEntry, max(2*len(s.ring), 16))
+		for q := s.head; q < s.tail; q++ {
+			ring[q&uint64(len(ring)-1)] = *s.entry(q)
+		}
+		s.ring = ring
+	}
+	e := s.entry(s.tail)
+	e.key, e.at = key, now
+	s.replay[key] = s.tail
+	s.tail++
+	return &e.reply
 }
 
 // Handle processes one RADIUS packet and returns the reply (nil for
-// unhandled codes). now is the current time in seconds.
+// unhandled codes). now is the current time in seconds. The reply
+// belongs to the server until its next call: read it, or copy it,
+// before handling another packet.
 //
 // A retransmitted request — same Identifier and Request Authenticator
 // within the duplicate window — returns the cached reply without
@@ -296,37 +336,39 @@ func (s *Server) Handle(req *Packet, now int64) (*Packet, error) {
 	switch req.Code {
 	case AccessRequest, CoARequest, DisconnectRequest:
 		key := replayKey{id: req.Identifier, auth: req.Authenticator}
-		if e, ok := s.replay[key]; ok && now-e.at < replayWindowSec {
-			s.stats.ReplayHits++
-			return e.reply, nil
+		if q, ok := s.replay[key]; ok {
+			if e := s.entry(q); now-e.at < replayWindowSec {
+				s.stats.ReplayHits++
+				return &e.reply, nil
+			}
 		}
-		var rep *Packet
+		rep := s.remember(key, now)
 		switch req.Code {
 		case AccessRequest:
 			s.stats.AccessRequests++
-			rep = s.handleAccess(req)
+			s.handleAccess(req, rep)
 			if rep.Code == AccessReject {
 				s.stats.Rejects++
 			}
 		case CoARequest:
 			s.stats.CoARequests++
-			rep = s.handleCoA(req)
+			s.handleCoA(req, rep)
 		case DisconnectRequest:
 			s.stats.Disconnects++
-			rep = s.handleDisconnect(req)
+			s.handleDisconnect(req, rep)
 		}
-		s.cacheReply(key, rep, now)
 		return rep, nil
 
 	case AccountingRequest:
 		if st, ok := req.GetU32(AttrAcctStatusType); ok && st == AcctStop {
-			if user, ok := req.GetString(AttrUserName); ok {
-				if id, ok := s.users[user]; ok {
+			if user, ok := req.Get(AttrUserName); ok {
+				if id, ok := s.users[string(user)]; ok {
 					s.StopSession(id)
 				}
 			}
 		}
-		return New(AccountingResponse, req.Identifier), nil
+		s.acct.Reset(AccountingResponse, req.Identifier)
+		return &s.acct, nil
 
 	default:
 		return nil, fmt.Errorf("radius: unhandled code %v", req.Code)

@@ -192,8 +192,8 @@ if awk -v p="$pct" -v f="$SKETCH_COVERAGE_FLOOR" 'BEGIN{exit !(p < f)}'; then
 	exit 1
 fi
 
-echo "==> bng engine stage benchmark (one iteration, so it keeps running)"
-go test ./internal/bng -run '^$' -bench '^BenchmarkEngineAdvance$' -benchtime 1x
+echo "==> bng engine stage benchmark (one iteration, so it keeps running; allocs/op shown, not bounded)"
+go test ./internal/bng -run '^$' -bench '^BenchmarkEngineAdvance$' -benchtime 1x -benchmem
 
 echo "==> CDN stream stage benchmarks (one iteration each, so they keep running)"
 go test ./internal/cdn/stream -run '^$' -bench 'GenerateUnits|GenerateTail|Partition|ShardUnit|Reduce' -benchtime 1x
