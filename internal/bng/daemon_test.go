@@ -346,7 +346,7 @@ func TestHTTPAPI(t *testing.T) {
 	})
 
 	t.Run("method-not-allowed", func(t *testing.T) {
-		for _, path := range []string{"/stats", "/pools", "/sessions"} {
+		for _, path := range []string{"/stats", "/pools", "/sessions", "/ha", "/snapshot", "/sketch"} {
 			resp, err := srv.Client().Post(srv.URL+path, "text/plain", bytes.NewReader(nil))
 			if err != nil {
 				t.Fatal(err)
@@ -355,6 +355,14 @@ func TestHTTPAPI(t *testing.T) {
 			resp.Body.Close()
 			if resp.StatusCode != 405 {
 				t.Errorf("POST %s: status %d, want 405", path, resp.StatusCode)
+			}
+			// A GET route answers HEAD too.
+			if resp, err = srv.Client().Head(srv.URL + path); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != 200 {
+				t.Errorf("HEAD %s: status %d, want 200", path, resp.StatusCode)
 			}
 		}
 	})

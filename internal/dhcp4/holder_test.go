@@ -2,6 +2,7 @@ package dhcp4
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -9,16 +10,35 @@ import (
 	"dynamips/internal/netutil"
 )
 
+// leased returns the address of hw's lease, if its record has one.
+func leased(s *Server, hw HWAddr) (netip.Addr, bool) {
+	c := s.clients[hw]
+	return netip.AddrFrom4(c.addr), c.leased
+}
+
 // heldCount returns the number of leases whose client holds their
 // address. A sticky server's released leases are remembered, not held.
 func heldCount(s *Server) int {
 	n := 0
-	for h, l := range s.byHW {
-		if cur, ok := s.pool.Holder(l.Addr); ok && cur == h {
+	for h := range s.clients {
+		a, ok := leased(s, h)
+		if cur, held := s.pool.Holder(a); ok && held && cur == h {
 			n++
 		}
 	}
 	return n
+}
+
+// state renders every record and every address's holder of pool: what a
+// refused message must leave as it found it.
+func state(s *Server, pool netip.Prefix) string {
+	var holders []string
+	for i := uint64(0); i < 1<<(32-pool.Bits()); i++ {
+		a, _ := netutil.HostAddr(pool, i)
+		h, ok := s.pool.Holder(a)
+		holders = append(holders, fmt.Sprint(h, ok))
+	}
+	return fmt.Sprint(s.clients, holders)
 }
 
 // checkHolders walks every address of pool: each held one's holder must
@@ -38,8 +58,8 @@ func checkHolders(t *testing.T, s *Server, pool netip.Prefix, clients int, step 
 			continue
 		}
 		held++
-		if l, bound := s.byHW[h]; !bound || l.Addr != a {
-			t.Fatalf("after %s: %v is held by %v, whose lease is %+v (present %v)", step, a, h, l, bound)
+		if l, ok := leased(s, h); !ok || l != a {
+			t.Fatalf("after %s: %v is held by %v, whose lease is %v (present %v)", step, a, h, l, ok)
 		}
 	}
 	if held > clients {
@@ -48,8 +68,14 @@ func checkHolders(t *testing.T, s *Server, pool netip.Prefix, clients int, step 
 	if held != heldCount(s) {
 		t.Fatalf("after %s: %d addresses held, %d leases hold theirs", step, held, heldCount(s))
 	}
-	if !s.cfg.Sticky && len(s.byHW) != held {
-		t.Fatalf("after %s: non-sticky server keeps %d leases for %d held addresses", step, len(s.byHW), held)
+	leases := 0
+	for _, c := range s.clients {
+		if c.leased {
+			leases++
+		}
+	}
+	if !s.cfg.Sticky && leases != held {
+		t.Fatalf("after %s: non-sticky server keeps %d leases for %d held addresses", step, leases, held)
 	}
 }
 
@@ -58,7 +84,9 @@ func checkHolders(t *testing.T, s *Server, pool netip.Prefix, clients int, step 
 // Handle), Acquire and Forget, on pools both larger and smaller than the
 // client population, and checks the holder invariant after every step.
 // Leases never expire, so a path that rebinds a client without freeing
-// its old address would leak that address for good.
+// its old address would leak that address for good. A Request naming
+// its address only in ciaddr, the renewal no sender makes, must NAK and
+// change no record or holder.
 func TestServerHolderInvariant(t *testing.T) {
 	const clients = 6
 	for trial := 0; trial < 200; trial++ {
@@ -72,7 +100,7 @@ func TestServerHolderInvariant(t *testing.T) {
 			h := hw(byte(1 + rng.Intn(clients)))
 			xid := uint32(step)
 			var op string
-			switch rng.Intn(6) {
+			switch rng.Intn(7) {
 			case 0:
 				op = "Discover"
 				rep, err := srv.Handle(NewMessage(Discover, xid, h))
@@ -90,22 +118,20 @@ func TestServerHolderInvariant(t *testing.T) {
 				case 0:
 					want = offered[h]
 				case 1:
-					want = srv.byHW[h].Addr
+					if a, ok := leased(srv, h); ok {
+						want = a
+					}
 				}
 				if !want.IsValid() {
 					want, _ = netutil.HostAddr(pool, uint64(rng.Intn(1<<(32-pool.Bits()))))
 				}
-				if rng.Intn(2) == 0 {
-					req.SetAddrOption(OptRequestedIP, want)
-				} else {
-					req.CIAddr = want // a renewal names its address in ciaddr
-				}
+				req.SetAddrOption(OptRequestedIP, want)
 				rep, err := srv.Handle(req)
 				if err != nil {
 					t.Fatalf("trial %d step %d: Request: %v", trial, step, err)
 				}
-				if rep.Type() == ACK && (rep.YIAddr != want || srv.byHW[h].Addr != want) {
-					t.Fatalf("trial %d step %d: ACK for %v, requested %v, lease %+v", trial, step, rep.YIAddr, want, srv.byHW[h])
+				if l, _ := leased(srv, h); rep.Type() == ACK && (rep.YIAddr != want || l != want) {
+					t.Fatalf("trial %d step %d: ACK for %v, requested %v, lease %v", trial, step, rep.YIAddr, want, l)
 				}
 			case 3:
 				op = "Release"
@@ -118,14 +144,33 @@ func TestServerHolderInvariant(t *testing.T) {
 				if err != nil && !errors.Is(err, ErrPoolExhausted) {
 					t.Fatalf("trial %d step %d: Acquire: %v", trial, step, err)
 				}
-				if err == nil && srv.byHW[h] != l {
-					t.Fatalf("trial %d step %d: Acquire returned %+v, server holds %+v", trial, step, l, srv.byHW[h])
+				if a, ok := leased(srv, h); err == nil && (!ok || a != l.Addr) {
+					t.Fatalf("trial %d step %d: Acquire returned %+v, server leases %v (%v)", trial, step, l, a, ok)
 				}
-			default:
+			case 5:
 				op = "Forget"
 				srv.Forget(h)
-				if _, ok := srv.byHW[h]; ok {
-					t.Fatalf("trial %d step %d: Forget kept %v's lease", trial, step, h)
+				if _, ok := srv.clients[h]; ok {
+					t.Fatalf("trial %d step %d: Forget kept %v's record", trial, step, h)
+				}
+			default:
+				op = "Request naming only ciaddr"
+				req := NewMessage(Request, xid, h)
+				if a, ok := leased(srv, h); ok {
+					req.CIAddr = a
+				} else {
+					req.CIAddr = offered[h]
+				}
+				before := state(srv, pool)
+				rep, err := srv.Handle(req)
+				if err != nil {
+					t.Fatalf("trial %d step %d: %s: %v", trial, step, op, err)
+				}
+				if rep.Type() != NAK {
+					t.Fatalf("trial %d step %d: %s got %v, want NAK", trial, step, op, rep.Type())
+				}
+				if after := state(srv, pool); after != before {
+					t.Fatalf("trial %d step %d: %s changed the server:\n%s\n%s", trial, step, op, before, after)
 				}
 			}
 			checkHolders(t, srv, pool, clients, op)

@@ -47,19 +47,27 @@ type Lease struct {
 	Expiry int64
 }
 
+// client is the server's one record of a client, kept from its first
+// Discover until Forget: the address of its lease and the address it was
+// last offered, each valid while its flag is set. A release frees the
+// address, but a sticky server keeps the lease, to re-offer it.
+type client struct {
+	addr, offer     [4]byte
+	leased, offered bool
+}
+
 // Server implements the DHCP state machine over a set of address pools.
-// It is not safe for concurrent use; callers serialize access (each
-// serve-bng shard owns its servers).
+// It answers Discover, Request (naming the requested-IP option) and
+// Release. It is not safe for concurrent use; callers serialize access
+// (each serve-bng shard owns its servers).
 type Server struct {
 	cfg   ServerConfig
 	clock Clock
 
 	// pool walks the pools sequentially (stride 1); each held address's
-	// holder is the client bound to it. A sticky server's byHW also
-	// remembers released leases, whose addresses it no longer holds.
-	pool   *addrpool.Pool[netip.Addr, HWAddr]
-	byHW   map[HWAddr]Lease
-	offers map[HWAddr]netip.Addr
+	// holder is the client leased to it.
+	pool    *addrpool.Pool[netip.Addr, HWAddr]
+	clients map[HWAddr]client
 
 	rep Message // the reply Handle builds and returns
 	acq Message // Acquire's request
@@ -79,49 +87,71 @@ func NewServer(cfg ServerConfig, clock Clock) *Server {
 		cfg.ServerID = netip.MustParseAddr("192.0.2.1")
 	}
 	return &Server{
-		cfg:    cfg,
-		clock:  clock,
-		pool:   pool,
-		byHW:   make(map[HWAddr]Lease),
-		offers: make(map[HWAddr]netip.Addr),
+		cfg:     cfg,
+		clock:   clock,
+		pool:    pool,
+		clients: make(map[HWAddr]client),
 	}
 }
 
 // Capacity returns the total number of addresses across pools.
 func (s *Server) Capacity() uint64 { return s.pool.Size() }
 
-// bind leases a to hw for a fresh lifetime and makes hw its holder.
-func (s *Server) bind(hw HWAddr, a netip.Addr) Lease {
-	l := Lease{Addr: a, Expiry: s.clock.Now() + int64(s.cfg.LeaseSeconds)}
-	s.byHW[hw] = l
-	s.pool.Hold(a, hw)
-	return l
-}
-
-// candidate picks the address the server would offer hw: the address of
-// its lease, current or (when sticky) released, if no other client holds
-// it, otherwise a fresh one.
-func (s *Server) candidate(hw HWAddr) (netip.Addr, error) {
-	if l, ok := s.byHW[hw]; ok {
-		if cur, held := s.pool.Holder(l.Addr); !held || cur == hw {
-			return l.Addr, nil
+// candidate picks the address the server would offer hw, whose record
+// is c: the address of its lease, current or (when sticky) released, if
+// no other client holds it, otherwise a fresh one.
+//
+//lint:hotpath
+func (s *Server) candidate(hw HWAddr, c *client) (netip.Addr, error) {
+	if c.leased {
+		a := netip.AddrFrom4(c.addr)
+		if cur, held := s.pool.Holder(a); !held || cur == hw {
+			return a, nil
 		}
 	}
 	return s.pool.Next()
 }
 
+// bind leases a to hw, whose record is c, makes hw its holder, and
+// drops hw's offer, which the lease answers.
+//
+//lint:hotpath
+func (s *Server) bind(hw HWAddr, c *client, a netip.Addr) {
+	c.addr, c.leased, c.offered = a.As4(), true, false
+	s.clients[hw] = *c
+	s.pool.Hold(a, hw)
+}
+
+// release frees hw's address, if hw holds it: a client whose remembered
+// address another client has since taken frees nothing. A sticky server
+// keeps the lease, to re-offer its address.
+//
+//lint:hotpath
+func (s *Server) release(hw HWAddr, c *client) {
+	if !c.leased {
+		return
+	}
+	s.pool.Free(netip.AddrFrom4(c.addr), hw)
+	if !s.cfg.Sticky {
+		c.leased = false
+		s.clients[hw] = *c
+	}
+}
+
 // Handle runs one request through the server state machine and returns the
-// reply, or nil for messages that elicit none (e.g. RELEASE). The reply
-// belongs to the server until its next call: read it, or copy it,
-// before handling another message.
+// reply, or nil for a Release, which elicits none; any other message
+// type is an error. The reply belongs to the server until its next call:
+// read it, or copy it, before handling another message.
 func (s *Server) Handle(req *Message) (*Message, error) {
+	c := s.clients[req.CHAddr]
 	switch req.Type() {
 	case Discover:
-		a, err := s.candidate(req.CHAddr)
+		a, err := s.candidate(req.CHAddr, &c)
 		if err != nil {
 			return nil, err
 		}
-		s.offers[req.CHAddr] = a
+		c.offer, c.offered = a.As4(), true
+		s.clients[req.CHAddr] = c
 		rep := s.reply(Offer, req)
 		rep.YIAddr = a
 		s.setTimes(rep)
@@ -129,42 +159,28 @@ func (s *Server) Handle(req *Message) (*Message, error) {
 
 	case Request:
 		want, ok := req.AddrOption(OptRequestedIP)
-		if !ok {
-			want = req.CIAddr // renewal: client puts its address in ciaddr
-		}
-		if !want.IsValid() || want == netip.IPv4Unspecified() {
+		if !ok || !want.IsValid() || want == netip.IPv4Unspecified() {
 			return s.reply(NAK, req), nil
 		}
-		// The server is authoritative: it only ACKs addresses it offered
-		// to this client or currently has bound to it; anything else NAKs,
-		// forcing re-discovery.
-		offered := s.offers[req.CHAddr] == want
-		if l, bound := s.byHW[req.CHAddr]; bound && l.Addr == want {
-			offered = true
-		}
+		// The server is authoritative: it only ACKs the address it
+		// offered to this client or has leased to it; anything else
+		// NAKs, forcing re-discovery.
+		offered := c.offered && netip.AddrFrom4(c.offer) == want ||
+			c.leased && netip.AddrFrom4(c.addr) == want
 		if !offered {
 			return s.reply(NAK, req), nil
 		}
 		if cur, held := s.pool.Holder(want); held && cur != req.CHAddr {
 			return s.reply(NAK, req), nil
 		}
-		delete(s.offers, req.CHAddr)
-		l := s.bind(req.CHAddr, want)
+		s.bind(req.CHAddr, &c, want)
 		rep := s.reply(ACK, req)
-		rep.YIAddr = l.Addr
+		rep.YIAddr = want
 		s.setTimes(rep)
 		return rep, nil
 
 	case Release:
-		// Only the address's holder frees it: a client whose remembered
-		// address another client has since taken frees nothing. A sticky
-		// server keeps the lease, to re-offer its address.
-		if l, ok := s.byHW[req.CHAddr]; ok {
-			s.pool.Free(l.Addr, req.CHAddr)
-			if !s.cfg.Sticky {
-				delete(s.byHW, req.CHAddr)
-			}
-		}
+		s.release(req.CHAddr, &c)
 		return nil, nil
 
 	default:
@@ -196,18 +212,17 @@ func (s *Server) setTimes(rep *Message) {
 	rep.SetU32Option(OptRebindingTime, s.cfg.LeaseSeconds*7/8)
 }
 
-// Forget releases hw's binding and drops the sticky memory of it, so
+// Forget releases hw's lease and drops the server's record of hw, so
 // unlike after Release the server no longer re-offers hw that address.
 // The address goes on top of the pool's LIFO free list, though: with
 // nothing freed in between, hw's next discovery draws it straight back.
 // The renumbering failover policy moves its clients by forgetting all
 // of them before any reacquires.
 func (s *Server) Forget(hw HWAddr) {
-	if l, ok := s.byHW[hw]; ok {
-		delete(s.byHW, hw)
-		s.pool.Free(l.Addr, hw)
+	if c := s.clients[hw]; c.leased {
+		s.pool.Free(netip.AddrFrom4(c.addr), hw)
 	}
-	delete(s.offers, hw)
+	delete(s.clients, hw)
 }
 
 // Acquire performs the full DORA exchange for hw and returns the resulting

@@ -140,41 +140,21 @@ func TestSARR(t *testing.T) {
 	}
 }
 
-// renew sends a Renew for client and returns the reply's IA_PD.
-func renew(t *testing.T, srv *Server, client DUID, txn uint32) IAPD {
-	t.Helper()
-	rep, err := srv.Handle(NewMessage(Renew, txn, client))
-	if err != nil {
-		t.Fatalf("Handle(Renew): %v", err)
-	}
-	if rep.Type != Reply || len(rep.IAPDs) != 1 {
-		t.Fatalf("renew got %v with %d IA_PDs", rep.Type, len(rep.IAPDs))
-	}
-	return rep.IAPDs[0]
-}
-
-func TestRenewKeepsPrefix(t *testing.T) {
-	srv, clk := newTestServer(86400, 56)
-	b, _ := srv.Acquire(duid(1), 1)
-	clk.t += 43200
-	ia := renew(t, srv, duid(1), 2)
-	if len(ia.Prefixes) != 1 {
-		t.Fatalf("renew returned no delegation (status %d)", ia.Status)
-	}
-	if got := ia.Prefixes[0].Prefix; got != b.Prefix {
-		t.Errorf("renew moved %v -> %v", b.Prefix, got)
-	}
-	if got := srv.byClient[string(duid(1))].Expiry; got != clk.t+86400 {
-		t.Errorf("expiry = %d", got)
-	}
-}
-
+// TestRenewAfterLoseStateFails: after the server loses its state, a CPE
+// that renews by naming its delegation in a Request, as Acquire's does,
+// gets NoBinding, and acquiring again moves it to a fresh prefix.
 func TestRenewAfterLoseStateFails(t *testing.T) {
 	srv, clk := newTestServer(86400, 56)
 	b, _ := srv.Acquire(duid(1), 1)
 	srv.LoseState()
 	clk.t += 10
-	if ia := renew(t, srv, duid(1), 2); len(ia.Prefixes) != 0 || ia.Status != StatusNoBinding {
+	req := NewMessage(Request, 2, duid(1))
+	req.IAPDs = []IAPD{{IAID: 1, Prefixes: []IAPrefix{{Prefix: b.Prefix}}}}
+	rep, err := srv.Handle(req)
+	if err != nil {
+		t.Fatalf("Handle(Request): %v", err)
+	}
+	if ia := rep.IAPDs[0]; len(ia.Prefixes) != 0 || ia.Status != StatusNoBinding {
 		t.Fatalf("renew after LoseState: status %d with %d prefixes, want NoBinding", ia.Status, len(ia.Prefixes))
 	}
 	b2, err := srv.Acquire(duid(1), 3)
@@ -183,6 +163,38 @@ func TestRenewAfterLoseStateFails(t *testing.T) {
 	}
 	if b2.Prefix == b.Prefix {
 		t.Error("prefix unchanged after server state loss")
+	}
+}
+
+// TestAcquireAllocs pins a warmed server's delegation paths at zero
+// allocations: a client that releases and acquires again, and a
+// reassignment. Its record keeps the DUID's bytes as a string, so the
+// server converts the DUID only on first sight.
+func TestAcquireAllocs(t *testing.T) {
+	srv, _ := newTestServer(86400, 56)
+	for i := byte(1); i <= 8; i++ {
+		if _, err := srv.Acquire(duid(i), uint32(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := duid(3)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := srv.Acquire(d, 7); err != nil {
+			t.Fatal(err)
+		}
+		srv.ReleaseBinding(d)
+		if _, err := srv.Acquire(d, 8); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Acquire, ReleaseBinding, Acquire: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := srv.Reassign(d, 9); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Reassign: %v allocations, want 0", n)
 	}
 }
 
@@ -236,14 +248,7 @@ func TestPoolExhaustion(t *testing.T) {
 func TestReleaseReturnsPrefix(t *testing.T) {
 	srv, _ := newTestServer(3600, 64, "2001:db8:0:4::/62")
 	b, _ := srv.Acquire(duid(1), 1)
-	rel := NewMessage(Release, 2, duid(1))
-	rep, err := srv.Handle(rel)
-	if err != nil {
-		t.Fatalf("Release: %v", err)
-	}
-	if len(rep.IAPDs) != 1 || rep.IAPDs[0].Status != StatusSuccess {
-		t.Errorf("release reply: %+v", rep.IAPDs)
-	}
+	srv.ReleaseBinding(duid(1))
 	// The freed delegation is reusable.
 	seen := map[netip.Prefix]bool{b.Prefix: false}
 	for i := byte(2); i <= 5; i++ {

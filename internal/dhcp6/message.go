@@ -56,7 +56,6 @@ const (
 const (
 	StatusSuccess       uint16 = 0
 	StatusNoBinding     uint16 = 3
-	StatusNotOnLink     uint16 = 4
 	StatusNoPrefixAvail uint16 = 6
 )
 

@@ -1,9 +1,6 @@
 package dhcp6
 
-import (
-	"net/netip"
-	"testing"
-)
+import "testing"
 
 func TestRapidCommit(t *testing.T) {
 	srv, _ := newTestServer(86400, 56)
@@ -19,9 +16,9 @@ func TestRapidCommit(t *testing.T) {
 	if len(rep.IAPDs) != 1 || len(rep.IAPDs[0].Prefixes) != 1 {
 		t.Fatalf("no delegation in rapid reply: %+v", rep.IAPDs)
 	}
-	// The binding is committed: a renew succeeds immediately.
-	if ia := renew(t, srv, duid(1), 2); len(ia.Prefixes) != 1 {
-		t.Errorf("renew after rapid commit: status %d, no delegation", ia.Status)
+	// The binding is committed: the client holds the prefix at once.
+	if p, ok := bound(srv, duid(1)); !ok || p != rep.IAPDs[0].Prefixes[0].Prefix {
+		t.Errorf("after rapid commit the client is bound to %v (%v), want %v", p, ok, rep.IAPDs[0].Prefixes[0].Prefix)
 	}
 	if heldCount(srv) != 1 {
 		t.Errorf("held bindings = %d", heldCount(srv))
@@ -45,34 +42,6 @@ func TestRapidCommitWireRoundTrip(t *testing.T) {
 	}
 	if got2.RapidCommit {
 		t.Error("rapid commit appeared from nowhere")
-	}
-}
-
-func TestConfirm(t *testing.T) {
-	srv, _ := newTestServer(86400, 56)
-	b, err := srv.Acquire(duid(1), 1)
-	if err != nil {
-		t.Fatalf("Acquire: %v", err)
-	}
-	confirm := func(p netip.Prefix) uint16 {
-		req := NewMessage(Confirm, 2, duid(1))
-		req.IAPDs = []IAPD{{IAID: 1, Prefixes: []IAPrefix{{Prefix: p, Valid: 60, Preferred: 60}}}}
-		rep, err := srv.Handle(req)
-		if err != nil {
-			t.Fatalf("Handle(Confirm): %v", err)
-		}
-		return rep.IAPDs[0].Status
-	}
-	if st := confirm(b.Prefix); st != StatusSuccess {
-		t.Errorf("confirm of own delegation = status %d", st)
-	}
-	if st := confirm(netip.MustParsePrefix("2001:db8:dead:be00::/56")); st != StatusNotOnLink {
-		t.Errorf("confirm of foreign delegation = status %d, want NotOnLink", st)
-	}
-	// After the server loses state, even the right prefix is NotOnLink.
-	srv.LoseState()
-	if st := confirm(b.Prefix); st != StatusNotOnLink {
-		t.Errorf("confirm after LoseState = status %d, want NotOnLink", st)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"net/netip"
 
 	"dynamips/internal/addrpool"
+	"dynamips/internal/netutil"
 )
 
 // Clock supplies time in seconds; simulations drive a virtual clock.
@@ -39,14 +40,15 @@ type ServerConfig struct {
 	DelegatedLen int
 	// ValidSeconds is the delegation's valid lifetime.
 	ValidSeconds uint32
-	// ServerDUID identifies the server.
-	ServerDUID DUID
 }
+
+// serverDUID identifies every server in its replies.
+var serverDUID = DUIDLL([6]byte{0x02, 0, 0, 0, 0, 1})
 
 // Binding is one delegation: Expiry is the end of the valid lifetime the
 // server advertised, counted on its clock. The server never expires a
-// binding itself; it holds its prefix until Release, Reassign, LoseState
-// or Renumber.
+// binding itself; it holds its prefix until ReleaseBinding, Reassign,
+// LoseState or Renumber.
 type Binding struct {
 	Prefix netip.Prefix
 	Expiry int64
@@ -56,12 +58,11 @@ type Binding struct {
 // aggregate commutatively across delegation servers into the per-AS
 // counters the observability layer reports.
 type ServerStats struct {
-	// Solicits/Requests/Renews count handled messages by type (Rebind
-	// counts as Renew); Reassigns counts programmatic forced
-	// renumberings of one subscriber.
-	Solicits, Requests, Renews, Reassigns int64
-	// NoBindings counts Renew/Rebind/Request replies with
-	// StatusNoBinding — the CPE must re-solicit, drawing a fresh prefix.
+	// Solicits/Requests count handled messages by type; Reassigns counts
+	// programmatic forced renumberings of one subscriber.
+	Solicits, Requests, Reassigns int64
+	// NoBindings counts Request replies with StatusNoBinding — the CPE
+	// must re-solicit, drawing a fresh prefix.
 	NoBindings int64
 	// LoseStates and Renumbers count whole-server state losses.
 	LoseStates, Renumbers int64
@@ -71,26 +72,37 @@ type ServerStats struct {
 func (s *ServerStats) Add(o ServerStats) {
 	s.Solicits += o.Solicits
 	s.Requests += o.Requests
-	s.Renews += o.Renews
 	s.Reassigns += o.Reassigns
 	s.NoBindings += o.NoBindings
 	s.LoseStates += o.LoseStates
 	s.Renumbers += o.Renumbers
 }
 
-// Server delegates prefixes from its pools, implementing the
-// Solicit/Advertise/Request/Reply and Renew/Reply flows over IA_PD.
-// It is not safe for concurrent use.
+// client is the server's one record of a client, kept from its first
+// Solicit or Reassign until LoseState: its delegation and its offer,
+// each the first 64 bits of a prefix (a delegation is at most /64 long)
+// and valid while its flag is set. key is the client's DUID bytes, the
+// record's map key and its prefix's holder, so the server converts a
+// client's DUID only on first sight.
+type client struct {
+	key            string
+	prefix, offer  uint64
+	bound, offered bool
+}
+
+// Server delegates prefixes from its pools over IA_PD. It answers
+// Solicit (with or without rapid commit) and Request; ReleaseBinding,
+// Reassign, LoseState and Renumber are its programmatic edges. It is not
+// safe for concurrent use.
 type Server struct {
 	cfg   ServerConfig
 	stats ServerStats
 	clock Clock
 
-	// Clients are keyed by their DUID's bytes: pool's holder of each
-	// delegated prefix is the client bound to it.
-	pool     *addrpool.Pool[netip.Prefix, string]
-	byClient map[string]Binding
-	offers   map[string]netip.Prefix
+	// pool's holder of each delegated prefix is the key of the client
+	// bound to it.
+	pool    *addrpool.Pool[netip.Prefix, string]
+	clients map[string]client
 
 	rep Message // the reply Handle builds and returns
 	acq Message // Acquire's request
@@ -112,15 +124,11 @@ func NewServer(cfg ServerConfig, clock Clock) *Server {
 	if err != nil {
 		panic("dhcp6: " + err.Error())
 	}
-	if len(cfg.ServerDUID) == 0 {
-		cfg.ServerDUID = DUIDLL([6]byte{0x02, 0, 0, 0, 0, 1})
-	}
 	return &Server{
-		cfg:      cfg,
-		clock:    clock,
-		pool:     pool,
-		byClient: make(map[string]Binding),
-		offers:   make(map[string]netip.Prefix),
+		cfg:     cfg,
+		clock:   clock,
+		pool:    pool,
+		clients: make(map[string]client),
 	}
 }
 
@@ -130,13 +138,12 @@ func (s *Server) Capacity() uint64 { return s.pool.Size() }
 // Stats returns the server's accumulated totals.
 func (s *Server) Stats() ServerStats { return s.stats }
 
-// LoseState drops all bindings (ISP-side outage, §2.2). Renewing CPEs get
-// NoBinding and must re-solicit, receiving fresh delegations.
+// LoseState drops all bindings (ISP-side outage, §2.2): every CPE must
+// re-solicit, receiving a fresh delegation.
 func (s *Server) LoseState() {
 	s.stats.LoseStates++
 	s.pool.Drop()
-	s.byClient = make(map[string]Binding)
-	s.offers = make(map[string]netip.Prefix)
+	clear(s.clients)
 }
 
 // Renumber frees every binding and advances the allocation cursor past the
@@ -148,25 +155,54 @@ func (s *Server) Renumber() {
 	s.pool.ForgetFreed()
 }
 
-// candidate is the prefix the server would offer client: the one it
-// holds, otherwise a fresh one.
-func (s *Server) candidate(client string) (netip.Prefix, error) {
-	if b, ok := s.byClient[client]; ok {
-		return b.Prefix, nil
+// record returns id's record, or a new one keyed by a copy of id.
+func (s *Server) record(id DUID) client {
+	if c, ok := s.clients[string(id)]; ok {
+		return c
+	}
+	return client{key: string(id)}
+}
+
+// unit returns the delegation whose first 64 bits are hi.
+func (s *Server) unit(hi uint64) netip.Prefix {
+	return netip.PrefixFrom(netutil.AddrFrom128(hi, 0), s.cfg.DelegatedLen)
+}
+
+// candidate is the prefix the server would offer the client whose
+// record is c: the one it holds, otherwise a fresh one.
+//
+//lint:hotpath
+func (s *Server) candidate(c *client) (netip.Prefix, error) {
+	if c.bound {
+		return s.unit(c.prefix), nil
 	}
 	return s.pool.Next()
 }
 
-// bind delegates p to client for a fresh lifetime and makes client its
+// bind delegates p to c's client for a fresh lifetime and makes it the
 // holder. It also drops the client's outstanding offer, which predates
 // the binding: a Request naming it would rebind the client without
 // freeing the prefix it now holds.
-func (s *Server) bind(client string, p netip.Prefix) Binding {
-	b := Binding{Prefix: p, Expiry: s.clock.Now() + int64(s.cfg.ValidSeconds)}
-	s.byClient[client] = b
-	s.pool.Hold(p, client)
-	delete(s.offers, client)
-	return b
+//
+//lint:hotpath
+func (s *Server) bind(c *client, p netip.Prefix) Binding {
+	c.prefix, _ = netutil.U128(p.Addr())
+	c.bound, c.offered = true, false
+	s.clients[c.key] = *c
+	s.pool.Hold(p, c.key)
+	return Binding{Prefix: p, Expiry: s.clock.Now() + int64(s.cfg.ValidSeconds)}
+}
+
+// release frees c's client's delegation, if it holds one.
+//
+//lint:hotpath
+func (s *Server) release(c *client) {
+	if !c.bound {
+		return
+	}
+	s.pool.Free(s.unit(c.prefix), c.key)
+	c.bound = false
+	s.clients[c.key] = *c
 }
 
 // reply builds a reply of type mt to req in the server's reply message,
@@ -177,7 +213,7 @@ func (s *Server) bind(client string, p netip.Prefix) Binding {
 func (s *Server) reply(req *Message, mt MessageType, iaid uint32) (*Message, *IAPD) {
 	rep := &s.rep
 	rep.Reset(mt, req.TxnID, req.ClientID)
-	rep.ServerID = s.cfg.ServerDUID
+	rep.ServerID = serverDUID
 	ia := rep.addIAPD()
 	ia.IAID = iaid
 	return rep, ia
@@ -208,15 +244,14 @@ func (s *Server) status(req *Message, mt MessageType, iaid uint32, status uint16
 	return rep
 }
 
-// Handle runs one request through the delegation state machine.
-// Release elicits a plain success Reply. The reply belongs to the
+// Handle runs one Solicit or Request through the delegation state
+// machine; any other message type is an error. The reply belongs to the
 // server until its next call: read it, or copy it, before handling
 // another message.
 func (s *Server) Handle(req *Message) (*Message, error) {
 	if len(req.ClientID) == 0 {
 		return nil, errors.New("dhcp6: request missing client ID")
 	}
-	client := string(req.ClientID)
 	var iaid uint32
 	if len(req.IAPDs) > 0 {
 		iaid = req.IAPDs[0].IAID
@@ -224,31 +259,22 @@ func (s *Server) Handle(req *Message) (*Message, error) {
 	switch req.Type {
 	case Solicit:
 		s.stats.Solicits++
-		p, err := s.candidate(client)
+		c := s.record(req.ClientID)
+		p, err := s.candidate(&c)
 		if err != nil {
 			return s.status(req, Advertise, iaid, StatusNoPrefixAvail), nil
 		}
 		if req.RapidCommit {
 			// Two-message exchange: commit immediately (§18.2.1).
-			b := s.bind(client, p)
-			rep := s.success(req, Reply, iaid, b.Prefix)
+			s.bind(&c, p)
+			rep := s.success(req, Reply, iaid, p)
 			rep.RapidCommit = true
 			return rep, nil
 		}
-		s.offers[client] = p
+		c.offer, _ = netutil.U128(p.Addr())
+		c.offered = true
+		s.clients[c.key] = c
 		return s.success(req, Advertise, iaid, p), nil
-
-	case Confirm:
-		// The CPE rebooted and asks whether its delegation is still
-		// appropriate for the link (RFC 8415 §18.3.3).
-		var have netip.Prefix
-		if len(req.IAPDs) > 0 && len(req.IAPDs[0].Prefixes) > 0 {
-			have = req.IAPDs[0].Prefixes[0].Prefix
-		}
-		if b, ok := s.byClient[client]; ok && have.IsValid() && b.Prefix == have {
-			return s.status(req, Reply, iaid, StatusSuccess), nil
-		}
-		return s.status(req, Reply, iaid, StatusNotOnLink), nil
 
 	case Request:
 		s.stats.Requests++
@@ -256,33 +282,18 @@ func (s *Server) Handle(req *Message) (*Message, error) {
 		if len(req.IAPDs) > 0 && len(req.IAPDs[0].Prefixes) > 0 {
 			want = req.IAPDs[0].Prefixes[0].Prefix
 		}
-		offered := want.IsValid() && s.offers[client] == want
-		if b, ok := s.byClient[client]; ok && want.IsValid() && b.Prefix == want {
-			offered = true
-		}
-		if !offered {
+		// Only the prefix offered to this client or bound to it is
+		// delegated; anything else must re-solicit.
+		c := s.clients[string(req.ClientID)]
+		if !(c.offered && s.unit(c.offer) == want || c.bound && s.unit(c.prefix) == want) {
 			s.stats.NoBindings++
 			return s.status(req, Reply, iaid, StatusNoBinding), nil
 		}
-		if cur, held := s.pool.Holder(want); held && cur != client {
+		if cur, held := s.pool.Holder(want); held && cur != c.key {
 			return s.status(req, Reply, iaid, StatusNoPrefixAvail), nil
 		}
-		b := s.bind(client, want)
-		return s.success(req, Reply, iaid, b.Prefix), nil
-
-	case Renew, Rebind:
-		s.stats.Renews++
-		b, ok := s.byClient[client]
-		if !ok {
-			s.stats.NoBindings++
-			return s.status(req, Reply, iaid, StatusNoBinding), nil
-		}
-		b = s.bind(client, b.Prefix)
-		return s.success(req, Reply, iaid, b.Prefix), nil
-
-	case Release:
-		s.release(client)
-		return s.status(req, Reply, iaid, StatusSuccess), nil
+		s.bind(&c, want)
+		return s.success(req, Reply, iaid, want), nil
 
 	default:
 		return nil, fmt.Errorf("dhcp6: unhandled message type %v", req.Type)
@@ -311,8 +322,11 @@ func (s *Server) Acquire(client DUID, txn uint32) (Binding, error) {
 	if err != nil {
 		return Binding{}, err
 	}
-	if len(rep.IAPDs) == 0 || len(rep.IAPDs[0].Prefixes) == 0 {
-		return Binding{}, fmt.Errorf("dhcp6: acquire rejected (status %d)", rep.IAPDs[0].Status)
+	if len(rep.IAPDs) == 0 {
+		return Binding{}, errors.New("dhcp6: acquire rejected without an IA_PD")
+	}
+	if got := &rep.IAPDs[0]; len(got.Prefixes) == 0 {
+		return Binding{}, fmt.Errorf("dhcp6: acquire rejected (status %d)", got.Status)
 	}
 	p := rep.IAPDs[0].Prefixes[0]
 	return Binding{Prefix: p.Prefix, Expiry: s.clock.Now() + int64(p.Valid)}, nil
@@ -329,21 +343,14 @@ func (s *Server) Reassign(client DUID, txn uint32) (Binding, error) {
 	if err != nil {
 		return Binding{}, err
 	}
-	cl := string(client)
-	if old, ok := s.byClient[cl]; ok {
-		s.pool.Free(old.Prefix, cl)
-	}
-	return s.bind(cl, p), nil
+	c := s.record(client)
+	s.release(&c)
+	return s.bind(&c, p), nil
 }
 
-// ReleaseBinding releases the client's delegation programmatically
-// (equivalent to handling a RELEASE message).
-func (s *Server) ReleaseBinding(client DUID) { s.release(string(client)) }
-
-// release frees the client's delegation, if it holds one.
-func (s *Server) release(client string) {
-	if b, ok := s.byClient[client]; ok {
-		s.pool.Free(b.Prefix, client)
-		delete(s.byClient, client)
+// ReleaseBinding releases the client's delegation, if it holds one.
+func (s *Server) ReleaseBinding(client DUID) {
+	if c, ok := s.clients[string(client)]; ok {
+		s.release(&c)
 	}
 }

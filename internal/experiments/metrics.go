@@ -33,7 +33,6 @@ func recordFleetMetrics(o *obs.Observer, as string, n isp.NetStats, echoesDroppe
 
 	o.Counter("dhcp6_solicits", asl).Add(n.DHCP6.Solicits)
 	o.Counter("dhcp6_requests", asl).Add(n.DHCP6.Requests)
-	o.Counter("dhcp6_renews", asl).Add(n.DHCP6.Renews)
 	o.Counter("dhcp6_reassigns", asl).Add(n.DHCP6.Reassigns)
 	o.Counter("dhcp6_no_bindings", asl).Add(n.DHCP6.NoBindings)
 	o.Counter("dhcp6_lose_states", asl).Add(n.DHCP6.LoseStates)

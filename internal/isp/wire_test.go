@@ -15,7 +15,6 @@ import (
 // for the delegated prefix — then a renumbering cycle.
 func TestCPEBootstrapOverWire(t *testing.T) {
 	const now = 1_600_000_000 // a fixed virtual epoch
-	secret := []byte("wire-secret")
 
 	// ISP side: the three assignment servers.
 	radSrv := radius.NewServer(radius.ServerConfig{
@@ -23,7 +22,6 @@ func TestCPEBootstrapOverWire(t *testing.T) {
 		Pools6:         []netip.Prefix{netip.MustParsePrefix("2003:1000::/40")},
 		DelegatedLen6:  56,
 		SessionTimeout: 86400,
-		Secret:         secret,
 	})
 	d4Srv := dhcp4.NewServer(dhcp4.ServerConfig{
 		Pools:        []netip.Prefix{netip.MustParsePrefix("100.64.0.0/24")},
@@ -49,7 +47,7 @@ func TestCPEBootstrapOverWire(t *testing.T) {
 			t.Fatalf("radius Handle: %v", err)
 		}
 		wire := out.EncodeResponse(in, radSrv.Secret())
-		if err := radius.VerifyResponse(wire, req, secret); err != nil {
+		if err := radius.VerifyResponse(wire, req, radSrv.Secret()); err != nil {
 			t.Fatalf("response authenticator: %v", err)
 		}
 		rep, err := radius.Parse(wire)

@@ -86,7 +86,6 @@ func TestDynauthWireRoundTrip(t *testing.T) {
 func dynauthServer(t *testing.T) *Server {
 	t.Helper()
 	s := NewServer(ServerConfig{
-		Secret:         []byte("s3cret"),
 		Pools4:         []netip.Prefix{netip.MustParsePrefix("10.10.0.0/20")},
 		Pools6:         []netip.Prefix{netip.MustParsePrefix("2001:db8::/40")},
 		DelegatedLen6:  56,
@@ -247,7 +246,6 @@ func FuzzDynauth(f *testing.F) {
 			return
 		}
 		s := NewServer(ServerConfig{
-			Secret:         []byte("s3cret"),
 			Pools4:         []netip.Prefix{netip.MustParsePrefix("10.9.0.0/24")},
 			SessionTimeout: 3600,
 		})

@@ -72,12 +72,31 @@ func checkHolders(t *testing.T, s *Server, pool4, pool6 netip.Prefix, bits int, 
 	}
 }
 
+// state renders the user table, every slot, the duplicate cache's
+// bounds and every unit's holder of pool4 and of pool6's /bits
+// delegations: what a refused packet must leave as it found it.
+func state(s *Server, pool4, pool6 netip.Prefix, bits int) string {
+	var holders []string
+	for i := uint64(0); i < 1<<(32-pool4.Bits()); i++ {
+		a, _ := netutil.HostAddr(pool4, i)
+		id, ok := s.pool4.Holder(a)
+		holders = append(holders, fmt.Sprint(id, ok))
+	}
+	for i := uint64(0); i < 1<<(bits-pool6.Bits()); i++ {
+		p, _ := netutil.SubPrefix(pool6, bits, i)
+		id, ok := s.pool6.Holder(p)
+		holders = append(holders, fmt.Sprint(id, ok))
+	}
+	return fmt.Sprint(s.users, s.sessions, s.active, s.head, s.tail, holders)
+}
+
 // TestServerHolderInvariant drives the session server through seeded
 // random sequences of StartSession and StopSession, and of
 // Access-Requests, CoA-Requests and Disconnect-Requests (fresh and
 // retransmitted) through Handle, on address and delegation pools both
 // smaller and larger than the user population, and checks the holder
-// invariant after every step. Then it stops every user, and every unit
+// invariant after every step. An Accounting-Stop, which no sender
+// makes, must be refused with an error and change nothing. Then it stops every user, and every unit
 // of both pools must be drawable again: a unit lost on any path, such as
 // the address drawn before the delegation pool ran out, is held by no
 // session and never handed out again.
@@ -145,10 +164,21 @@ func TestServerHolderInvariant(t *testing.T) {
 				if a, _ := rep.GetAddr4(AttrFramedIPAddress); rep.Code == CoAACK && srv.session(srv.users[user]).Addr4 != a {
 					t.Fatalf("trial %d step %d: CoA-ACK names %v, session holds %v", trial, step, a, srv.session(srv.users[user]).Addr4)
 				}
-			case r < 92:
+			case r < 88:
 				op = "Disconnect-Request"
 				if rep := handle(request(DisconnectRequest)); rep.Code == DisconnectACK && srv.sessions[srv.users[user]].live {
 					t.Fatalf("trial %d step %d: Disconnect-ACK left %q a session", trial, step, user)
+				}
+			case r < 94:
+				op = "Accounting-Request"
+				p := request(AccountingRequest)
+				p.AddU32(40, 2) // Acct-Status-Type: Stop (RFC 2866 §5.1)
+				before := state(srv, pool4, pool6, bits)
+				if rep, err := srv.Handle(p, now); err == nil {
+					t.Fatalf("trial %d step %d: Accounting-Request answered %v, want an error", trial, step, rep.Code)
+				}
+				if after := state(srv, pool4, pool6, bits); after != before {
+					t.Fatalf("trial %d step %d: Accounting-Request changed the server:\n%s\n%s", trial, step, before, after)
 				}
 			default:
 				op = "retransmission"

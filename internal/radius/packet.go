@@ -54,12 +54,8 @@ const (
 	AttrUserName            byte = 1
 	AttrFramedIPAddress     byte = 8
 	AttrSessionTimeout      byte = 27
-	AttrAcctStatusType      byte = 40
 	AttrDelegatedIPv6Prefix byte = 123
 )
-
-// AcctStop is the RFC 2866 Acct-Status-Type value that ends a session.
-const AcctStop uint32 = 2
 
 // Errors returned by Decode and Parse.
 var (

@@ -10,7 +10,6 @@ func newTestServer(timeout uint32, dualstack bool) *Server {
 	cfg := ServerConfig{
 		Pools4:         []netip.Prefix{netip.MustParsePrefix("81.10.0.0/24")},
 		SessionTimeout: timeout,
-		Secret:         []byte("s3cret"),
 	}
 	if dualstack {
 		cfg.Pools6 = []netip.Prefix{netip.MustParsePrefix("2a01:c000::/40")}
@@ -224,24 +223,6 @@ func TestHandleRejectsAnonymous(t *testing.T) {
 	}
 	if rep.Code != AccessReject {
 		t.Errorf("code = %v, want reject", rep.Code)
-	}
-}
-
-func TestHandleAccountingStop(t *testing.T) {
-	s := newTestServer(60, false)
-	s.StartSession(s.User("u9"))
-	req := New(AccountingRequest, 2)
-	req.AddString(AttrUserName, "u9")
-	req.AddU32(AttrAcctStatusType, AcctStop)
-	rep, err := s.Handle(req, 10)
-	if err != nil {
-		t.Fatalf("Handle: %v", err)
-	}
-	if rep.Code != AccountingResponse {
-		t.Errorf("code = %v", rep.Code)
-	}
-	if s.ActiveSessions() != 0 {
-		t.Errorf("session not stopped")
 	}
 }
 

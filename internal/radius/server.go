@@ -31,9 +31,11 @@ type ServerConfig struct {
 	// equipment disconnects the session after this, and the reconnect
 	// draws a fresh address (the paper's periodic renumbering).
 	SessionTimeout uint32
-	// Secret is the shared secret for response authenticators.
-	Secret []byte
 }
+
+// secret is every server's shared secret: its replies, and the
+// dynamic-authorization requests it answers, are authenticated with it.
+var secret = []byte("dynamips")
 
 // Session is one subscriber session: the addresses it holds. The server
 // records it in its user's slot, and its timeout is the server's
@@ -74,6 +76,12 @@ type replayEntry struct {
 	at    int64
 	reply Packet
 }
+
+// grantLen is the longest reply's attribute bytes: a grant's
+// Framed-IP-Address and Session-Timeout (6 each) and a Delegated-IPv6-
+// Prefix of at most /64 (4+8). Each ring entry's reply buffer is sized
+// to it once.
+const grantLen = 6 + 6 + 4 + 8
 
 // ServerStats are a server's lifetime request totals. Plain sums: they
 // aggregate commutatively across servers into the per-AS fault counters
@@ -123,7 +131,6 @@ type Server struct {
 	replay     map[replayKey]uint64
 	ring       []replayEntry
 	head, tail uint64
-	acct       Packet // the Accounting-Response
 
 	// Each held unit's holder is the id of the user whose session it is
 	// assigned to; pool6 is nil when the server delegates no IPv6.
@@ -145,9 +152,6 @@ func NewServer(cfg ServerConfig) *Server {
 		if pool6, err = addrpool.Prefixes[int32](cfg.Pools6, cfg.DelegatedLen6, stride, ErrPoolExhausted); err != nil {
 			panic("radius: " + err.Error())
 		}
-	}
-	if len(cfg.Secret) == 0 {
-		cfg.Secret = []byte("dynamips")
 	}
 	return &Server{
 		cfg:    cfg,
@@ -198,7 +202,7 @@ func (s *Server) ActiveSessions() int { return s.active }
 func (s *Server) Stats() ServerStats { return s.stats }
 
 // Secret returns the shared secret replies are authenticated with.
-func (s *Server) Secret() []byte { return s.cfg.Secret }
+func (s *Server) Secret() []byte { return secret }
 
 // StartSession authenticates user id and allocates session addresses.
 // An existing session for the user is torn down, but only after the new
@@ -312,6 +316,14 @@ func (s *Server) remember(key replayKey, now int64) *Packet {
 		for q := s.head; q < s.tail; q++ {
 			ring[q&uint64(len(ring)-1)] = *s.entry(q)
 		}
+		// The entries the ring gains cut their reply buffers from one
+		// array.
+		buf := make([]byte, (len(ring)-len(s.ring))*grantLen)
+		for i := range ring {
+			if ring[i].reply.attrs == nil {
+				ring[i].reply.attrs, buf = buf[:0:grantLen], buf[grantLen:]
+			}
+		}
 		s.ring = ring
 	}
 	e := s.entry(s.tail)
@@ -321,10 +333,11 @@ func (s *Server) remember(key replayKey, now int64) *Packet {
 	return &e.reply
 }
 
-// Handle processes one RADIUS packet and returns the reply (nil for
-// unhandled codes). now is the current time in seconds. The reply
-// belongs to the server until its next call: read it, or copy it,
-// before handling another packet.
+// Handle processes one Access-Request, CoA-Request or
+// Disconnect-Request and returns the reply; any other code is an error.
+// now is the current time in seconds. The reply belongs to the server
+// until its next call: read it, or copy it, before handling another
+// packet.
 //
 // A retransmitted request — same Identifier and Request Authenticator
 // within the duplicate window — returns the cached reply without
@@ -358,17 +371,6 @@ func (s *Server) Handle(req *Packet, now int64) (*Packet, error) {
 			s.handleDisconnect(req, rep)
 		}
 		return rep, nil
-
-	case AccountingRequest:
-		if st, ok := req.GetU32(AttrAcctStatusType); ok && st == AcctStop {
-			if user, ok := req.Get(AttrUserName); ok {
-				if id, ok := s.users[string(user)]; ok {
-					s.StopSession(id)
-				}
-			}
-		}
-		s.acct.Reset(AccountingResponse, req.Identifier)
-		return &s.acct, nil
 
 	default:
 		return nil, fmt.Errorf("radius: unhandled code %v", req.Code)
