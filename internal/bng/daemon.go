@@ -112,17 +112,21 @@ type Daemon struct {
 	nextFail   int64
 	failovers  []int64
 
+	// merged is the sketch state each round cut builds on.
+	merged mergedSketches
+
 	confHash string
 }
 
 // roundCut is what a round boundary publishes: the virtual hour and
 // everything the read API serves for it. The session table is retained
 // in key order, so /snapshot encodes the boundary's table instead of
-// re-reading the live table the engines are writing. The sketch set is the
-// stripe partials merged in stripe order; its binary form is encoded on
-// demand. Every field is a pure function of engine state at the
+// re-reading the live table the engines are writing. The sketch set is
+// the lossless merge of the stripe partials; its binary form is encoded
+// on demand. Every field is a pure function of engine state at the
 // boundary, so two daemons at the same hour hold byte-identical cuts at
-// any worker count. A cut is never modified once published.
+// any worker count. A cut is never modified once published: the next
+// cut builds on its heavy hitters by reading them (mergedSketches).
 type roundCut struct {
 	hours     int64
 	view      StatsView
@@ -173,6 +177,7 @@ func New(cfg Config, opt Options) (*Daemon, error) {
 		opt:      opt,
 		table:    table,
 		engines:  engines,
+		merged:   newMergedSketches(len(engines)),
 		confHash: hash,
 	}
 	d.cumSubs = make([]int, len(cfg.Groups)+1)
@@ -266,22 +271,7 @@ func (d *Daemon) runRound(toHours int64) error {
 	if d.opt.Obs != nil {
 		span = d.opt.Obs.StartSpan("bng.round")
 	}
-	// Each engine writes only the slots of the keys its stripe owns, and
-	// the barrier below reads the table only after every engine has
-	// returned, so the table needs no lock.
-	_, err := parallel.MapErr(len(d.engines), d.opt.Workers, func(sh int) (struct{}, error) {
-		e := d.engines[sh]
-		if err := e.advance(until); err != nil {
-			return struct{}{}, err
-		}
-		if renumber {
-			// A lease-preserving takeover leaves the table untouched;
-			// the renumbering one re-runs every assignment in place.
-			return struct{}{}, e.failoverRenumber(until, d.cfg.Seed)
-		}
-		return struct{}{}, nil
-	})
-	if err != nil {
+	if err := d.advanceEngines(until, renumber); err != nil {
 		return err
 	}
 	// Readers see the appended hour only with the cut that counts it:
@@ -311,29 +301,56 @@ func (d *Daemon) runRound(toHours int64) error {
 	return nil
 }
 
+// advanceEngines runs every engine to virtual second until, then, for a
+// renumbering takeover, re-runs every assignment. Each engine writes
+// only the slots of the keys its stripe owns, and the barrier reads the
+// table only after every engine has returned, so the table needs no
+// lock.
+func (d *Daemon) advanceEngines(until int64, renumber bool) error {
+	_, err := parallel.MapErr(len(d.engines), d.opt.Workers, func(sh int) (struct{}, error) {
+		e := d.engines[sh]
+		if err := e.advance(until); err != nil {
+			return struct{}{}, err
+		}
+		if renumber {
+			// A lease-preserving takeover leaves the table untouched;
+			// the renumbering one re-runs every assignment in place.
+			return struct{}{}, e.failoverRenumber(until, d.cfg.Seed)
+		}
+		return struct{}{}, nil
+	})
+	return err
+}
+
 // buildCut computes the round cut for hours with the failover schedule
 // as it stands. It runs at the round barrier, with the engines
-// quiescent, as two independent halves: the table half (one key-order
-// walk of the table for the counts, the hash and /stats) and the sketch
-// half (the stripe merge and the /sketch view). Each writes only its
-// own fields of the cut, so the halves run concurrently within
-// Options.Workers.
+// quiescent, as three independent tasks within Options.Workers: the
+// table hash (a serial FNV chain over the slots, the longest task, so
+// it starts first), the key-ordered copy with its counts, and the
+// sketch merge with the /sketch view. Each writes only its own fields
+// of the cut; /stats, which needs the hash and the counts, is rendered
+// after them.
 func (d *Daemon) buildCut(hours int64) *roundCut {
 	c := &roundCut{hours: hours, failovers: d.failovers, nextFail: d.nextFail}
-	parallel.Map(2, d.opt.Workers, func(half int) struct{} {
-		if half == 0 {
-			d.tableHalf(c)
-		} else {
-			d.sketchHalf(c)
+	hash := parallel.Map(3, d.opt.Workers, func(task int) uint64 {
+		switch task {
+		case 0:
+			return d.table.Hash()
+		case 1:
+			d.cutTable(c)
+		default:
+			d.mergeSketches(c)
 		}
-		return struct{}{}
-	})
+		return 0
+	})[0]
+	c.view.TableHash = fmt.Sprintf("%016x", hash)
+	c.statsJSON = indentJSON(c.view)
 	return c
 }
 
-// tableHalf fills the cut's key-ordered session table, stats view and
-// its canonical JSON.
-func (d *Daemon) tableHalf(c *roundCut) {
+// cutTable fills the cut's key-ordered session table and its stats
+// view, all but the hash.
+func (d *Daemon) cutTable(c *roundCut) {
 	snap := d.table.SnapshotSorted()
 	groups := make([]GroupStats, len(d.cfg.Groups))
 	var pools []PoolStats
@@ -400,22 +417,12 @@ func (d *Daemon) tableHalf(c *roundCut) {
 		VirtualHours:     c.hours,
 		Subscribers:      d.cfg.Subscribers(),
 		ActiveSessions:   len(snap),
-		TableHash:        fmt.Sprintf("%016x", stripe.Hash(snap)),
 		Events:           stats,
 		Groups:           groups,
 		Pools:            pools,
 		Failovers:        len(c.failovers),
 		LastFailoverHour: lastFail,
 	}
-	c.statsJSON = indentJSON(c.view)
-}
-
-// sketchHalf fills the cut's merged sketch set, its summary view and
-// the view's canonical JSON.
-func (d *Daemon) sketchHalf(c *roundCut) {
-	c.sketchSet = d.mergeEngineSketches()
-	c.sketchView = SketchView{VirtualHours: c.hours, Sketches: c.sketchSet.Summarize(summaryProbs, summaryTop)}
-	c.sketchJSON = indentJSON(c.sketchView)
 }
 
 // indentJSON is the canonical two-space-indented JSON of a view.

@@ -344,6 +344,9 @@ type shardEngine struct {
 	// in stripe order at the round barrier, so the merged set is
 	// worker-count invariant byte for byte.
 	sk *sketch.Set
+	// changes lists the keys this round folded into each churn heavy
+	// hitter of sk (churnNames order), for the barrier's merge.
+	changes [nChurn]changeList
 
 	// Scratch for the wire exchanges, one set per protocol: the request
 	// as built, its wire bytes, and the copy the server decodes. The
@@ -374,6 +377,9 @@ func buildEngines(cfg *Config, table *stripe.Table) ([]*shardEngine, error) {
 	engines := make([]*shardEngine, shards)
 	for sh := 0; sh < shards; sh++ {
 		e := &shardEngine{id: sh, table: table, clock: &engClock{}, sk: sketch.BNGEngine.New()}
+		for i := range e.changes {
+			e.changes[i].keys = make([]uint64, 0, changeCap)
+		}
 		e.srvs = make([]groupSrv, len(cfg.Groups))
 		for gi := range cfg.Groups {
 			g := &cfg.Groups[gi]

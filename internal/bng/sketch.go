@@ -11,8 +11,50 @@ import (
 
 // Engine fold hooks. Each stripe's engine folds into its own
 // sketch.BNGEngine set; it is single-threaded within a round and owns
-// the set exclusively, so folds need no locks; the daemon merges the
-// partials in stripe order at the round barrier.
+// the set exclusively, so folds need no locks. Each churn fold also
+// lists its key for the round cut, which merges the round's changes
+// into the last cut's heavy hitters (mergedSketches).
+
+// The churn heavy hitters, in the order that indexes an engine's
+// change lists and the daemon's merged forms.
+const (
+	churn24 = iota
+	churn64
+	nChurn
+)
+
+// churnNames maps a churn index to its sketch name.
+var churnNames = [nChurn]string{sketch.Churn24, sketch.Churn64}
+
+// pfxNames are the pool cardinalities the daemon keeps merged.
+var pfxNames = [...]string{sketch.Pfx24, sketch.Pfx64}
+
+// changeCap is how many keys an engine lists per churn heavy hitter in
+// one round. At serve-bng's default shape (100k subscribers over 256
+// engines, hourly rounds) the largest count one engine reached in a
+// round was 34 and the median 16. A round past it makes the cut rebuild
+// that heavy hitter from every partial, as bng-churn's 24-hour rounds
+// do.
+const changeCap = 64
+
+// changeList is one engine's keys folded into one churn heavy hitter
+// since the last cut. Its capacity is fixed when the engine is built,
+// so a long round overflows it instead of growing it.
+type changeList struct {
+	keys []uint64 // capacity changeCap
+	over bool     // a key was folded while the list was full
+}
+
+// add lists key, or marks the list overflowed when it is full.
+//
+//lint:hotpath every address change an engine folds
+func (l *changeList) add(key uint64) {
+	if len(l.keys) == cap(l.keys) {
+		l.over = true
+		return
+	}
+	l.keys = append(l.keys, key)
+}
 
 // skAssign records an assignment outcome: the pool cardinalities see
 // every held address, and each family's change feeds its churn top-k.
@@ -30,6 +72,7 @@ func (e *shardEngine) skAssign(addr4 uint32, p6hi uint64, p6len uint8) {
 func (e *shardEngine) skV4Change(oldAddr4 uint32) {
 	if oldAddr4 != 0 {
 		e.sk.TopK(sketch.Churn24).Add(uint64(oldAddr4>>8), 1)
+		e.changes[churn24].add(uint64(oldAddr4 >> 8))
 	}
 }
 
@@ -38,6 +81,7 @@ func (e *shardEngine) skV4Change(oldAddr4 uint32) {
 func (e *shardEngine) skV6Change(oldP6Hi uint64, oldP6Len uint8) {
 	if oldP6Len != 0 {
 		e.sk.TopK(sketch.Churn64).Add(oldP6Hi, 1)
+		e.changes[churn64].add(oldP6Hi)
 	}
 }
 
@@ -220,10 +264,10 @@ func (d *Daemon) QuerySketch(q SketchQuery) (any, error) {
 		return QuantileAnswer{VirtualHours: hours, Name: q.Name,
 			Count: qu.Count(), P: q.P, Value: qu.Query(q.P)}, nil
 	case "topk":
-		if s.KindOf(q.Name) != sketch.KindTopK {
+		tk := s.HeavyHitters(q.Name)
+		if tk == nil {
 			return nil, ErrSketchUnknown
 		}
-		tk := s.TopK(q.Name)
 		ans := TopKAnswer{VirtualHours: hours, Name: q.Name, N: tk.N(), Slack: tk.Slack()}
 		if top := tk.Top(q.K); len(top) > 0 {
 			ans.Top = top // an empty answer stays a JSON null
@@ -250,17 +294,115 @@ func (d *Daemon) Sketch() SketchView { return d.current().sketchView }
 // is encoded on demand from the last round boundary's merged set.
 func (d *Daemon) SketchBinary() []byte { return d.current().sketchSet.Encode() }
 
-// mergeEngineSketches folds every stripe's partial, in stripe-index
-// order, into one fresh set. Called at the round barrier (engines
-// quiescent); the result is worker-count independent because the
-// stripe partition and each stripe's event order are.
-func (d *Daemon) mergeEngineSketches() *sketch.Set {
-	acc := sketch.BNGEngine.New()
-	for _, e := range d.engines {
-		if err := acc.Merge(e.sk); err != nil {
-			// Engines share one schema by construction.
-			panic(err)
-		}
+// mergedSketches is what the round cut keeps from one cut to the next
+// so that it merges only what changed. Only the cut's sketch task
+// touches it.
+type mergedSketches struct {
+	// churn holds the last cut's heavy hitters. They are published in
+	// that cut, so the next cut reads them and writes new ones.
+	churn [nChurn]*sketch.SortedTopK
+	// pfx holds every engine's raised register words, folded by
+	// register max. The cut publishes copies.
+	pfx [len(pfxNames)]*sketch.Card
+	// keys and parts are the cut's scratch: one heavy hitter's listed
+	// keys from every engine (at most engines × changeCap) and its
+	// partials for a rebuild.
+	keys  []uint64
+	parts []*sketch.TopK
+	// rebuilds counts the heavy hitters built from every partial.
+	rebuilds int
+}
+
+func newMergedSketches(engines int) mergedSketches {
+	m := mergedSketches{
+		keys:  make([]uint64, 0, engines*changeCap),
+		parts: make([]*sketch.TopK, 0, engines),
 	}
-	return acc
+	for i := range m.pfx {
+		m.pfx[i] = sketch.NewCard(sketch.CardP, sketch.CardSeed)
+	}
+	return m
+}
+
+// mergeSketches fills the cut's sketch set, its summary view and the
+// view's canonical JSON. The set is the lossless merge of every
+// engine's partial, built from what changed since the last cut: each
+// churn heavy hitter by mergeChurn, each pool cardinality from the
+// register words the engines raised. The duration quantile, at most
+// ~1,100 buckets a partial, is merged afresh.
+func (d *Daemon) mergeSketches(c *roundCut) {
+	set := sketch.NewSet()
+	for i, name := range churnNames {
+		mustPut(set, name, d.mergeChurn(i))
+	}
+	dur := sketch.NewQuantile(sketch.Alpha)
+	for _, e := range d.engines {
+		mustMerge(dur.Merge(e.sk.Quantile(sketch.DurHours)))
+	}
+	mustPut(set, sketch.DurHours, dur)
+	for i, name := range pfxNames {
+		kept := d.merged.pfx[i]
+		for _, e := range d.engines {
+			mustMerge(kept.MergeRaised(e.sk.Card(name)))
+		}
+		pub := sketch.NewCard(sketch.CardP, sketch.CardSeed)
+		mustMerge(pub.Merge(kept))
+		mustPut(set, name, pub)
+	}
+	c.sketchSet = set
+	c.sketchView = SketchView{VirtualHours: c.hours, Sketches: set.Summarize(summaryProbs, summaryTop)}
+	c.sketchJSON = indentJSON(c.sketchView)
+}
+
+// mergeChurn returns churn heavy hitter i for this cut and empties the
+// engines' lists of it. It is the last cut's form with the round's
+// listed keys merged in, unless that would be wrong: on the first cut,
+// when a list overflowed, or when a partial's slack moved (a
+// Misra-Gries decrement trimmed entries no list records) it is rebuilt
+// from every partial. Both paths give the lossless union of the
+// partials.
+func (d *Daemon) mergeChurn(i int) *sketch.SortedTopK {
+	m := &d.merged
+	prev := m.churn[i]
+	rebuild := prev == nil
+	var slack uint64
+	m.keys = m.keys[:0]
+	m.parts = m.parts[:0]
+	for _, e := range d.engines {
+		part := e.sk.TopK(churnNames[i])
+		slack += part.Slack()
+		m.parts = append(m.parts, part)
+		l := &e.changes[i]
+		rebuild = rebuild || l.over
+		m.keys = append(m.keys, l.keys...)
+		l.keys, l.over = l.keys[:0], false
+	}
+	next := prev
+	switch {
+	case rebuild || slack != prev.Slack():
+		m.rebuilds++
+		var err error
+		next, err = sketch.MergeSorted(m.parts)
+		mustMerge(err)
+	case len(m.keys) > 0:
+		next = prev.With(m.keys)
+	}
+	m.churn[i] = next
+	return next
+}
+
+// mustPut adds a schema sketch to a cut's set. Schema names are valid
+// and distinct, so Put cannot refuse one.
+func mustPut(s *sketch.Set, name string, sk sketch.Sketch) {
+	if err := s.Put(name, sk); err != nil {
+		panic(err)
+	}
+}
+
+// mustMerge panics on a merge error: the engines and the daemon build
+// every sketch with the package parameters, so none can occur.
+func mustMerge(err error) {
+	if err != nil {
+		panic(err)
+	}
 }

@@ -2,6 +2,7 @@ package stripe
 
 import (
 	"cmp"
+	"hash/fnv"
 	"slices"
 	"testing"
 )
@@ -94,6 +95,77 @@ func TestSnapshotSortedMatchesOracle(t *testing.T) {
 				t.Fatal("table hash differs from the oracle's")
 			}
 		})
+	}
+}
+
+// fnvOracle is FNV-1a/64 over the records' canonical encoding, built
+// with the standard library's hash.
+func fnvOracle(recs []Session) uint64 {
+	h := fnv.New64a()
+	var buf []byte
+	for _, s := range recs {
+		buf = AppendSession(buf[:0], s)
+		h.Write(buf)
+	}
+	return h.Sum64()
+}
+
+// TestTableHashMatchesSnapshot: the table's slot-walk hash equals the
+// hash of its key-ordered copy and FNV-1a over the canonical encoding,
+// on seeded random tables with absent slots, empty groups and groups
+// grown past their size.
+func TestTableHashMatchesSnapshot(t *testing.T) {
+	for seed := uint64(1); seed <= 24; seed++ {
+		sizes := make([]int, 1+Mix64(seed)%5)
+		for g := range sizes {
+			sizes[g] = int(Mix64(seed^uint64(g)<<8) % 3000)
+			if g == 1 {
+				sizes[g] = 0 // empty, or grown by a Put past it
+			}
+		}
+		var keys []uint64
+		for g := range len(sizes) + 1 {
+			for i := 0; i < 4000; i++ {
+				if k := uint64(g)<<32 | uint64(i); Mix64(k^seed)%5 == 0 {
+					keys = append(keys, k)
+				}
+			}
+		}
+		tab, recs := fillTable(t, int(seed%9), scrambled(keys), sizes...)
+		for i, r := range recs {
+			if Mix64(r.Key+seed)%3 == 0 && tab.Delete(r.Key) {
+				recs[i].State = 0
+			}
+		}
+		recs = slices.DeleteFunc(recs, func(r Session) bool { return r.State == 0 })
+		snap := tab.SnapshotSorted()
+		if got, want := tab.Hash(), Hash(snap); got != want {
+			t.Fatalf("seed %d: table hash %#x, snapshot hash %#x", seed, got, want)
+		}
+		if got, want := Hash(snap), fnvOracle(sortOracle(recs)); got != want {
+			t.Fatalf("seed %d: snapshot hash %#x, FNV-1a of the encoding %#x", seed, got, want)
+		}
+	}
+	empty, _ := New(3, 10, 0)
+	if empty.Hash() != Hash(nil) || Hash(nil) != fnvOracle(nil) {
+		t.Error("an empty table does not hash to the FNV offset basis")
+	}
+}
+
+// BenchmarkTableHash is the round barrier's hash task at serve-bng's
+// default shape (BenchmarkSnapshotSorted's table).
+func BenchmarkTableHash(b *testing.B) {
+	var keys []uint64
+	for _, k := range denseKeys(4, 25_000, 1) {
+		if Mix64(k)%50 != 0 {
+			keys = append(keys, k)
+		}
+	}
+	tab, _ := fillTable(b, 8, keys, 25_000, 25_000, 25_000, 25_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tab.Hash()
 	}
 }
 

@@ -34,6 +34,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"math/bits"
 )
 
 // Session is one subscriber's live assignment state, sized and laid out
@@ -327,22 +328,73 @@ func DecodeSnapshot(r io.Reader) ([]Session, error) {
 	return out, nil
 }
 
+// FNV-1a/64 parameters of the table hash.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 // Hash folds the canonical encoding of the given records into one
 // FNV-1a/64 digest: the cheap equality check the daemon's /stats
 // endpoint exposes as table_hash.
 func Hash(sessions []Session) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	buf := make([]byte, 0, EncodedSessionSize)
+	h := uint64(fnvOffset64)
 	for i := range sessions {
-		buf = AppendSession(buf[:0], sessions[i])
-		for _, c := range buf {
-			h ^= uint64(c)
-			h *= prime64
+		h = hashSession(h, &sessions[i])
+	}
+	return h
+}
+
+// Hash is Hash(t.SnapshotSorted()) without the copy: it folds the
+// present slots in key order, straight from the table.
+func (t *Table) Hash() uint64 {
+	h := uint64(fnvOffset64)
+	for _, grp := range t.groups {
+		for i := range grp {
+			if grp[i].State != 0 {
+				h = hashSession(h, &grp[i])
+			}
 		}
 	}
 	return h
 }
+
+// hashSession folds s's 48-byte canonical encoding (AppendSession's
+// bytes) into h, byte by byte from the fields.
+func hashSession(h uint64, s *Session) uint64 {
+	h = hashLE(h, s.Key, 8)
+	h = hashLE(h, s.Pfx6Hi, 8)
+	h = hashLE(h, uint64(s.Start), 8)
+	h = hashLE(h, uint64(s.Expiry), 8)
+	h = hashLE(h, uint64(s.Addr4), 4)
+	h = hashLE(h, uint64(s.Gen), 4)
+	h = hashLE(h, uint64(s.Renews), 4)
+	h = hashLE(h, uint64(s.Pfx6Len)|uint64(s.State)<<8, 4) // two bytes and the zero padding
+	return h
+}
+
+// hashLE folds the low n bytes of v, least significant first. A zero
+// byte leaves h^b == h, so the run of zero bytes above v's highest set
+// byte folds as one multiply by a power of the prime: most fields hold
+// small numbers, and the FNV chain is the cut's longest task.
+func hashLE(h, v uint64, n int) uint64 {
+	used := (bits.Len64(v) + 7) >> 3
+	for range used {
+		h ^= v & 0xFF
+		h *= fnvPrime64
+		v >>= 8
+	}
+	if used < n {
+		h *= fnvPow[n-used]
+	}
+	return h
+}
+
+// fnvPow[k] is fnvPrime64 to the power k: the fold of k zero bytes.
+var fnvPow = func() (pow [9]uint64) {
+	pow[0] = 1
+	for k := 1; k < len(pow); k++ {
+		pow[k] = pow[k-1] * fnvPrime64
+	}
+	return pow
+}()

@@ -38,7 +38,7 @@ func TestCPEBootstrapOverWire(t *testing.T) {
 	// verified, parsed reply.
 	access := func(req *radius.Packet) *radius.Packet {
 		t.Helper()
-		in, err := radius.Parse(req.Encode())
+		in, err := radius.Parse(req.Append(nil))
 		if err != nil {
 			t.Fatalf("radius server side: %v", err)
 		}

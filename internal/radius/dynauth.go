@@ -40,10 +40,6 @@ func (p *Packet) AppendRequest(dst []byte, secret []byte) []byte {
 	return p.appendSigned(dst, &[16]byte{}, secret)
 }
 
-// EncodeRequest serializes a server-originated request (AppendRequest to
-// nil).
-func (p *Packet) EncodeRequest(secret []byte) []byte { return p.AppendRequest(nil, secret) }
-
 // VerifyRequest checks a server-originated request's Request
 // Authenticator against the shared secret.
 func VerifyRequest(req []byte, secret []byte) error {

@@ -39,7 +39,7 @@ func TestDynauthWireRoundTrip(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			req := c.build()
-			wire := req.EncodeRequest(secret)
+			wire := req.AppendRequest(nil, secret)
 			if err := VerifyRequest(wire, secret); err != nil {
 				t.Fatalf("VerifyRequest: %v", err)
 			}
@@ -58,7 +58,7 @@ func TestDynauthWireRoundTrip(t *testing.T) {
 			}
 			// Retransmission must re-encode byte-identically (the
 			// replay cache keys on Identifier+Authenticator).
-			again := got.Encode()
+			again := got.Append(nil)
 			if len(again) != len(wire) {
 				t.Fatalf("re-encode length %d != %d", len(again), len(wire))
 			}
@@ -72,7 +72,7 @@ func TestDynauthWireRoundTrip(t *testing.T) {
 	// Tampering any byte breaks the authenticator.
 	p := New(CoARequest, 3)
 	p.AddString(AttrUserName, "u")
-	wire := p.EncodeRequest(secret)
+	wire := p.AppendRequest(nil, secret)
 	for i := range wire {
 		bad := append([]byte(nil), wire...)
 		bad[i] ^= 0x40
@@ -106,7 +106,7 @@ func TestCoADispatch(t *testing.T) {
 
 	req := New(CoARequest, 21)
 	req.AddString(AttrUserName, "sub")
-	parsed, err := Parse(req.EncodeRequest(s.Secret()))
+	parsed, err := Parse(req.AppendRequest(nil, s.Secret()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestCoADispatch(t *testing.T) {
 	// Unknown session → NAK 503.
 	req = New(CoARequest, 22)
 	req.AddString(AttrUserName, "ghost")
-	parsed, _ = Parse(req.EncodeRequest(s.Secret()))
+	parsed, _ = Parse(req.AppendRequest(nil, s.Secret()))
 	rep, err = s.Handle(parsed, 201)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestCoADispatch(t *testing.T) {
 	}
 
 	// Missing User-Name → NAK 402.
-	parsed, _ = Parse(New(CoARequest, 23).EncodeRequest(s.Secret()))
+	parsed, _ = Parse(New(CoARequest, 23).AppendRequest(nil, s.Secret()))
 	rep, _ = s.Handle(parsed, 202)
 	if cause, _ := rep.GetU32(AttrErrorCause); rep.Code != CoANAK || cause != ErrCauseMissingAttribute {
 		t.Errorf("missing-attr reply = %v cause %d", rep.Code, cause)
@@ -166,7 +166,7 @@ func TestDisconnectDispatch(t *testing.T) {
 	s := dynauthServer(t)
 	req := New(DisconnectRequest, 31)
 	req.AddString(AttrUserName, "sub")
-	parsed, _ := Parse(req.EncodeRequest(s.Secret()))
+	parsed, _ := Parse(req.AppendRequest(nil, s.Secret()))
 	rep, err := s.Handle(parsed, 300)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestDisconnectDispatch(t *testing.T) {
 	// Second disconnect with a NEW identifier: session already gone.
 	req = New(DisconnectRequest, 32)
 	req.AddString(AttrUserName, "sub")
-	parsed, _ = Parse(req.EncodeRequest(s.Secret()))
+	parsed, _ = Parse(req.AppendRequest(nil, s.Secret()))
 	rep, _ = s.Handle(parsed, 301)
 	if cause, _ := rep.GetU32(AttrErrorCause); rep.Code != DisconnectNAK || cause != ErrCauseSessionNotFound {
 		t.Errorf("replayed disconnect = %v cause %d", rep.Code, cause)
@@ -197,7 +197,7 @@ func TestDynauthReplayCache(t *testing.T) {
 	s := dynauthServer(t)
 	req := New(CoARequest, 40)
 	req.AddString(AttrUserName, "sub")
-	wire := req.EncodeRequest(s.Secret())
+	wire := req.AppendRequest(nil, s.Secret())
 
 	p1, _ := Parse(wire)
 	rep1, err := s.Handle(p1, 400)
@@ -230,11 +230,11 @@ func TestDynauthReplayCache(t *testing.T) {
 func FuzzDynauth(f *testing.F) {
 	seedReq := New(CoARequest, 5)
 	seedReq.AddString(AttrUserName, "sub")
-	seed := seedReq.EncodeRequest([]byte("s3cret"))
+	seed := seedReq.AppendRequest(nil, []byte("s3cret"))
 	f.Add(seed)
 	d := New(DisconnectRequest, 6)
 	d.AddString(AttrUserName, "nobody")
-	f.Add(d.EncodeRequest([]byte("s3cret")))
+	f.Add(d.AppendRequest(nil, []byte("s3cret")))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		VerifyRequest(b, []byte("s3cret")) //nolint:errcheck // errors are expected
@@ -257,7 +257,7 @@ func FuzzDynauth(f *testing.F) {
 			q.Code = code
 			rep, err := s.Handle(&q, 2)
 			if err == nil && rep != nil {
-				rep.Encode()
+				rep.Append(nil)
 			}
 		}
 	})

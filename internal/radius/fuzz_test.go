@@ -26,7 +26,7 @@ func TestParseNeverPanics(t *testing.T) {
 	valid := New(AccessRequest, 9)
 	valid.AddString(AttrUserName, "fuzz")
 	valid.AddU32(AttrSessionTimeout, 60)
-	wire := valid.Encode()
+	wire := valid.Append(nil)
 	for i := 0; i < 5000; i++ {
 		b := append([]byte(nil), wire...)
 		for k := 0; k < 3; k++ {
@@ -49,7 +49,7 @@ func FuzzParse(f *testing.F) {
 	valid.AddString(AttrUserName, "fuzz")
 	valid.AddU32(AttrSessionTimeout, 60)
 	valid.AddPrefix6(AttrDelegatedIPv6Prefix, netip.MustParsePrefix("2003:1000:0:1100::/56"))
-	seed := valid.Encode()
+	seed := valid.Append(nil)
 	f.Add(seed)
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -60,12 +60,12 @@ func FuzzParse(f *testing.F) {
 		if p == nil {
 			return
 		}
-		wire := p.Encode()
+		wire := p.Append(nil)
 		again, err := Parse(wire)
 		if err != nil {
 			t.Fatalf("encoded bytes do not decode: %v", err)
 		}
-		if b2 := again.Encode(); !bytes.Equal(b2, wire) {
+		if b2 := again.Append(nil); !bytes.Equal(b2, wire) {
 			t.Fatalf("round trip changed the bytes:\n%x\n%x", wire, b2)
 		}
 	})
@@ -89,7 +89,7 @@ func sameDecode(seed, b []byte, err error, p *Packet) error {
 	if p == nil {
 		return errors.New("nil packet without error")
 	}
-	if got, want := reused.Append([]byte("pre")), p.Encode(); string(got) != "pre"+string(want) {
+	if got, want := reused.Append([]byte("pre")), p.Append(nil); string(got) != "pre"+string(want) {
 		return fmt.Errorf("reused packet appends %x, fresh one encodes %x", got, want)
 	}
 	return nil

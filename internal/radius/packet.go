@@ -213,9 +213,6 @@ func (p *Packet) appendWire(dst []byte, auth *[16]byte) []byte {
 //lint:hotpath
 func (p *Packet) Append(dst []byte) []byte { return p.appendWire(dst, &p.Authenticator) }
 
-// Encode serializes the packet with its current authenticator.
-func (p *Packet) Encode() []byte { return p.Append(nil) }
-
 // appendSigned appends the packet's wire form with auth in its
 // authenticator field, then replaces that field, and p's Authenticator,
 // with MD5 over the packet followed by secret. The secret is appended in

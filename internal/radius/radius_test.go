@@ -25,7 +25,7 @@ func TestPacketRoundTrip(t *testing.T) {
 	p.AddU32(AttrSessionTimeout, 86400)
 	p.AddPrefix6(AttrDelegatedIPv6Prefix, netip.MustParsePrefix("2a01:c000:ab00::/56"))
 
-	got, err := Parse(p.Encode())
+	got, err := Parse(p.Append(nil))
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -54,7 +54,7 @@ func TestPacketRoundTripProperty(t *testing.T) {
 		p := New(AccessRequest, id)
 		p.AddString(AttrUserName, user)
 		p.AddU32(AttrSessionTimeout, v)
-		got, err := Parse(p.Encode())
+		got, err := Parse(p.Append(nil))
 		if err != nil {
 			return false
 		}
@@ -71,14 +71,14 @@ func TestParseErrors(t *testing.T) {
 	if _, err := Parse(make([]byte, 10)); err == nil {
 		t.Error("short packet accepted")
 	}
-	p := New(AccessRequest, 1).Encode()
+	p := New(AccessRequest, 1).Append(nil)
 	p[2], p[3] = 0, 10 // length below minimum
 	if _, err := Parse(p); err == nil {
 		t.Error("bad length accepted")
 	}
 	q := New(AccessRequest, 1)
 	q.AddString(AttrUserName, "x")
-	b := q.Encode()
+	b := q.Append(nil)
 	b[21] = 1 // attribute length below 2
 	if _, err := Parse(b); err == nil {
 		t.Error("bad attribute length accepted")
@@ -127,7 +127,7 @@ func TestAttributeTooLongPanics(t *testing.T) {
 	}()
 	p := New(AccessRequest, 1)
 	p.Add(AttrUserName, make([]byte, 300))
-	p.Encode()
+	p.Append(nil)
 }
 
 func TestSessionLifecycle(t *testing.T) {

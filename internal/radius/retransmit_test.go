@@ -166,7 +166,7 @@ func TestDuplicateRejectIsCached(t *testing.T) {
 // accepts and the wire bytes of every reply the server sent.
 func exchangeOverLink(t *testing.T, link *faultnet.Link, s *Server, req *Packet) (*Packet, [][]byte, faultnet.Verdict) {
 	t.Helper()
-	wire := req.Encode()
+	wire := req.Append(nil)
 	var replies [][]byte
 	v := link.Exchange(0, NewRetransmitter(link.Client()), func(int) {
 		in, err := Parse(wire)

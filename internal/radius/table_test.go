@@ -15,7 +15,7 @@ func TestUnknownUserIsNotRegistered(t *testing.T) {
 	for i, code := range []Code{CoARequest, DisconnectRequest} {
 		req := New(code, byte(50+i))
 		req.AddString(AttrUserName, "never-seen")
-		parsed, err := Parse(req.EncodeRequest(s.Secret()))
+		parsed, err := Parse(req.AppendRequest(nil, s.Secret()))
 		if err != nil {
 			t.Fatal(err)
 		}

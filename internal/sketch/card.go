@@ -26,6 +26,9 @@ type Card struct {
 	p    uint8
 	seed uint64
 	reg  []uint8
+	// raised has one bit per 8-register word: the words Add raised
+	// since MergeRaised last read this card.
+	raised []uint64
 }
 
 // NewCard builds an estimator with 2^p registers hashed under seed. It
@@ -34,7 +37,7 @@ func NewCard(p uint8, seed uint64) *Card {
 	if p < MinCardP || p > MaxCardP {
 		panic("sketch: card precision outside [4, 18]")
 	}
-	return &Card{p: p, seed: seed, reg: make([]uint8, 1<<p)}
+	return &Card{p: p, seed: seed, reg: make([]uint8, 1<<p), raised: make([]uint64, max(1, 1<<p>>9))}
 }
 
 // P reports the precision (log2 of the register count).
@@ -46,7 +49,8 @@ func (c *Card) Seed() uint64 { return c.seed }
 // Kind reports KindCard.
 func (c *Card) Kind() Kind { return KindCard }
 
-// Add folds one key into the estimator.
+// Add folds one key into the estimator, marking the register word it
+// raises.
 func (c *Card) Add(key uint64) {
 	h := mix64(mix64(key) ^ c.seed)
 	idx := h >> (64 - uint(c.p))
@@ -59,8 +63,14 @@ func (c *Card) Add(key uint64) {
 	}
 	if r > c.reg[idx] {
 		c.reg[idx] = r
+		c.mark(int(idx) >> 3)
 	}
 }
+
+// mark records that register word w (registers 8w..8w+7) was raised.
+//
+//lint:hotpath every register an Add raises
+func (c *Card) mark(w int) { c.raised[w>>6] |= 1 << (w & 63) }
 
 // alphaM is the HyperLogLog bias-correction constant for m registers.
 func alphaM(m float64) float64 {
@@ -107,19 +117,48 @@ func (c *Card) Merge(o *Card) error {
 	if c.p != o.p || c.seed != o.seed {
 		return ErrMergeParam
 	}
-	// Eight registers at a time: every register is at most 64-p+1 < 0x80
-	// (Add and the codec both hold that), so (a|0x80)-b never borrows
-	// across bytes and keeps a byte's high bit exactly where a >= b.
-	// 2^p registers with p >= MinCardP is always a multiple of eight.
-	const hi = 0x8080808080808080
 	dst := c.reg[:len(o.reg)]
 	for i := 0; i+8 <= len(dst); i += 8 {
 		a := binary.LittleEndian.Uint64(dst[i:])
 		b := binary.LittleEndian.Uint64(o.reg[i:])
-		ge := (((a | hi) - b) & hi) >> 7 * 0xFF
-		binary.LittleEndian.PutUint64(dst[i:], a&ge|b&^ge)
+		binary.LittleEndian.PutUint64(dst[i:], maxRegs(a, b))
 	}
 	return nil
+}
+
+// MergeRaised folds into c only the register words o's Adds raised
+// since the last MergeRaised from o, then clears o's marks. When c
+// already holds o's registers as of that last call (it has taken o's
+// raised words every time since NewCard built o, and only Add has
+// changed o), c ends with the registers Merge would leave: register
+// max is idempotent, and a word no Add raised holds what c took
+// before. Merge and the codec fill registers without marking them.
+// Both estimators must share precision and seed.
+func (c *Card) MergeRaised(o *Card) error {
+	if c.p != o.p || c.seed != o.seed {
+		return ErrMergeParam
+	}
+	for i, m := range o.raised {
+		for ; m != 0; m &= m - 1 {
+			at := 8 * (i<<6 | bits.TrailingZeros64(m))
+			a := binary.LittleEndian.Uint64(c.reg[at:])
+			b := binary.LittleEndian.Uint64(o.reg[at:])
+			binary.LittleEndian.PutUint64(c.reg[at:], maxRegs(a, b))
+		}
+		o.raised[i] = 0
+	}
+	return nil
+}
+
+// maxRegs is the register-wise max of two words of eight registers.
+// Every register is at most 64-p+1 < 0x80 (Add and the codec both hold
+// that), so (a|0x80)-b never borrows across bytes and keeps a byte's
+// high bit exactly where a >= b. 2^p registers with p >= MinCardP is
+// always a multiple of eight.
+func maxRegs(a, b uint64) uint64 {
+	const hi = 0x8080808080808080
+	ge := (((a | hi) - b) & hi) >> 7 * 0xFF
+	return a&ge | b&^ge
 }
 
 func (c *Card) mergeSketch(other Sketch) error {
@@ -128,10 +167,4 @@ func (c *Card) mergeSketch(other Sketch) error {
 		return ErrMergeSchema
 	}
 	return c.Merge(o)
-}
-
-func (c *Card) cloneSketch() Sketch {
-	out := NewCard(c.p, c.seed)
-	copy(out.reg, c.reg)
-	return out
 }

@@ -102,6 +102,20 @@ func (t *TopK) appendBody(dst []byte) []byte {
 	return dst
 }
 
+// appendBody emits what TopK's does: the entries are already in key
+// order.
+func (s *SortedTopK) appendBody(dst []byte) []byte {
+	dst = le32(dst, uint32(s.k))
+	dst = le64(dst, s.n)
+	dst = le64(dst, s.slack)
+	dst = le32(dst, uint32(len(s.entries)))
+	for _, e := range s.entries {
+		dst = le64(dst, e.Key)
+		dst = le64(dst, e.Count)
+	}
+	return dst
+}
+
 // appendBody emits precision, seed, and the raw register array.
 func (c *Card) appendBody(dst []byte) []byte {
 	dst = append(dst, c.p)

@@ -214,7 +214,11 @@ func FuzzSketchCodec(f *testing.F) {
 		if !bytes.Equal(enc, data) {
 			t.Fatalf("accepted non-canonical encoding: re-encode differs")
 		}
-		if err := s.Merge(s.Clone()); err != nil {
+		again, err := DecodeSet(enc)
+		if err != nil {
+			t.Fatalf("decoding a re-encoded set: %v", err)
+		}
+		if err := s.Merge(again); err != nil {
 			t.Fatalf("self-merge of decoded set: %v", err)
 		}
 		if got := s.Summarize([]float64{0.5}, 5); len(got) != s.Len() {

@@ -175,13 +175,3 @@ func (q *Quantile) mergeSketch(other Sketch) error {
 	}
 	return q.Merge(o)
 }
-
-func (q *Quantile) cloneSketch() Sketch {
-	out := NewQuantile(q.alpha)
-	out.zeros = q.zeros
-	out.n = q.n
-	for _, idx := range q.sortedIdx() {
-		out.counts[idx] = q.counts[idx]
-	}
-	return out
-}

@@ -58,6 +58,8 @@ var (
 	ErrDupName = errors.New("sketch: duplicate name in set")
 	// ErrName rejects empty or oversized (>255 byte) sketch names.
 	ErrName = errors.New("sketch: name must be 1..255 bytes")
+	// ErrReadOnly rejects a merge into a read-only summary (SortedTopK).
+	ErrReadOnly = errors.New("sketch: merge into a read-only summary")
 )
 
 // mix64 is the SplitMix64 finalizer used for seeded hashing — the same
@@ -79,8 +81,15 @@ type Sketch interface {
 	appendBody(dst []byte) []byte
 	// mergeSketch folds other (same concrete type) into the receiver.
 	mergeSketch(other Sketch) error
-	// cloneSketch returns an independent deep copy.
-	cloneSketch() Sketch
+}
+
+// HeavyHitters is the read side of a heavy-hitter summary: a *TopK or
+// a *SortedTopK.
+type HeavyHitters interface {
+	Sketch
+	N() uint64
+	Slack() uint64
+	Top(j int) []Entry
 }
 
 // item is one named sketch in a Set.
@@ -162,6 +171,17 @@ func (s *Set) TopK(name string) *TopK {
 	return nil
 }
 
+// HeavyHitters returns the heavy-hitter summary stored under name, in
+// either form, or nil.
+func (s *Set) HeavyHitters(name string) HeavyHitters {
+	if i := s.find(name); i >= 0 {
+		if h, ok := s.items[i].sk.(HeavyHitters); ok {
+			return h
+		}
+	}
+	return nil
+}
+
 // Card returns the cardinality sketch stored under name, or nil.
 func (s *Set) Card(name string) *Card {
 	if i := s.find(name); i >= 0 {
@@ -190,15 +210,6 @@ func (s *Set) Merge(o *Set) error {
 		}
 	}
 	return nil
-}
-
-// Clone returns an independent deep copy of the set.
-func (s *Set) Clone() *Set {
-	out := &Set{items: make([]item, len(s.items))}
-	for i := range s.items {
-		out.items[i] = item{name: s.items[i].name, sk: s.items[i].sk.cloneSketch()}
-	}
-	return out
 }
 
 // QuantilePoint is one (probability, value) sample of a quantile
@@ -242,7 +253,7 @@ func (s *Set) Summarize(probs []float64, top int) []Summary {
 					sum.Quantiles = append(sum.Quantiles, QuantilePoint{P: p, V: sk.Query(p)})
 				}
 			}
-		case *TopK:
+		case HeavyHitters:
 			sum.Kind = "topk"
 			sum.N = sk.N()
 			sum.Slack = sk.Slack()

@@ -1,6 +1,10 @@
 package sketch
 
-import "slices"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // Entry is one heavy hitter: a key and its estimated count.
 type Entry struct {
@@ -63,7 +67,9 @@ func (t *TopK) sortedKeys() []uint64 {
 // Add folds weight w for key. When the summary exceeds its capacity it
 // runs one Misra-Gries decrement round: subtract the minimum tracked
 // count from every entry, dropping the entries that reach zero and
-// accounting the subtraction in Slack.
+// accounting the subtraction in Slack. The minimum and the subtraction
+// are both independent of the order the map is walked in, so the round
+// is two passes over the map and sorts nothing.
 func (t *TopK) Add(key uint64, w uint64) {
 	if w == 0 {
 		return
@@ -73,21 +79,18 @@ func (t *TopK) Add(key uint64, w uint64) {
 	if len(t.counts) <= t.k {
 		return
 	}
-	keys := t.sortedKeys()
-	min := t.counts[keys[0]]
-	for _, k := range keys[1:] {
-		if c := t.counts[k]; c < min {
-			min = c
-		}
+	m := uint64(math.MaxUint64)
+	for _, c := range t.counts {
+		m = min(m, c)
 	}
-	for _, k := range keys {
-		if c := t.counts[k]; c <= min {
+	for k, c := range t.counts {
+		if c == m {
 			delete(t.counts, k)
 		} else {
-			t.counts[k] = c - min
+			t.counts[k] = c - m
 		}
 	}
-	t.slack += min
+	t.slack += m
 }
 
 // Est returns the stored estimate for key and whether it is tracked.
@@ -118,17 +121,22 @@ func (t *TopK) Top(j int) []Entry {
 		return top
 	}
 	for k, c := range t.counts {
-		e := Entry{Key: k, Count: c}
-		if len(top) == n {
-			if compareEntries(e, top[n-1]) >= 0 {
-				continue
-			}
-			top = top[:n-1]
-		}
-		at, _ := slices.BinarySearchFunc(top, e, compareEntries)
-		top = slices.Insert(top, at, e)
+		top = keepTop(top, n, Entry{Key: k, Count: c})
 	}
 	return top
+}
+
+// keepTop offers e to top, a list of at most n ≥ 1 entries in
+// compareEntries order, and returns the list.
+func keepTop(top []Entry, n int, e Entry) []Entry {
+	if len(top) == n {
+		if compareEntries(e, top[n-1]) >= 0 {
+			return top
+		}
+		top = top[:n-1]
+	}
+	at, _ := slices.BinarySearchFunc(top, e, compareEntries)
+	return slices.Insert(top, at, e)
 }
 
 // topInsertMax bounds the j that Top selects by insertion; past it the
@@ -175,12 +183,110 @@ func (t *TopK) mergeSketch(other Sketch) error {
 	return t.Merge(o)
 }
 
-func (t *TopK) cloneSketch() Sketch {
-	out := NewTopK(t.k)
-	out.n = t.n
-	out.slack = t.slack
-	for _, k := range t.sortedKeys() {
-		out.counts[k] = t.counts[k]
+// SortedTopK is a read-only heavy-hitter summary: the lossless union
+// of TopK partials (what Merge leaves in a fresh TopK), held as its
+// entries in ascending key order. That is the order the codec writes
+// and the order Top selects from, so it encodes to the bytes and answers
+// the queries of a TopK in the same state without building a map.
+// Nothing folds into it: With returns a new summary and leaves its
+// receiver as it was, so a reader may hold one while the next is built.
+// Set.HeavyHitters returns it; Set.TopK, which hands out a summary to
+// fold into, does not.
+type SortedTopK struct {
+	k       int
+	n       uint64
+	slack   uint64
+	entries []Entry // ascending key, every count > 0
+}
+
+// MergeSorted returns the lossless union of parts in sorted form: it
+// collects every partial's entries, sorts them by key and sums each
+// key's run. The parts must be at least one and share k.
+func MergeSorted(parts []*TopK) (*SortedTopK, error) {
+	if len(parts) == 0 {
+		return nil, ErrMergeParam
 	}
+	s := &SortedTopK{k: parts[0].k}
+	size := 0
+	for _, p := range parts {
+		if p.k != s.k {
+			return nil, ErrMergeParam
+		}
+		s.n += p.n
+		s.slack += p.slack
+		size += len(p.counts)
+	}
+	all := make([]Entry, 0, size)
+	for _, p := range parts {
+		for k, c := range p.counts {
+			all = append(all, Entry{Key: k, Count: c})
+		}
+	}
+	slices.SortFunc(all, func(a, b Entry) int { return cmp.Compare(a.Key, b.Key) })
+	out := all[:0]
+	for _, e := range all {
+		if len(out) > 0 && out[len(out)-1].Key == e.Key {
+			out[len(out)-1].Count += e.Count
+		} else {
+			out = append(out, e)
+		}
+	}
+	s.entries = out
+	return s, nil
+}
+
+// With returns a new summary: s plus weight 1 for each of keys. That is
+// the merge of s's partials after each key's Add when no Add runs a
+// decrement round. It sorts keys in place and merges them into s's
+// entries in one pass.
+func (s *SortedTopK) With(keys []uint64) *SortedTopK {
+	slices.Sort(keys)
+	out := &SortedTopK{k: s.k, n: s.n + uint64(len(keys)), slack: s.slack,
+		entries: make([]Entry, 0, len(s.entries)+len(keys))}
+	old := s.entries
+	for j := 0; j < len(keys); {
+		e := Entry{Key: keys[j]}
+		for ; j < len(keys) && keys[j] == e.Key; j++ {
+			e.Count++
+		}
+		at, found := slices.BinarySearchFunc(old, e.Key, func(o Entry, key uint64) int { return cmp.Compare(o.Key, key) })
+		out.entries = append(out.entries, old[:at]...)
+		if found {
+			e.Count += old[at].Count
+			at++
+		}
+		out.entries = append(out.entries, e)
+		old = old[at:]
+	}
+	out.entries = append(out.entries, old...)
 	return out
 }
+
+// Kind reports KindTopK.
+func (s *SortedTopK) Kind() Kind { return KindTopK }
+
+// N reports the total weight folded in.
+func (s *SortedTopK) N() uint64 { return s.n }
+
+// Slack reports the total Misra-Gries decrement of the merged partials.
+func (s *SortedTopK) Slack() uint64 { return s.slack }
+
+// Top returns the j highest-estimate entries in TopK.Top's order.
+func (s *SortedTopK) Top(j int) []Entry {
+	n := min(max(j, 0), len(s.entries))
+	if n > topInsertMax || n == len(s.entries) {
+		top := slices.Clone(s.entries)
+		slices.SortFunc(top, compareEntries)
+		return top[:n]
+	}
+	top := make([]Entry, 0, n)
+	if n == 0 {
+		return top
+	}
+	for _, e := range s.entries {
+		top = keepTop(top, n, e)
+	}
+	return top
+}
+
+func (s *SortedTopK) mergeSketch(Sketch) error { return ErrReadOnly }

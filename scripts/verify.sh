@@ -20,8 +20,9 @@
 #   (plus a stricter floor over the sketch plane), the non-race
 #   million-session BNG soak (>=10^6 concurrent sessions at >=10^6
 #   events/sec with worker-count hash identity), one iteration of the
-#   bng engine stage benchmark and of each CDN stream stage benchmark, a
-#   bench regression smoke against the checked-in baseline, and a
+#   bng engine and round barrier stage benchmarks and of each CDN stream
+#   stage benchmark, a bench regression smoke against the checked-in
+#   baseline, and a
 #   bounded fuzz smoke over every wire-codec,
 #   fault-profile-parsing, journal-decoding, sketch-codec,
 #   sketch-query-parsing, session-snapshot codec, address-pool,
@@ -192,8 +193,8 @@ if awk -v p="$pct" -v f="$SKETCH_COVERAGE_FLOOR" 'BEGIN{exit !(p < f)}'; then
 	exit 1
 fi
 
-echo "==> bng engine stage benchmark (one iteration, so it keeps running; allocs/op shown, not bounded)"
-go test ./internal/bng -run '^$' -bench '^BenchmarkEngineAdvance$' -benchtime 1x -benchmem
+echo "==> bng engine and round barrier stage benchmarks (one iteration each, so they keep running; allocs/op shown, not bounded)"
+go test ./internal/bng -run '^$' -bench '^(BenchmarkEngineAdvance|BenchmarkRoundBarrier)$' -benchtime 1x -benchmem
 
 echo "==> CDN stream stage benchmarks (one iteration each, so they keep running)"
 go test ./internal/cdn/stream -run '^$' -bench 'GenerateUnits|GenerateTail|Partition|ShardUnit|Reduce' -benchtime 1x
